@@ -32,7 +32,6 @@ class ProjectorOptions:
     max_newton_steps: int = 200
     max_refine_steps: int = 500
     refine_tolerance: float = 1e-9
-    overshoot_kappa: float = 0.1
     max_step_norm: float = 1e3
     segment_candidates: int = 3  # opposite-class neighbors tried as bisection targets
     fan_directions: int = 64  # 2D only: global sweep for crossings the local solvers miss
@@ -41,8 +40,6 @@ class ProjectorOptions:
     def validate(self) -> None:
         if min(self.boundary_tolerance, self.refine_tolerance) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.overshoot_kappa < 0:
-            raise ValueError("overshoot_kappa must be nonnegative")
 
 
 @dataclass

@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, parse_config, serialize_config
-from .data import (DataError, export_csv, gen_gaussian_blobs, gen_symmetric_layout,
-                   save_idx)
-from .experiments import (ExperimentError, run_generalization_tracking,
-                          run_iterative_projection, run_symmetry_experiment,
-                          run_transfer)
+from .data import DataError, export_csv, save_idx
+from .experiments import (DatasetSpec, ExperimentError, build_dataset,
+                          run_generalization_tracking, run_iterative_projection,
+                          run_symmetry_experiment, run_transfer)
 from .fileio import atomic_write_text
 from .nn import TrainingDivergence
 from .svg import line_chart
@@ -129,13 +128,12 @@ def cmd_plot(args) -> int:
 
 def cmd_gen_data(args) -> int:
     if args.kind == "blobs":
-        half = args.distance / 2.0
-        c0 = np.zeros(args.dim)
-        c1 = np.zeros(args.dim)
-        c0[0], c1[0] = -half, half
-        data = gen_gaussian_blobs(args.dim, args.per_class, (c0, c1), args.sigma, args.seed)
+        spec = DatasetSpec(source="blobs", seed=args.seed, dim=args.dim,
+                           per_class=args.per_class, center_distance=args.distance,
+                           sigma=args.sigma)
     else:
-        data = gen_symmetric_layout(args.kind).dataset
+        spec = DatasetSpec(source="symmetric", layout_kind=args.kind)
+    data = build_dataset(spec)
     out = Path(args.out)
     if args.format == "csv":
         export_csv(data, out)

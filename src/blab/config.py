@@ -10,6 +10,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .boundary import ProjectorOptions
 from .experiments import DatasetSpec, ExperimentConfig
@@ -20,42 +22,41 @@ class ConfigError(ValueError):
     pass
 
 
-_DATASET_KEYS = {f.name for f in fields(DatasetSpec)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_PROJECTOR_KEYS = {f.name for f in fields(ProjectorOptions)}
-_EXPERIMENT_KEYS = {"iterations", "master_seed", "unconverged_abort_fraction",
-                    "kappa", "dims_b", "eval_fraction", "test_fraction"}
-_SECTIONS = {"dataset": _DATASET_KEYS, "network": {"dims"}, "train": _TRAIN_KEYS,
-             "projector": _PROJECTOR_KEYS, "experiment": _EXPERIMENT_KEYS}
+def _keys(cls, exclude=()) -> dict:
+    """Field name -> type hint, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in exclude}
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        return value.lower() in ("1", "true", "yes")
-    return target_type(value)
+_NESTED = ("dataset", "train", "projector")
+_EXPERIMENT = _keys(ExperimentConfig, exclude=_NESTED)
+# section -> key -> type hint, in file order; dims gets a section of its own
+_SCHEMA = {
+    "dataset": _keys(DatasetSpec),
+    "network": {"dims": _EXPERIMENT.pop("dims")},
+    "train": _keys(TrainConfig),
+    "projector": _keys(ProjectorOptions),
+    "experiment": _EXPERIMENT,
+}
 
 
-def _parse_dims(value: str) -> list[int]:
-    try:
-        return [int(v) for v in value.replace(" ", "").split(",") if v]
-    except ValueError as e:
-        raise ConfigError(f"bad dims value {value!r}") from e
+def _target(cfg: ExperimentConfig, section: str):
+    return getattr(cfg, section) if section in _NESTED else cfg
 
 
-def _apply(obj, key: str, value: str) -> None:
-    current = getattr(obj, key)
-    if key == "adam_betas":
-        parts = value.replace(" ", "").split(",")
-        setattr(obj, key, (float(parts[0]), float(parts[1])))
-        return
-    if isinstance(current, bool):
-        setattr(obj, key, _coerce(value, bool))
-    elif isinstance(current, int):
-        setattr(obj, key, int(value))
-    elif isinstance(current, float):
-        setattr(obj, key, float(value))
-    else:
-        setattr(obj, key, value)
+def _parse_value(hint, text: str):
+    """Comma lists for list/tuple hints; an empty value clears an optional key."""
+    if isinstance(hint, UnionType):
+        inner = next(a for a in get_args(hint) if a is not type(None))
+        return _parse_value(inner, text) if text.strip() else None
+    if get_origin(hint) in (list, tuple):
+        item = get_args(hint)[0]
+        return get_origin(hint)(item(v) for v in text.replace(" ", "").split(",") if v)
+    return hint(text)
+
+
+def _format_value(value) -> str:
+    return ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
 
 
 def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -72,7 +73,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
     cfg = ExperimentConfig()
     items: list[tuple[str, str, str]] = []
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
             items.append((section, key, value))
@@ -83,21 +84,12 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
         items.append((section, key, value))
 
     for section, key, value in items:
-        if section not in _SECTIONS or key not in _SECTIONS[section]:
+        if key not in _SCHEMA.get(section, ()):
             raise ConfigError(f"unknown config key {section}.{key}")
-        if section == "dataset":
-            _apply(cfg.dataset, key, value)
-        elif section == "network":
-            cfg.dims = _parse_dims(value)
-        elif section == "train":
-            _apply(cfg.train, key, value)
-        elif section == "projector":
-            _apply(cfg.projector, key, value)
-        else:
-            if key == "dims_b":
-                cfg.dims_b = _parse_dims(value) if value.strip() else None
-            else:
-                _apply(cfg, key, value)
+        try:
+            setattr(_target(cfg, section), key, _parse_value(_SCHEMA[section][key], value))
+        except ValueError as e:
+            raise ConfigError(f"bad value for {section}.{key}: {value!r}") from e
     try:
         cfg.validate()
     except ValueError as e:
@@ -106,26 +98,12 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = ["[dataset]"]
-    for f in fields(DatasetSpec):
-        lines.append(f"{f.name} = {getattr(cfg.dataset, f.name)}")
-    lines += ["", "[network]", "dims = " + ",".join(str(d) for d in cfg.dims)]
-    lines += ["", "[train]"]
-    for f in fields(TrainConfig):
-        v = getattr(cfg.train, f.name)
-        if f.name == "adam_betas":
-            v = f"{v[0]},{v[1]}"
-        lines.append(f"{f.name} = {v}")
-    lines += ["", "[projector]"]
-    for f in fields(ProjectorOptions):
-        lines.append(f"{f.name} = {getattr(cfg.projector, f.name)}")
-    lines += ["", "[experiment]"]
-    lines.append(f"iterations = {cfg.iterations}")
-    lines.append(f"master_seed = {cfg.master_seed}")
-    lines.append(f"unconverged_abort_fraction = {cfg.unconverged_abort_fraction}")
-    lines.append(f"kappa = {cfg.kappa}")
-    if cfg.dims_b is not None:
-        lines.append("dims_b = " + ",".join(str(d) for d in cfg.dims_b))
-    lines.append(f"eval_fraction = {cfg.eval_fraction}")
-    lines.append(f"test_fraction = {cfg.test_fraction}")
-    return "\n".join(lines) + "\n"
+    """The resolved config as a file parse_config reads back; unset optional keys are left out."""
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        target = _target(cfg, section)
+        lines = [f"[{section}]"]
+        lines += [f"{key} = {_format_value(getattr(target, key))}"
+                  for key in keys if getattr(target, key) is not None]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

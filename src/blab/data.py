@@ -193,11 +193,14 @@ def import_csv(path) -> Dataset:
         if not header or header[0] != "label":
             raise DataError(f"{path}: expected dataset CSV header starting with 'label'")
         rows, labels = [], []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
                 raise DataError(f"{path}: row width mismatch")
-            labels.append(int(parts[0]))
+            label = parts[0].strip()
+            if label not in ("0", "1"):
+                raise DataError(f"{path}, line {lineno}: label {label!r} is not 0 or 1")
+            labels.append(int(label))
             rows.append([float(v) for v in parts[1:]])
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -23,7 +23,7 @@ from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy,
                  init_network, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
@@ -87,7 +87,6 @@ class IterationRecord:
     train_accuracy: float | None
     test_accuracy: float | None
     unconverged_count: int
-    epochs_run: int
 
 
 @dataclass
@@ -101,19 +100,18 @@ class TransferReport:
     n_samples: int = 0
 
 
-def build_dataset(spec: DatasetSpec, seed_override: int | None = None) -> Dataset:
-    seed = spec.seed if seed_override is None else seed_override
+def build_dataset(spec: DatasetSpec) -> Dataset:
     if spec.source == "blobs":
         half = spec.center_distance / 2.0
         c0 = np.zeros(spec.dim)
         c1 = np.zeros(spec.dim)
         c0[0], c1[0] = -half, half
-        return gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, seed)
+        return gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, spec.seed)
     if spec.source == "idx":
         data = load_idx(spec.images_path, spec.labels_path)
         data = filter_binary(data, spec.class_a, spec.class_b)
         if spec.subset:
-            data = sample_balanced(data, spec.subset, seed)
+            data = sample_balanced(data, spec.subset, spec.seed)
         return data
     if spec.source == "csv":
         return import_csv(spec.csv_path)
@@ -164,7 +162,7 @@ def records_from_csv(text: str) -> list[IterationRecord]:
         it, nn, pn, tr, te, uc = line.split(",")
         records.append(IterationRecord(int(it), float(nn), float(pn),
                                        float(tr) if tr else None,
-                                       float(te) if te else None, int(uc), 0))
+                                       float(te) if te else None, int(uc)))
     return records
 
 
@@ -265,7 +263,6 @@ def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord
             train_accuracy=report.final_train_accuracy,
             test_accuracy=accuracy(net, test_data) if test_data is not None else None,
             unconverged_count=unconverged,
-            epochs_run=report.epochs_run,
         ))
         if run_dir:
             run_dir.save_iteration(k, net, data, results)
@@ -278,17 +275,20 @@ def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord
     return records
 
 
-def run_iterative_projection(cfg: ExperimentConfig, out_dir=None,
-                             test_data: Dataset | None = None,
-                             stop_after: int | None = None) -> list[IterationRecord]:
-    """Iterative projection: train a fresh-seeded network, replace the
-    working set with its boundary projections, repeat. Record 0 describes
-    the raw working set; identical configs replay identically."""
-    cfg.validate()
-    data = build_dataset(cfg.dataset)
+def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The (train, test) split of generalization tracking; the config alone
+    determines it, so a resumed run re-derives the same test set."""
+    train_part, test_part = stratified_split(build_dataset(cfg.dataset), cfg.test_fraction,
+                                             derive_seed(cfg.master_seed, SEED_SPLIT))
+    if len(test_part) == 0 or not test_part.both_classes_present():
+        raise ExperimentError("test split is empty or single-class")
+    return train_part, test_part
+
+
+def _run(cfg: ExperimentConfig, data: Dataset, test_data: Dataset | None, out_dir,
+         stop_after: int | None) -> list[IterationRecord]:
     if not data.both_classes_present():
         raise ExperimentError("dataset must contain both classes")
-
     run_dir = None
     started = time.time()
     if out_dir is not None:
@@ -296,19 +296,35 @@ def run_iterative_projection(cfg: ExperimentConfig, out_dir=None,
         run_dir.create()
         run_dir.write_manifest(cfg, 0, "running", started, test_data is not None)
 
-    records = [IterationRecord(0, nearest_opposite_mean_distance(data), 0.0,
-                               None, None, 0, 0)]
+    records = [IterationRecord(0, nearest_opposite_mean_distance(data), 0.0, None, None, 0)]
     if run_dir:
         export_csv(data, run_dir.working / "iter_0.csv")
         run_dir.write_records(records)
     return _iterate(cfg, data, records, 1, test_data, run_dir, started, stop_after)
 
 
-def checkpoint_resume(run_dir, test_data: Dataset | None = None) -> list[IterationRecord]:
+def run_iterative_projection(cfg: ExperimentConfig, out_dir=None,
+                             stop_after: int | None = None) -> list[IterationRecord]:
+    """Iterative projection: train a fresh-seeded network, replace the
+    working set with its boundary projections, repeat. Record 0 describes
+    the raw working set; identical configs replay identically."""
+    cfg.validate()
+    return _run(cfg, build_dataset(cfg.dataset), None, out_dir, stop_after)
+
+
+def run_generalization_tracking(cfg: ExperimentConfig, out_dir=None) -> list[IterationRecord]:
+    """Iterative projection with per-iteration accuracy on an untouched test split."""
+    cfg.validate()
+    train_part, test_part = _tracking_split(cfg)
+    return _run(cfg, train_part, test_part, out_dir, None)
+
+
+def checkpoint_resume(run_dir) -> list[IterationRecord]:
     """Continue an interrupted run from its last completed iteration.
 
     Derived seeds are positional, so the resumed records match an
-    uninterrupted run exactly. Resuming a finished run is a no-op."""
+    uninterrupted run exactly. A run that tracked test accuracy re-derives
+    its test split from the saved config. Resuming a finished run is a no-op."""
     rd = RunDirectory(run_dir)
     manifest = rd.read_manifest()
     cfg = config_from_dict(manifest["config"])
@@ -316,38 +332,10 @@ def checkpoint_resume(run_dir, test_data: Dataset | None = None) -> list[Iterati
     records = records_from_csv((rd.path / "records.csv").read_text())
     if manifest["status"] == "finished" or completed >= cfg.iterations:
         return records
-    if manifest["with_test"] and test_data is None:
-        raise ExperimentError("run tracked test accuracy; pass the same test set to resume")
+    test_data = _tracking_split(cfg)[1] if manifest["with_test"] else None
     data = import_csv(rd.working / f"iter_{completed}.csv")
     records = records[:completed + 1]
     return _iterate(cfg, data, records, completed + 1, test_data, rd, time.time(), None)
-
-
-def run_generalization_tracking(cfg: ExperimentConfig, out_dir=None) -> list[IterationRecord]:
-    """Iterative projection with per-iteration accuracy on an untouched test split."""
-    cfg.validate()
-    full = build_dataset(cfg.dataset)
-    train_part, test_part = stratified_split(full, cfg.test_fraction,
-                                             derive_seed(cfg.master_seed, SEED_SPLIT))
-    if len(test_part) == 0 or not test_part.both_classes_present():
-        raise ExperimentError("test split is empty or single-class")
-    return _track_on(cfg, train_part, test_part, out_dir)
-
-
-def _track_on(cfg: ExperimentConfig, train_part: Dataset, test_part: Dataset,
-              out_dir) -> list[IterationRecord]:
-    run_dir = None
-    started = time.time()
-    if out_dir is not None:
-        run_dir = RunDirectory(out_dir)
-        run_dir.create()
-        run_dir.write_manifest(cfg, 0, "running", started, True)
-    records = [IterationRecord(0, nearest_opposite_mean_distance(train_part), 0.0,
-                               None, None, 0, 0)]
-    if run_dir:
-        export_csv(train_part, run_dir.working / "iter_0.csv")
-        run_dir.write_records(records)
-    return _iterate(cfg, train_part, records, 1, test_part, run_dir, started, None)
 
 
 def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> float:

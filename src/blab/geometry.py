@@ -119,18 +119,6 @@ class GridBoundary:
         return self.crossings[i], float(d[i])
 
 
-def grid_boundary_projection(margin_fn, x, bounds, step: float) -> tuple[np.ndarray, float]:
-    """Brute-force nearest boundary crossing of a 2D scalar field.
-
-    margin_fn takes an (m, 2) array and returns (m,) values.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    if not (x_lo <= x[0] <= x_hi and y_lo <= x[1] <= y_hi):
-        raise ValueError("query point outside bounds")
-    return GridBoundary(margin_fn, bounds, step).nearest(x)
-
-
 def ratio_bound(a: float, b: float) -> float:
     """a/b + b/a; at least 2 for positive reals, equality only at a = b."""
     if a <= 0 or b <= 0:

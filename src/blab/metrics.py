@@ -1,4 +1,4 @@
-"""Quantitative instruments: inter-class distance, global-difference estimate, generalization gap."""
+"""Quantitative instruments: inter-class distance and the global-difference estimate."""
 
 from __future__ import annotations
 
@@ -69,9 +69,3 @@ def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: 
             aligned += 1
     return GlobalDifferenceEstimate(alphas, float(s - alphas.sum()), aligned,
                                     s - aligned, cosine_threshold)
-
-
-def generalization_gap(net: MlpNetwork, train: Dataset, test: Dataset) -> tuple[float, float, float]:
-    train_acc = accuracy(net, train)
-    test_acc = accuracy(net, test)
-    return train_acc, test_acc, train_acc - test_acc

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if len(self.adam_betas) != 2:
+            raise ValueError("adam_betas must be two numbers")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0 < self.accuracy_target <= 1:

@@ -117,7 +117,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         ProjectorOptions(boundary_tolerance=0.0).validate()
     with pytest.raises(ValueError):
-        ProjectorOptions(overshoot_kappa=-0.1).validate()
+        ProjectorOptions(refine_tolerance=-1e-9).validate()
 
 
 def test_projection_on_curved_boundary_finds_near_branch():

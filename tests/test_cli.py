@@ -1,6 +1,9 @@
+import json
 from pathlib import Path
 
 from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from blab.data import export_csv
+from blab.experiments import DatasetSpec, build_dataset
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
 
@@ -47,6 +50,16 @@ def test_gen_data_csv_and_idx(tmp_path):
                  "--format", "idx", "--out", str(idx_out), "--seed", "3"]) == EXIT_OK
     assert idx_out.exists() and idx_out.with_suffix(".labels.idx").exists()
 
+    # the generator is the one experiments use
+    spec_out = tmp_path / "spec.csv"
+    export_csv(build_dataset(DatasetSpec(source="blobs", seed=3, dim=3, per_class=6,
+                                         center_distance=2.5, sigma=0.3)), spec_out)
+    cli_out = tmp_path / "cli.csv"
+    assert main(["gen-data", "--kind", "blobs", "--out", str(cli_out), "--dim", "3",
+                 "--per-class", "6", "--distance", "2.5", "--sigma", "0.3",
+                 "--seed", "3"]) == EXIT_OK
+    assert cli_out.read_bytes() == spec_out.read_bytes()
+
     # non-square feature dimension cannot be written as an image grid
     assert main(["gen-data", "--kind", "blobs", "--dim", "3", "--per-class", "3",
                  "--format", "idx", "--out", str(tmp_path / "x.idx")]) == EXIT_DATA
@@ -57,6 +70,20 @@ def test_bad_config_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\nlearning_rate = banana\n")
     assert main(["iterproj", str(bad)]) == EXIT_CONFIG
+
+
+def test_iterproj_rejects_csv_labels_outside_0_1(tmp_path, capsys):
+    for label in ("2", "-1"):
+        data = tmp_path / f"data{label}.csv"
+        data.write_text(f"label,f0,f1\n0,-1.0,0.0\n1,1.0,0.0\n{label},1.5,0.5\n")
+        cfg = tmp_path / f"csv{label}.cfg"
+        cfg.write_text(f"[dataset]\nsource = csv\ncsv_path = {data}\n\n"
+                       "[network]\ndims = 2,4,2\n\n[experiment]\niterations = 1\n")
+        out = tmp_path / f"run{label}"
+        assert main(["iterproj", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert f"line 4: label '{label}'" in capsys.readouterr().err
+        manifest = out / "manifest.json"
+        assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
 
 
 def test_plot_missing_records_is_data_error(tmp_path):

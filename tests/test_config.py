@@ -1,8 +1,13 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from blab.boundary import ProjectorOptions
+from blab.cli import EXIT_OK, main
 from blab.config import ConfigError, parse_config, serialize_config
+from blab.experiments import DatasetSpec, ExperimentConfig
+from blab.nn import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -59,3 +64,49 @@ def test_serialize_parse_roundtrip(tmp_path):
     p = tmp_path / "echo.cfg"
     p.write_text(text)
     assert parse_config(p) == cfg
+
+
+def _every_field_changed() -> ExperimentConfig:
+    return ExperimentConfig(
+        dataset=DatasetSpec(source="idx", seed=7, dim=3, per_class=9, center_distance=2.5,
+                            sigma=0.25, images_path="img.idx", labels_path="lab.idx",
+                            class_a=1, class_b=7, subset=40, csv_path="d.csv",
+                            layout_kind="mirrored_pairs"),
+        dims=[3, 5, 2],
+        train=TrainConfig(optimizer="sgd_momentum", learning_rate=0.05, momentum=0.5,
+                          adam_betas=(0.8, 0.99), adam_epsilon=1e-7, max_epochs=77,
+                          batch_size=8, accuracy_target=0.95, seed=11),
+        projector=ProjectorOptions(boundary_tolerance=1e-5, max_newton_steps=50,
+                                   max_refine_steps=60, refine_tolerance=1e-8,
+                                   max_step_norm=10.0, segment_candidates=2,
+                                   fan_directions=16, refine_stall_fraction=1e-3),
+        iterations=3, master_seed=9, unconverged_abort_fraction=0.2, kappa=0.3,
+        dims_b=[3, 4, 2], eval_fraction=0.3, test_fraction=0.4)
+
+
+def test_every_field_roundtrips(tmp_path, capsys):
+    cfg = _every_field_changed()
+    default = ExperimentConfig()
+    for changed, base in ((cfg, default), (cfg.dataset, default.dataset),
+                          (cfg.train, default.train), (cfg.projector, default.projector)):
+        for f in fields(base):
+            assert getattr(changed, f.name) != getattr(base, f.name), f.name
+    text = serialize_config(cfg)
+    p = tmp_path / "all.cfg"
+    p.write_text(text)
+    assert parse_config(p) == cfg
+    assert main(["show-config", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out == text
+
+
+def test_list_values_and_bad_values(tmp_path):
+    p = tmp_path / "a.cfg"
+    p.write_text("[train]\nadam_betas = 0.5, 0.6\n\n[experiment]\ndims_b =\n")
+    cfg = parse_config(p)
+    assert cfg.train.adam_betas == (0.5, 0.6) and cfg.dims_b is None
+    assert "dims_b" not in serialize_config(cfg)
+    for bad in ("[train]\nadam_betas = 0.5\n", "[network]\ndims = 2,x,2\n",
+                "[experiment]\niterations = many\n"):
+        p.write_text(bad)
+        with pytest.raises(ConfigError):
+            parse_config(p)

@@ -133,6 +133,14 @@ def test_csv_rejects_garbage(tmp_path):
         import_csv(path)
 
 
+@pytest.mark.parametrize("label", ["2", "-1", "x"])
+def test_csv_rejects_out_of_range_label(tmp_path, label):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"label,f0\n0,1.0\n{label},2.0\n")
+    with pytest.raises(DataError, match=r"labels\.csv, line 3: label"):
+        import_csv(path)
+
+
 @given(st.lists(st.lists(st.floats(-1e100, 1e100, allow_nan=False, width=64),
                          min_size=3, max_size=3),
                 min_size=1, max_size=8))

@@ -48,8 +48,8 @@ def test_stratified_split_properties():
 
 
 def test_records_csv_roundtrip():
-    records = [IterationRecord(0, 3.5, 0.0, None, None, 0, 0),
-               IterationRecord(1, 1.25, 0.5, 1.0, 0.9, 2, 17)]
+    records = [IterationRecord(0, 3.5, 0.0, None, None, 0),
+               IterationRecord(1, 1.25, 0.5, 1.0, 0.9, 2)]
     text = records_to_csv(records)
     assert text.splitlines()[0] == ("iteration,mean_nn_distance,mean_projection_norm,"
                                     "train_acc,test_acc,unconverged_count")
@@ -126,6 +126,38 @@ def test_resume_finished_run_is_noop(tmp_path):
 def test_resume_requires_manifest(tmp_path):
     with pytest.raises(ExperimentError, match="manifest"):
         checkpoint_resume(tmp_path)
+
+
+def test_resume_refuses_older_manifest_format(tmp_path):
+    run_iterative_projection(small_config(master_seed=3, iterations=2),
+                             out_dir=tmp_path / "run", stop_after=1)
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = 1
+    manifest["config"]["projector"]["overshoot_kappa"] = 0.1
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ExperimentError, match="format version 1"):
+        checkpoint_resume(tmp_path / "run")
+
+
+def test_generalization_tracking_resumes_without_test_set(tmp_path):
+    def cfg(iterations):
+        c = small_config(master_seed=4, iterations=iterations)
+        c.dataset.per_class = 20
+        return c
+
+    run_generalization_tracking(cfg(3), out_dir=tmp_path / "full")
+    partial = tmp_path / "partial"
+    run_generalization_tracking(cfg(2), out_dir=partial)
+    path = partial / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["iterations"] = 3
+    manifest["status"] = "running"
+    path.write_text(json.dumps(manifest))
+    checkpoint_resume(partial)
+    assert ((partial / "records.csv").read_bytes()
+            == (tmp_path / "full" / "records.csv").read_bytes())
+    assert json.loads(path.read_text())["status"] == "finished"
 
 
 def test_generalization_tracking_records_test_accuracy(tmp_path):

@@ -6,8 +6,7 @@ from blab.data import gen_symmetric_layout
 from blab.geometry import (GridBoundary, VectorProjectionInstance,
                            check_claim1_chain, check_claim2_product,
                            enumerate_square_xor_projections,
-                           grid_boundary_projection, halfspace_projection,
-                           ratio_bound)
+                           halfspace_projection, ratio_bound)
 
 
 def test_halfspace_projection_frozen():
@@ -40,12 +39,9 @@ def test_grid_boundary_matches_analytic_line():
         assert d == pytest.approx(exact, abs=2e-3)
 
 
-def test_grid_boundary_rejects_empty_field_and_bad_query():
+def test_grid_boundary_rejects_empty_field():
     with pytest.raises(ValueError):
         GridBoundary(lambda pts: np.ones(len(pts)), ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
-    with pytest.raises(ValueError):
-        grid_boundary_projection(lambda pts: pts[:, 0], [5.0, 0.0],
-                                 ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
 
 
 def test_ratio_bound_frozen_and_errors():

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.data import Dataset
-from blab.metrics import (estimate_global_difference, generalization_gap,
-                          nearest_opposite_mean_distance)
-from blab.nn import accuracy
+from blab.metrics import estimate_global_difference, nearest_opposite_mean_distance
 from helpers import linear_net
 
 
@@ -60,12 +58,3 @@ def test_global_difference_rejects_non_separator():
     with pytest.raises(ValueError, match="cosine_threshold"):
         estimate_global_difference(f_net, original, projected, g_net,
                                    cosine_threshold=1.5)
-
-
-def test_generalization_gap():
-    net = linear_net([1.0, 0.0], 0.0)
-    train = Dataset(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([0, 1]))
-    test = Dataset(np.array([[-1.0, 0.0], [-2.0, 0.0]]), np.array([0, 1]))
-    tr, te, gap = generalization_gap(net, train, test)
-    assert tr == 1.0 and te == 0.5 and gap == 0.5
-    assert accuracy(net, train) == tr
