@@ -1,7 +1,7 @@
 """Flat `key = value` config files with bracketed sections.
 
 Sections map onto the experiment config: [dataset], [network], [train],
-[projector], [experiment]. Unknown sections or keys are errors so typos
+[experiment]. Unknown sections or keys are errors so typos
 never silently fall back to defaults. CLI overrides beat file values.
 """
 
@@ -13,7 +13,6 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .boundary import ProjectorOptions
 from .experiments import DatasetSpec, ExperimentConfig
 from .nn import TrainConfig
 
@@ -28,14 +27,13 @@ def _keys(cls, exclude=()) -> dict:
     return {f.name: hints[f.name] for f in fields(cls) if f.name not in exclude}
 
 
-_NESTED = ("dataset", "train", "projector")
+_NESTED = ("dataset", "train")
 _EXPERIMENT = _keys(ExperimentConfig, exclude=_NESTED)
 # section -> key -> type hint, in file order; dims gets a section of its own
 _SCHEMA = {
     "dataset": _keys(DatasetSpec),
     "network": {"dims": _EXPERIMENT.pop("dims")},
     "train": _keys(TrainConfig),
-    "projector": _keys(ProjectorOptions),
     "experiment": _EXPERIMENT,
 }
 

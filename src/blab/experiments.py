@@ -13,17 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import (ProjectionResult, ProjectorOptions, adversarial_overshoot,
-                       export_projection_csv, project_dataset, project_to_boundary)
+from .boundary import (ProjectionResult, adversarial_overshoot, export_projection_csv,
+                       project_dataset, project_to_boundary)
 from .data import (DataError, Dataset, export_csv, filter_binary, gen_gaussian_blobs,
                    gen_symmetric_layout, import_csv, load_idx, sample_balanced)
 from .fileio import atomic_write_text
 from .metrics import nearest_opposite_mean_distance
-from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy,
+from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_layer_dims,
                  init_network, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
@@ -31,6 +31,9 @@ SEED_TRIAL = 2
 SEED_EVAL = 3
 SEED_BASELINE = 4
 SEED_SPLIT = 5
+
+SYMMETRY_DIMS = (2, 16, 2)
+SYMMETRY_CLUSTER_COS = 0.3  # mean per-point cosine that puts two trials in one cluster
 
 
 class ExperimentError(RuntimeError):
@@ -63,7 +66,6 @@ class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     dims: list[int] = field(default_factory=lambda: [2, 16, 16, 2])
     train: TrainConfig = field(default_factory=TrainConfig)
-    projector: ProjectorOptions = field(default_factory=ProjectorOptions)
     iterations: int = 5
     master_seed: int = 0
     unconverged_abort_fraction: float = 0.10
@@ -76,7 +78,6 @@ class ExperimentConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.train.validate()
-        self.projector.validate()
 
 
 @dataclass
@@ -178,7 +179,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     tr = dict(d["train"])
     tr["adam_betas"] = tuple(tr["adam_betas"])
     d["train"] = TrainConfig(**tr)
-    d["projector"] = ProjectorOptions(**d["projector"])
     return ExperimentConfig(**d)
 
 
@@ -244,7 +244,7 @@ def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord
             raise ExperimentError(f"iteration {k}: training hit the epoch cap "
                                   f"(accuracy {report.final_train_accuracy:.3f})")
 
-        projected, results = project_dataset(net, data, cfg.projector)
+        projected, results = project_dataset(net, data)
         unconverged = sum(not r.converged for r in results)
         if unconverged > cfg.unconverged_abort_fraction * len(data):
             if run_dir:
@@ -289,6 +289,7 @@ def _run(cfg: ExperimentConfig, data: Dataset, test_data: Dataset | None, out_di
          stop_after: int | None) -> list[IterationRecord]:
     if not data.both_classes_present():
         raise ExperimentError("dataset must contain both classes")
+    check_layer_dims(cfg.dims, data.dim)
     run_dir = None
     started = time.time()
     if out_dir is not None:
@@ -380,7 +381,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
     rng = make_rng(derive_seed(cfg.master_seed, SEED_BASELINE), stream=0)
     adv, base, kept = [], [], []
     for x, lab in zip(xs, labels):
-        res = project_to_boundary(net_a, x, int(lab), data_a, cfg.projector)
+        res = project_to_boundary(net_a, x, int(lab), data_a)
         if not res.converged:
             continue
         a = adversarial_overshoot(net_a, res, kappa)
@@ -403,9 +404,9 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
         kappa=kappa, mode=mode, valid=valid, n_samples=len(kept))
 
 
-def _unit_projection_signature(net: MlpNetwork, layout_data: Dataset,
-                               opts: ProjectorOptions) -> tuple[np.ndarray, list[ProjectionResult]] | None:
-    _, results = project_dataset(net, layout_data, opts)
+def _unit_projection_signature(net: MlpNetwork,
+                               layout_data: Dataset) -> tuple[np.ndarray, list[ProjectionResult]] | None:
+    _, results = project_dataset(net, layout_data)
     units = []
     for r in results:
         if not r.converged or r.distance == 0:
@@ -415,26 +416,21 @@ def _unit_projection_signature(net: MlpNetwork, layout_data: Dataset,
 
 
 def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
-                            dims=(2, 16, 2), perturb: float = 0.0, kappa: float = 0.1,
-                            cluster_cos: float = 0.3,
-                            train_cfg: TrainConfig | None = None,
-                            opts: ProjectorOptions | None = None) -> dict:
+                            perturb: float = 0.0, kappa: float = 0.1) -> dict:
     """Train many independently seeded networks on a (possibly perturbed)
     symmetric layout, cluster their boundary orientations by the projection
     directions of the layout points, and compare adversarial transfer within
     vs across clusters."""
     layout = gen_symmetric_layout(layout_kind, perturb)
     data = layout.dataset
-    train_cfg = train_cfg or TrainConfig(optimizer="adam", learning_rate=1e-2,
-                                         max_epochs=5000, batch_size=len(data),
-                                         accuracy_target=0.99)
-    opts = opts or ProjectorOptions()
+    train_cfg = TrainConfig(optimizer="adam", learning_rate=1e-2, max_epochs=5000,
+                            batch_size=len(data), accuracy_target=0.99)
 
     sigs, nets, all_results = [], [], []
     failures = 0
     for t in range(trials):
         seed_t = derive_seed(master_seed, SEED_TRIAL, t)
-        net = init_network(list(dims), seed_t)
+        net = init_network(SYMMETRY_DIMS, seed_t)
         try:
             report = train(net, data, replace(train_cfg, seed=seed_t))
         except TrainingDivergence:
@@ -443,7 +439,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         if report.stopped_reason != "criterion_met":
             failures += 1
             continue
-        sig = _unit_projection_signature(net, data, opts)
+        sig = _unit_projection_signature(net, data)
         if sig is None:
             failures += 1
             continue
@@ -458,7 +454,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     for i, sig in enumerate(sigs):
         placed = False
         for c, rep in enumerate(reps):
-            if float((sig * rep).sum(axis=1).mean()) >= cluster_cos:
+            if float((sig * rep).sum(axis=1).mean()) >= SYMMETRY_CLUSTER_COS:
                 clusters[c].append(i)
                 assignment.append(c)
                 placed = True

@@ -9,7 +9,7 @@ instances, reporting where they hold and where they do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

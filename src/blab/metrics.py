@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import ProjectorOptions, project_dataset
+from .boundary import project_dataset
 from .data import Dataset
 from .nn import MlpNetwork, accuracy
 
@@ -33,9 +33,8 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
 
 
 def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: Dataset,
-                               g_net: MlpNetwork, cosine_threshold: float = 0.95,
-                               opts: ProjectorOptions | None = None,
-                               f_results=None) -> GlobalDifferenceEstimate:
+                               g_net: MlpNetwork,
+                               cosine_threshold: float = 0.95) -> GlobalDifferenceEstimate:
     """Heuristic global-difference estimate against one concrete re-separator g.
 
     g_net must correctly classify the projected set. Each projected sample is
@@ -44,16 +43,14 @@ def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: 
     contributes alpha = clamp(|g vector| / |f vector|, 0, 1), otherwise 0.
     phi = s - sum(alpha). This is a lower-bound-style stand-in for the exact
     maximization over all separators of the projected set, which is
-    intractable; pass f_results to reuse projections already computed.
+    intractable.
     """
     if not 0 < cosine_threshold <= 1:
         raise ValueError("cosine_threshold must be in (0, 1]")
     if accuracy(g_net, projected) < 1.0:
         raise ValueError("g misclassifies the projected set; it is not a separator of it")
-    opts = opts or ProjectorOptions()
-    if f_results is None:
-        _, f_results = project_dataset(f_net, original, opts)
-    _, g_results = project_dataset(g_net, projected, opts)
+    _, f_results = project_dataset(f_net, original)
+    _, g_results = project_dataset(g_net, projected)
 
     s = len(original)
     alphas = np.zeros(s)

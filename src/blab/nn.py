@@ -7,9 +7,9 @@ zero set is the decision boundary everything else in this package probes.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +78,9 @@ class TrainReport:
     stopped_reason: str  # criterion_met | epoch_cap
 
 
-def init_network(layer_dims, seed: int) -> MlpNetwork:
-    """He-scaled normal weights, zero biases; bitwise deterministic per seed."""
+def check_layer_dims(layer_dims, input_dim: int | None = None) -> list[int]:
+    """Layer widths as ints; ValueError unless they describe a network this
+    module builds and, when input_dim is given, one that accepts such inputs."""
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2:
         raise ValueError("need at least an input and an output layer")
@@ -87,6 +88,14 @@ def init_network(layer_dims, seed: int) -> MlpNetwork:
         raise ValueError("all layer dimensions must be positive")
     if dims[-1] != 2:
         raise ValueError("output layer must have exactly 2 logits")
+    if input_dim is not None and dims[0] != input_dim:
+        raise ValueError(f"network input width {dims[0]} != data dimension {input_dim}")
+    return dims
+
+
+def init_network(layer_dims, seed: int) -> MlpNetwork:
+    """He-scaled normal weights, zero biases; bitwise deterministic per seed."""
+    dims = check_layer_dims(layer_dims)
     rng = make_rng(seed, stream=0x11717)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -288,17 +297,28 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
 
 def load_checkpoint(path) -> MlpNetwork:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # checked against the file size first, so a corrupt shape never
+            # asks for a huge buffer
+            if f.tell() + n > size:
+                raise ValueError(f"{path}: checkpoint truncated in {what} "
+                                 f"({size - f.tell()} of {n} bytes left)")
+            return f.read(n)
+
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        version, n_layers = struct.unpack("<II", f.read(8))
+        version, n_layers = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         weights, biases = [], []
-        for _ in range(n_layers):
-            rows, cols = struct.unpack("<II", f.read(8))
-            w = np.frombuffer(f.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-            b = np.frombuffer(f.read(8 * rows), dtype="<f8")
+        for k in range(n_layers):
+            rows, cols = struct.unpack("<II", read(8, f"layer {k} shape"))
+            w = np.frombuffer(read(8 * rows * cols, f"layer {k} weights"),
+                              dtype="<f8").reshape(rows, cols)
+            b = np.frombuffer(read(8 * rows, f"layer {k} biases"), dtype="<f8")
             weights.append(w.astype(np.float64))
             biases.append(b.astype(np.float64))
     dims = [weights[0].shape[1]] + [w.shape[0] for w in weights]

@@ -6,16 +6,13 @@ optional serialized failing case so failures can be replayed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import replace
-
 import numpy as np
 
-from .boundary import ProjectorOptions, project_to_boundary
+from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
 from .geometry import (GridBoundary, VectorProjectionInstance, check_claim1_chain,
-                       check_claim2_product, halfspace_projection, ratio_bound)
-from .nn import TrainConfig, forward, grad_input, init_network, margin, margin_batch, train
+                       check_claim2_product, halfspace_projection)
+from .nn import TrainConfig, grad_input, init_network, margin, margin_batch, train
 from .rng import derive_seed, make_rng
 
 CheckResult = tuple[str, bool, str]
@@ -86,7 +83,6 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5, seed: int = 77,
     vs the analytic halfspace projection on linear networks (1e-3 absolute)."""
     results: list[CheckResult] = []
     failing = None
-    opts = ProjectorOptions()
     rng = make_rng(seed, stream=0x04AC)
 
     worst_rel = 0.0
@@ -104,7 +100,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5, seed: int = 77,
         picks = rng.choice(correct, size=points_per_net, replace=False)
         for i in picks:
             x = data.samples[i]
-            res = project_to_boundary(net, x, int(data.labels[i]), data, opts)
+            res = project_to_boundary(net, x, int(data.labels[i]), data)
             _, d_grid = field.nearest(x)
             rel = abs(res.distance - d_grid) / max(d_grid, 1e-12)
             worst_rel = max(worst_rel, rel)
@@ -135,7 +131,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5, seed: int = 77,
         label = 1 if m > 0 else 0
         anchor = halfspace_projection(w, c, x) - (2.0 if m > 0 else -2.0) * w / np.linalg.norm(w)
         data = Dataset(np.vstack([x, anchor]), np.array([label, 1 - label]))
-        res = project_to_boundary(net, x, label, data, opts)
+        res = project_to_boundary(net, x, label, data)
         exact = np.linalg.norm(halfspace_projection(w, c, x) - x)
         err = abs(res.distance - exact)
         worst_abs = max(worst_abs, err)

@@ -86,6 +86,17 @@ def test_iterproj_rejects_csv_labels_outside_0_1(tmp_path, capsys):
         assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
 
 
+def test_bad_network_dims_fail_before_the_run_directory(tmp_path, capsys):
+    # wrong input width for 2-D data, no layers at all, wrong output width
+    for k, dims in enumerate(("3,4,2", "", "2,4,3")):
+        out = tmp_path / f"run{k}"
+        assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out),
+                     "--set", f"network.dims={dims}"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        manifest = out / "manifest.json"
+        assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
+
+
 def test_plot_missing_records_is_data_error(tmp_path):
     assert main(["plot", str(tmp_path / "none.csv"), str(tmp_path / "o.svg")]) == EXIT_DATA
     garbage = tmp_path / "g.csv"

@@ -3,8 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from blab.boundary import ProjectorOptions
-from blab.cli import EXIT_OK, main
+from blab.cli import EXIT_CONFIG, EXIT_OK, main
 from blab.config import ConfigError, parse_config, serialize_config
 from blab.experiments import DatasetSpec, ExperimentConfig
 from blab.nn import TrainConfig
@@ -76,10 +75,6 @@ def _every_field_changed() -> ExperimentConfig:
         train=TrainConfig(optimizer="sgd_momentum", learning_rate=0.05, momentum=0.5,
                           adam_betas=(0.8, 0.99), adam_epsilon=1e-7, max_epochs=77,
                           batch_size=8, accuracy_target=0.95, seed=11),
-        projector=ProjectorOptions(boundary_tolerance=1e-5, max_newton_steps=50,
-                                   max_refine_steps=60, refine_tolerance=1e-8,
-                                   max_step_norm=10.0, segment_candidates=2,
-                                   fan_directions=16, refine_stall_fraction=1e-3),
         iterations=3, master_seed=9, unconverged_abort_fraction=0.2, kappa=0.3,
         dims_b=[3, 4, 2], eval_fraction=0.3, test_fraction=0.4)
 
@@ -88,7 +83,7 @@ def test_every_field_roundtrips(tmp_path, capsys):
     cfg = _every_field_changed()
     default = ExperimentConfig()
     for changed, base in ((cfg, default), (cfg.dataset, default.dataset),
-                          (cfg.train, default.train), (cfg.projector, default.projector)):
+                          (cfg.train, default.train)):
         for f in fields(base):
             assert getattr(changed, f.name) != getattr(base, f.name), f.name
     text = serialize_config(cfg)
@@ -110,3 +105,11 @@ def test_list_values_and_bad_values(tmp_path):
         p.write_text(bad)
         with pytest.raises(ConfigError):
             parse_config(p)
+
+
+def test_projector_section_is_refused(tmp_path, capsys):
+    # the solver settings are constants in blab.boundary, not config keys
+    p = tmp_path / "old.cfg"
+    p.write_text("[network]\ndims = 2,8,2\n\n[projector]\nboundary_tolerance = 1e-6\n")
+    assert main(["show-config", str(p)]) == EXIT_CONFIG
+    assert "unknown config section [projector]" in capsys.readouterr().err

@@ -133,10 +133,10 @@ def test_resume_refuses_older_manifest_format(tmp_path):
                              out_dir=tmp_path / "run", stop_after=1)
     path = tmp_path / "run" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["format_version"] = 1
-    manifest["config"]["projector"]["overshoot_kappa"] = 0.1
+    manifest["format_version"] = 2
+    manifest["config"]["projector"] = {"boundary_tolerance": 1e-6, "max_newton_steps": 200}
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ExperimentError, match="format version 1"):
+    with pytest.raises(ExperimentError, match="format version 2"):
         checkpoint_resume(tmp_path / "run")
 
 

@@ -138,3 +138,18 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut, field", [(10, "header"), (14, "layer 0 shape"),
+                                        (199, "layer 0 weights"), (300, "layer 0 biases"),
+                                        (683, "layer 1 biases")])
+def test_truncated_checkpoint_names_file_and_field(tmp_path, cut, field):
+    # [2, 16, 2]: 12-byte header, then per layer an 8-byte shape, weights, biases;
+    # layer 0 spans bytes 12-404 and layer 1 ends the 684-byte file
+    path = tmp_path / "cut.blab"
+    save_checkpoint(init_network([2, 16, 2], seed=0), path)
+    raw = path.read_bytes()
+    assert len(raw) == 684
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match=f"cut.blab: checkpoint truncated in {field} "):
+        load_checkpoint(path)
