@@ -1,9 +1,11 @@
 """Numerical projection of samples onto a network's decision boundary.
 
-Two candidate solvers run per sample: a first-order root seeker with
-tangent-plane distance refinement, and a bisection along the segment to
-the nearest opposite-class sample. The shorter result wins, so returned
-distances never exceed the segment-crossing distance.
+Three candidate solvers run per sample: a first-order root seeker with
+tangent-plane distance refinement; bisection along the segments to the
+nearest opposite-class samples, each crossing refined in turn; and, for 2D
+inputs only, a radial fan sweep inside the best radius found so far. The
+shortest converged result wins, so returned distances never exceed the
+segment-crossing distance.
 """
 
 from __future__ import annotations
@@ -179,8 +181,10 @@ def project_to_boundary(net: MlpNetwork, x, label: int, data: Dataset) -> Projec
     """Nearest-boundary-point estimate for a correctly classified sample.
 
     Candidate 1: hit_boundary + tangent-plane refinement. Candidate 2:
-    bisection toward the nearest opposite-class sample (an upper bound on
-    the true distance). Returns the closer candidate; ties go to candidate 1.
+    bisection toward the nearest opposite-class samples (an upper bound on
+    the true distance), each crossing refined. Candidate 3, 2D only: the fan
+    sweep inside the better radius of the first two. Returns the closest
+    converged candidate; ties within REFINE_TOLERANCE go to candidate 1.
     """
     x = np.asarray(x, dtype=np.float64)
 

@@ -1,10 +1,11 @@
 """Network-free geometric ground truth and numeric checks of the
 symmetry-uniqueness argument on raw vector data.
 
-Nothing here touches a trained network: closed-form halfspace projections
-and 2D grid search serve as independent oracles for the boundary solver,
-and the claim checkers evaluate the inequality chains on explicit vector
-instances, reporting where they hold and where they do not.
+Nothing here imports the network module: closed-form halfspace
+projections, the exact linear-region split of a 2D ReLU net (given as raw
+weight arrays) and 2D grid search serve as independent oracles for the
+boundary solver, and the claim checkers evaluate the inequality chains on
+explicit vector instances, reporting where they hold and where they do not.
 """
 
 from __future__ import annotations
@@ -117,6 +118,109 @@ class GridBoundary:
         d = np.linalg.norm(self.crossings - x, axis=1)
         i = int(np.argmin(d))
         return self.crossings[i], float(d[i])
+
+
+def _cut(poly: np.ndarray, v: np.ndarray):
+    """Split a convex polygon by the sign of an affine function whose values
+    at the vertices are v: one Sutherland–Hodgman pass for both sides.
+
+    Returns the part where v >= 0, the part where v <= 0 and the points of
+    the outline where v = 0."""
+    pos, neg, line = [], [], []
+    n = len(poly)
+    for i in range(n):
+        j = (i + 1) % n
+        p, vp, vq = poly[i], v[i], v[j]
+        if vp >= 0:
+            pos.append(p)
+        if vp <= 0:
+            neg.append(p)
+        if vp == 0:
+            line.append(p)
+        elif vp * vq < 0:
+            cross = p + vp / (vp - vq) * (poly[j] - p)
+            pos.append(cross)
+            neg.append(cross)
+            line.append(cross)
+    return np.array(pos), np.array(neg), line
+
+
+def _split_layer(poly: np.ndarray, g: np.ndarray, e: np.ndarray) -> list:
+    """Cells of a convex polygon on which every unit of z = g x + e keeps one
+    sign, each with its 0/1 activation mask. A unit whose sign is the same
+    at every vertex of a cell does not cut it."""
+    cells = []
+    todo = [(poly, 0, np.zeros(len(e)))]
+    while todo:
+        poly, j, mask = todo.pop()
+        v = poly @ g[j:].T + e[j:]
+        mixed = (v > 0).any(axis=0) & (v < 0).any(axis=0)
+        k = int(np.argmax(mixed)) if mixed.any() else v.shape[1]
+        mask[j:j + k] = v[:, :k].max(axis=0) > 0
+        if k == v.shape[1]:
+            cells.append((poly, mask))
+            continue
+        pos, neg, _ = _cut(poly, v[:, k])
+        on = mask.copy()
+        on[j + k] = 1.0
+        todo += [(neg, j + k + 1, mask), (pos, j + k + 1, on)]
+    return cells
+
+
+class PiecewiseLinearBoundary:
+    """Exact decision boundary of a 2D ReLU network inside a box.
+
+    The margin (logit 1 - logit 0) is affine on each linear region of the
+    network. The box is cut into those regions layer by layer, one hidden
+    unit at a time: on a convex piece a unit's pre-activation is affine, so
+    each cut is one line clip, and each piece carries its affine map
+    h = A x + c through the masked layer. On a final piece the margin's zero
+    set is at most one segment; `nearest` is the nearest point over those
+    segments. A region on which the margin is identically zero is skipped.
+    """
+
+    def __init__(self, weights, biases, bounds):
+        if weights[0].shape[1] != 2:
+            raise ValueError("the network input must be 2-dimensional")
+        (x_lo, x_hi), (y_lo, y_hi) = bounds
+        box = np.array([[x_lo, y_lo], [x_hi, y_lo], [x_hi, y_hi], [x_lo, y_hi]],
+                       dtype=np.float64)
+        pieces = [(box, np.eye(2), np.zeros(2))]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            split = []
+            for poly, a, c in pieces:
+                g, e = w @ a, w @ c + b
+                split += [(cell, mask[:, None] * g, mask * e)
+                          for cell, mask in _split_layer(poly, g, e)]
+            pieces = split
+        self.pieces = [poly for poly, _, _ in pieces]
+
+        w_m = weights[-1][1] - weights[-1][0]
+        b_m = biases[-1][1] - biases[-1][0]
+        ends = []
+        for poly, a, c in pieces:
+            g = w_m @ a
+            if not g.any():
+                continue
+            _, _, line = _cut(poly, poly @ g + (w_m @ c + b_m))
+            if line:
+                pts = np.array(line)
+                t = pts @ np.array([-g[1], g[0]])
+                ends.append((pts[np.argmin(t)], pts[np.argmax(t)]))
+        if not ends:
+            raise ValueError("no decision boundary inside bounds")
+        self.segments = np.array(ends)  # (k, 2 ends, 2 coordinates)
+
+    def nearest(self, x) -> tuple[np.ndarray, float]:
+        x = np.asarray(x, dtype=np.float64)
+        a = self.segments[:, 0]
+        d = self.segments[:, 1] - a
+        dd = (d * d).sum(axis=1)
+        t = np.clip(((x - a) * d).sum(axis=1) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+        p = a + t[:, None] * d
+        dist = np.linalg.norm(p - x, axis=1)
+        i = int(np.argmin(dist))
+        return p[i], float(dist[i])
 
 
 def ratio_bound(a: float, b: float) -> float:

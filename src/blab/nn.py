@@ -313,13 +313,21 @@ def load_checkpoint(path) -> MlpNetwork:
         version, n_layers = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if n_layers == 0:
+            raise ValueError(f"{path}: checkpoint has no layers")
         weights, biases = [], []
         for k in range(n_layers):
             rows, cols = struct.unpack("<II", read(8, f"layer {k} shape"))
+            if k and cols != weights[-1].shape[0]:
+                raise ValueError(f"{path}: layer {k} takes {cols} inputs but layer "
+                                 f"{k - 1} has {weights[-1].shape[0]} outputs")
             w = np.frombuffer(read(8 * rows * cols, f"layer {k} weights"),
                               dtype="<f8").reshape(rows, cols)
             b = np.frombuffer(read(8 * rows, f"layer {k} biases"), dtype="<f8")
             weights.append(w.astype(np.float64))
             biases.append(b.astype(np.float64))
-    dims = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+    try:
+        dims = check_layer_dims([weights[0].shape[1]] + [w.shape[0] for w in weights])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return MlpNetwork(dims, weights, biases)

@@ -10,12 +10,15 @@ import numpy as np
 
 from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
-from .geometry import (GridBoundary, VectorProjectionInstance, check_claim1_chain,
-                       check_claim2_product, halfspace_projection)
+from .geometry import (GridBoundary, PiecewiseLinearBoundary, VectorProjectionInstance,
+                       check_claim1_chain, check_claim2_product, halfspace_projection)
 from .nn import TrainConfig, grad_input, init_network, margin, margin_batch, train
 from .rng import derive_seed, make_rng
 
 CheckResult = tuple[str, bool, str]
+
+ORACLE_BOX = ((-4.0, 4.0), (-3.0, 3.0))
+CROSS_CHECK_STEP = 2e-2  # grid spacing of the cross-check of the exact oracle
 
 
 def _activation_pattern(net, x) -> tuple:
@@ -77,40 +80,54 @@ def _train_2d_net(seed: int):
     return net, data, report
 
 
-def oracle_suite(nets: int = 10, points_per_net: int = 5, seed: int = 77,
-                 grid_step: float = 1e-3) -> tuple[list[CheckResult], dict | None]:
-    """Combined projection solver vs 2D grid brute force (2% relative) and
-    vs the analytic halfspace projection on linear networks (1e-3 absolute)."""
+def oracle_suite(nets: int = 10, points_per_net: int = 5,
+                 seed: int = 77) -> tuple[list[CheckResult], dict | None]:
+    """Combined projection solver vs the exact piecewise-linear oracle on
+    trained 2D nets (2% relative), and vs the analytic halfspace projection
+    on linear networks (1e-3 absolute). A coarse grid cross-checks the exact
+    oracle independently: its distance may not fall below the exact one and
+    may exceed it by at most two grid steps."""
     results: list[CheckResult] = []
     failing = None
     rng = make_rng(seed, stream=0x04AC)
 
     worst_rel = 0.0
+    exact_ok = True
+    grid_gaps = []
     grid_ok = True
     for n in range(nets):
         net, data, report = _train_2d_net(derive_seed(seed, n))
         if report.stopped_reason != "criterion_met":
-            grid_ok = False
+            exact_ok = grid_ok = False
             failing = failing or {"net": n, "reason": "training did not reach criterion"}
             continue
-        field = GridBoundary(lambda pts: margin_batch(net, pts),
-                             ((-4.0, 4.0), (-3.0, 3.0)), grid_step)
+        exact = PiecewiseLinearBoundary(net.weights, net.biases, ORACLE_BOX)
+        grid = GridBoundary(lambda pts: margin_batch(net, pts), ORACLE_BOX, CROSS_CHECK_STEP)
         m = margin_batch(net, data.samples)
         correct = np.flatnonzero(np.where(data.labels == 1, m > 0, m < 0))
         picks = rng.choice(correct, size=points_per_net, replace=False)
         for i in picks:
             x = data.samples[i]
             res = project_to_boundary(net, x, int(data.labels[i]), data)
-            _, d_grid = field.nearest(x)
-            rel = abs(res.distance - d_grid) / max(d_grid, 1e-12)
+            _, d_exact = exact.nearest(x)
+            _, d_grid = grid.nearest(x)
+            rel = abs(res.distance - d_exact) / max(d_exact, 1e-12)
             worst_rel = max(worst_rel, rel)
             if not res.converged or rel > 0.02:
-                grid_ok = False
+                exact_ok = False
                 if failing is None:
                     failing = {"net": n, "sample": int(i), "solver": res.distance,
-                               "grid": d_grid, "rel": rel}
-    results.append((f"grid oracle ({nets} nets x {points_per_net} points)", grid_ok,
+                               "exact": d_exact, "rel": rel}
+            grid_gaps.append(d_grid - d_exact)
+            if not d_exact - 1e-9 <= d_grid <= d_exact + 2 * CROSS_CHECK_STEP:
+                grid_ok = False
+                if failing is None:
+                    failing = {"net": n, "sample": int(i), "grid": d_grid, "exact": d_exact}
+    results.append((f"exact oracle ({nets} nets x {points_per_net} points)", exact_ok,
                     f"worst relative gap {worst_rel:.4f}"))
+    gaps = f"{min(grid_gaps):.1e} to {max(grid_gaps):.1e}" if grid_gaps else "none"
+    results.append((f"grid cross-check of the exact oracle (step {CROSS_CHECK_STEP})",
+                    grid_ok, f"grid minus exact distance {gaps}"))
 
     # linear network: margin = w.x + c, analytic halfspace answer
     linear_ok = True

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blab.data import gen_symmetric_layout
-from blab.geometry import (GridBoundary, VectorProjectionInstance,
-                           check_claim1_chain, check_claim2_product,
-                           enumerate_square_xor_projections,
+from blab.geometry import (GridBoundary, PiecewiseLinearBoundary,
+                           VectorProjectionInstance, check_claim1_chain,
+                           check_claim2_product, enumerate_square_xor_projections,
                            halfspace_projection, ratio_bound)
+from blab.nn import margin_batch
+from blab.verify import ORACLE_BOX as BOX, _train_2d_net
+from helpers import linear_net
 
 
 def test_halfspace_projection_frozen():
@@ -42,6 +45,67 @@ def test_grid_boundary_matches_analytic_line():
 def test_grid_boundary_rejects_empty_field():
     with pytest.raises(ValueError):
         GridBoundary(lambda pts: np.ones(len(pts)), ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
+
+
+@pytest.fixture(scope="module")
+def trained_net():
+    net, data, report = _train_2d_net(3)  # a [2, 16, 16, 2] net as oracle_suite trains it
+    assert report.stopped_reason == "criterion_met"
+    return net, data
+
+
+def test_exact_boundary_of_linear_net_is_the_halfspace():
+    w, b = np.array([0.7, -1.3]), 0.4
+    net = linear_net(w, b)
+    exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
+    assert len(exact.pieces) == 1 and len(exact.segments) == 1
+    for x in ([0.0, 0.0], [2.5, 1.0], [-3.0, -2.0]):
+        p, d = exact.nearest(x)
+        foot = halfspace_projection(w, b, x)
+        assert d == pytest.approx(np.linalg.norm(foot - np.array(x)), abs=1e-12)
+        np.testing.assert_allclose(p, foot, atol=1e-12)
+
+
+def test_exact_boundary_of_absolute_value_net():
+    # margin = relu(x0) + relu(-x0) - 1 = |x0| - 1: the boundary is x0 = +-1
+    weights = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])]
+    biases = [np.zeros(2), np.array([0.0, -1.0])]
+    exact = PiecewiseLinearBoundary(weights, biases, ((-2.0, 2.0), (-2.0, 2.0)))
+    p, d = exact.nearest([0.2, 0.3])
+    assert d == pytest.approx(0.8, abs=1e-12)
+    np.testing.assert_allclose(p, [1.0, 0.3], atol=1e-12)
+    assert exact.nearest([-1.5, 1.0])[1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_exact_boundary_rejects_constant_sign_and_wrong_width():
+    with pytest.raises(ValueError, match="no decision boundary"):
+        PiecewiseLinearBoundary([np.zeros((2, 2))], [np.array([0.0, 1.0])], BOX)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        PiecewiseLinearBoundary([np.ones((2, 3))], [np.zeros(2)], BOX)
+
+
+def _area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+
+
+def test_exact_pieces_tile_the_box(trained_net):
+    net, _ = trained_net
+    exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
+    assert len(exact.pieces) > 100
+    assert sum(_area(p) for p in exact.pieces) == pytest.approx(48.0, abs=1e-9)
+    ends = exact.segments.reshape(-1, 2)
+    assert np.abs(margin_batch(net, ends)).max() < 1e-9
+
+
+def test_grid_never_beats_the_exact_oracle(trained_net):
+    net, data = trained_net
+    exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
+    grid = GridBoundary(lambda pts: margin_batch(net, pts), BOX, 1e-2)
+    for x in data.samples:
+        d_exact = exact.nearest(x)[1]
+        d_grid = grid.nearest(x)[1]
+        assert d_exact - 1e-9 <= d_grid <= d_exact + 2e-2
 
 
 def test_ratio_bound_frozen_and_errors():

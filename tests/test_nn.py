@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -152,4 +153,24 @@ def test_truncated_checkpoint_names_file_and_field(tmp_path, cut, field):
     assert len(raw) == 684
     path.write_bytes(raw[:cut])
     with pytest.raises(ValueError, match=f"cut.blab: checkpoint truncated in {field} "):
+        load_checkpoint(path)
+
+
+def _checkpoint_bytes(*layers) -> bytes:
+    raw = b"BLAB" + struct.pack("<II", 1, len(layers))
+    for rows, cols in layers:
+        raw += struct.pack("<II", rows, cols) + bytes(8 * rows * cols + 8 * rows)
+    return raw
+
+
+@pytest.mark.parametrize("layers, message", [
+    ((), "checkpoint has no layers"),                       # 12 bytes
+    (((0, 0),), "all layer dimensions must be positive"),   # 20 bytes
+    (((16, 2), (2, 8)), "layer 1 takes 8 inputs but layer 0 has 16 outputs"),
+    (((3, 2),), "output layer must have exactly 2 logits"),
+])
+def test_checkpoint_rejects_bad_shapes(tmp_path, layers, message):
+    path = tmp_path / "shape.blab"
+    path.write_bytes(_checkpoint_bytes(*layers))
+    with pytest.raises(ValueError, match=f"shape.blab: {message}"):
         load_checkpoint(path)
