@@ -1,23 +1,37 @@
 """Numerical projection of samples onto a network's decision boundary.
 
-Three candidate solvers run per sample: a first-order root seeker with
-tangent-plane distance refinement; bisection along the segments to the
-nearest opposite-class samples, each crossing refined in turn; and, for 2D
-inputs only, a radial fan sweep inside the best radius found so far. The
-shortest converged result wins, so returned distances never exceed the
-segment-crossing distance.
+One lockstep engine projects a whole set of samples at once. Every stage
+works on an (rows, n) array and each row stops on its own mask, so one step
+of a stage is one batched margin or gradient evaluation of the rows still
+moving:
+
+- the Newton seed (`hit_boundary`): the binary DeepFool step -m*g/|g|^2
+  until the margin is within BOUNDARY_TOLERANCE or changes sign;
+- the bracket root solve (`bisect_along_segment`): Illinois regula falsi on
+  every sign change the other stages find;
+- segment crossings toward each sample's SEGMENT_CANDIDATES nearest
+  opposite-class samples;
+- the tangent slide (`_slide`): each converged candidate moves toward its
+  sample along the boundary's tangent plane and is re-rooted, with the step
+  halved until the distance shrinks;
+- for 2D inputs, a radial fan sweep inside the better radius of the first
+  two candidates.
+
+Each sample gets its shortest converged candidate, so returned distances
+never exceed the segment-crossing distance. Which rows a step evaluates
+depends on the samples alone, but BLAS may order a batched product's sums by
+the batch height: at high input widths the last bits of a projection depend
+on the rows it is projected with.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .nn import MlpNetwork, grad_input, margin, margin_batch
+from .nn import MlpNetwork, grad_input, margin_batch
 
 METHOD_NEWTON = "newton_refine"
 METHOD_SEGMENT = "segment_bisection"
@@ -25,16 +39,19 @@ METHOD_COMBINED = "combined"
 
 BOUNDARY_TOLERANCE = 1e-6
 MAX_NEWTON_STEPS = 200
+MAX_BRACKET_STEPS = 200
 MAX_REFINE_STEPS = 500
 REFINE_TOLERANCE = 1e-9
+MIN_SLIDE_STEP = 1e-4  # backtracking halves a slide step down to this fraction of the tangent
 MAX_STEP_NORM = 1e3
-SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bisection targets
+SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bracket ends
 FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers miss
-REFINE_STALL_FRACTION = 1e-4  # stop refining once per-step gain falls below this fraction of the distance
+FAN_STEPS = 24  # radii per fan direction
+REFINE_STALL_FRACTION = 1e-4  # stop sliding once per-step gain falls below this fraction of the distance
 
 
-class GradientStall(RuntimeError):
-    """Zero input gradient at a point off the boundary; root seeking cannot proceed."""
+class ProjectionError(RuntimeError):
+    """The network misclassifies a sample it was asked to project."""
 
 
 @dataclass
@@ -47,189 +64,227 @@ class ProjectionResult:
     method: str
 
 
-def _result(net, x, point, method) -> ProjectionResult:
-    vector = point - x
-    residual = abs(margin(net, point))
-    return ProjectionResult(point, vector, float(np.linalg.norm(vector)), residual,
-                            residual <= BOUNDARY_TOLERANCE, method)
+def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, np.ndarray]:
+    """Margin root on each segment [a_i, b_i] by Illinois regula falsi.
 
-
-def bisect_along_segment(net: MlpNetwork, x, y) -> np.ndarray:
-    """Binary search for a margin root on [x, y]; requires a sign change."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    mx, my = margin(net, x), margin(net, y)
-    if mx * my >= 0:
+    The end margins m_a, m_b must differ in sign on every row. Each step
+    evaluates the secant root of the current bracket; an end kept twice in a
+    row has its margin halved, so a kink cannot pin it. A row stops once its
+    |margin| <= BOUNDARY_TOLERANCE. Returns the points and their margins."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if np.any(np.asarray(m_a) * np.asarray(m_b) >= 0):
         raise ValueError("segment endpoints must have opposite margin signs")
-    lo, hi = x, y
-    m_lo = mx
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m_mid = margin(net, mid)
-        if abs(m_mid) <= BOUNDARY_TOLERANCE:
-            return mid
-        if m_mid * m_lo < 0:
-            hi = mid
-        else:
-            lo, m_lo = mid, m_mid
-    return mid
+    span = b - a
+    t_old, f_old = np.zeros(len(a)), np.array(m_a, dtype=np.float64)
+    t_new, f_new = np.ones(len(a)), np.array(m_b, dtype=np.float64)
+    t, m = t_new.copy(), f_new.copy()
+    act = np.arange(len(a))
+    for _ in range(MAX_BRACKET_STEPS):
+        if not len(act):
+            break
+        to, fo, tn, fn = t_old[act], f_old[act], t_new[act], f_new[act]
+        tc = (to * fn - tn * fo) / (fn - fo)
+        mc = margin_batch(net, a[act] + tc[:, None] * span[act])
+        t[act], m[act] = tc, mc
+        flip = mc * fn < 0
+        t_old[act] = np.where(flip, tn, to)
+        f_old[act] = np.where(flip, fn, 0.5 * fo)
+        t_new[act], f_new[act] = tc, mc
+        act = act[np.abs(mc) > BOUNDARY_TOLERANCE]
+    return a + t[:, None] * span, m
 
 
-def hit_boundary(net: MlpNetwork, x) -> ProjectionResult:
-    """First-order root seeking from x: step -m*g/|g|^2 until the margin
-    sign flips, then bisect the bracketing segment."""
-    x = np.asarray(x, dtype=np.float64)
-    m0 = margin(net, x)
-    if abs(m0) <= BOUNDARY_TOLERANCE:
-        return _result(net, x, x.copy(), METHOD_NEWTON)
-
-    cur = x.copy()
-    m_cur = m0
+def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton root seeking from each row of starts: step -m*g/|g|^2, capped
+    at MAX_STEP_NORM, until |margin| <= BOUNDARY_TOLERANCE or the margin
+    changes sign, then solve the last step's bracket. Returns the points,
+    their margins and a mask of rows stopped by a zero gradient."""
+    points = np.array(starts, dtype=np.float64)
+    m = margin_batch(net, points)
+    stalled = np.zeros(len(points), dtype=bool)
+    brackets = []
+    act = np.flatnonzero(np.abs(m) > BOUNDARY_TOLERANCE)
     for _ in range(MAX_NEWTON_STEPS):
-        g = grad_input(net, cur)
-        g_norm2 = float(g @ g)
-        if g_norm2 == 0.0:
-            raise GradientStall("zero margin gradient off the boundary")
-        step = -m_cur / g_norm2 * g
-        step_norm = np.linalg.norm(step)
-        if step_norm > MAX_STEP_NORM:
-            step *= MAX_STEP_NORM / step_norm
+        if not len(act):
+            break
+        g = grad_input(net, points[act])
+        g2 = np.einsum("ij,ij->i", g, g)
+        if not g2.all():
+            stalled[act[g2 == 0.0]] = True
+            act, g, g2 = act[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
+        cur, m_cur = points[act], m[act]
+        step = (-m_cur / g2)[:, None] * g
+        norm = np.linalg.norm(step, axis=1)
+        big = norm > MAX_STEP_NORM
+        if big.any():
+            step[big] *= (MAX_STEP_NORM / norm[big])[:, None]
         nxt = cur + step
-        m_nxt = margin(net, nxt)
-        if abs(m_nxt) <= BOUNDARY_TOLERANCE:
-            return _result(net, x, nxt, METHOD_NEWTON)
-        if m_nxt * m_cur < 0:
-            return _result(net, x, bisect_along_segment(net, cur, nxt), METHOD_NEWTON)
-        cur, m_cur = nxt, m_nxt
-    return _result(net, x, cur, METHOD_NEWTON)
+        m_nxt = margin_batch(net, nxt)
+        on = np.abs(m_nxt) <= BOUNDARY_TOLERANCE
+        flip = ~on & (m_nxt * m_cur < 0)
+        if flip.any():
+            brackets.append((act[flip], cur[flip], nxt[flip], m_cur[flip], m_nxt[flip]))
+        points[act[~flip]], m[act[~flip]] = nxt[~flip], m_nxt[~flip]
+        act = act[~on & ~flip]
+    if brackets:
+        rows, lo, hi, m_lo, m_hi = (np.concatenate(p) for p in zip(*brackets))
+        points[rows], m[rows] = bisect_along_segment(net, lo, hi, m_lo, m_hi)
+    return points, m, stalled
 
 
-def _refine_toward(net: MlpNetwork, x, seed_result: ProjectionResult) -> ProjectionResult:
-    """Slide the boundary point toward x along the boundary's tangent plane,
-    re-rooting after each slide. Distance is non-increasing by construction."""
-    best = seed_result
-    if not best.converged:
-        return best
+def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
+    """Slide points[rows] toward x[rows] along the boundary's tangent plane,
+    in place. Each step re-roots the slid point with hit_boundary and keeps
+    it when the distance drops by more than REFINE_TOLERANCE, halving the
+    step down to MIN_SLIDE_STEP until one does. A row stops when no step
+    helps or a step gains less than REFINE_STALL_FRACTION of the distance."""
+    act = np.asarray(rows)
     for _ in range(MAX_REFINE_STEPS):
-        prev_distance = best.distance
-        b = best.point
+        if not len(act):
+            break
+        b = points[act]
         g = grad_input(net, b)
-        g_norm2 = float(g @ g)
-        if g_norm2 == 0.0:
-            break
-        v = x - b
-        tangent = v - (v @ g) / g_norm2 * g
-        t_norm = np.linalg.norm(tangent)
-        if t_norm <= REFINE_TOLERANCE:
-            break
-        moved = False
+        g2 = np.einsum("ij,ij->i", g, g)
+        if not g2.all():
+            act, b, g, g2 = act[g2 != 0.0], b[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
+        v = x[act] - b
+        tangent = v - (np.einsum("ij,ij->i", v, g) / g2)[:, None] * g
+        keep = np.linalg.norm(tangent, axis=1) > REFINE_TOLERANCE
+        act, b, tangent = act[keep], b[keep], tangent[keep]
+        before = dist[act]
+        moved = np.zeros(len(act), dtype=bool)
+        search = np.arange(len(act))
         eta = 1.0
-        while eta >= 1e-4:
-            try:
-                cand = hit_boundary(net, b + eta * tangent)
-            except GradientStall:
-                cand = None
-            if cand is not None and cand.converged:
-                d = float(np.linalg.norm(cand.point - x))
-                if d < best.distance - REFINE_TOLERANCE:
-                    best = _result(net, x, cand.point, best.method)
-                    moved = True
-                    break
+        while len(search) and eta >= MIN_SLIDE_STEP:
+            p, mp, _ = hit_boundary(net, b[search] + eta * tangent[search])
+            d = np.linalg.norm(p - x[act[search]], axis=1)
+            win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
+            won = act[search[win]]
+            points[won], m[won], dist[won] = p[win], mp[win], d[win]
+            moved[search[win]] = True
+            search = search[~win]
             eta *= 0.5
-        if not moved:
-            break
         # gains shrink geometrically; once a step buys less than a small
         # fraction of the distance the slide has effectively converged
-        if prev_distance - best.distance < REFINE_STALL_FRACTION * best.distance:
-            break
+        after = dist[act]
+        act = act[moved & (before - after >= REFINE_STALL_FRACTION * after)]
+
+
+def _first_min(owner: np.ndarray, dist: np.ndarray, count: int) -> np.ndarray:
+    """For each of count samples, its first row of least dist, or -1."""
+    best = np.full(count, -1)
+    if len(owner):
+        order = np.lexsort((dist, owner))  # stable: equal distances keep row order
+        first = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
+        best[owner[first]] = first
     return best
 
 
-def _fan_sweep(net: MlpNetwork, x: np.ndarray, radius: float) -> ProjectionResult | None:
-    """Radial sweep over evenly spaced 2D directions inside the current best
-    radius; each sign flip is bisected and refined. Catches nearest boundary
-    branches the gradient-guided candidates converge past."""
+def _fan_sweep(net: MlpNetwork, x, m_x, radius):
+    """Radial sweep over FAN_DIRECTIONS evenly spaced 2D directions and
+    FAN_STEPS radii inside each sample's radius, one sample per margin_batch
+    call; the first sign change along each direction is solved. Returns the
+    owner, point, margin and distance of each sample's nearest crossing.
+    Catches nearest boundary branches the gradient-guided candidates pass."""
     angles = 2 * np.pi * np.arange(FAN_DIRECTIONS) / FAN_DIRECTIONS
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    n_steps = 24
-    radii = radius * (np.arange(1, n_steps + 1) / n_steps)
-    pts = x[None, None, :] + radii[None, :, None] * dirs[:, None, :]
-    m = margin_batch(net, pts.reshape(-1, 2)).reshape(FAN_DIRECTIONS, n_steps)
-    m0 = margin(net, x)
-    flips = m * m0 < 0
-
-    best = None
-    for d in range(FAN_DIRECTIONS):
-        hit = np.flatnonzero(flips[d])
-        if not len(hit):
-            continue
-        k = hit[0]
-        a = x + (radii[k - 1] if k > 0 else 0.0) * dirs[d]
-        b = x + radii[k] * dirs[d]
-        if margin(net, a) * margin(net, b) >= 0:
-            continue
-        cand = _result(net, x, bisect_along_segment(net, a, b), METHOD_COMBINED)
-        if best is None or cand.distance < best.distance:
-            best = cand
-    if best is None:
-        return None
-    return replace(_refine_toward(net, x, best), method=METHOD_COMBINED)
+    fractions = np.arange(1, FAN_STEPS + 1) / FAN_STEPS
+    found = [(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros(0))]
+    for i in np.flatnonzero(np.isfinite(radius) & (radius > 0)):
+        radii = radius[i] * fractions
+        pts = x[i][None, None, :] + radii[None, :, None] * dirs[:, None, :]
+        m = margin_batch(net, pts.reshape(-1, 2)).reshape(FAN_DIRECTIONS, FAN_STEPS)
+        flips = m * m_x[i] < 0
+        d = np.flatnonzero(flips.any(axis=1))
+        k = flips[d].argmax(axis=1)
+        inner = np.where(k > 0, radii[k - 1], 0.0)
+        m_in = np.where(k > 0, m[d, k - 1], m_x[i])
+        ok = m_in * m[d, k] < 0
+        d, k = d[ok], k[ok]
+        found.append((np.full(len(d), i), x[i] + inner[ok][:, None] * dirs[d],
+                      x[i] + radii[k][:, None] * dirs[d], m_in[ok], m[d, k]))
+    owner, lo, hi, m_lo, m_hi = (np.concatenate(p) for p in zip(*found))
+    pts, m = bisect_along_segment(net, lo, hi, m_lo, m_hi)
+    dist = np.linalg.norm(pts - x[owner], axis=1)
+    best = _first_min(owner, dist, len(x))
+    best = best[best >= 0]
+    return owner[best], pts[best], m[best], dist[best]
 
 
-def project_to_boundary(net: MlpNetwork, x, label: int, data: Dataset) -> ProjectionResult:
-    """Nearest-boundary-point estimate for a correctly classified sample.
+def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[ProjectionResult]:
+    """Nearest-boundary-point estimates for correctly classified samples
+    (the rows of points, with their labels), projected in lockstep.
 
-    Candidate 1: hit_boundary + tangent-plane refinement. Candidate 2:
-    bisection toward the nearest opposite-class samples (an upper bound on
-    the true distance), each crossing refined. Candidate 3, 2D only: the fan
-    sweep inside the better radius of the first two. Returns the closest
-    converged candidate; ties within REFINE_TOLERANCE go to candidate 1.
+    Candidate 1: the Newton seed, slid. Candidate 2: the nearest of the
+    crossings toward the SEGMENT_CANDIDATES nearest opposite-class samples of
+    data (an upper bound on the true distance), each slid. Candidate 3, 2D
+    only: the nearest fan-sweep crossing inside the better radius of the
+    first two, slid. Each sample gets its closest converged candidate; ties
+    within REFINE_TOLERANCE go to candidate 1.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    s = len(x)
+    m_x = margin_batch(net, x)
 
-    try:
-        cand1 = _refine_toward(net, x, hit_boundary(net, x))
-    except GradientStall:
-        cand1 = None
+    # candidates 1 and 2: Newton seeds and segment crossings, slid together
+    m_data = margin_batch(net, data.samples)
+    near = []
+    for i in range(s):
+        usable = np.flatnonzero((data.labels != labels[i]) & (m_data * m_x[i] < 0))
+        dists = np.linalg.norm(data.samples[usable] - x[i], axis=1)
+        near.append(usable[np.argsort(dists, kind="stable")[:SEGMENT_CANDIDATES]])
+    owner = np.repeat(np.arange(s), [len(j) for j in near])
+    target = np.array([j for js in near for j in js], dtype=int)
+    seed, m_seed, stalled = hit_boundary(net, x)
+    cross, m_cross = bisect_along_segment(net, x[owner], data.samples[target],
+                                          m_x[owner], m_data[target])
+    home = np.concatenate([np.arange(s), owner])
+    pool, m_pool = np.vstack([seed, cross]), np.concatenate([m_seed, m_cross])
+    dist = np.linalg.norm(pool - x[home], axis=1)
+    crossed = dist[s:].copy()
+    _slide(net, x[home], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
+    methods = [METHOD_NEWTON] * s + [METHOD_COMBINED if after < before - REFINE_TOLERANCE
+                                     else METHOD_SEGMENT
+                                     for after, before in zip(dist[s:], crossed)]
+    cand1 = np.where(stalled, -1, np.arange(s))
+    cand2 = _first_min(owner, dist[s:], s)
+    cand2[cand2 >= 0] += s
 
-    cand2 = None
-    opp_idx = np.flatnonzero(data.labels != label)
-    if len(opp_idx):
-        m_x = margin(net, x)
-        opp = data.samples[opp_idx]
-        m_opp = margin_batch(net, opp)
-        usable = np.flatnonzero(m_opp * m_x < 0)
-        if len(usable):
-            dists = np.linalg.norm(opp[usable] - x, axis=1)
-            order = usable[np.argsort(dists, kind="stable")]
-            for y in opp[order[:SEGMENT_CANDIDATES]]:
-                crossing = _result(net, x, bisect_along_segment(net, x, y), METHOD_SEGMENT)
-                # each segment crossing is itself a valid refinement seed
-                refined = _refine_toward(net, x, crossing)
-                if refined.distance < crossing.distance - REFINE_TOLERANCE:
-                    crossing = replace(refined, method=METHOD_COMBINED)
-                if cand2 is None or crossing.distance < cand2.distance:
-                    cand2 = crossing
+    # candidate 3, 2D only: the fan sweep inside the better converged radius
+    cand3 = np.full(s, -1)
+    if data.dim == 2:
+        conv = np.abs(m_pool) <= BOUNDARY_TOLERANCE
+        radius = np.full(s, np.inf)
+        for c in (cand1, cand2):
+            has = (c >= 0) & conv[c]
+            radius[has] = np.minimum(radius[has], dist[c[has]])
+        fan_owner, fan, m_fan, fan_dist = _fan_sweep(net, x, m_x, radius)
+        _slide(net, x[fan_owner], fan, m_fan, fan_dist,
+               np.flatnonzero(np.abs(m_fan) <= BOUNDARY_TOLERANCE))
+        cand3[fan_owner] = len(pool) + np.arange(len(fan_owner))
+        pool, m_pool = np.vstack([pool, fan]), np.concatenate([m_pool, m_fan])
+        dist = np.concatenate([dist, fan_dist])
+        methods += [METHOD_COMBINED] * len(fan_owner)
 
-    cand3 = None
-    if len(x) == 2:
-        radius = min((c.distance for c in (cand1, cand2) if c is not None and c.converged),
-                     default=None)
-        if radius is not None and radius > 0:
-            cand3 = _fan_sweep(net, x, radius)
-
-    candidates = [c for c in (cand1, cand2, cand3) if c is not None and c.converged]
-    if not candidates:
-        fallback = cand1 or cand2
-        if fallback is None:
-            return ProjectionResult(x.copy(), np.zeros_like(x), 0.0,
-                                    abs(margin(net, x)), False, METHOD_COMBINED)
-        return fallback
-    best = min(candidates, key=lambda c: c.distance)
-    if cand1 is not None and cand1.converged and cand1.distance <= best.distance + REFINE_TOLERANCE:
-        best = cand1
-    return best
+    conv = np.abs(m_pool) <= BOUNDARY_TOLERANCE
+    results = []
+    for i in range(s):
+        cands = [int(c) for c in (cand1[i], cand2[i], cand3[i]) if c >= 0]
+        ok = [c for c in cands if conv[c]]
+        if not cands:
+            results.append(ProjectionResult(x[i].copy(), np.zeros_like(x[i]), 0.0,
+                                            float(abs(m_x[i])), False, METHOD_COMBINED))
+            continue
+        # the fallback when nothing converged is candidate 1, else candidate 2
+        best = min(ok, key=lambda c: dist[c]) if ok else cands[0]
+        if cand1[i] in ok and dist[cand1[i]] <= dist[best] + REFINE_TOLERANCE:
+            best = int(cand1[i])
+        point = pool[best].copy()
+        results.append(ProjectionResult(point, point - x[i], float(dist[best]),
+                                        float(abs(m_pool[best])), bool(conv[best]),
+                                        methods[best]))
+    return results
 
 
 def adversarial_overshoot(net: MlpNetwork, result: ProjectionResult, kappa: float) -> np.ndarray:
@@ -240,36 +295,17 @@ def adversarial_overshoot(net: MlpNetwork, result: ProjectionResult, kappa: floa
     return x + (1.0 + kappa) * result.vector
 
 
-def _worker_count() -> int:
-    env = os.environ.get("BLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[ProjectionResult]]:
     """Project every sample of a fully correctly classified dataset.
 
     Non-converged samples keep their original location and are flagged in
-    their ProjectionResult. Per-sample work is independent, so threading
-    (capped by BLAB_THREADS) does not change the output.
-    """
+    their ProjectionResult. A misclassified sample raises ProjectionError."""
     m = margin_batch(net, data.samples)
     correct = np.where(data.labels == 1, m > 0, m < 0)
     if not correct.all():
         bad = int(np.flatnonzero(~correct)[0])
-        raise ValueError(f"sample {bad} is misclassified; projection requires a trained separator")
-
-    def one(i: int) -> ProjectionResult:
-        return project_to_boundary(net, data.samples[i], int(data.labels[i]), data)
-
-    workers = min(_worker_count(), len(data))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(len(data))))
-    else:
-        results = [one(i) for i in range(len(data))]
-
+        raise ProjectionError(f"sample {bad} is misclassified; projection requires a trained separator")
+    results = project_to_boundary(net, data.samples, data.labels, data)
     new_samples = data.samples.copy()
     for i, r in enumerate(results):
         if r.converged:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, parse_config, serialize_config
+from .boundary import ProjectionError
 from .data import DataError, export_csv, save_idx
 from .experiments import (DatasetSpec, ExperimentError, build_dataset,
                           run_generalization_tracking, run_iterative_projection,
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ExperimentError, TrainingDivergence) as e:
+    except (ExperimentError, TrainingDivergence, ProjectionError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as e:

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import (ProjectionResult, adversarial_overshoot, export_projection_csv,
-                       project_dataset, project_to_boundary)
+from .boundary import (ProjectionError, ProjectionResult, adversarial_overshoot,
+                       export_projection_csv, project_dataset, project_to_boundary)
 from .data import (DataError, Dataset, export_csv, filter_binary, gen_gaussian_blobs,
                    gen_symmetric_layout, import_csv, load_idx, sample_balanced)
 from .fileio import atomic_write_text
@@ -37,7 +37,8 @@ SYMMETRY_CLUSTER_COS = 0.3  # mean per-point cosine that puts two trials in one 
 
 
 class ExperimentError(RuntimeError):
-    """Run aborted: training failed or too many projections did not converge."""
+    """Run aborted: training failed, the network misclassified a sample to
+    project, or too many projections did not converge."""
 
 
 @dataclass
@@ -234,24 +235,26 @@ class RunDirectory:
 def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord],
              start_iter: int, test_data: Dataset | None, run_dir: RunDirectory | None,
              started: float, stop_after: int | None) -> list[IterationRecord]:
+    def abort(k: int, status: str, reason: str) -> ExperimentError:
+        if run_dir:
+            run_dir.write_records(records)
+            run_dir.write_manifest(cfg, k - 1, status, started, test_data is not None)
+        return ExperimentError(f"iteration {k}: {reason}")
+
     for k in range(start_iter, cfg.iterations + 1):
         seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
         net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
         if report.stopped_reason != "criterion_met":
-            if run_dir:
-                run_dir.write_records(records)
-                run_dir.write_manifest(cfg, k - 1, "aborted_training", started, test_data is not None)
-            raise ExperimentError(f"iteration {k}: training hit the epoch cap "
-                                  f"(accuracy {report.final_train_accuracy:.3f})")
-
-        projected, results = project_dataset(net, data)
+            raise abort(k, "aborted_training", "training hit the epoch cap "
+                        f"(accuracy {report.final_train_accuracy:.3f})")
+        try:
+            projected, results = project_dataset(net, data)
+        except ProjectionError as e:
+            raise abort(k, "aborted_projection", str(e)) from e
         unconverged = sum(not r.converged for r in results)
         if unconverged > cfg.unconverged_abort_fraction * len(data):
-            if run_dir:
-                run_dir.write_records(records)
-                run_dir.write_manifest(cfg, k - 1, "aborted_projection", started, test_data is not None)
-            raise ExperimentError(f"iteration {k}: {unconverged}/{len(data)} projections "
-                                  "did not converge")
+            raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
+                        "did not converge")
 
         # unconverged samples did not move, so they contribute zero norm
         mean_norm = float(np.mean([r.distance if r.converged else 0.0 for r in results]))
@@ -380,8 +383,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
 
     rng = make_rng(derive_seed(cfg.master_seed, SEED_BASELINE), stream=0)
     adv, base, kept = [], [], []
-    for x, lab in zip(xs, labels):
-        res = project_to_boundary(net_a, x, int(lab), data_a)
+    for x, lab, res in zip(xs, labels, project_to_boundary(net_a, xs, labels, data_a)):
         if not res.converged:
             continue
         a = adversarial_overshoot(net_a, res, kappa)

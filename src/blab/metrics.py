@@ -20,16 +20,29 @@ class GlobalDifferenceEstimate:
     cosine_threshold: float
 
 
+NEAREST_CHUNK_ELEMENTS = 1 << 20  # floats in one block of pairwise differences (8 MiB)
+
+
 def nearest_opposite_mean_distance(data: Dataset) -> float:
     """Mean over samples of the Euclidean distance to the closest
-    opposite-class sample; exhaustive over all pairs."""
+    opposite-class sample; exhaustive over all pairs.
+
+    Class-0 rows go in blocks of exact differences, never the
+    |a|^2 + |b|^2 - 2ab expansion, which cancels once points crowd together.
+    Row minima are concatenated and column minima kept as a running minimum,
+    so the result does not depend on the block size."""
     if not data.both_classes_present():
         raise ValueError("both classes must be present")
     x0 = data.samples[data.labels == 0]
     x1 = data.samples[data.labels == 1]
-    d2 = ((x0[:, None, :] - x1[None, :, :]) ** 2).sum(axis=2)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    return float((d.min(axis=1).sum() + d.min(axis=0).sum()) / len(data))
+    block = max(1, NEAREST_CHUNK_ELEMENTS // x1.size)
+    row_min, col_min = [], np.full(len(x1), np.inf)
+    for start in range(0, len(x0), block):
+        d2 = ((x0[start:start + block, None, :] - x1[None, :, :]) ** 2).sum(axis=2)
+        d = np.sqrt(np.maximum(d2, 0.0))
+        row_min.append(d.min(axis=1))
+        col_min = np.minimum(col_min, d.min(axis=0))
+    return float((np.concatenate(row_min).sum() + col_min.sum()) / len(data))
 
 
 def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: Dataset,

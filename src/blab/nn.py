@@ -140,24 +140,18 @@ def margin_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def grad_input(net: MlpNetwork, x) -> np.ndarray:
-    """Gradient of the margin w.r.t. the input, by backprop."""
-    x = _check_input(net, np.asarray(x, dtype=np.float64))
-    h = x
+    """Gradient of the margin w.r.t. the input, by backprop. Takes one
+    sample (n,) or rows (batch, n) and returns the same shape."""
+    h = _check_input(net, x)
     pre_acts = []
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ h + b
-        if k != last:
-            pre_acts.append(z)
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre_acts.append(h @ w.T + b)
+        h = np.maximum(pre_acts[-1], 0.0)
     # d(margin)/d(logits) = (-1, +1)
-    delta = net.weights[last][1] - net.weights[last][0]
-    for k in range(last - 1, -1, -1):
-        delta = delta * (pre_acts[k] > 0)
-        delta = net.weights[k].T @ delta
-    return delta
+    delta = np.broadcast_to(net.weights[-1][1] - net.weights[-1][0], h.shape)
+    for w, z in zip(net.weights[-2::-1], pre_acts[::-1]):
+        delta = (delta * (z > 0)) @ w
+    return np.ascontiguousarray(delta)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -106,9 +106,9 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
         m = margin_batch(net, data.samples)
         correct = np.flatnonzero(np.where(data.labels == 1, m > 0, m < 0))
         picks = rng.choice(correct, size=points_per_net, replace=False)
-        for i in picks:
+        projections = project_to_boundary(net, data.samples[picks], data.labels[picks], data)
+        for i, res in zip(picks, projections):
             x = data.samples[i]
-            res = project_to_boundary(net, x, int(data.labels[i]), data)
             _, d_exact = exact.nearest(x)
             _, d_grid = grid.nearest(x)
             rel = abs(res.distance - d_exact) / max(d_exact, 1e-12)
@@ -148,7 +148,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
         label = 1 if m > 0 else 0
         anchor = halfspace_projection(w, c, x) - (2.0 if m > 0 else -2.0) * w / np.linalg.norm(w)
         data = Dataset(np.vstack([x, anchor]), np.array([label, 1 - label]))
-        res = project_to_boundary(net, x, label, data)
+        res = project_to_boundary(net, x[None, :], [label], data)[0]
         exact = np.linalg.norm(halfspace_projection(w, c, x) - x)
         err = abs(res.distance - exact)
         worst_abs = max(worst_abs, err)

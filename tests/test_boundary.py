@@ -3,13 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blab.boundary import (BOUNDARY_TOLERANCE, adversarial_overshoot,
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import blab.boundary
+from blab.boundary import (BOUNDARY_TOLERANCE, ProjectionError, adversarial_overshoot,
                            bisect_along_segment, hit_boundary,
                            project_dataset, project_to_boundary)
 from blab.data import Dataset, gen_gaussian_blobs
 from blab.geometry import halfspace_projection
-from blab.nn import TrainConfig, init_network, margin, train
+from blab.nn import TrainConfig, init_network, margin, margin_batch, train
 from helpers import linear_net
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _linear_case(w, b, x):
@@ -27,7 +35,7 @@ def _linear_case(w, b, x):
 def test_projection_matches_halfspace_frozen_case():
     # w = (0.6, 0.8) unit normal, boundary through the origin, x = (4, 3)
     net, data, label = _linear_case([0.6, 0.8], 0.0, [4.0, 3.0])
-    res = project_to_boundary(net, [4.0, 3.0], label, data)
+    [res] = project_to_boundary(net, [[4.0, 3.0]], [label], data)
     assert res.converged
     assert res.distance == pytest.approx(4.8, abs=1e-6)
     np.testing.assert_allclose(res.point, [1.12, -0.84], atol=1e-6)
@@ -44,7 +52,7 @@ def test_projection_random_linear_cases():
         net, data, label = _linear_case(w, b, x)
         if abs(margin(net, x)) < 1e-6:
             continue
-        res = project_to_boundary(net, x, label, data)
+        [res] = project_to_boundary(net, [x], [label], data)
         exact = abs(float(w @ x) + b)
         assert res.converged
         assert res.distance == pytest.approx(exact, abs=1e-6)
@@ -52,16 +60,21 @@ def test_projection_random_linear_cases():
 
 def test_point_on_boundary_projects_to_itself():
     net = linear_net([1.0, 0.0], 0.0)
-    res = hit_boundary(net, np.array([0.0, 2.0]))
-    assert res.converged and res.distance == 0.0
+    points, m, stalled = hit_boundary(net, np.array([[0.0, 2.0]]))
+    assert abs(m[0]) <= BOUNDARY_TOLERANCE and not stalled[0]
+    np.testing.assert_array_equal(points, [[0.0, 2.0]])
 
 
 def test_bisect_requires_sign_change():
     net = linear_net([1.0, 0.0], 0.0)
-    root = bisect_along_segment(net, [-1.0, 0.0], [2.0, 0.0])
-    assert abs(margin(net, root)) <= BOUNDARY_TOLERANCE
-    with pytest.raises(ValueError):
-        bisect_along_segment(net, [1.0, 0.0], [2.0, 0.0])
+    a, b = np.array([[-1.0, 0.0]]), np.array([[2.0, 0.0]])
+    roots, m = bisect_along_segment(net, a, b, margin_batch(net, a), margin_batch(net, b))
+    assert abs(margin(net, roots[0])) <= BOUNDARY_TOLERANCE
+    assert m[0] == margin_batch(net, roots)[0]
+    # one row of two has both ends on the same side
+    a = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="opposite margin signs"):
+        bisect_along_segment(net, a, b.repeat(2, axis=0), margin_batch(net, a), [2.0, 2.0])
 
 
 def test_residual_within_tolerance_on_trained_net(easy_blobs):
@@ -87,7 +100,7 @@ def test_distance_never_exceeds_nearest_opposite_sample(easy_blobs):
 def test_overshoot_crosses_boundary():
     x = np.array([4.0, 3.0])
     net, data, label = _linear_case([0.6, 0.8], 0.0, x)
-    res = project_to_boundary(net, x, label, data)
+    [res] = project_to_boundary(net, [x], [label], data)
     adv = adversarial_overshoot(net, res, kappa=0.1)
     np.testing.assert_allclose(adv, x + 1.1 * res.vector, atol=1e-12)
     assert margin(net, adv) * margin(net, x) < 0
@@ -99,18 +112,8 @@ def test_overshoot_crosses_boundary():
 def test_project_dataset_rejects_misclassified():
     net = linear_net([1.0, 0.0], 0.0)
     data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
-    with pytest.raises(ValueError, match="misclassified"):
+    with pytest.raises(ProjectionError, match="misclassified"):
         project_dataset(net, data)
-
-
-def test_project_dataset_thread_count_does_not_change_results(monkeypatch, easy_blobs):
-    net = init_network([2, 16, 2], seed=6)
-    train(net, easy_blobs, TrainConfig(max_epochs=2000, batch_size=16, seed=6))
-    monkeypatch.setenv("BLAB_THREADS", "1")
-    serial, _ = project_dataset(net, easy_blobs)
-    monkeypatch.setenv("BLAB_THREADS", "4")
-    threaded, _ = project_dataset(net, easy_blobs)
-    np.testing.assert_array_equal(serial.samples, threaded.samples)
 
 
 def test_projection_on_curved_boundary_finds_near_branch():
@@ -121,7 +124,92 @@ def test_projection_on_curved_boundary_finds_near_branch():
     net = init_network([2, 16, 16, 2], seed=12)
     report = train(net, data, TrainConfig(max_epochs=3000, batch_size=30, seed=12))
     assert report.stopped_reason == "criterion_met"
-    for i in range(0, len(data), 7):
-        res = project_to_boundary(net, data.samples[i], int(data.labels[i]), data)
+    picks = np.arange(0, len(data), 7)
+    for res in project_to_boundary(net, data.samples[picks], data.labels[picks], data):
         assert res.converged
         assert res.residual <= BOUNDARY_TOLERANCE
+
+
+def test_illinois_is_exact_in_one_step_on_a_linear_segment(monkeypatch):
+    net = linear_net([0.6, 0.8], -0.5)
+    a = np.array([[-2.0, -1.0], [3.0, 0.5]])
+    b = np.array([[2.0, 1.5], [-1.0, -2.0]])
+    m_a, m_b = margin_batch(net, a), margin_batch(net, b)
+    rows_per_call = []
+
+    def counted(net, pts):
+        rows_per_call.append(len(pts))
+        return margin_batch(net, pts)
+
+    monkeypatch.setattr(blab.boundary, "margin_batch", counted)
+    roots, m = bisect_along_segment(net, a, b, m_a, m_b)
+    assert rows_per_call == [2]
+    np.testing.assert_allclose(roots @ [0.6, 0.8] - 0.5, 0.0, atol=1e-12)
+    np.testing.assert_allclose(m, 0.0, atol=1e-12)
+
+
+def test_illinois_roots_on_relu_segments_with_kinks():
+    net = init_network([2, 16, 16, 2], seed=5)
+    rng = np.random.default_rng(5)
+    pts = 3.0 * rng.standard_normal((400, 2))
+    m = margin_batch(net, pts)
+    pos, neg = pts[m > BOUNDARY_TOLERANCE][:40], pts[m < -BOUNDARY_TOLERANCE][:40]
+    assert len(pos) == len(neg) == 40
+
+    def pattern(x):
+        return (x @ net.weights[0].T + net.biases[0]) > 0
+
+    # every segment crosses first-layer kinks between its ends
+    assert (pattern(pos) != pattern(neg)).any(axis=1).all()
+    roots, m_roots = bisect_along_segment(net, pos, neg, margin_batch(net, pos),
+                                          margin_batch(net, neg))
+    assert (np.abs(m_roots) <= BOUNDARY_TOLERANCE).all()
+    assert (np.abs([margin(net, r) for r in roots]) <= BOUNDARY_TOLERANCE).all()
+    # each root lies on its own segment
+    t = np.einsum("ij,ij->i", roots - pos, neg - pos) / np.einsum("ij,ij->i", neg - pos, neg - pos)
+    assert ((t > 0) & (t < 1)).all()
+    np.testing.assert_allclose(roots, pos + t[:, None] * (neg - pos), atol=1e-12)
+
+
+# Distances the per-sample solver that preceded the lockstep engine (Newton
+# seed, bisection, tangent slide, one sample at a time) found for the 24
+# samples of the 10-d net below.
+PER_SAMPLE_SOLVER_10D = [
+    1.0627467439536693, 0.6093108246782675, 1.054605418454682, 1.6503575355848323,
+    0.4753029678551727, 0.10271778735290675, 0.5860563490193492, 0.44309509529893554,
+    0.38240149973840315, 0.9011186560337414, 0.26055135884210623, 1.1142404162693804,
+    0.888178167533282, 1.5962974675447903, 0.877177363366849, 0.3974973534878447,
+    0.7195006175580769, 0.9771079384494631, 0.8002710059967925, 1.0865203926712292,
+    0.6683501958216739, 0.32869794737385016, 1.1188166625975693, 0.4113364106973638]
+
+
+def test_engine_is_no_farther_than_the_per_sample_solver_at_10d():
+    c0, c1 = np.zeros(10), np.zeros(10)
+    c0[0], c1[0] = -1.5, 1.5
+    data = gen_gaussian_blobs(10, 12, (c0, c1), 0.8, seed=31)
+    net = init_network([10, 16, 16, 2], seed=31)
+    report = train(net, data, TrainConfig(max_epochs=3000, batch_size=24, seed=31))
+    assert report.stopped_reason == "criterion_met"
+    _, results = project_dataset(net, data)
+    for r, old in zip(results, PER_SAMPLE_SOLVER_10D, strict=True):
+        assert r.converged
+        assert r.distance <= old * 1.0025
+
+
+def test_cascade_bytes_do_not_depend_on_blas_threads(tmp_path):
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "blab.cli", "iterproj",
+                               str(ROOT / "configs" / "blobs2d.cfg"), "--iterations", "2",
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs.append(out)
+    one, two = runs
+    for sub in ("projections", "working"):
+        assert sorted(p.name for p in (one / sub).iterdir()) == \
+            sorted(p.name for p in (two / sub).iterdir())
+    for path in [one / "records.csv", *(one / "projections").iterdir(), *(one / "working").iterdir()]:
+        assert path.read_bytes() == (two / path.relative_to(one)).read_bytes(), path.name

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
-from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+import numpy as np
+
+import blab.experiments
+from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from blab.data import export_csv
 from blab.experiments import DatasetSpec, build_dataset
+from blab.nn import margin_batch
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
 
@@ -95,6 +99,25 @@ def test_bad_network_dims_fail_before_the_run_directory(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
         manifest = out / "manifest.json"
         assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
+
+
+def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):
+    real_train = blab.experiments.train
+
+    def train_leaving_one_wrong(net, data, cfg):
+        report = real_train(net, data, cfg)
+        # lower the margin past the least confident class-1 sample only
+        m = np.sort(margin_batch(net, data.samples[data.labels == 1]))
+        net.biases[-1][1] -= 0.5 * (m[0] + m[1])
+        return report
+
+    monkeypatch.setattr(blab.experiments, "train", train_leaving_one_wrong)
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out)]) == EXIT_NUMERIC
+    assert "misclassified" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted_projection"
+    assert manifest["completed_iterations"] == 0
 
 
 def test_plot_missing_records_is_data_error(tmp_path):

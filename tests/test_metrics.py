@@ -58,3 +58,15 @@ def test_global_difference_rejects_non_separator():
     with pytest.raises(ValueError, match="cosine_threshold"):
         estimate_global_difference(f_net, original, projected, g_net,
                                    cosine_threshold=1.5)
+
+
+@pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784)])
+def test_nearest_opposite_blocks_match_the_direct_formula_bitwise(shape):
+    s0, s1, n = shape
+    rng = np.random.default_rng(s0 + n)
+    x0 = rng.standard_normal((s0, n))
+    x1 = rng.standard_normal((s1, n)) + 0.5
+    d = np.sqrt(np.maximum(((x0[:, None, :] - x1[None, :, :]) ** 2).sum(axis=2), 0.0))
+    direct = float((d.min(axis=1).sum() + d.min(axis=0).sum()) / (s0 + s1))
+    data = Dataset(np.vstack([x0, x1]), np.array([0] * s0 + [1] * s1))
+    assert nearest_opposite_mean_distance(data) == direct  # bitwise, not approx

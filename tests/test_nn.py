@@ -1,15 +1,21 @@
+import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blab.config import parse_config
 from blab.data import Dataset
+from blab.experiments import build_dataset
 from blab.nn import (TrainConfig, accuracy, forward, grad_input, init_network,
                      load_checkpoint, log_softmax, loss_nll, margin,
                      margin_batch, save_checkpoint, train)
 from helpers import linear_net
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
 
 
 def test_init_determinism_and_validation():
@@ -174,3 +180,15 @@ def test_checkpoint_rejects_bad_shapes(tmp_path, layers, message):
     path.write_bytes(_checkpoint_bytes(*layers))
     with pytest.raises(ValueError, match=f"shape.blab: {message}"):
         load_checkpoint(path)
+
+
+def test_criterion_met_means_every_raw_sample_is_correct():
+    # train fits standardized inputs and folds the map back into the first
+    # layer afterwards; the fold must not cost a sample its sign
+    cfg = parse_config(CONFIG)
+    for seed in range(8):
+        data = build_dataset(dataclasses.replace(cfg.dataset, seed=seed))
+        net = init_network(cfg.dims, seed)
+        report = train(net, data, dataclasses.replace(cfg.train, seed=seed))
+        assert report.stopped_reason == "criterion_met"
+        assert accuracy(net, data) == 1.0, f"dataset seed {seed}"
