@@ -138,7 +138,7 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
     it when the distance drops by more than REFINE_TOLERANCE, halving the
     step down to MIN_SLIDE_STEP until one does. A row stops when no step
     helps or a step gains less than REFINE_STALL_FRACTION of the distance."""
-    act = np.asarray(rows)
+    act = rows
     for _ in range(MAX_REFINE_STEPS):
         if not len(act):
             break
