@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, parse_config, serialize_config
 from .boundary import ProjectionError
+from .config import ConfigError, parse_config, serialize_config
 from .data import DataError, export_csv, save_idx
 from .experiments import (DatasetSpec, ExperimentError, build_dataset,
                           run_generalization_tracking, run_iterative_projection,

@@ -20,7 +20,7 @@ class GlobalDifferenceEstimate:
     cosine_threshold: float
 
 
-NEAREST_CHUNK_ELEMENTS = 1 << 20  # floats in one block of pairwise differences (8 MiB)
+NEAREST_BLOCK_ELEMENTS = 1 << 20  # floats in one block of pairwise differences (8 MiB)
 
 
 def nearest_opposite_mean_distance(data: Dataset) -> float:
@@ -35,7 +35,7 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
         raise ValueError("both classes must be present")
     x0 = data.samples[data.labels == 0]
     x1 = data.samples[data.labels == 1]
-    block = max(1, NEAREST_CHUNK_ELEMENTS // x1.size)
+    block = max(1, NEAREST_BLOCK_ELEMENTS // x1.size)
     row_min, col_min = [], np.full(len(x1), np.inf)
     for start in range(0, len(x0), block):
         d2 = ((x0[start:start + block, None, :] - x1[None, :, :]) ** 2).sum(axis=2)

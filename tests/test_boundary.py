@@ -1,12 +1,11 @@
 import dataclasses
-
-import numpy as np
-import pytest
-
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import blab.boundary
 from blab.boundary import (BOUNDARY_TOLERANCE, ProjectionError, adversarial_overshoot,
