@@ -21,7 +21,8 @@ Each sample gets its shortest converged candidate, so returned distances
 never exceed the segment-crossing distance. Which rows a step evaluates
 depends on the samples alone, but BLAS may order a batched product's sums by
 the batch height: at high input widths the last bits of a projection depend
-on the rows it is projected with.
+on the rows it is projected with. The height BLAS sees is at most
+`nn.FORWARD_BLOCK_ROWS` (2048): a taller batch is evaluated in equal blocks.
 """
 
 from __future__ import annotations

@@ -190,18 +190,23 @@ def import_csv(path) -> Dataset:
     path = Path(path)
     with open(path) as f:
         header = f.readline().strip().split(",")
-        if not header or header[0] != "label":
+        if header[0] != "label":
             raise DataError(f"{path}: expected dataset CSV header starting with 'label'")
+        if len(header) < 2:
+            raise DataError(f"{path}: header has no feature column")
         rows, labels = [], []
         for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                raise DataError(f"{path}: row width mismatch")
+                raise DataError(f"{path}, line {lineno}: row width mismatch")
             label = parts[0].strip()
             if label not in ("0", "1"):
                 raise DataError(f"{path}, line {lineno}: label {label!r} is not 0 or 1")
             labels.append(int(label))
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as e:
+                raise DataError(f"{path}, line {lineno}: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels), name=path.stem)

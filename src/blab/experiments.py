@@ -243,7 +243,10 @@ def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord
 
     for k in range(start_iter, cfg.iterations + 1):
         seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
-        net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
+        try:
+            net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
+        except TrainingDivergence as e:
+            raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
         if report.stopped_reason != "criterion_met":
             raise abort(k, "aborted_training", "training hit the epoch cap "
                         f"(accuracy {report.final_train_accuracy:.3f})")

@@ -67,7 +67,7 @@ class GridBoundary:
     expensive scan; each crossing edge is sub-resolved by bisection.
     """
 
-    def __init__(self, margin_fn, bounds, step: float, chunk: int = 500_000):
+    def __init__(self, margin_fn, bounds, step: float):
         if step <= 0:
             raise ValueError("step must be positive")
         (x_lo, x_hi), (y_lo, y_hi) = bounds
@@ -75,14 +75,8 @@ class GridBoundary:
         ys = np.arange(y_lo, y_hi + step / 2, step)
         self.bounds = ((x_lo, x_hi), (y_lo, y_hi))
 
-        nx, ny = len(xs), len(ys)
-        values = np.empty((nx, ny))
         pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        for start in range(0, len(pts), chunk):
-            block = pts[start:start + chunk]
-            values.reshape(-1)[start:start + chunk] = margin_fn(block)
-
-        sign = np.sign(values)
+        sign = np.sign(margin_fn(pts)).reshape(len(xs), len(ys))
         a_pts, b_pts = [], []
         flip_x = sign[:-1, :] * sign[1:, :] < 0
         ix, iy = np.nonzero(flip_x)

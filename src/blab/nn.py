@@ -18,6 +18,7 @@ from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"BLAB"
 CHECKPOINT_VERSION = 1
+FORWARD_BLOCK_ROWS = 2048  # most rows in one block of a batched forward pass
 
 
 class TrainingDivergence(RuntimeError):
@@ -112,15 +113,33 @@ def _check_input(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
-    """Logits for a (batch, n) input array."""
-    h = _check_input(net, x)
+def _forward_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w.T + b
         if k != last:
             np.maximum(h, 0.0, out=h)
     return h
+
+
+def forward_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
+    """Logits for a (batch, n) input array.
+
+    A batch taller than FORWARD_BLOCK_ROWS goes through the layers in equal
+    blocks of at most that many rows, so a pass holds one block's
+    activations, not the whole batch's. Equal blocks keep every block at
+    least half that tall: BLAS takes other kernels for a short product (one
+    row, or a few at width 32), and a short tail block would change its
+    rows' last bits against a single pass."""
+    x = _check_input(net, x)
+    blocks = -(-len(x) // FORWARD_BLOCK_ROWS)
+    if blocks <= 1:
+        return _forward_block(net, x)
+    logits = np.empty((len(x), 2))
+    edges = [len(x) * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        logits[start:stop] = _forward_block(net, x[start:stop])
+    return logits
 
 
 def forward(net: MlpNetwork, x) -> np.ndarray:

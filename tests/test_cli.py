@@ -7,7 +7,7 @@ import blab.experiments
 from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from blab.data import export_csv
 from blab.experiments import DatasetSpec, build_dataset
-from blab.nn import margin_batch
+from blab.nn import TrainingDivergence, margin_batch
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
 
@@ -90,6 +90,19 @@ def test_iterproj_rejects_csv_labels_outside_0_1(tmp_path, capsys):
         assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
 
 
+def test_iterproj_rejects_csv_with_non_numeric_value_or_no_features(tmp_path, capsys):
+    cases = (("label,x0\n0,a\n1,2\n", "data0.csv, line 2: "),
+             ("label\n0\n1\n", "data1.csv: header has no feature column"))
+    for k, (text, message) in enumerate(cases):
+        data = tmp_path / f"data{k}.csv"
+        data.write_text(text)
+        cfg = tmp_path / f"csv{k}.cfg"
+        cfg.write_text(f"[dataset]\nsource = csv\ncsv_path = {data}\n\n"
+                       "[network]\ndims = 1,4,2\n\n[experiment]\niterations = 1\n")
+        assert main(["iterproj", str(cfg), "--out", str(tmp_path / f"run{k}")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
 def test_bad_network_dims_fail_before_the_run_directory(tmp_path, capsys):
     # wrong input width for 2-D data, no layers at all, wrong output width
     for k, dims in enumerate(("3,4,2", "", "2,4,3")):
@@ -118,6 +131,21 @@ def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsy
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "aborted_projection"
     assert manifest["completed_iterations"] == 0
+
+
+def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
+    def diverging_train(net, data, cfg):
+        raise TrainingDivergence("non-finite loss at epoch 0")
+
+    monkeypatch.setattr(blab.experiments, "train", diverging_train)
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out)]) == EXIT_NUMERIC
+    assert "diverged" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted_training"
+    assert manifest["completed_iterations"] == 0
+    rows = (out / "records.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,")
 
 
 def test_plot_missing_records_is_data_error(tmp_path):

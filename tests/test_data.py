@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blab.data import (DataError, Dataset, export_csv, filter_binary,
                        gen_gaussian_blobs, gen_symmetric_layout, import_csv,
@@ -131,6 +131,36 @@ def test_csv_rejects_garbage(tmp_path):
     path.write_text("label,f0\n")
     with pytest.raises(DataError):
         import_csv(path)
+
+
+def test_csv_rejects_non_numeric_value_and_missing_features(tmp_path):
+    path = tmp_path / "values.csv"
+    path.write_text("label,x0\n0,a\n1,2\n")
+    with pytest.raises(DataError, match=r"values\.csv, line 2: .*'a'"):
+        import_csv(path)
+    path.write_text("label\n0\n1\n")
+    with pytest.raises(DataError, match="no feature column"):
+        import_csv(path)
+
+
+_CSV_CHARS = st.sampled_from(list("01,.-+e_ \t\r\nlabinfx")) | st.characters()
+_CSV_FIELD = (st.sampled_from(["0", "1", "2", "-1.5", "1e400", "nan", "a", ""])
+              | st.text(_CSV_CHARS, max_size=4))
+# arbitrary text, and comma-separated lines that reach past the header check
+_CSV_BODY = st.text(_CSV_CHARS, max_size=60) | st.lists(
+    st.lists(_CSV_FIELD, min_size=1, max_size=4).map(",".join), max_size=5).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["", "label\n", "label,f0\n", "label,f0,f1\n"]), _CSV_BODY)
+def test_import_csv_on_arbitrary_text_loads_or_raises_data_error(tmp_path_factory, head, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(head + body, encoding="utf-8")
+    try:
+        data = import_csv(path)
+    except DataError:
+        return
+    assert isinstance(data, Dataset) and data.dim >= 1
 
 
 @pytest.mark.parametrize("label", ["2", "-1", "x"])

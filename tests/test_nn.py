@@ -1,17 +1,18 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blab.config import parse_config
 from blab.data import Dataset
 from blab.experiments import build_dataset
-from blab.nn import (TrainConfig, accuracy, forward, grad_input, init_network,
-                     load_checkpoint, log_softmax, loss_nll, margin,
+from blab.nn import (TrainConfig, accuracy, check_layer_dims, forward, grad_input,
+                     init_network, load_checkpoint, log_softmax, loss_nll, margin,
                      margin_batch, save_checkpoint, train)
 from helpers import linear_net
 
@@ -42,6 +43,41 @@ def test_forward_rejects_wrong_dimension():
     net = init_network([4, 6, 2], seed=1)
     with pytest.raises(ValueError):
         forward(net, np.zeros(3))
+
+
+def _single_pass_margin(net, x):
+    h = x
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.T + b
+        if k < len(net.weights) - 1:
+            h = np.maximum(h, 0.0)
+    return h[:, 1] - h[:, 0]
+
+
+@pytest.mark.parametrize("dims", [[2, 16, 16, 2], [2, 32, 32, 2]])
+def test_blocked_margin_batch_matches_one_pass_bit_for_bit(dims):
+    # heights around the 2048-row block and the oracle grid's 120701 points;
+    # 2049 and 4097 would leave a 1-row block if blocks were all 2048 tall
+    rng = np.random.default_rng(11)
+    net = init_network(dims, seed=4)
+    net.biases = [rng.standard_normal(b.shape) for b in net.biases]
+    x = rng.uniform(-3.0, 3.0, (120701, 2))
+    for rows in (1, 2047, 2048, 2049, 4097, 120701):
+        np.testing.assert_array_equal(margin_batch(net, x[:rows]),
+                                      _single_pass_margin(net, x[:rows]))
+
+
+def test_margin_batch_memory_is_bounded_by_the_block():
+    net = init_network([2, 16, 16, 2], seed=4)
+    x = np.random.default_rng(12).uniform(-3.0, 3.0, (120701, 2))
+    tracemalloc.start()
+    try:
+        margin_batch(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pass at once holds 120701x16 float64 activations per layer (44 MiB)
+    assert peak <= 4 * 2**20
 
 
 def test_linear_net_margin():
@@ -180,6 +216,28 @@ def test_checkpoint_rejects_bad_shapes(tmp_path, layers, message):
     path.write_bytes(_checkpoint_bytes(*layers))
     with pytest.raises(ValueError, match=f"shape.blab: {message}"):
         load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_checkpoint_loads_a_valid_net_or_raises(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.blab"
+    save_checkpoint(init_network([2, 16, 2], seed=0), path)
+    raw = bytearray(path.read_bytes())
+    del raw[data.draw(st.integers(0, len(raw)), label="cut"):]
+    for _ in range(data.draw(st.integers(0, 4), label="mutations")):
+        if raw:
+            # the header and layer 0's shape (bytes 0-19) decide most outcomes
+            i = data.draw(st.integers(0, 19) | st.integers(0, len(raw) - 1), label="at")
+            raw[min(i, len(raw) - 1)] = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(bytes(raw))
+    try:
+        net = load_checkpoint(path)
+    except ValueError:
+        return
+    assert check_layer_dims(net.layer_dims) == net.layer_dims
+    assert [w.shape for w in net.weights] == list(zip(net.layer_dims[1:], net.layer_dims[:-1]))
+    assert [b.shape for b in net.biases] == [(d,) for d in net.layer_dims[1:]]
 
 
 def test_criterion_met_means_every_raw_sample_is_correct():
