@@ -64,8 +64,8 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as e:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from e
 
     cfg = ExperimentConfig()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +77,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         count = _read_be_u32(f, images_path)
         rows = _read_be_u32(f, images_path)
         cols = _read_be_u32(f, images_path)
+        if count * rows * cols == 0:
+            raise DataError(f"no pixels in {images_path} ({count} images of {rows}x{cols})")
         payload = f.read()
         if len(payload) != count * rows * cols:
             raise DataError(f"truncated IDX image payload in {images_path}")
@@ -188,7 +191,11 @@ def export_csv(data: Dataset, path) -> None:
 
 def import_csv(path) -> Dataset:
     path = Path(path)
-    with open(path) as f:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+    with io.StringIO(text) as f:
         header = f.readline().strip().split(",")
         if header[0] != "label":
             raise DataError(f"{path}: expected dataset CSV header starting with 'label'")

@@ -18,6 +18,7 @@ import numpy as np
 from .data import SymmetricLayout
 
 SUBSET_CAP = 12  # AM-GM sub-step enumerates 2^k subsets; cap k
+GRID_SLAB_POINTS = 1 << 14  # most grid points whose margins a scan holds at once
 
 
 @dataclass
@@ -64,7 +65,12 @@ class GridBoundary:
     """Precomputed sign-change crossings of a 2D scalar field on a grid.
 
     Building the field once lets many nearest-crossing queries share the
-    expensive scan; each crossing edge is sub-resolved by bisection.
+    expensive scan; each crossing edge is sub-resolved by bisection. The grid
+    is scanned in slabs of whole x-rows, at most GRID_SLAB_POINTS points (or
+    one row) each, and a slab's last sign row is carried into the next, so
+    the scan holds one slab plus the crossings. The crossings come out in the
+    row-major order of a one-shot scan: x-flips, then y-flips, then the grid
+    points where the field is exactly zero.
     """
 
     def __init__(self, margin_fn, bounds, step: float):
@@ -75,22 +81,25 @@ class GridBoundary:
         ys = np.arange(y_lo, y_hi + step / 2, step)
         self.bounds = ((x_lo, x_hi), (y_lo, y_hi))
 
-        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        sign = np.sign(margin_fn(pts)).reshape(len(xs), len(ys))
-        a_pts, b_pts = [], []
-        flip_x = sign[:-1, :] * sign[1:, :] < 0
-        ix, iy = np.nonzero(flip_x)
-        a_pts.append(np.column_stack([xs[ix], ys[iy]]))
-        b_pts.append(np.column_stack([xs[ix + 1], ys[iy]]))
-        flip_y = sign[:, :-1] * sign[:, 1:] < 0
-        ix, iy = np.nonzero(flip_y)
-        a_pts.append(np.column_stack([xs[ix], ys[iy]]))
-        b_pts.append(np.column_stack([xs[ix], ys[iy + 1]]))
-        on_grid = np.column_stack(np.nonzero(sign == 0))
-        zero_pts = np.column_stack([xs[on_grid[:, 0]], ys[on_grid[:, 1]]]) if len(on_grid) else np.empty((0, 2))
-
-        a = np.vstack(a_pts)
-        b = np.vstack(b_pts)
+        rows = max(1, GRID_SLAB_POINTS // len(ys))
+        flips_x, flips_y, zeros = [], [], []  # (ix, iy) grid indices, slab by slab
+        prev = np.empty((0, len(ys)))
+        for i0 in range(0, len(xs), rows):
+            x = xs[i0:i0 + rows]
+            pts = np.empty((len(x), len(ys), 2))
+            pts[:, :, 0] = x[:, None]
+            pts[:, :, 1] = ys
+            sign = np.sign(margin_fn(pts.reshape(-1, 2))).reshape(pts.shape[:2])
+            seam = np.vstack([prev, sign])
+            flips_x.append(np.argwhere(seam[:-1] * seam[1:] < 0) + [i0 - len(prev), 0])
+            flips_y.append(np.argwhere(sign[:, :-1] * sign[:, 1:] < 0) + [i0, 0])
+            zeros.append(np.argwhere(sign == 0) + [i0, 0])
+            prev = sign[-1:]
+        fx, fy = np.vstack(flips_x), np.vstack(flips_y)
+        first = np.vstack([fx, fy])
+        second = first + np.repeat([[1, 0], [0, 1]], [len(fx), len(fy)], axis=0)
+        a, b, zero_pts = (np.column_stack([xs[i], ys[j]])
+                          for i, j in (first.T, second.T, np.vstack(zeros).T))
         if len(a) == 0 and len(zero_pts) == 0:
             raise ValueError("no margin sign change inside bounds")
         if len(a):
@@ -114,51 +123,27 @@ class GridBoundary:
         return self.crossings[i], float(d[i])
 
 
-def _cut(poly: np.ndarray, v: np.ndarray):
-    """Split a convex polygon by the sign of an affine function whose values
-    at the vertices are v: one Sutherland–Hodgman pass for both sides.
-
-    Returns the part where v >= 0, the part where v <= 0 and the points of
-    the outline where v = 0."""
-    pos, neg, line = [], [], []
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        p, vp, vq = poly[i], v[i], v[j]
-        if vp >= 0:
-            pos.append(p)
-        if vp <= 0:
-            neg.append(p)
-        if vp == 0:
-            line.append(p)
-        elif vp * vq < 0:
-            cross = p + vp / (vp - vq) * (poly[j] - p)
-            pos.append(cross)
-            neg.append(cross)
-            line.append(cross)
-    return np.array(pos), np.array(neg), line
+def _polygons(count: np.ndarray):
+    """For convex polygons stored back to back with these vertex counts: the
+    index of each polygon's first vertex and, per vertex, the index of its
+    polygon and of the next vertex around it."""
+    ends = np.cumsum(count)
+    nxt = np.arange(1, ends[-1] + 1)
+    nxt[ends - 1] = ends - count
+    return ends - count, np.repeat(np.arange(len(count)), count), nxt
 
 
-def _split_layer(poly: np.ndarray, g: np.ndarray, e: np.ndarray) -> list:
-    """Cells of a convex polygon on which every unit of z = g x + e keeps one
-    sign, each with its 0/1 activation mask. A unit whose sign is the same
-    at every vertex of a cell does not cut it."""
-    cells = []
-    todo = [(poly, 0, np.zeros(len(e)))]
-    while todo:
-        poly, j, mask = todo.pop()
-        v = poly @ g[j:].T + e[j:]
-        mixed = (v > 0).any(axis=0) & (v < 0).any(axis=0)
-        k = int(np.argmax(mixed)) if mixed.any() else v.shape[1]
-        mask[j:j + k] = v[:, :k].max(axis=0) > 0
-        if k == v.shape[1]:
-            cells.append((poly, mask))
-            continue
-        pos, neg, _ = _cut(poly, v[:, k])
-        on = mask.copy()
-        on[j + k] = 1.0
-        todo += [(neg, j + k + 1, mask), (pos, j + k + 1, on)]
-    return cells
+def _clip(verts, v, nxt, keep, cut):
+    """One Sutherland–Hodgman pass over polygons stored back to back. In
+    vertex order it emits each vertex where `keep` and then, where `cut` and
+    the affine function with vertex values v changes sign on the edge to the
+    next vertex, the crossing point. Returns the points and the vertex that
+    emitted each."""
+    cross = (v * v[nxt] < 0) & cut
+    t = np.divide(v, v - v[nxt], out=np.zeros_like(v), where=cross)
+    out = np.stack([verts, verts + t[:, None] * (verts[nxt] - verts)], axis=1)
+    flags = np.column_stack([keep, cross])
+    return out[flags], np.nonzero(flags)[0]
 
 
 class PiecewiseLinearBoundary:
@@ -167,43 +152,57 @@ class PiecewiseLinearBoundary:
     The margin (logit 1 - logit 0) is affine on each linear region of the
     network. The box is cut into those regions layer by layer, one hidden
     unit at a time: on a convex piece a unit's pre-activation is affine, so
-    each cut is one line clip, and each piece carries its affine map
-    h = A x + c through the masked layer. On a final piece the margin's zero
-    set is at most one segment; `nearest` is the nearest point over those
-    segments. A region on which the margin is identically zero is skipped.
+    each cut is one line clip, done for every piece the unit crosses at
+    once. Each piece carries its affine map h = A x + c through the masked
+    layer, and the positive side of a cut piece comes before its negative
+    side. On a final piece the margin's zero set is at most one segment;
+    `nearest` is the nearest point over those segments. A region on which
+    the margin is identically zero is skipped.
     """
 
     def __init__(self, weights, biases, bounds):
         if weights[0].shape[1] != 2:
             raise ValueError("the network input must be 2-dimensional")
         (x_lo, x_hi), (y_lo, y_hi) = bounds
-        box = np.array([[x_lo, y_lo], [x_hi, y_lo], [x_hi, y_hi], [x_lo, y_hi]],
-                       dtype=np.float64)
-        pieces = [(box, np.eye(2), np.zeros(2))]
+        verts = np.array([[x_lo, y_lo], [x_hi, y_lo], [x_hi, y_hi], [x_lo, y_hi]],
+                         dtype=np.float64)
+        count = np.array([4])
+        a, c = np.eye(2)[None], np.zeros((1, 2))
         for w, b in zip(weights[:-1], biases[:-1]):
-            split = []
-            for poly, a, c in pieces:
-                g, e = w @ a, w @ c + b
-                split += [(cell, mask[:, None] * g, mask * e)
-                          for cell, mask in _split_layer(poly, g, e)]
-            pieces = split
-        self.pieces = [poly for poly, _, _ in pieces]
+            g, e = np.matmul(w, a), c @ w.T + b  # per piece, z = g x + e
+            on = np.zeros(e.shape, dtype=bool)
+            for k in range(len(b)):
+                starts, cell, nxt = _polygons(count)
+                v = (verts * g[cell, k]).sum(axis=1) + e[cell, k]
+                on[:, k] = np.logical_or.reduceat(v > 0, starts)
+                mixed = on[:, k] & np.logical_or.reduceat(v < 0, starts)
+                if not mixed.any():
+                    continue
+                cut = mixed[cell]
+                pos, pos_src = _clip(verts, v, nxt, (v >= 0) | ~cut, cut)
+                neg, neg_src = _clip(verts, v, nxt, (v <= 0) & cut, cut)
+                side = np.concatenate([2 * cell[pos_src], 2 * cell[neg_src] + 1])
+                verts = np.concatenate([pos, neg])[np.argsort(side, kind="stable")]
+                side, count = np.unique(side, return_counts=True)
+                g, e, on = g[side // 2], e[side // 2], on[side // 2]
+                on[side % 2 == 1, k] = False
+            a, c = on[:, :, None] * g, on * e
+        self.pieces = np.split(verts, np.cumsum(count)[:-1])
 
         w_m = weights[-1][1] - weights[-1][0]
         b_m = biases[-1][1] - biases[-1][0]
-        ends = []
-        for poly, a, c in pieces:
-            g = w_m @ a
-            if not g.any():
-                continue
-            _, _, line = _cut(poly, poly @ g + (w_m @ c + b_m))
-            if line:
-                pts = np.array(line)
-                t = pts @ np.array([-g[1], g[0]])
-                ends.append((pts[np.argmin(t)], pts[np.argmax(t)]))
-        if not ends:
+        g, e = np.matmul(w_m, a), c @ w_m + b_m
+        starts, cell, nxt = _polygons(count)
+        v = (verts * g[cell]).sum(axis=1) + e[cell]
+        live = g.any(axis=1)[cell]
+        pts, src = _clip(verts, v, nxt, (v == 0) & live, live)
+        if not len(pts):
             raise ValueError("no decision boundary inside bounds")
-        self.segments = np.array(ends)  # (k, 2 ends, 2 coordinates)
+        owner = cell[src]  # ascending: pieces emit their points in turn
+        t = pts[:, 1] * g[owner, 0] - pts[:, 0] * g[owner, 1]  # along the line
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        lo, hi = np.lexsort((t, owner))[first], np.lexsort((-t, owner))[first]
+        self.segments = np.stack([pts[lo], pts[hi]], axis=1)  # (k, 2 ends, 2 coordinates)
 
     def nearest(self, x) -> tuple[np.ndarray, float]:
         x = np.asarray(x, dtype=np.float64)

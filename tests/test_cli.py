@@ -103,6 +103,16 @@ def test_iterproj_rejects_csv_with_non_numeric_value_or_no_features(tmp_path, ca
         assert message in capsys.readouterr().err
 
 
+def test_iterproj_rejects_csv_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "latin.csv"
+    data.write_bytes(b"label,f0,f1\n0,-1.0,0.0\n1,1.0,0.0\xff\n")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(f"[dataset]\nsource = csv\ncsv_path = {data}\n\n"
+                   "[network]\ndims = 2,4,2\n\n[experiment]\niterations = 1\n")
+    assert main(["iterproj", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_DATA
+    assert "latin.csv: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_bad_network_dims_fail_before_the_run_directory(tmp_path, capsys):
     # wrong input width for 2-D data, no layers at all, wrong output width
     for k, dims in enumerate(("3,4,2", "", "2,4,3")):

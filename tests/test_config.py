@@ -2,6 +2,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blab.cli import EXIT_CONFIG, EXIT_OK, main
 from blab.config import ConfigError, parse_config, serialize_config
@@ -113,3 +114,38 @@ def test_projector_section_is_refused(tmp_path, capsys):
     p.write_text("[network]\ndims = 2,8,2\n\n[projector]\nboundary_tolerance = 1e-6\n")
     assert main(["show-config", str(p)]) == EXIT_CONFIG
     assert "unknown config section [projector]" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    p = tmp_path / "latin.cfg"
+    p.write_bytes(b"[train]\nlearning_rate = 0.1\xff\n")
+    with pytest.raises(ConfigError, match="cannot parse .*latin.cfg"):
+        parse_config(p)
+
+
+_SECTIONS = ["dataset", "network", "train", "experiment", "DEFAULT"]
+_KEYS = ([f.name for f in fields(DatasetSpec)] + [f.name for f in fields(TrainConfig)]
+         + [f.name for f in fields(ExperimentConfig)])
+_TEXT = st.text(st.characters(blacklist_categories=["Cs"]), max_size=12)
+_VALUES = st.sampled_from(["", "0", "-1", "2,4,2", "1e400", "nan", "inf", "adam", "csv",
+                           "idx", "blobs", "9" * 5000, "1, 2", " 3 "]) | _TEXT
+_LINES = st.tuples(st.sampled_from(_KEYS) | _TEXT, st.sampled_from([" = ", ":", "=", " "]),
+                   _VALUES).map("".join)
+_BLOCKS = st.tuples(st.sampled_from(_SECTIONS) | _TEXT,
+                    st.lists(_LINES, max_size=4)).map(
+    lambda block: "\n".join([f"[{block[0]}]", *block[1]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BLOCKS, max_size=4).map("\n".join) | _TEXT,
+       st.dictionaries(st.tuples(st.sampled_from(_SECTIONS) | _TEXT,
+                                 st.sampled_from(_KEYS) | _TEXT).map(".".join),
+                       _VALUES, max_size=3) | st.dictionaries(_TEXT, _VALUES, max_size=2))
+def test_arbitrary_config_text_parses_or_raises_config_error(tmp_path_factory, text, overrides):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = parse_config(path, overrides)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)

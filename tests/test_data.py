@@ -50,6 +50,43 @@ def test_idx_truncated_payload(tmp_path):
         load_idx(img, lab)
 
 
+_IDX_WORDS = st.sampled_from([0, 1, 2, 3, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_arbitrary_idx_files_load_a_dataset_or_raise_data_error(tmp_path_factory, data):
+    def idx(magic, words):
+        # header words small, huge or random; a payload within one byte of
+        # the declared length when that is short; then perhaps a cut
+        head = [data.draw(st.just(magic) | _IDX_WORDS, label="magic"), *words]
+        n = int(np.prod(words, dtype=object)) + data.draw(st.integers(-1, 1), label="slack")
+        body = st.binary(min_size=n, max_size=n) if 0 <= n <= 64 else st.binary(max_size=64)
+        raw = struct.pack(f">{len(head)}I", *head) + data.draw(body, label="payload")
+        return raw[:data.draw(st.none() | st.integers(0, len(raw)), label="cut")]
+
+    base = tmp_path_factory.getbasetemp()
+    img, lab = base / "fuzz_img.idx", base / "fuzz_lab.idx"
+    count, rows, cols = (data.draw(_IDX_WORDS, label=name) for name in ("count", "rows", "cols"))
+    img.write_bytes(idx(2051, [count, rows, cols]))
+    lab.write_bytes(idx(2049, [data.draw(st.just(count) | _IDX_WORDS, label="labels")]))
+    try:
+        loaded = load_idx(img, lab)
+    except DataError:
+        return
+    assert isinstance(loaded, Dataset) and loaded.dim >= 1
+
+
+def test_idx_without_pixels_is_a_data_error(tmp_path):
+    img = tmp_path / "img.idx"
+    lab = tmp_path / "lab.idx"
+    lab.write_bytes(struct.pack(">II", 2049, 2) + b"\x00\x01")
+    for count, rows, cols in ((2, 0, 5), (0, 2**32 - 1, 2**32 - 1)):
+        img.write_bytes(struct.pack(">IIII", 2051, count, rows, cols))
+        with pytest.raises(DataError, match="no pixels"):
+            load_idx(img, lab)
+
+
 def test_idx_count_mismatch(tmp_path):
     img = tmp_path / "img.idx"
     lab = tmp_path / "lab.idx"
@@ -161,6 +198,33 @@ def test_import_csv_on_arbitrary_text_loads_or_raises_data_error(tmp_path_factor
     except DataError:
         return
     assert isinstance(data, Dataset) and data.dim >= 1
+
+
+def test_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"label,f0\n0,1.0\n1,2\xff\n")
+    with pytest.raises(DataError, match=r"latin\.csv: not UTF-8 text"):
+        import_csv(path)
+
+
+_VALID_CSV = b"label,f0,f1\n0,1.5,2\n1,-1,0.5e1\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_import_csv_on_arbitrary_bytes_loads_or_raises_data_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_bytes.csv"
+    raw = bytearray(data.draw(st.sampled_from([b"", b"label,f0\n", _VALID_CSV]), label="base"))
+    for _ in range(data.draw(st.integers(0, 4), label="mutations")):
+        if raw:
+            i = data.draw(st.integers(0, len(raw) - 1), label="at")
+            raw[i] = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(bytes(raw) + data.draw(st.binary(max_size=24), label="tail"))
+    try:
+        loaded = import_csv(path)
+    except DataError:
+        return
+    assert isinstance(loaded, Dataset) and loaded.dim >= 1
 
 
 @pytest.mark.parametrize("label", ["2", "-1", "x"])

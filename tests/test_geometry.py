@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from blab.data import gen_symmetric_layout
-from blab.geometry import (GridBoundary, PiecewiseLinearBoundary,
+from blab.geometry import (GRID_SLAB_POINTS, GridBoundary, PiecewiseLinearBoundary,
                            VectorProjectionInstance, check_claim1_chain,
                            check_claim2_product, enumerate_square_xor_projections,
                            halfspace_projection, ratio_bound)
 from blab.nn import margin_batch
-from blab.verify import ORACLE_BOX as BOX, _train_2d_net
+from blab.rng import derive_seed, make_rng
+from blab.verify import CROSS_CHECK_STEP, ORACLE_BOX as BOX, _train_2d_net
 from helpers import linear_net
 
 
@@ -42,6 +45,65 @@ def test_grid_boundary_matches_analytic_line():
         assert d == pytest.approx(exact, abs=2e-3)
 
 
+def _one_shot_crossings(margin_fn, bounds, step):
+    """Reference: the whole grid in one margin call, then the same bisection."""
+    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    xs = np.arange(x_lo, x_hi + step / 2, step)
+    ys = np.arange(y_lo, y_hi + step / 2, step)
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    sign = np.sign(margin_fn(pts)).reshape(len(xs), len(ys))
+    ix, iy = np.nonzero(sign[:-1, :] * sign[1:, :] < 0)
+    jx, jy = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    a = np.vstack([np.column_stack([xs[ix], ys[iy]]), np.column_stack([xs[jx], ys[jy]])])
+    b = np.vstack([np.column_stack([xs[ix + 1], ys[iy]]), np.column_stack([xs[jx], ys[jy + 1]])])
+    zx, zy = np.nonzero(sign == 0)
+    if len(a):
+        ma = margin_fn(a)
+        for _ in range(50):
+            mid = 0.5 * (a + b)
+            mm = margin_fn(mid)
+            left = mm * ma < 0
+            b = np.where(left[:, None], mid, b)
+            a = np.where(left[:, None], a, mid)
+            ma = np.where(left, ma, mm)
+    return np.vstack([0.5 * (a + b), np.column_stack([xs[zx], ys[zy]])])
+
+
+@pytest.mark.parametrize("field, bounds, step", [
+    (lambda pts: pts @ np.array([1.0, 1.0]) - 1.0, ((-2.0, 2.0), (-2.0, 2.0)), 1e-2),
+    (lambda pts: pts[:, 0] - 2.0 * pts[:, 1], ((-1.0, 1.0), (-1.0, 1.0)), 0.125),
+    (lambda pts: pts[:, 1] - np.sin(pts[:, 0]), ((-6.0, 6.0), (-1.5, 1.5)), 1e-2),
+], ids=["analytic_line", "exact_zeros", "sine_across_seams"])
+def test_grid_scan_matches_one_shot_scan(field, bounds, step):
+    expected = _one_shot_crossings(field, bounds, step)
+    np.testing.assert_array_equal(GridBoundary(field, bounds, step).crossings, expected)
+
+
+def test_grid_cases_reach_zeros_and_slab_seams():
+    # the cases above must exercise exact zeros and x-flips on a slab seam
+    xs = ys = np.arange(-1.0, 1.0 + 0.0625, 0.125)
+    assert (xs[:, None] - 2.0 * ys[None, :] == 0).sum() >= 5
+    xs, ys = np.arange(-6.0, 6.005, 1e-2), np.arange(-1.5, 1.505, 1e-2)
+    rows = GRID_SLAB_POINTS // len(ys)
+    assert len(xs) > 3 * rows
+    sign = np.sign(ys[None, :] - np.sin(xs[:, None]))
+    ix, _ = np.nonzero(sign[:-1] * sign[1:] < 0)
+    assert ((ix + 1) % rows == 0).sum() >= 3
+
+
+def test_grid_scan_memory_is_bounded_by_its_slab():
+    # 1001 x 1001 grid points: a one-shot scan holds 16 MiB in the points alone
+    w = np.array([1.0, 1.0])
+    tracemalloc.start()
+    try:
+        field = GridBoundary(lambda pts: pts @ w - 1.0, ((-2.0, 2.0), (-2.0, 2.0)), 4e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(field.crossings) > 1000
+    assert peak < 4 * 2**20
+
+
 def test_grid_boundary_rejects_empty_field():
     with pytest.raises(ValueError):
         GridBoundary(lambda pts: np.ones(len(pts)), ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
@@ -52,6 +114,48 @@ def trained_net():
     net, data, report = _train_2d_net(3)  # a [2, 16, 16, 2] net as oracle_suite trains it
     assert report.stopped_reason == "criterion_met"
     return net, data
+
+
+@pytest.fixture(scope="module")
+def criterion04_nets():
+    """Nets 0-2 of criterion 04 (oracle_suite, seed 77) and the samples it picks."""
+    rng = make_rng(77, stream=0x04AC)
+    nets = []
+    for n in range(3):
+        net, data, _ = _train_2d_net(derive_seed(77, n))
+        m = margin_batch(net, data.samples)
+        correct = np.flatnonzero(np.where(data.labels == 1, m > 0, m < 0))
+        nets.append((net, rng.choice(correct, size=5, replace=False), data.samples))
+    return nets
+
+
+def test_grid_scan_matches_one_shot_scan_on_criterion04_nets(criterion04_nets):
+    for net, _, _ in criterion04_nets:
+        field = lambda pts: margin_batch(net, pts)  # noqa: E731
+        np.testing.assert_array_equal(GridBoundary(field, BOX, CROSS_CHECK_STEP).crossings,
+                                      _one_shot_crossings(field, BOX, CROSS_CHECK_STEP))
+
+
+# pieces, segments, picked samples and exact distances of the per-piece split
+# these nets were first checked with
+FROZEN_ORACLE = [
+    (437, 28, [18, 19, 10, 6, 22], [2.0689177002561343, 1.4347586512990032, 1.7344356605681592,
+                                    1.9166697688612626, 1.0787729120872813]),
+    (505, 28, [22, 24, 78, 46, 34], [1.2563478200462588, 2.781625041950832, 1.1250281691271378,
+                                     1.8940112652591607, 1.832322845399202]),
+    (469, 32, [70, 53, 10, 65, 57], [1.7403100587796132, 1.4500239174716392, 1.9376858815751041,
+                                     2.0406938700969617, 1.901634677281697]),
+]
+
+
+def test_exact_oracle_frozen_on_criterion04_nets(criterion04_nets):
+    for (net, picks, samples), (pieces, segments, frozen_picks, dists) in zip(
+            criterion04_nets, FROZEN_ORACLE):
+        exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
+        assert (len(exact.pieces), len(exact.segments)) == (pieces, segments)
+        assert picks.tolist() == frozen_picks
+        got = [exact.nearest(samples[i])[1] for i in picks]
+        np.testing.assert_allclose(got, dists, rtol=0, atol=1e-12)
 
 
 def test_exact_boundary_of_linear_net_is_the_halfspace():
