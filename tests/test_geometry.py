@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -131,13 +132,13 @@ def criterion04_nets():
 
 def test_grid_scan_matches_one_shot_scan_on_criterion04_nets(criterion04_nets):
     for net, _, _ in criterion04_nets:
-        field = lambda pts: margin_batch(net, pts)  # noqa: E731
+        field = partial(margin_batch, net)
         np.testing.assert_array_equal(GridBoundary(field, BOX, CROSS_CHECK_STEP).crossings,
                                       _one_shot_crossings(field, BOX, CROSS_CHECK_STEP))
 
 
-# pieces, segments, picked samples and exact distances of the per-piece split
-# these nets were first checked with
+# pieces, segments, picked samples and exact distances, frozen from the
+# per-piece split that the batched split replaced
 FROZEN_ORACLE = [
     (437, 28, [18, 19, 10, 6, 22], [2.0689177002561343, 1.4347586512990032, 1.7344356605681592,
                                     1.9166697688612626, 1.0787729120872813]),
