@@ -184,13 +184,19 @@ class PiecewiseLinearBoundary:
                 cut = mixed[cell]
                 pos, pos_src = _clip(verts, v, nxt, (v >= 0) | ~cut, cut)
                 neg, neg_src = _clip(verts, v, nxt, (v <= 0) & cut, cut)
-                side = np.concatenate([2 * cell[pos_src], 2 * cell[neg_src] + 1])
-                verts = np.concatenate([pos, neg])[np.argsort(side, kind="stable")]
-                side, count = np.unique(side, return_counts=True)
+                # merge the two sides, ordered by piece and then side
+                pos_side, neg_side = 2 * cell[pos_src], 2 * cell[neg_src] + 1
+                verts = np.empty((len(pos) + len(neg), 2))
+                verts[np.arange(len(pos)) + np.searchsorted(neg_side, pos_side)] = pos
+                verts[np.arange(len(neg)) + np.searchsorted(pos_side, neg_side)] = neg
+                sizes = np.bincount(np.concatenate([pos_side, neg_side]), minlength=2 * len(count))
+                side = np.flatnonzero(sizes)
+                count = sizes[side]
                 g, e, on = g[side // 2], e[side // 2], on[side // 2]
                 on[side % 2 == 1, k] = False
             a, c = on[:, :, None] * g, on * e
-        self.pieces = np.split(verts, np.cumsum(count)[:-1])
+        ends = np.cumsum(count).tolist()
+        self.pieces = [verts[end - n:end] for end, n in zip(ends, count.tolist())]
 
         w_m = weights[-1][1] - weights[-1][0]
         b_m = biases[-1][1] - biases[-1][0]
@@ -204,8 +210,11 @@ class PiecewiseLinearBoundary:
         owner = cell[src]  # ascending: pieces emit their points in turn
         t = pts[:, 1] * g[owner, 0] - pts[:, 0] * g[owner, 1]  # along the line
         first = np.flatnonzero(np.diff(owner, prepend=-1))
-        lo, hi = np.lexsort((t, owner))[first], np.lexsort((-t, owner))[first]
-        self.segments = np.stack([pts[lo], pts[hi]], axis=1)  # (k, 2 ends, 2 coordinates)
+        size = np.diff(first, append=len(t))
+        ends = [np.minimum.reduceat(np.where(t == np.repeat(extreme.reduceat(t, first), size),
+                                             np.arange(len(t)), len(t)), first)
+                for extreme in (np.minimum, np.maximum)]  # first point of least, greatest t
+        self.segments = np.stack([pts[ends[0]], pts[ends[1]]], axis=1)  # (k, 2 ends, 2 coordinates)
 
     def nearest(self, x) -> tuple[np.ndarray, float]:
         x = np.asarray(x, dtype=np.float64)
