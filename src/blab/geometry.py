@@ -149,6 +149,14 @@ def _clip(verts, v, nxt, keep, cut):
     return out[flags], np.nonzero(flags)[0]
 
 
+def _first_extreme(t, first, extreme):
+    """For runs of t that start at the indices `first`: the index of each
+    run's first element equal to its extreme (np.minimum or np.maximum)."""
+    size = np.diff(first, append=len(t))
+    hit = t == np.repeat(extreme.reduceat(t, first), size)
+    return np.minimum.reduceat(np.where(hit, np.arange(len(t)), len(t)), first)
+
+
 class PiecewiseLinearBoundary:
     """Exact decision boundary of a 2D ReLU network inside a box.
 
@@ -201,7 +209,7 @@ class PiecewiseLinearBoundary:
         w_m = weights[-1][1] - weights[-1][0]
         b_m = biases[-1][1] - biases[-1][0]
         g, e = np.matmul(w_m, a), c @ w_m + b_m
-        starts, cell, nxt = _polygons(count)
+        _, cell, nxt = _polygons(count)
         v = (verts * g[cell]).sum(axis=1) + e[cell]
         live = g.any(axis=1)[cell]
         pts, src = _clip(verts, v, nxt, (v == 0) & live, live)
@@ -210,11 +218,8 @@ class PiecewiseLinearBoundary:
         owner = cell[src]  # ascending: pieces emit their points in turn
         t = pts[:, 1] * g[owner, 0] - pts[:, 0] * g[owner, 1]  # along the line
         first = np.flatnonzero(np.diff(owner, prepend=-1))
-        size = np.diff(first, append=len(t))
-        ends = [np.minimum.reduceat(np.where(t == np.repeat(extreme.reduceat(t, first), size),
-                                             np.arange(len(t)), len(t)), first)
-                for extreme in (np.minimum, np.maximum)]  # first point of least, greatest t
-        self.segments = np.stack([pts[ends[0]], pts[ends[1]]], axis=1)  # (k, 2 ends, 2 coordinates)
+        lo, hi = (_first_extreme(t, first, extreme) for extreme in (np.minimum, np.maximum))
+        self.segments = np.stack([pts[lo], pts[hi]], axis=1)  # (k, 2 ends, 2 coordinates)
 
     def nearest(self, x) -> tuple[np.ndarray, float]:
         x = np.asarray(x, dtype=np.float64)

@@ -126,7 +126,8 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
 _SECTIONS = ["dataset", "network", "train", "experiment", "DEFAULT"]
 _KEYS = ([f.name for f in fields(DatasetSpec)] + [f.name for f in fields(TrainConfig)]
          + [f.name for f in fields(ExperimentConfig)])
-_TEXT = st.text(st.sampled_from(list("[]=:;#%., \t\n")) | st.characters(), max_size=12)
+_TEXT = st.text(st.sampled_from(list("[]=:;#%., \t\n")) | st.characters(codec="utf-8"),
+                max_size=12)
 _VALUES = st.sampled_from(["", "0", "-1", "2,4,2", "1e400", "nan", "inf", "adam", "csv",
                            "idx", "blobs", "9" * 5000, "1, 2", " 3 "]) | _TEXT
 _LINES = st.tuples(st.sampled_from(_KEYS) | _TEXT, st.sampled_from([" = ", ":", "=", " "]),

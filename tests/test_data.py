@@ -180,7 +180,7 @@ def test_csv_rejects_non_numeric_value_and_missing_features(tmp_path):
         import_csv(path)
 
 
-_CSV_CHARS = st.sampled_from(list("01,.-+e_ \t\r\nlabinfx")) | st.characters()
+_CSV_CHARS = st.sampled_from(list("01,.-+e_ \t\r\nlabinfx")) | st.characters(codec="utf-8")
 _CSV_FIELD = (st.sampled_from(["0", "1", "2", "-1.5", "1e400", "nan", "a", ""])
               | st.text(_CSV_CHARS, max_size=4))
 # arbitrary text, and comma-separated lines that reach past the header check
