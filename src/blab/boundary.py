@@ -21,8 +21,8 @@ Each sample gets its shortest converged candidate, so returned distances
 never exceed the segment-crossing distance. Which rows a step evaluates
 depends on the samples alone, but BLAS may order a batched product's sums,
 or pick another kernel, by the batch height: the last bits of a projection
-depend on the rows it is projected with, at 2-d as at high input widths.
-The height BLAS sees is at most
+depend on the rows it is projected with, at 2-d as well as at high input
+widths. The height BLAS sees is at most
 `nn.FORWARD_BLOCK_ROWS` (2048): a taller batch is evaluated in equal blocks.
 """
 
