@@ -12,8 +12,12 @@ moving:
 - segment crossings toward each sample's SEGMENT_CANDIDATES nearest
   opposite-class samples;
 - the tangent slide (`_slide`): each converged candidate moves toward its
-  sample along the boundary's tangent plane and is re-rooted, with the step
-  halved until the distance shrinks;
+  sample along the boundary's tangent plane and is re-rooted: the full step
+  for every row in one hit_boundary call, then, for the rows whose full step
+  did not shrink the distance, the halvings down to MIN_SLIDE_STEP, each row
+  keeping its largest winning step. Where rows are cheap, as at 2-D, all
+  halvings go into one second call; at 784-d, past a few rows, each
+  halving gets a call of its own;
 - for 2D inputs, a radial fan sweep inside the better radius of the first
   two candidates.
 
@@ -23,7 +27,7 @@ depends on the samples alone, but BLAS may order a batched product's sums,
 or pick another kernel, by the batch height: the last bits of a projection
 depend on the rows it is projected with, at 2-d as well as at high input
 widths. The height BLAS sees is at most
-`nn.FORWARD_BLOCK_ROWS` (2048): a taller batch is evaluated in equal blocks.
+`nn.FORWARD_BLOCK_ROWS` (1024): a taller batch is evaluated in equal blocks.
 """
 
 from __future__ import annotations
@@ -45,6 +49,15 @@ MAX_BRACKET_STEPS = 200
 MAX_REFINE_STEPS = 500
 REFINE_TOLERANCE = 1e-9
 MIN_SLIDE_STEP = 1e-4  # backtracking halves a slide step down to this fraction of the tangent
+# the slide's step fractions: 1, then each halving down to MIN_SLIDE_STEP
+SLIDE_STEPS = 0.5 ** np.arange(int(-np.log2(MIN_SLIDE_STEP)) + 1)
+# A slide's halving search puts as many step fractions into one hit_boundary
+# call as keep its rows x fractions x forward multiply-adds per row under
+# this, about what the fixed cost of a call buys: a 1-row call took about
+# 1 ms, and a row of a [784,500,256,128,32,2] net (557k multiply-adds)
+# about 0.16 ms, with 1 BLAS thread. So a 2-D net tries all 13 halvings in
+# one call, while at 784-d, past 3 rows, each halving gets a call of its own.
+SLIDE_SEARCH_MACS = 1 << 22
 MAX_STEP_NORM = 1e3
 SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bracket ends
 FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers miss
@@ -136,10 +149,13 @@ def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
     """Slide points[rows] toward x[rows] along the boundary's tangent plane,
-    in place. Each step re-roots the slid point with hit_boundary and keeps
-    it when the distance drops by more than REFINE_TOLERANCE, halving the
-    step down to MIN_SLIDE_STEP until one does. A row stops when no step
-    helps or a step gains less than REFINE_STALL_FRACTION of the distance."""
+    in place. A step re-roots each slid point with hit_boundary and keeps it
+    when the distance drops by more than REFINE_TOLERANCE. Rows whose full
+    step loses try the halvings of SLIDE_STEPS, as many per call as
+    SLIDE_SEARCH_MACS allows, and keep their largest winning step: the one a
+    halve-until-it-wins loop would stop at. A row stops when no step helps
+    or a step gains less than REFINE_STALL_FRACTION of the distance."""
+    row_macs = sum(w.size for w in net.weights)
     act = rows
     for _ in range(MAX_REFINE_STEPS):
         if not len(act):
@@ -155,17 +171,24 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
         act, b, tangent = act[keep], b[keep], tangent[keep]
         before = dist[act]
         moved = np.zeros(len(act), dtype=bool)
-        search = np.arange(len(act))
-        eta = 1.0
-        while len(search) and eta >= MIN_SLIDE_STEP:
-            p, mp, _ = hit_boundary(net, b[search] + eta * tangent[search])
-            d = np.linalg.norm(p - x[act[search]], axis=1)
+        tried = 0
+        while tried < len(SLIDE_STEPS):
+            search = np.flatnonzero(~moved)
+            if not len(search):
+                break
+            per_call = 1 if not tried else max(1, SLIDE_SEARCH_MACS // (len(search) * row_macs))
+            etas = SLIDE_STEPS[tried:tried + per_call]
+            tried += len(etas)
+            starts = b[search] + etas[:, None, None] * tangent[search]
+            p, mp, _ = hit_boundary(net, starts.reshape(-1, b.shape[1]))
+            p, mp = p.reshape(starts.shape), mp.reshape(starts.shape[:2])
+            d = np.linalg.norm(p - x[act[search]], axis=2)
             win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
-            won = act[search[win]]
-            points[won], m[won], dist[won] = p[win], mp[win], d[win]
-            moved[search[win]] = True
-            search = search[~win]
-            eta *= 0.5
+            found = np.flatnonzero(win.any(axis=0))
+            level = win[:, found].argmax(axis=0)  # the first, so the largest, winning step
+            won = act[search[found]]
+            points[won], m[won], dist[won] = p[level, found], mp[level, found], d[level, found]
+            moved[search[found]] = True
         # gains shrink geometrically; once a step buys less than a small
         # fraction of the distance the slide has effectively converged
         after = dist[act]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,6 +40,13 @@ def _overrides(pairs: list[str]) -> dict[str, str]:
         key, value = item.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _records_chart(records, out_svg) -> None:
@@ -179,15 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--mode", choices=["cross_model", "cross_training_set"],
                     default="cross_training_set")
-    sp.add_argument("--kappa", type=float, default=None)
+    sp.add_argument("--kappa", type=_finite_float, default=None)
     sp.set_defaults(fn=cmd_transfer)
 
     sp = sub.add_parser("symmetry", help="boundary-multiplicity experiment on a symmetric layout")
     sp.add_argument("--layout", default="square_xor")
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--perturb", type=float, default=0.0)
-    sp.add_argument("--kappa", type=float, default=0.1)
+    sp.add_argument("--perturb", type=_finite_float, default=0.0)
+    sp.add_argument("--kappa", type=_finite_float, default=0.1)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_symmetry)
 

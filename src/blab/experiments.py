@@ -19,8 +19,8 @@ from .data import (DataError, Dataset, export_csv, filter_binary, gen_gaussian_b
                    gen_symmetric_layout, import_csv, load_idx, sample_balanced)
 from .fileio import atomic_write_text
 from .metrics import nearest_opposite_mean_distance
-from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_layer_dims,
-                 init_network, margin_batch, save_checkpoint, train)
+from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_finite_fields,
+                 check_layer_dims, init_network, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
 MANIFEST_VERSION = 3
@@ -76,6 +76,8 @@ class ExperimentConfig:
     test_fraction: float = 0.25
 
     def validate(self) -> None:
+        check_finite_fields(self)
+        check_finite_fields(self.dataset)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.train.validate()

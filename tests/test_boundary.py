@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import blab.boundary
-from blab.boundary import (BOUNDARY_TOLERANCE, ProjectionError, adversarial_overshoot,
-                           bisect_along_segment, hit_boundary,
+from blab.boundary import (BOUNDARY_TOLERANCE, MAX_REFINE_STEPS, MIN_SLIDE_STEP,
+                           REFINE_STALL_FRACTION, REFINE_TOLERANCE, ProjectionError,
+                           adversarial_overshoot, bisect_along_segment, hit_boundary,
                            project_dataset, project_to_boundary)
+from blab.config import parse_config
 from blab.data import Dataset, gen_gaussian_blobs
+from blab.experiments import build_dataset
 from blab.geometry import halfspace_projection
-from blab.nn import TrainConfig, init_network, margin, margin_batch, train
+from blab.nn import TrainConfig, grad_input, init_network, margin, margin_batch, train
 from helpers import linear_net
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,13 +185,26 @@ PER_SAMPLE_SOLVER_10D = [
     0.6683501958216739, 0.32869794737385016, 1.1188166625975693, 0.4113364106973638]
 
 
-def test_engine_is_no_farther_than_the_per_sample_solver_at_10d():
+def _trained_10d():
     c0, c1 = np.zeros(10), np.zeros(10)
     c0[0], c1[0] = -1.5, 1.5
     data = gen_gaussian_blobs(10, 12, (c0, c1), 0.8, seed=31)
     net = init_network([10, 16, 16, 2], seed=31)
     report = train(net, data, TrainConfig(max_epochs=3000, batch_size=24, seed=31))
     assert report.stopped_reason == "criterion_met"
+    return net, data
+
+
+def _trained_blobs2d():
+    cfg = parse_config(ROOT / "configs" / "blobs2d.cfg")
+    data = build_dataset(cfg.dataset)
+    net = init_network(cfg.dims, seed=cfg.master_seed)
+    assert train(net, data, cfg.train).stopped_reason == "criterion_met"
+    return net, data
+
+
+def test_engine_is_no_farther_than_the_per_sample_solver_at_10d():
+    net, data = _trained_10d()
     _, results = project_dataset(net, data)
     for r, old in zip(results, PER_SAMPLE_SOLVER_10D, strict=True):
         assert r.converged
@@ -212,3 +228,110 @@ def test_cascade_bytes_do_not_depend_on_blas_threads(tmp_path):
             sorted(p.name for p in (two / sub).iterdir())
     for path in [one / "records.csv", *(one / "projections").iterdir(), *(one / "working").iterdir()]:
         assert path.read_bytes() == (two / path.relative_to(one)).read_bytes(), path.name
+
+
+def _sequential_slide(net, x, points, m, dist, rows):
+    """The slide before the lockstep step search, kept as its reference: each
+    step tries eta = 1, 0.5, 0.25, ... down to MIN_SLIDE_STEP, one
+    hit_boundary call per halving, and a row keeps the first step that wins."""
+    act = rows
+    for _ in range(MAX_REFINE_STEPS):
+        if not len(act):
+            break
+        b = points[act]
+        g = grad_input(net, b)
+        g2 = np.einsum("ij,ij->i", g, g)
+        if not g2.all():
+            act, b, g, g2 = act[g2 != 0.0], b[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
+        v = x[act] - b
+        tangent = v - (np.einsum("ij,ij->i", v, g) / g2)[:, None] * g
+        keep = np.linalg.norm(tangent, axis=1) > REFINE_TOLERANCE
+        act, b, tangent = act[keep], b[keep], tangent[keep]
+        before = dist[act]
+        moved = np.zeros(len(act), dtype=bool)
+        search = np.arange(len(act))
+        eta = 1.0
+        while len(search) and eta >= MIN_SLIDE_STEP:
+            p, mp, _ = hit_boundary(net, b[search] + eta * tangent[search])
+            d = np.linalg.norm(p - x[act[search]], axis=1)
+            win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
+            won = act[search[win]]
+            points[won], m[won], dist[won] = p[win], mp[win], d[win]
+            moved[search[win]] = True
+            search = search[~win]
+            eta *= 0.5
+        after = dist[act]
+        act = act[moved & (before - after >= REFINE_STALL_FRACTION * after)]
+
+
+def _slide_inputs(monkeypatch, net, data):
+    """Copies of the arguments of every _slide call of one project_dataset."""
+    calls = []
+    real = blab.boundary._slide
+
+    def recording(net, x, points, m, dist, rows):
+        calls.append(tuple(a.copy() for a in (x, points, m, dist, rows)))
+        real(net, x, points, m, dist, rows)
+
+    monkeypatch.setattr(blab.boundary, "_slide", recording)
+    project_dataset(net, data)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("trained", [_trained_blobs2d, _trained_10d])
+def test_lockstep_slide_keeps_the_largest_winning_step(monkeypatch, trained):
+    net, data = trained()
+    calls = _slide_inputs(monkeypatch, net, data)
+    assert len(calls) == (2 if data.dim == 2 else 1)
+    moved = 0
+    for x, points, m, dist, rows in calls:
+        start = dist.copy()
+        ref_points, ref_m, ref_dist = points.copy(), m.copy(), dist.copy()
+        _sequential_slide(net, x, ref_points, ref_m, ref_dist, rows)
+        blab.boundary._slide(net, x, points, m, dist, rows)
+        moved += (dist != start).sum()
+        np.testing.assert_array_equal(dist != start, ref_dist != start)
+        # each hit_boundary batch holds other rows than the reference's, so
+        # only the last bits may differ
+        np.testing.assert_allclose(dist, ref_dist, rtol=1e-12, atol=0)
+    assert moved
+
+
+def test_a_halving_per_call_is_the_sequential_slide_bit_for_bit(monkeypatch):
+    # a search budget of 0 gives each halving its own call, as at 784-d
+    net, data = _trained_blobs2d()
+    calls = _slide_inputs(monkeypatch, net, data)
+    monkeypatch.setattr(blab.boundary, "SLIDE_SEARCH_MACS", 0)
+    for x, points, m, dist, rows in calls:
+        ref = [a.copy() for a in (points, m, dist)]
+        _sequential_slide(net, x, *ref, rows)
+        blab.boundary._slide(net, x, points, m, dist, rows)
+        for got, want in zip((points, m, dist), ref):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_a_slide_step_reroots_in_at_most_two_hit_boundary_calls(monkeypatch):
+    net, data = _trained_blobs2d()
+    calls = _slide_inputs(monkeypatch, net, data)
+    steps = []  # hit_boundary calls of each slide step
+    inside = []
+
+    def counted_grad(net, pts):
+        if not inside:  # a slide step starts with its own gradient call
+            steps.append(0)
+        return grad_input(net, pts)
+
+    def counted_hit(net, starts):
+        steps[-1] += 1
+        inside.append(True)
+        try:
+            return hit_boundary(net, starts)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(blab.boundary, "grad_input", counted_grad)
+    monkeypatch.setattr(blab.boundary, "hit_boundary", counted_hit)
+    for x, points, m, dist, rows in calls:
+        blab.boundary._slide(net, x, points, m, dist, rows)
+    assert max(steps) == 2  # some step searched the halvings, none took more calls

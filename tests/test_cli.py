@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import blab.experiments
 from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
@@ -122,6 +123,29 @@ def test_bad_network_dims_fail_before_the_run_directory(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
         manifest = out / "manifest.json"
         assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
+
+
+def test_non_finite_config_values_fail_before_the_run_directory(tmp_path, capsys):
+    transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
+    for k, (command, config, key) in enumerate((("iterproj", CONFIG, "train.learning_rate"),
+                                                ("transfer", transfer_cfg, "experiment.kappa"))):
+        out = tmp_path / f"out{k}"
+        assert main([command, config, "--set", f"{key}=nan", "--out", str(out)]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_non_finite_cli_floats_exit_2_before_running(tmp_path, capsys):
+    transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
+    out = tmp_path / "report.json"
+    for argv in (["transfer", transfer_cfg, "--kappa", "nan"],
+                 ["symmetry", "--trials", "1", "--kappa", "inf"],
+                 ["symmetry", "--trials", "1", "--perturb", "nan"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):

@@ -116,6 +116,25 @@ def test_projector_section_is_refused(tmp_path, capsys):
     assert "unknown config section [projector]" in capsys.readouterr().err
 
 
+def test_non_finite_float_values_are_config_errors():
+    # a NaN passes every `<=` range check, so each float key is checked for it
+    default = ExperimentConfig()
+    keys = []
+    for section, obj in (("dataset", default.dataset), ("train", default.train),
+                         ("experiment", default)):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, float):
+                keys.append((f"{section}.{f.name}", "{}"))
+            elif isinstance(value, tuple) and all(isinstance(v, float) for v in value):
+                keys.append((f"{section}.{f.name}", "0.9,{}"))
+    assert len(keys) == 11
+    for key, template in keys:
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be finite"):
+                parse_config(CONFIG_DIR / "blobs2d.cfg", {key: template.format(bad)})
+
+
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
     p = tmp_path / "latin.cfg"
     p.write_bytes(b"[train]\nlearning_rate = 0.1\xff\n")

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from blab.config import parse_config
 from blab.data import Dataset
 from blab.experiments import build_dataset
-from blab.nn import (TrainConfig, accuracy, check_layer_dims, forward, grad_input,
-                     init_network, load_checkpoint, log_softmax, loss_nll, margin,
-                     margin_batch, save_checkpoint, train)
+from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, accuracy, check_layer_dims, forward,
+                     grad_input, init_network, load_checkpoint, log_softmax, loss_nll,
+                     margin, margin_batch, save_checkpoint, train)
 from helpers import linear_net
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
@@ -56,13 +56,16 @@ def _single_pass_margin(net, x):
 
 @pytest.mark.parametrize("dims", [[2, 16, 16, 2], [2, 32, 32, 2]])
 def test_blocked_margin_batch_matches_one_pass_bit_for_bit(dims):
-    # heights around the 2048-row block and the oracle grid's 120701 points;
-    # 2049 and 4097 would leave a 1-row block if blocks were all 2048 tall
+    # heights around the block, the fan sweep's 1536 rows (two 768-row
+    # blocks) and the oracle grid's 120701 points; 2049 and 4097 would leave
+    # a 1-row block if blocks were all 2048 tall. Not every height matches:
+    # 1025 rows split 512 + 513 move the last bits of 613 rows on [2,32,32,2].
     rng = np.random.default_rng(11)
     net = init_network(dims, seed=4)
     net.biases = [rng.standard_normal(b.shape) for b in net.biases]
     x = rng.uniform(-3.0, 3.0, (120701, 2))
-    for rows in (1, 2047, 2048, 2049, 4097, 120701):
+    for rows in (1, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, 1536, 2047, 2048, 2049,
+                 4097, 120701):
         np.testing.assert_array_equal(margin_batch(net, x[:rows]),
                                       _single_pass_margin(net, x[:rows]))
 
