@@ -140,6 +140,7 @@ def cmd_gen_data(args) -> int:
         spec = DatasetSpec(source="blobs", seed=args.seed, dim=args.dim,
                            per_class=args.per_class, center_distance=args.distance,
                            sigma=args.sigma)
+        spec.validate()
     else:
         spec = DatasetSpec(source="symmetric", layout_kind=args.kind)
     data = build_dataset(spec)
@@ -215,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["csv", "idx"], default="csv")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--per-class", dest="per_class", type=int, default=50)
-    sp.add_argument("--distance", type=float, default=4.0)
-    sp.add_argument("--sigma", type=float, default=0.5)
+    sp.add_argument("--distance", type=_finite_float, default=4.0)
+    sp.add_argument("--sigma", type=_finite_float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_gen_data)
 

@@ -61,6 +61,11 @@ class DatasetSpec:
     # symmetric
     layout_kind: str = "square_xor"
 
+    def validate(self) -> None:
+        check_finite_fields(self)
+        if self.dim < 1:
+            raise ValueError("dataset dim must be >= 1")
+
 
 @dataclass
 class ExperimentConfig:
@@ -77,7 +82,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         check_finite_fields(self)
-        check_finite_fields(self.dataset)
+        self.dataset.validate()
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.train.validate()
@@ -428,6 +433,8 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     symmetric layout, cluster their boundary orientations by the projection
     directions of the layout points, and compare adversarial transfer within
     vs across clusters."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     layout = gen_symmetric_layout(layout_kind, perturb)
     data = layout.dataset
     train_cfg = TrainConfig(optimizer="adam", learning_rate=1e-2, max_epochs=5000,

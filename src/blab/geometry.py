@@ -18,12 +18,14 @@ import numpy as np
 from .data import SymmetricLayout
 
 SUBSET_CAP = 12  # AM-GM sub-step enumerates 2^k subsets; cap k
-# Most grid points whose margins a scan holds at once. With 1024-row forward
-# blocks, half as many scan the oracle grid as fast: 27.0 against 26.3 ms and
-# 482 against 263 minor page faults per repeated scan, median of 12 fresh
-# processes on 2 vCPUs with 1 BLAS thread. With 2048-row blocks half as many
-# took 9.3k faults per repeated scan, against 824.
-GRID_SLAB_POINTS = 1 << 15
+# Most grid points whose margins a scan holds at once. On the oracle's
+# 120701-point grid, slabs of 32768, 16384, 8192 and 4096 points scan about
+# as fast (median 28.0, 27.2, 27.0 and 26.4 ms, inside the noise) and give
+# the same crossings. Peak RSS of the process falls with the slab down to
+# 8192 (37.83, 37.12, 36.70 MiB) but not below it (36.75 MiB at 4096, lower
+# than at 8192 in 4 of 10 pairs). Medians of 10 fresh oracle processes per
+# size, 2 vCPUs, 1 BLAS thread.
+GRID_SLAB_POINTS = 1 << 13
 
 
 @dataclass

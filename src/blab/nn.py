@@ -141,6 +141,19 @@ def _forward_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _in_blocks(block_fn, net: MlpNetwork, x: np.ndarray, width: int) -> np.ndarray:
+    """block_fn(net, rows) over the rows of x, in equal blocks of at most
+    FORWARD_BLOCK_ROWS rows, into one (len(x), width) result."""
+    blocks = -(-len(x) // FORWARD_BLOCK_ROWS)
+    if blocks <= 1:
+        return block_fn(net, x)
+    out = np.empty((len(x), width))
+    edges = [len(x) * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        out[start:stop] = block_fn(net, x[start:stop])
+    return out
+
+
 def forward_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     """Logits for a (batch, n) input array.
 
@@ -153,15 +166,7 @@ def forward_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     for bit at the heights the tests check, but not at every height: on
     [2,32,32,2], 1025 rows split 512 + 513 differ from one pass in 613
     rows."""
-    x = _check_input(net, x)
-    blocks = -(-len(x) // FORWARD_BLOCK_ROWS)
-    if blocks <= 1:
-        return _forward_block(net, x)
-    logits = np.empty((len(x), 2))
-    edges = [len(x) * i // blocks for i in range(blocks + 1)]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        logits[start:stop] = _forward_block(net, x[start:stop])
-    return logits
+    return _in_blocks(_forward_block, net, _check_input(net, x), 2)
 
 
 def forward(net: MlpNetwork, x) -> np.ndarray:
@@ -180,19 +185,33 @@ def margin_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     return logits[:, 1] - logits[:, 0]
 
 
-def grad_input(net: MlpNetwork, x) -> np.ndarray:
-    """Gradient of the margin w.r.t. the input, by backprop. Takes one
-    sample (n,) or rows (batch, n) and returns the same shape."""
-    h = _check_input(net, x)
-    pre_acts = []
+def _grad_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
+    masks = []
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        pre_acts.append(h @ w.T + b)
-        h = np.maximum(pre_acts[-1], 0.0)
+        h = h @ w.T
+        h += b
+        masks.append(h > 0)
+        np.maximum(h, 0.0, out=h)
     # d(margin)/d(logits) = (-1, +1)
     delta = np.broadcast_to(net.weights[-1][1] - net.weights[-1][0], h.shape)
-    for w, z in zip(net.weights[-2::-1], pre_acts[::-1]):
-        delta = (delta * (z > 0)) @ w
+    for w, mask in zip(net.weights[-2::-1], masks[::-1]):
+        delta = (delta * mask) @ w
     return np.ascontiguousarray(delta)
+
+
+def grad_input(net: MlpNetwork, x) -> np.ndarray:
+    """Gradient of the margin w.r.t. the input, by backprop. Takes one
+    sample (n,) or rows (batch, n) and returns the same shape.
+
+    The backward pass needs only which hidden units are active, so each
+    hidden layer keeps a bool mask, not its float pre-activations. Rows go
+    through in forward_batch's equal blocks, so a pass holds one block's
+    activations and masks besides the result; as there, a batch taller than
+    FORWARD_BLOCK_ROWS may differ from one pass in its last bits."""
+    x = _check_input(net, x)
+    if x.ndim == 1:
+        return _grad_block(net, x)
+    return _in_blocks(_grad_block, net, x, net.input_dim)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -140,11 +140,34 @@ def test_non_finite_cli_floats_exit_2_before_running(tmp_path, capsys):
     out = tmp_path / "report.json"
     for argv in (["transfer", transfer_cfg, "--kappa", "nan"],
                  ["symmetry", "--trials", "1", "--kappa", "inf"],
-                 ["symmetry", "--trials", "1", "--perturb", "nan"]):
+                 ["symmetry", "--trials", "1", "--perturb", "nan"],
+                 ["gen-data", "--distance", "nan"],
+                 ["gen-data", "--sigma", "inf"]):
         with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--out", str(out)])
         assert exit_info.value.code == EXIT_CONFIG
         assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_zero_input_width_exits_2_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "dim0.cfg"
+    cfg.write_text("[dataset]\ndim = 0\n")
+    out = tmp_path / "run"
+    assert main(["iterproj", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "dataset dim must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    data_out = tmp_path / "blobs.csv"
+    assert main(["gen-data", "--dim", "0", "--out", str(data_out)]) == EXIT_CONFIG
+    assert "dataset dim must be >= 1" in capsys.readouterr().err
+    assert not data_out.exists()
+
+
+def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for trials in ("0", "-2"):
+        assert main(["symmetry", "--trials", trials, "--out", str(out)]) == EXIT_CONFIG
+        assert "trials must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 

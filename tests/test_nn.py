@@ -120,6 +120,52 @@ def test_grad_input_matches_finite_differences():
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+def _pre_activation_grad(net, x):
+    """Reference: one backprop pass that keeps every hidden layer's float
+    pre-activations for all rows."""
+    h = x
+    pre_acts = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre_acts.append(h @ w.T + b)
+        h = np.maximum(pre_acts[-1], 0.0)
+    delta = np.broadcast_to(net.weights[-1][1] - net.weights[-1][0], h.shape)
+    for w, z in zip(net.weights[-2::-1], pre_acts[::-1]):
+        delta = (delta * (z > 0)) @ w
+    return np.ascontiguousarray(delta)
+
+
+@pytest.mark.parametrize("dims", [[2, 32, 32, 2], [784, 500, 256, 128, 32, 2]])
+def test_masked_grad_input_matches_pre_activation_backprop(dims):
+    rng = np.random.default_rng(13)
+    net = init_network(dims, seed=4)
+    net.biases = [0.3 * rng.standard_normal(b.shape) for b in net.biases]
+    x = rng.uniform(-3.0, 3.0, (3000, dims[0]))
+    np.testing.assert_array_equal(grad_input(net, x[0]), _pre_activation_grad(net, x[0]))
+    for rows in (1, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS):
+        np.testing.assert_array_equal(grad_input(net, x[:rows]),
+                                      _pre_activation_grad(net, x[:rows]))
+    # taller batches go through in forward_batch's equal blocks
+    for rows, blocks in ((1536, 2), (3000, 3)):
+        edges = [rows * i // blocks for i in range(blocks + 1)]
+        expected = np.vstack([_pre_activation_grad(net, x[start:stop])
+                              for start, stop in zip(edges[:-1], edges[1:])])
+        np.testing.assert_array_equal(grad_input(net, x[:rows]), expected)
+
+
+def test_grad_input_memory_is_bounded_by_the_block():
+    net = init_network([784, 500, 256, 128, 32, 2], seed=4)
+    x = np.random.default_rng(14).uniform(0.0, 1.0, (3000, 784))
+    tracemalloc.start()
+    try:
+        grad_input(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 3000x784 result is 17.9 MiB of the peak; one pass keeping every
+    # hidden layer's float pre-activations for all rows peaks at 62.5 MiB
+    assert peak <= 36 * 2**20
+
+
 def test_accuracy_zero_margin_counts_wrong():
     net = linear_net([1.0, 0.0], 0.0)
     data = Dataset(np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([0, 1]))
