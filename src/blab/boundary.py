@@ -313,7 +313,7 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     return results
 
 
-def adversarial_overshoot(net: MlpNetwork, result: ProjectionResult, kappa: float) -> np.ndarray:
+def adversarial_overshoot(result: ProjectionResult, kappa: float) -> np.ndarray:
     """x + (1+kappa) * projection vector; crosses the boundary for kappa > 0."""
     if not result.converged:
         raise ValueError("overshoot requires a converged projection")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .boundary import ProjectionError
 from .config import ConfigError, parse_config, serialize_config
-from .data import DataError, export_csv, save_idx
+from .data import LAYOUT_KINDS, DataError, export_csv, save_idx
 from .experiments import (DatasetSpec, ExperimentError, build_dataset,
                           run_generalization_tracking, run_iterative_projection,
                           run_symmetry_experiment, run_transfer)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_transfer)
 
     sp = sub.add_parser("symmetry", help="boundary-multiplicity experiment on a symmetric layout")
-    sp.add_argument("--layout", default="square_xor")
+    sp.add_argument("--layout", choices=LAYOUT_KINDS, default="square_xor")
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--perturb", type=_finite_float, default=0.0)
@@ -210,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_plot)
 
     sp = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    sp.add_argument("--kind", choices=["blobs", "square_xor", "mirrored_pairs"],
-                    default="blobs")
+    sp.add_argument("--kind", choices=("blobs",) + LAYOUT_KINDS, default="blobs")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=["csv", "idx"], default="csv")
     sp.add_argument("--dim", type=int, default=2)

@@ -43,18 +43,18 @@ def _target(cfg: ExperimentConfig, section: str):
 
 
 def _parse_value(hint, text: str):
-    """Comma lists for list/tuple hints; an empty value clears an optional key."""
+    """Comma lists for list hints; an empty value clears an optional key."""
     if isinstance(hint, UnionType):
         inner = next(a for a in get_args(hint) if a is not type(None))
         return _parse_value(inner, text) if text.strip() else None
-    if get_origin(hint) in (list, tuple):
+    if get_origin(hint) is list:
         item = get_args(hint)[0]
-        return get_origin(hint)(item(v) for v in text.replace(" ", "").split(",") if v)
+        return [item(v) for v in text.replace(" ", "").split(",") if v]
     return hint(text)
 
 
 def _format_value(value) -> str:
-    return ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
+    return ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
 
 
 def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:

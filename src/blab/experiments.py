@@ -23,7 +23,7 @@ from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_fi
                  check_layer_dims, init_network, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
@@ -67,6 +67,12 @@ class DatasetSpec:
             raise ValueError("dataset dim must be >= 1")
 
 
+def _check_kappa(kappa: float) -> None:
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive (an overshoot crosses the boundary "
+                         f"only for kappa > 0), got {kappa!r}")
+
+
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
@@ -85,6 +91,7 @@ class ExperimentConfig:
         self.dataset.validate()
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        _check_kappa(self.kappa)
         self.train.validate()
 
 
@@ -175,18 +182,10 @@ def records_from_csv(text: str) -> list[IterationRecord]:
     return records
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["train"]["adam_betas"] = list(d["train"]["adam_betas"])
-    return d
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
     d["dataset"] = DatasetSpec(**d["dataset"])
-    tr = dict(d["train"])
-    tr["adam_betas"] = tuple(tr["adam_betas"])
-    d["train"] = TrainConfig(**tr)
+    d["train"] = TrainConfig(**d["train"])
     return ExperimentConfig(**d)
 
 
@@ -208,7 +207,7 @@ class RunDirectory:
         manifest = {
             "format_version": MANIFEST_VERSION,
             "tool_version": __version__,
-            "config": config_to_dict(cfg),
+            "config": asdict(cfg),
             "completed_iterations": completed,
             "status": status,
             "with_test": with_test,
@@ -361,11 +360,13 @@ def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> fl
 def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -> TransferReport:
     """Craft overshoot adversarials against a source network and measure how
     often an independently trained target misclassifies them, against an
-    equal-norm random-direction baseline."""
+    equal-norm random-direction baseline. A given kappa overrides cfg.kappa."""
+    if kappa is not None:
+        cfg = replace(cfg, kappa=kappa)
     cfg.validate()
     if mode not in ("cross_model", "cross_training_set"):
         raise ValueError(f"unknown transfer mode {mode!r}")
-    kappa = cfg.kappa if kappa is None else kappa
+    kappa = cfg.kappa
 
     full = build_dataset(cfg.dataset)
     pool, eval_data = stratified_split(full, cfg.eval_fraction,
@@ -396,7 +397,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
     for x, lab, res in zip(xs, labels, project_to_boundary(net_a, xs, labels, data_a)):
         if not res.converged:
             continue
-        a = adversarial_overshoot(net_a, res, kappa)
+        a = adversarial_overshoot(res, kappa)
         direction = rng.standard_normal(len(x))
         direction /= np.linalg.norm(direction)
         b = x + np.linalg.norm(a - x) * direction
@@ -435,9 +436,10 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     vs across clusters."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_kappa(kappa)
     layout = gen_symmetric_layout(layout_kind, perturb)
     data = layout.dataset
-    train_cfg = TrainConfig(optimizer="adam", learning_rate=1e-2, max_epochs=5000,
+    train_cfg = TrainConfig(learning_rate=1e-2, max_epochs=5000,
                             batch_size=len(data), accuracy_target=0.99)
 
     sigs, nets, all_results = [], [], []
@@ -480,7 +482,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
 
     within_rates, cross_rates = [], []
     for i in range(len(nets)):
-        adv = np.array([adversarial_overshoot(nets[i], r, kappa) for r in all_results[i]])
+        adv = np.array([adversarial_overshoot(r, kappa) for r in all_results[i]])
         for j in range(len(nets)):
             if i == j:
                 continue

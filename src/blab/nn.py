@@ -25,6 +25,9 @@ CHECKPOINT_VERSION = 1
 # rows took about 8k minor page faults per cascade2d projection. As two
 # 768-row blocks they stay in the heap, and the projection takes about 90.
 FORWARD_BLOCK_ROWS = 1024
+# train's only update rule is Adam (Kingma & Ba, ICLR 2015), with their suggested settings
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPSILON = 1e-8
 
 
 class TrainingDivergence(RuntimeError):
@@ -53,23 +56,18 @@ class MlpNetwork:
 
 
 def check_finite_fields(cfg) -> None:
-    """ValueError naming the first float field of a config dataclass, or
-    float in a tuple field, that is NaN or infinite. A NaN passes every
-    ordered comparison a range check makes."""
+    """ValueError naming the first float field of a config dataclass that is
+    NaN or infinite. A NaN passes every ordered comparison a range check makes."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        items = value if isinstance(value, (list, tuple)) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"  # adam | sgd_momentum
+    optimizer: str = "adam"  # adam is the only optimizer
     learning_rate: float = 1e-2
-    momentum: float = 0.9
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_epsilon: float = 1e-8
     max_epochs: int = 10000
     batch_size: int = 32
     accuracy_target: float = 0.90
@@ -77,12 +75,10 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_finite_fields(self)
-        if self.optimizer not in ("adam", "sgd_momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; adam is the only optimizer")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if len(self.adam_betas) != 2:
-            raise ValueError("adam_betas must be two numbers")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0 < self.accuracy_target <= 1:
@@ -219,14 +215,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_nll(logits, label: int) -> float:
-    """Negative log-likelihood of the true label under softmax."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
-    return float(-log_softmax(logits)[label])
-
-
 def accuracy(net: MlpNetwork, data: Dataset) -> float:
     """Fraction with sign(margin) matching the label; margin 0 counts as wrong."""
     m = margin_batch(net, data.samples)
@@ -240,7 +228,7 @@ def _mean_true_class_prob(net: MlpNetwork, data: Dataset) -> float:
 
 
 def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig) -> TrainReport:
-    """Mini-batch NLL training until every sample is correct and mean
+    """Mini-batch NLL training with Adam until every sample is correct and mean
     true-class confidence reaches cfg.accuracy_target, or max_epochs.
     Mutates net in place; deterministic for a fixed cfg.seed.
 
@@ -267,15 +255,12 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig) -> TrainReport:
         net.weights[0] = net.weights[0] / sd
 
     n_layers = len(net.weights)
-    if cfg.optimizer == "adam":
-        m_w = [np.zeros_like(w) for w in net.weights]
-        v_w = [np.zeros_like(w) for w in net.weights]
-        m_b = [np.zeros_like(b) for b in net.biases]
-        v_b = [np.zeros_like(b) for b in net.biases]
-        step = 0
-    else:
-        vel_w = [np.zeros_like(w) for w in net.weights]
-        vel_b = [np.zeros_like(b) for b in net.biases]
+    m_w = [np.zeros_like(w) for w in net.weights]
+    v_w = [np.zeros_like(w) for w in net.weights]
+    m_b = [np.zeros_like(b) for b in net.biases]
+    v_b = [np.zeros_like(b) for b in net.biases]
+    b1, b2 = ADAM_BETAS
+    step = 0
 
     labels_onehot = np.zeros((len(data), 2))
     labels_onehot[np.arange(len(data)), data.labels] = 1.0
@@ -308,23 +293,15 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig) -> TrainReport:
                 if k > 0:
                     delta = (delta @ net.weights[k]) * (acts[k] > 0)
 
-            if cfg.optimizer == "adam":
-                step += 1
-                b1, b2 = cfg.adam_betas
-                for k in range(n_layers):
-                    for mom, vel, g, p in ((m_w, v_w, grads_w, net.weights),
-                                           (m_b, v_b, grads_b, net.biases)):
-                        mom[k] = b1 * mom[k] + (1 - b1) * g[k]
-                        vel[k] = b2 * vel[k] + (1 - b2) * g[k] ** 2
-                        m_hat = mom[k] / (1 - b1 ** step)
-                        v_hat = vel[k] / (1 - b2 ** step)
-                        p[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
-            else:
-                for k in range(n_layers):
-                    vel_w[k] = cfg.momentum * vel_w[k] - cfg.learning_rate * grads_w[k]
-                    vel_b[k] = cfg.momentum * vel_b[k] - cfg.learning_rate * grads_b[k]
-                    net.weights[k] += vel_w[k]
-                    net.biases[k] += vel_b[k]
+            step += 1
+            for k in range(n_layers):
+                for mom, vel, g, p in ((m_w, v_w, grads_w, net.weights),
+                                       (m_b, v_b, grads_b, net.biases)):
+                    mom[k] = b1 * mom[k] + (1 - b1) * g[k]
+                    vel[k] = b2 * vel[k] + (1 - b2) * g[k] ** 2
+                    m_hat = mom[k] / (1 - b1 ** step)
+                    v_hat = vel[k] / (1 - b2 ** step)
+                    p[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
         net.check_finite()
         epoch_loss = float(np.mean(losses))

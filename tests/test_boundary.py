@@ -103,12 +103,12 @@ def test_overshoot_crosses_boundary():
     x = np.array([4.0, 3.0])
     net, data, label = _linear_case([0.6, 0.8], 0.0, x)
     [res] = project_to_boundary(net, [x], [label], data)
-    adv = adversarial_overshoot(net, res, kappa=0.1)
+    adv = adversarial_overshoot(res, kappa=0.1)
     np.testing.assert_allclose(adv, x + 1.1 * res.vector, atol=1e-12)
     assert margin(net, adv) * margin(net, x) < 0
     bogus = dataclasses.replace(res, residual=1.0, converged=False)
     with pytest.raises(ValueError):
-        adversarial_overshoot(net, bogus, kappa=0.1)
+        adversarial_overshoot(bogus, kappa=0.1)
 
 
 def test_project_dataset_rejects_misclassified():

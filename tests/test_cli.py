@@ -171,6 +171,49 @@ def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_removed_optimizer_settings_exit_2_before_the_run_directory(tmp_path, capsys):
+    sgd = tmp_path / "sgd.cfg"
+    sgd.write_text(Path(CONFIG).read_text().replace("optimizer = adam",
+                                                    "optimizer = sgd_momentum"))
+    for k, (config, extra, message) in enumerate((
+            (CONFIG, ["--set", "train.momentum=0.5"], "unknown config key train.momentum"),
+            (CONFIG, ["--set", "train.adam_betas=0.8,0.99"], "unknown config key train.adam_betas"),
+            (CONFIG, ["--set", "train.adam_epsilon=1e-7"], "unknown config key train.adam_epsilon"),
+            (str(sgd), [], "adam is the only optimizer"))):
+        out = tmp_path / f"run{k}"
+        assert main(["iterproj", config, "--iterations", "1", "--out", str(out)] + extra) \
+            == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_kappa_at_or_below_zero_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    # an overshoot of x + (1 + kappa) * v crosses the boundary only for kappa > 0
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network for a run that should have been refused")
+
+    monkeypatch.setattr(blab.experiments, "train", no_training)
+    transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
+    out = tmp_path / "report.json"
+    for argv in (["transfer", transfer_cfg, "--kappa", "-3"],
+                 ["transfer", transfer_cfg, "--kappa", "0"],
+                 ["transfer", transfer_cfg, "--set", "experiment.kappa=0"],
+                 ["symmetry", "--trials", "1", "--kappa", "0"],
+                 ["symmetry", "--trials", "1", "--kappa", "-0.5"]):
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert "kappa must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_symmetry_unknown_layout_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["symmetry", "--layout", "bogus", "--trials", "1", "--out", str(out)])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):
     real_train = blab.experiments.train
 

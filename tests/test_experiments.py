@@ -7,7 +7,7 @@ import pytest
 from blab.data import gen_gaussian_blobs
 from blab.experiments import (DatasetSpec, ExperimentConfig, ExperimentError,
                               IterationRecord, build_dataset, checkpoint_resume,
-                              config_from_dict, config_to_dict, records_from_csv,
+                              config_from_dict, records_from_csv,
                               records_to_csv, run_generalization_tracking,
                               run_iterative_projection, run_symmetry_experiment,
                               run_transfer, stratified_split)
@@ -64,11 +64,9 @@ def test_records_csv_roundtrip():
 def test_config_dict_roundtrip():
     cfg = small_config()
     cfg.dims_b = [2, 8, 2]
-    back = config_from_dict(config_to_dict(cfg))
-    assert back == cfg
-    assert isinstance(back.train.adam_betas, tuple)
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
     # survives JSON serialization too
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 def test_iterative_projection_decreases_distance(tmp_path):
@@ -132,12 +130,18 @@ def test_resume_refuses_older_manifest_format(tmp_path):
     run_iterative_projection(small_config(master_seed=3, iterations=2),
                              out_dir=tmp_path / "run", stop_after=1)
     path = tmp_path / "run" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["format_version"] = 2
-    manifest["config"]["projector"] = {"boundary_tolerance": 1e-6, "max_newton_steps": 200}
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ExperimentError, match="format version 2"):
-        checkpoint_resume(tmp_path / "run")
+    current = path.read_text()
+    # version 2 saved a projector section, version 3 the SGD and Adam settings
+    for version, edit in (
+            (2, lambda c: c.update(projector={"boundary_tolerance": 1e-6, "max_newton_steps": 200})),
+            (3, lambda c: c["train"].update(momentum=0.9, adam_betas=[0.9, 0.999],
+                                            adam_epsilon=1e-8))):
+        manifest = json.loads(current)
+        manifest["format_version"] = version
+        edit(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ExperimentError, match=f"format version {version}"):
+            checkpoint_resume(tmp_path / "run")
 
 
 def test_generalization_tracking_resumes_without_test_set(tmp_path):
