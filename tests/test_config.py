@@ -36,17 +36,6 @@ def test_benchmark_cascade784_config_loads(tmp_path):
     assert cfg.train.optimizer == "adam" and cfg.dims == [784, 500, 256, 128, 32, 2]
 
 
-def test_removed_optimizer_settings_are_refused(tmp_path):
-    p = tmp_path / "sgd.cfg"
-    p.write_text("[train]\noptimizer = sgd_momentum\n")
-    with pytest.raises(ConfigError, match="adam is the only optimizer"):
-        parse_config(p)
-    for key, value in (("momentum", "0.5"), ("adam_betas", "0.8,0.99"),
-                       ("adam_epsilon", "1e-7")):
-        with pytest.raises(ConfigError, match=f"unknown config key train.{key}"):
-            parse_config(CONFIG_DIR / "blobs2d.cfg", {f"train.{key}": value})
-
-
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/path.cfg")

@@ -178,8 +178,8 @@ def test_train_reaches_criterion_and_is_deterministic(easy_blobs):
 
 
 def test_adam_training_keeps_its_bits(tmp_path, easy_blobs):
-    # 60 epochs of 3 Adam steps, then the whitening fold; the digest was taken
-    # when the Adam settings were still config fields with these defaults
+    # 60 epochs of 3 Adam steps, then the whitening fold; the digest freezes
+    # Adam at betas (0.9, 0.999) and epsilon 1e-8
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=60, batch_size=16,
                       accuracy_target=1.0, seed=11)
     net = init_network([2, 16, 16, 2], seed=3)
