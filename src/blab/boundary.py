@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .nn import MlpNetwork, grad_input, margin_batch
+from .nn import MlpNetwork, grad_input, is_correct, margin_batch
 
 METHOD_NEWTON = "newton_refine"
 METHOD_SEGMENT = "segment_bisection"
@@ -326,8 +326,7 @@ def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[Proje
 
     Non-converged samples keep their original location and are flagged in
     their ProjectionResult. A misclassified sample raises ProjectionError."""
-    m = margin_batch(net, data.samples)
-    correct = np.where(data.labels == 1, m > 0, m < 0)
+    correct = is_correct(margin_batch(net, data.samples), data.labels)
     if not correct.all():
         bad = int(np.flatnonzero(~correct)[0])
         raise ProjectionError(f"sample {bad} is misclassified; projection requires a trained separator")

@@ -47,8 +47,8 @@ class Dataset:
     def both_classes_present(self) -> bool:
         return 0 in self.labels and 1 in self.labels
 
-    def with_samples(self, samples: np.ndarray, name: str | None = None) -> "Dataset":
-        return Dataset(samples, self.labels.copy(), self.name if name is None else name)
+    def with_samples(self, samples: np.ndarray) -> "Dataset":
+        return Dataset(samples, self.labels.copy(), self.name)
 
 
 @dataclass

@@ -20,10 +20,10 @@ from .data import (DataError, Dataset, export_csv, filter_binary, gen_gaussian_b
 from .fileio import atomic_write_text
 from .metrics import nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_finite_fields,
-                 check_layer_dims, init_network, margin_batch, save_checkpoint, train)
+                 check_layer_dims, init_network, is_correct, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
@@ -34,6 +34,8 @@ SEED_SPLIT = 5
 
 SYMMETRY_DIMS = (2, 16, 2)
 SYMMETRY_CLUSTER_COS = 0.3  # mean per-point cosine that puts two trials in one cluster
+UNCONVERGED_ABORT_FRACTION = 0.10  # a cascade aborts past this fraction of unconverged projections
+HELD_OUT_FRACTION = 0.25  # of each class: transfer's evaluation set, gentrack's test set
 
 
 class ExperimentError(RuntimeError):
@@ -65,6 +67,14 @@ class DatasetSpec:
         check_finite_fields(self)
         if self.dim < 1:
             raise ValueError("dataset dim must be >= 1")
+        if self.per_class < 1:
+            raise ValueError("dataset per_class must be >= 1")
+        if self.sigma <= 0:
+            raise ValueError("dataset sigma must be positive")
+        if self.subset < 0 or self.subset % 2:
+            raise ValueError("dataset subset must be even and >= 0 (0 keeps everything)")
+        if self.class_a == self.class_b:
+            raise ValueError("dataset class_a and class_b must differ")
 
 
 def _check_kappa(kappa: float) -> None:
@@ -80,11 +90,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     iterations: int = 5
     master_seed: int = 0
-    unconverged_abort_fraction: float = 0.10
     kappa: float = 0.1
     dims_b: list[int] | None = None  # second architecture (cross-model transfer)
-    eval_fraction: float = 0.25
-    test_fraction: float = 0.25
 
     def validate(self) -> None:
         check_finite_fields(self)
@@ -152,10 +159,9 @@ def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset
             Dataset(data.samples[b], data.labels[b], data.name + "_b"))
 
 
-def _train_fresh(dims, data: Dataset, base_cfg: TrainConfig, seed: int) -> tuple[MlpNetwork, "TrainReport"]:
+def _train_fresh(dims, data: Dataset, cfg: TrainConfig, seed: int) -> tuple[MlpNetwork, "TrainReport"]:
     net = init_network(dims, seed)
-    report = train(net, data, replace(base_cfg, seed=seed))
-    return net, report
+    return net, train(net, data, cfg, seed)
 
 
 def records_to_csv(records: list[IterationRecord]) -> str:
@@ -261,7 +267,7 @@ def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord
         except ProjectionError as e:
             raise abort(k, "aborted_projection", str(e)) from e
         unconverged = sum(not r.converged for r in results)
-        if unconverged > cfg.unconverged_abort_fraction * len(data):
+        if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
             raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
                         "did not converge")
 
@@ -290,7 +296,7 @@ def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord
 def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """The (train, test) split of generalization tracking; the config alone
     determines it, so a resumed run re-derives the same test set."""
-    train_part, test_part = stratified_split(build_dataset(cfg.dataset), cfg.test_fraction,
+    train_part, test_part = stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
                                              derive_seed(cfg.master_seed, SEED_SPLIT))
     if len(test_part) == 0 or not test_part.both_classes_present():
         raise ExperimentError("test split is empty or single-class")
@@ -352,9 +358,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
 
 
 def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> float:
-    m = margin_batch(net, points)
-    wrong = np.where(labels == 1, m <= 0, m >= 0)
-    return float(wrong.mean())
+    return float((~is_correct(margin_batch(net, points), labels)).mean())
 
 
 def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -> TransferReport:
@@ -369,7 +373,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
     kappa = cfg.kappa
 
     full = build_dataset(cfg.dataset)
-    pool, eval_data = stratified_split(full, cfg.eval_fraction,
+    pool, eval_data = stratified_split(full, HELD_OUT_FRACTION,
                                        derive_seed(cfg.master_seed, SEED_SPLIT))
     if mode == "cross_training_set":
         data_a, data_b = stratified_split(pool, 0.5, derive_seed(cfg.master_seed, SEED_SPLIT, 1))
@@ -385,10 +389,8 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
     net_b, _ = _train_fresh(dims_b, data_b, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 1))
     valid = accuracy(net_b, eval_data) >= 0.90 and accuracy(net_a, eval_data) >= 0.90
 
-    m_a = margin_batch(net_a, eval_data.samples)
-    m_b = margin_batch(net_b, eval_data.samples)
-    ok = (np.where(eval_data.labels == 1, m_a > 0, m_a < 0)
-          & np.where(eval_data.labels == 1, m_b > 0, m_b < 0))
+    ok = (is_correct(margin_batch(net_a, eval_data.samples), eval_data.labels)
+          & is_correct(margin_batch(net_b, eval_data.samples), eval_data.labels))
     xs = eval_data.samples[ok]
     labels = eval_data.labels[ok]
 
@@ -448,7 +450,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         seed_t = derive_seed(master_seed, SEED_TRIAL, t)
         net = init_network(SYMMETRY_DIMS, seed_t)
         try:
-            report = train(net, data, replace(train_cfg, seed=seed_t))
+            report = train(net, data, train_cfg, seed_t)
         except TrainingDivergence:
             failures += 1
             continue

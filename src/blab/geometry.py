@@ -18,6 +18,9 @@ import numpy as np
 from .data import SymmetricLayout
 
 SUBSET_CAP = 12  # AM-GM sub-step enumerates 2^k subsets; cap k
+ORTHOGONAL_TOLERANCE = 1e-9  # largest |cos| between f and g vectors that counts as orthogonal
+EQUAL_PRODUCT_RTOL = 1e-9  # relative gap under which prod|f| and prod|g| count as equal
+TIE_TOLERANCE = 1e-9  # distance gap under which a point is as close to both diagonals
 # Most grid points whose margins a scan holds at once. On the oracle's
 # 120701-point grid, slabs of 32768, 16384, 8192 and 4096 points scan about
 # as fast (median 28.0, 27.2, 27.0 and 26.4 ms, inside the noise) and give
@@ -252,8 +255,7 @@ def _opposite_pairs(labels: np.ndarray):
             yield int(i), int(j)
 
 
-def check_claim1_chain(instance: VectorProjectionInstance, orth_tol: float = 1e-9,
-                       slack_tol: float = 0.0) -> dict:
+def check_claim1_chain(instance: VectorProjectionInstance) -> dict:
     """Verify the inequality chain behind the symmetry-uniqueness argument
     on one vector instance.
 
@@ -269,7 +271,7 @@ def check_claim1_chain(instance: VectorProjectionInstance, orth_tol: float = 1e-
     gn = np.linalg.norm(gv, axis=1)
     dots = np.abs((fv * gv).sum(axis=1))
     scale = np.maximum(fn * gn, 1e-300)
-    orthogonal_everywhere = bool((dots / scale <= orth_tol).all())
+    orthogonal_everywhere = bool((dots / scale <= ORTHOGONAL_TOLERANCE).all())
 
     report = {
         "orthogonal_everywhere": orthogonal_everywhere,
@@ -302,8 +304,8 @@ def check_claim1_chain(instance: VectorProjectionInstance, orth_tol: float = 1e-
         report["pairs_checked"] += 1
         if not orthogonal_everywhere:
             continue
-        strict_f = fn[i] + fn[j] < dist - slack_tol
-        strict_g = gn[i] + gn[j] < dist - slack_tol
+        strict_f = fn[i] + fn[j] < dist
+        strict_g = gn[i] + gn[j] < dist
         if not (strict_f or strict_g):
             report["strictness_ok"] = False
             report["violations"].append({"step": "strictness", "pair": [i, j]})
@@ -317,7 +319,7 @@ def check_claim1_chain(instance: VectorProjectionInstance, orth_tol: float = 1e-
     return report
 
 
-def check_claim2_product(instance: VectorProjectionInstance, rtol: float = 1e-9) -> dict:
+def check_claim2_product(instance: VectorProjectionInstance) -> dict:
     """Evaluate the midpoint-classifier product inequality on one instance.
 
     Computes h = (f + g)/2 per sample and reports whether
@@ -332,12 +334,12 @@ def check_claim2_product(instance: VectorProjectionInstance, rtol: float = 1e-9)
         raise ValueError("zero-norm projection vector")
     hn = np.linalg.norm(0.5 * (instance.f_vectors + instance.g_vectors), axis=1)
     dots = np.abs((instance.f_vectors * instance.g_vectors).sum(axis=1))
-    orthogonal_everywhere = bool((dots / (fn * gn) <= 1e-9).all())
+    orthogonal_everywhere = bool((dots / (fn * gn) <= ORTHOGONAL_TOLERANCE).all())
 
     prod_f = float(np.prod(fn))
     prod_g = float(np.prod(gn))
     prod_h = float(np.prod(hn))
-    equal_premise = abs(prod_f - prod_g) <= rtol * max(prod_f, prod_g)
+    equal_premise = abs(prod_f - prod_g) <= EQUAL_PRODUCT_RTOL * max(prod_f, prod_g)
     strict_holds = prod_h > prod_f and prod_h > prod_g
 
     s = len(fn)
@@ -371,7 +373,7 @@ def check_claim2_product(instance: VectorProjectionInstance, rtol: float = 1e-9)
 _DIAGONALS = (np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
 
 
-def enumerate_square_xor_projections(layout: SymmetricLayout, tie_tol: float = 1e-9) -> list[np.ndarray]:
+def enumerate_square_xor_projections(layout: SymmetricLayout) -> list[np.ndarray]:
     """Distinct whole-set projection assignments onto the diagonal-pair boundary.
 
     The candidate boundary is the union of the two diagonal lines. For each
@@ -391,6 +393,6 @@ def enumerate_square_xor_projections(layout: SymmetricLayout, tie_tol: float = 1
     best = dists.min(axis=0)
     assignments = []
     for k in range(2):
-        if (dists[k] <= best + tie_tol).all():
+        if (dists[k] <= best + TIE_TOLERANCE).all():
             assignments.append(feet[k])
     return assignments

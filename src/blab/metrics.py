@@ -17,10 +17,10 @@ class GlobalDifferenceEstimate:
     phi: float
     aligned_count: int
     misaligned_count: int
-    cosine_threshold: float
 
 
 NEAREST_BLOCK_ELEMENTS = 1 << 20  # floats in one block of pairwise differences (8 MiB)
+ALIGNED_COSINE = 0.95  # least cosine between f's and g's projection vectors that earns alpha
 
 
 def nearest_opposite_mean_distance(data: Dataset) -> float:
@@ -46,20 +46,17 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
 
 
 def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: Dataset,
-                               g_net: MlpNetwork,
-                               cosine_threshold: float = 0.95) -> GlobalDifferenceEstimate:
+                               g_net: MlpNetwork) -> GlobalDifferenceEstimate:
     """Heuristic global-difference estimate against one concrete re-separator g.
 
     g_net must correctly classify the projected set. Each projected sample is
     re-projected onto g's boundary; when that vector is near-collinear with
-    f's original projection vector (cosine >= threshold) the sample
+    f's original projection vector (cosine >= ALIGNED_COSINE) the sample
     contributes alpha = clamp(|g vector| / |f vector|, 0, 1), otherwise 0.
     phi = s - sum(alpha). This is a lower-bound-style stand-in for the exact
     maximization over all separators of the projected set, which is
     intractable.
     """
-    if not 0 < cosine_threshold <= 1:
-        raise ValueError("cosine_threshold must be in (0, 1]")
     if accuracy(g_net, projected) < 1.0:
         raise ValueError("g misclassifies the projected set; it is not a separator of it")
     _, f_results = project_dataset(f_net, original)
@@ -74,8 +71,7 @@ def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: 
         if fn == 0.0:
             continue
         cos = float(fv @ gv / (fn * gn)) if gn > 0 else 1.0
-        if cos >= cosine_threshold:
+        if cos >= ALIGNED_COSINE:
             alphas[i] = min(max(gn / fn, 0.0), 1.0)
             aligned += 1
-    return GlobalDifferenceEstimate(alphas, float(s - alphas.sum()), aligned,
-                                    s - aligned, cosine_threshold)
+    return GlobalDifferenceEstimate(alphas, float(s - alphas.sum()), aligned, s - aligned)

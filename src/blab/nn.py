@@ -71,7 +71,6 @@ class TrainConfig:
     max_epochs: int = 10000
     batch_size: int = 32
     accuracy_target: float = 0.90
-    seed: int = 0
 
     def validate(self) -> None:
         check_finite_fields(self)
@@ -81,6 +80,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if not 0 < self.accuracy_target <= 1:
             raise ValueError("accuracy_target must be in (0, 1]")
 
@@ -215,11 +216,14 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def is_correct(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per sample, whether sign(margin) matches the label; margin 0 counts as wrong."""
+    return np.where(labels == 1, margins > 0, margins < 0)
+
+
 def accuracy(net: MlpNetwork, data: Dataset) -> float:
-    """Fraction with sign(margin) matching the label; margin 0 counts as wrong."""
-    m = margin_batch(net, data.samples)
-    correct = np.where(data.labels == 1, m > 0, m < 0)
-    return float(correct.mean())
+    """Fraction of samples whose margin sign matches the label (see is_correct)."""
+    return float(is_correct(margin_batch(net, data.samples), data.labels).mean())
 
 
 def _mean_true_class_prob(net: MlpNetwork, data: Dataset) -> float:
@@ -227,10 +231,11 @@ def _mean_true_class_prob(net: MlpNetwork, data: Dataset) -> float:
     return float(np.exp(logp[np.arange(len(data)), data.labels]).mean())
 
 
-def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig) -> TrainReport:
+def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainReport:
     """Mini-batch NLL training with Adam until every sample is correct and mean
     true-class confidence reaches cfg.accuracy_target, or max_epochs.
-    Mutates net in place; deterministic for a fixed cfg.seed.
+    Mutates net in place; deterministic for a fixed seed, which orders the
+    mini-batches.
 
     Inputs are standardized internally and the affine map is folded back
     into the first layer afterwards, so the returned network acts on raw
@@ -242,8 +247,6 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig) -> TrainReport:
         raise ValueError("training data must contain both classes")
     _check_input(net, data.samples)
     batch_size = min(cfg.batch_size, len(data))
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
 
     mu = data.samples.mean(axis=0)
     sd = data.samples.std(axis=0)
@@ -267,7 +270,7 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig) -> TrainReport:
 
     epoch_loss = float("nan")
     for epoch in range(cfg.max_epochs):
-        order = make_rng(cfg.seed, stream=epoch).permutation(len(data))
+        order = make_rng(seed, stream=epoch).permutation(len(data))
         losses = []
         for start in range(0, len(data), batch_size):
             idx = order[start:start + batch_size]

@@ -12,13 +12,15 @@ from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
 from .geometry import (GridBoundary, PiecewiseLinearBoundary, VectorProjectionInstance,
                        check_claim1_chain, check_claim2_product, halfspace_projection)
-from .nn import TrainConfig, grad_input, init_network, margin, margin_batch, train
+from .nn import TrainConfig, grad_input, init_network, is_correct, margin, margin_batch, train
 from .rng import derive_seed, make_rng
 
 CheckResult = tuple[str, bool, str]
 
 ORACLE_BOX = ((-4.0, 4.0), (-3.0, 3.0))
 CROSS_CHECK_STEP = 2e-2  # grid spacing of the cross-check of the exact oracle
+FD_STEP = 1e-5  # central-difference step of the gradient check
+GRADIENT_REL_TOL = 1e-4  # largest relative gap between backprop and finite differences
 
 
 def _activation_pattern(net, x) -> tuple:
@@ -31,8 +33,7 @@ def _activation_pattern(net, x) -> tuple:
     return tuple(pattern)
 
 
-def gradient_suite(pairs: int = 100, seed: int = 2024, step: float = 1e-5,
-                   rel_tol: float = 1e-4) -> tuple[list[CheckResult], dict | None]:
+def gradient_suite(pairs: int = 100, seed: int = 2024) -> tuple[list[CheckResult], dict | None]:
     """Backprop input gradient vs central finite differences on random
     (network, input) pairs. Coordinates whose FD stencil crosses a ReLU kink
     are excluded: the margin is piecewise linear there and the FD quotient
@@ -51,16 +52,16 @@ def gradient_suite(pairs: int = 100, seed: int = 2024, step: float = 1e-5,
         base_pattern = _activation_pattern(net, x)
         for i in range(len(x)):
             hi, lo = x.copy(), x.copy()
-            hi[i] += step
-            lo[i] -= step
+            hi[i] += FD_STEP
+            lo[i] -= FD_STEP
             if _activation_pattern(net, hi) != base_pattern or \
                _activation_pattern(net, lo) != base_pattern:
                 continue  # kink-adjacent coordinate, FD oracle invalid
-            fd = (margin(net, hi) - margin(net, lo)) / (2 * step)
+            fd = (margin(net, hi) - margin(net, lo)) / (2 * FD_STEP)
             denom = max(abs(fd), abs(g[i]), 1e-8)
             rel = abs(g[i] - fd) / denom
             worst = max(worst, rel)
-            if rel >= rel_tol:
+            if rel >= GRADIENT_REL_TOL:
                 passed_all = False
                 if failing is None:
                     failing = {"pair": p, "coordinate": i, "dims": dims,
@@ -74,9 +75,8 @@ def _train_2d_net(seed: int):
     data = gen_gaussian_blobs(2, 40, (np.array([-2.0, 0.0]), np.array([2.0, 0.0])),
                               0.5, derive_seed(seed, 0))
     net = init_network([2, 16, 16, 2], derive_seed(seed, 1))
-    cfg = TrainConfig(optimizer="adam", learning_rate=1e-2, max_epochs=3000,
-                      batch_size=16, accuracy_target=0.9, seed=derive_seed(seed, 2))
-    report = train(net, data, cfg)
+    cfg = TrainConfig(learning_rate=1e-2, max_epochs=3000, batch_size=16, accuracy_target=0.9)
+    report = train(net, data, cfg, derive_seed(seed, 2))
     return net, data, report
 
 
@@ -103,8 +103,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
             continue
         exact = PiecewiseLinearBoundary(net.weights, net.biases, ORACLE_BOX)
         grid = GridBoundary(lambda pts: margin_batch(net, pts), ORACLE_BOX, CROSS_CHECK_STEP)
-        m = margin_batch(net, data.samples)
-        correct = np.flatnonzero(np.where(data.labels == 1, m > 0, m < 0))
+        correct = np.flatnonzero(is_correct(margin_batch(net, data.samples), data.labels))
         picks = rng.choice(correct, size=points_per_net, replace=False)
         projections = project_to_boundary(net, data.samples[picks], data.labels[picks], data)
         for i, res in zip(picks, projections):

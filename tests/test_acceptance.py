@@ -181,7 +181,6 @@ def _transfer_config(master_seed):
                           accuracy_target=0.99),
         master_seed=master_seed,
         kappa=0.1,
-        eval_fraction=0.25,
     )
 
 

@@ -81,7 +81,7 @@ def test_bisect_requires_sign_change():
 
 def test_residual_within_tolerance_on_trained_net(easy_blobs):
     net = init_network([2, 16, 16, 2], seed=4)
-    train(net, easy_blobs, TrainConfig(max_epochs=2000, batch_size=16, seed=4))
+    train(net, easy_blobs, TrainConfig(max_epochs=2000, batch_size=16), 4)
     _, results = project_dataset(net, easy_blobs)
     for r in results:
         if r.converged:
@@ -91,7 +91,7 @@ def test_residual_within_tolerance_on_trained_net(easy_blobs):
 
 def test_distance_never_exceeds_nearest_opposite_sample(easy_blobs):
     net = init_network([2, 16, 16, 2], seed=4)
-    train(net, easy_blobs, TrainConfig(max_epochs=2000, batch_size=16, seed=4))
+    train(net, easy_blobs, TrainConfig(max_epochs=2000, batch_size=16), 4)
     _, results = project_dataset(net, easy_blobs)
     for i, r in enumerate(results):
         opp = easy_blobs.samples[easy_blobs.labels != easy_blobs.labels[i]]
@@ -124,7 +124,7 @@ def test_projection_on_curved_boundary_finds_near_branch():
     data = gen_gaussian_blobs(2, 30, (np.array([-1.5, 0.0]), np.array([1.5, 0.0])),
                               0.6, seed=12)
     net = init_network([2, 16, 16, 2], seed=12)
-    report = train(net, data, TrainConfig(max_epochs=3000, batch_size=30, seed=12))
+    report = train(net, data, TrainConfig(max_epochs=3000, batch_size=30), 12)
     assert report.stopped_reason == "criterion_met"
     picks = np.arange(0, len(data), 7)
     for res in project_to_boundary(net, data.samples[picks], data.labels[picks], data):
@@ -190,7 +190,7 @@ def _trained_10d():
     c0[0], c1[0] = -1.5, 1.5
     data = gen_gaussian_blobs(10, 12, (c0, c1), 0.8, seed=31)
     net = init_network([10, 16, 16, 2], seed=31)
-    report = train(net, data, TrainConfig(max_epochs=3000, batch_size=24, seed=31))
+    report = train(net, data, TrainConfig(max_epochs=3000, batch_size=24), 31)
     assert report.stopped_reason == "criterion_met"
     return net, data
 
@@ -199,7 +199,7 @@ def _trained_blobs2d():
     cfg = parse_config(ROOT / "configs" / "blobs2d.cfg")
     data = build_dataset(cfg.dataset)
     net = init_network(cfg.dims, seed=cfg.master_seed)
-    assert train(net, data, cfg.train).stopped_reason == "criterion_met"
+    assert train(net, data, cfg.train, 0).stopped_reason == "criterion_met"
     return net, data
 
 

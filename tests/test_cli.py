@@ -150,17 +150,28 @@ def test_non_finite_cli_floats_exit_2_before_running(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_zero_input_width_exits_2_before_writing(tmp_path, capsys):
-    cfg = tmp_path / "dim0.cfg"
-    cfg.write_text("[dataset]\ndim = 0\n")
-    out = tmp_path / "run"
-    assert main(["iterproj", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert "dataset dim must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
+def test_impossible_dataset_values_exit_2_before_writing(tmp_path, capsys):
+    # wrong whatever the data files hold, so config errors, not data errors
+    for k, (key, value, message) in enumerate((
+            ("dim", "0", "dataset dim must be >= 1"),
+            ("per_class", "0", "per_class must be >= 1"),
+            ("sigma", "0", "sigma must be positive"),
+            ("subset", "3", "subset must be even"),
+            ("subset", "-2", "subset must be even"),
+            ("class_b", "3", "class_a and class_b must differ"))):
+        out = tmp_path / f"run{k}"
+        assert main(["iterproj", CONFIG, "--set", f"dataset.{key}={value}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     data_out = tmp_path / "blobs.csv"
-    assert main(["gen-data", "--dim", "0", "--out", str(data_out)]) == EXIT_CONFIG
-    assert "dataset dim must be >= 1" in capsys.readouterr().err
-    assert not data_out.exists()
+    for flag, value, message in (("--dim", "0", "dataset dim must be >= 1"),
+                                 ("--per-class", "0", "per_class must be >= 1"),
+                                 ("--per-class", "-1", "per_class must be >= 1"),
+                                 ("--sigma", "0", "sigma must be positive")):
+        assert main(["gen-data", flag, value, "--out", str(data_out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not data_out.exists()
 
 
 def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
@@ -179,6 +190,14 @@ def test_removed_optimizer_settings_exit_2_before_the_run_directory(tmp_path, ca
             (CONFIG, ["--set", "train.momentum=0.5"], "unknown config key train.momentum"),
             (CONFIG, ["--set", "train.adam_betas=0.8,0.99"], "unknown config key train.adam_betas"),
             (CONFIG, ["--set", "train.adam_epsilon=1e-7"], "unknown config key train.adam_epsilon"),
+            (CONFIG, ["--set", "train.seed=12345"], "unknown config key train.seed"),
+            (CONFIG, ["--set", "experiment.unconverged_abort_fraction=-1"],
+             "unknown config key experiment.unconverged_abort_fraction"),
+            (CONFIG, ["--set", "experiment.eval_fraction=0.5"],
+             "unknown config key experiment.eval_fraction"),
+            (CONFIG, ["--set", "experiment.test_fraction=1.5"],
+             "unknown config key experiment.test_fraction"),
+            (CONFIG, ["--set", "train.batch_size=0"], "batch_size must be >= 1"),
             (str(sgd), [], "adam is the only optimizer"))):
         out = tmp_path / f"run{k}"
         assert main(["iterproj", config, "--iterations", "1", "--out", str(out)] + extra) \
@@ -217,8 +236,8 @@ def test_symmetry_unknown_layout_exits_2(tmp_path, capsys):
 def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):
     real_train = blab.experiments.train
 
-    def train_leaving_one_wrong(net, data, cfg):
-        report = real_train(net, data, cfg)
+    def train_leaving_one_wrong(net, data, cfg, seed):
+        report = real_train(net, data, cfg, seed)
         # lower the margin past the least confident class-1 sample only
         m = np.sort(margin_batch(net, data.samples[data.labels == 1]))
         net.biases[-1][1] -= 0.5 * (m[0] + m[1])
@@ -234,7 +253,7 @@ def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsy
 
 
 def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
-    def diverging_train(net, data, cfg):
+    def diverging_train(net, data, cfg, seed):
         raise TrainingDivergence("non-finite loss at epoch 0")
 
     monkeypatch.setattr(blab.experiments, "train", diverging_train)

@@ -24,16 +24,22 @@ def test_parse_bundled_config():
     assert cfg.iterations == 5
 
 
-def test_benchmark_cascade784_config_loads(tmp_path):
-    # the benchmark's 784-d cascade writes this template, optimizer = adam included
+def test_benchmark_configs_load(tmp_path):
+    # every config template the benchmark writes must parse, or its setup runs fail
     tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
-    [template] = [ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets] == ["CASCADE784_CONFIG"]]
-    p = tmp_path / "cascade784.cfg"
-    p.write_text(template.format(images="img.idx", labels="lab.idx", subset=8))
-    cfg = parse_config(p)
-    assert cfg.train.optimizer == "adam" and cfg.dims == [784, 500, 256, 128, 32, 2]
+    templates = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and getattr(node.targets[0], "id", "").endswith("_CONFIG")}
+    assert sorted(templates) == ["CASCADE784_CONFIG", "ORACLE_CONFIG", "SYMMETRY_CONFIG"]
+    cfgs = {}
+    for name, template in templates.items():
+        p = tmp_path / f"{name}.cfg"
+        p.write_text(template.format(images="img.idx", labels="lab.idx", subset=8, seed=5))
+        cfgs[name] = parse_config(p)
+    cascade = cfgs["CASCADE784_CONFIG"]
+    assert cascade.train.optimizer == "adam" and cascade.dims == [784, 500, 256, 128, 32, 2]
+    assert cfgs["SYMMETRY_CONFIG"].dataset.source == "symmetric"
+    assert cfgs["ORACLE_CONFIG"].dataset.seed == 5
 
 
 def test_missing_file():
@@ -89,9 +95,8 @@ def _every_field_changed() -> ExperimentConfig:
                             layout_kind="mirrored_pairs"),
         dims=[3, 5, 2],
         train=TrainConfig(learning_rate=0.05, max_epochs=77, batch_size=8,
-                          accuracy_target=0.95, seed=11),
-        iterations=3, master_seed=9, unconverged_abort_fraction=0.2, kappa=0.3,
-        dims_b=[3, 4, 2], eval_fraction=0.3, test_fraction=0.4)
+                          accuracy_target=0.95),
+        iterations=3, master_seed=9, kappa=0.3, dims_b=[3, 4, 2])
 
 
 def test_every_field_roundtrips(tmp_path, capsys):
@@ -140,7 +145,7 @@ def test_non_finite_float_values_are_config_errors():
             value = getattr(obj, f.name)
             if isinstance(value, float):
                 keys.append(f"{section}.{f.name}")
-    assert len(keys) == 8
+    assert len(keys) == 5
     for key in keys:
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be finite"):

@@ -131,11 +131,15 @@ def test_resume_refuses_older_manifest_format(tmp_path):
                              out_dir=tmp_path / "run", stop_after=1)
     path = tmp_path / "run" / "manifest.json"
     current = path.read_text()
-    # version 2 saved a projector section, version 3 the SGD and Adam settings
+    # version 2 saved a projector section, version 3 the SGD and Adam settings,
+    # version 4 the training seed and the three experiment fractions
     for version, edit in (
             (2, lambda c: c.update(projector={"boundary_tolerance": 1e-6, "max_newton_steps": 200})),
             (3, lambda c: c["train"].update(momentum=0.9, adam_betas=[0.9, 0.999],
-                                            adam_epsilon=1e-8))):
+                                            adam_epsilon=1e-8)),
+            (4, lambda c: c.update(train={**c["train"], "seed": 0},
+                                   unconverged_abort_fraction=0.1, eval_fraction=0.25,
+                                   test_fraction=0.25))):
         manifest = json.loads(current)
         manifest["format_version"] = version
         edit(manifest["config"])
@@ -167,7 +171,6 @@ def test_generalization_tracking_resumes_without_test_set(tmp_path):
 def test_generalization_tracking_records_test_accuracy(tmp_path):
     cfg = small_config(master_seed=4)
     cfg.dataset.per_class = 20
-    cfg.test_fraction = 0.25
     records = run_generalization_tracking(cfg, out_dir=tmp_path / "run")
     assert all(r.test_accuracy is not None for r in records[1:])
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in records[1:])

@@ -55,9 +55,6 @@ def test_global_difference_rejects_non_separator():
     projected = Dataset(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
     with pytest.raises(ValueError, match="separator"):
         estimate_global_difference(f_net, original, projected, g_net)
-    with pytest.raises(ValueError, match="cosine_threshold"):
-        estimate_global_difference(f_net, original, projected, g_net,
-                                   cosine_threshold=1.5)
 
 
 @pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784)])

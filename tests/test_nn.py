@@ -165,14 +165,14 @@ def test_accuracy_zero_margin_counts_wrong():
 
 def test_train_reaches_criterion_and_is_deterministic(easy_blobs):
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=2000, batch_size=16,
-                      accuracy_target=0.95, seed=11)
+                      accuracy_target=0.95)
     net_a = init_network([2, 16, 2], seed=3)
-    report = train(net_a, easy_blobs, cfg)
+    report = train(net_a, easy_blobs, cfg, seed=11)
     assert report.stopped_reason == "criterion_met"
     assert report.final_train_accuracy == 1.0
     assert accuracy(net_a, easy_blobs) == 1.0  # holds on raw, unstandardized inputs
     net_b = init_network([2, 16, 2], seed=3)
-    train(net_b, easy_blobs, cfg)
+    train(net_b, easy_blobs, cfg, seed=11)
     for wa, wb in zip(net_a.weights, net_b.weights):
         np.testing.assert_array_equal(wa, wb)
 
@@ -181,9 +181,9 @@ def test_adam_training_keeps_its_bits(tmp_path, easy_blobs):
     # 60 epochs of 3 Adam steps, then the whitening fold; the digest freezes
     # Adam at betas (0.9, 0.999) and epsilon 1e-8
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=60, batch_size=16,
-                      accuracy_target=1.0, seed=11)
+                      accuracy_target=1.0)
     net = init_network([2, 16, 16, 2], seed=3)
-    report = train(net, easy_blobs, cfg)
+    report = train(net, easy_blobs, cfg, seed=11)
     assert (report.epochs_run, report.stopped_reason) == (60, "epoch_cap")
     path = tmp_path / "net.blab"
     save_checkpoint(net, path)
@@ -194,17 +194,19 @@ def test_adam_training_keeps_its_bits(tmp_path, easy_blobs):
 def test_train_validates_inputs(easy_blobs):
     net = init_network([2, 8, 2], seed=0)
     with pytest.raises(ValueError):
-        train(net, easy_blobs, TrainConfig(optimizer="adagrad"))
+        train(net, easy_blobs, TrainConfig(optimizer="adagrad"), 0)
     with pytest.raises(ValueError):
-        train(net, easy_blobs, TrainConfig(learning_rate=-1.0))
+        train(net, easy_blobs, TrainConfig(learning_rate=-1.0), 0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        train(net, easy_blobs, TrainConfig(batch_size=0), 0)
     single = Dataset(easy_blobs.samples[:5], np.zeros(5))
     with pytest.raises(ValueError):
-        train(net, single, TrainConfig())
+        train(net, single, TrainConfig(), 0)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, easy_blobs):
     net = init_network([2, 16, 8, 2], seed=21)
-    train(net, easy_blobs, TrainConfig(max_epochs=50, seed=2))
+    train(net, easy_blobs, TrainConfig(max_epochs=50), seed=2)
     path = tmp_path / "net.blab"
     save_checkpoint(net, path)
     back = load_checkpoint(path)
@@ -293,6 +295,6 @@ def test_criterion_met_means_every_raw_sample_is_correct():
     for seed in range(8):
         data = build_dataset(dataclasses.replace(cfg.dataset, seed=seed))
         net = init_network(cfg.dims, seed)
-        report = train(net, data, dataclasses.replace(cfg.train, seed=seed))
+        report = train(net, data, cfg.train, seed)
         assert report.stopped_reason == "criterion_met"
         assert accuracy(net, data) == 1.0, f"dataset seed {seed}"
