@@ -20,7 +20,7 @@ from .data import SymmetricLayout
 SUBSET_CAP = 12  # AM-GM sub-step enumerates 2^k subsets; cap k
 ORTHOGONAL_TOLERANCE = 1e-9  # largest |cos| between f and g vectors that counts as orthogonal
 EQUAL_PRODUCT_RTOL = 1e-9  # relative gap under which prod|f| and prod|g| count as equal
-TIE_TOLERANCE = 1e-9  # distance gap under which a point is as close to both diagonals
+TIE_TOLERANCE = 1e-9  # distance gap under which a point counts as equally close to both diagonals
 # Most grid points whose margins a scan holds at once. On the oracle's
 # 120701-point grid, slabs of 32768, 16384, 8192 and 4096 points scan about
 # as fast (median 28.0, 27.2, 27.0 and 26.4 ms, inside the noise) and give
