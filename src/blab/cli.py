@@ -1,7 +1,8 @@
 """Command-line entry point: experiment dispatch, CSV/JSON emission, SVG charts.
 
 Exit codes: 0 success, 1 verify-suite failure, 2 config error, 3 data error,
-4 numeric failure (training divergence or projection breakdown).
+4 numeric failure (training divergence or projection breakdown), 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .boundary import ProjectionError
 from .config import ConfigError, parse_config, serialize_config
 from .data import LAYOUT_KINDS, DataError, export_csv, save_idx
-from .experiments import (DatasetSpec, ExperimentError, build_dataset,
+from .experiments import (DatasetSpec, ExperimentError, build_dataset, records_from_csv,
                           run_generalization_tracking, run_iterative_projection,
                           run_symmetry_experiment, run_transfer)
 from .fileio import atomic_write_text
@@ -30,6 +31,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERRUPTED = 130
 
 
 def _overrides(pairs: list[str]) -> dict[str, str]:
@@ -56,28 +58,21 @@ def _records_chart(records, out_svg) -> None:
                                           "iteration", "mean distance"))
 
 
-def cmd_iterproj(args) -> int:
-    cfg = parse_config(args.config, _overrides(args.set))
+def cmd_cascade(args) -> int:
+    """`iterproj`, and `gentrack`, which also tracks test accuracy."""
+    overrides = _overrides(args.set)
     if args.iterations is not None:
-        cfg.iterations = args.iterations
-        cfg.validate()
-    out = Path(args.out or "run_iterproj")
-    records = run_iterative_projection(cfg, out_dir=out)
+        overrides["experiment.iterations"] = str(args.iterations)
+    cfg = parse_config(args.config, overrides)
+    out = Path(args.out or f"run_{args.command}")
+    if args.command == "gentrack":
+        records = run_generalization_tracking(cfg, out_dir=out)
+        done = f"{out / 'records.csv'} ({len(records)} records, test accuracy tracked)"
+    else:
+        records = run_iterative_projection(cfg, out_dir=out)
+        done = f"{out / 'records.csv'} and {out / 'chart.svg'} ({len(records)} records)"
     _records_chart(records, out / "chart.svg")
-    print(f"wrote {out / 'records.csv'} and {out / 'chart.svg'} "
-          f"({len(records)} records)")
-    return EXIT_OK
-
-
-def cmd_gentrack(args) -> int:
-    cfg = parse_config(args.config, _overrides(args.set))
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-        cfg.validate()
-    out = Path(args.out or "run_gentrack")
-    records = run_generalization_tracking(cfg, out_dir=out)
-    _records_chart(records, out / "chart.svg")
-    print(f"wrote {out / 'records.csv'} ({len(records)} records, test accuracy tracked)")
+    print(f"wrote {done}")
     return EXIT_OK
 
 
@@ -125,7 +120,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .experiments import records_from_csv
     text = Path(args.records).read_text()
     records = records_from_csv(text)
     if not records:
@@ -174,15 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config value")
         sp.add_argument("--out", help="output directory / file")
 
-    sp = sub.add_parser("iterproj", help="iterative boundary projection run")
-    common(sp)
-    sp.add_argument("--iterations", type=int)
-    sp.set_defaults(fn=cmd_iterproj)
-
-    sp = sub.add_parser("gentrack", help="iterative projection with test-accuracy tracking")
-    common(sp)
-    sp.add_argument("--iterations", type=int)
-    sp.set_defaults(fn=cmd_gentrack)
+    for name, text in (("iterproj", "iterative boundary projection run"),
+                       ("gentrack", "iterative projection with test-accuracy tracking")):
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--iterations", type=int, help="sets experiment.iterations")
+        sp.set_defaults(fn=cmd_cascade)
 
     sp = sub.add_parser("transfer", help="adversarial transferability experiment")
     common(sp)
@@ -243,6 +234,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -13,17 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import (ProjectionError, ProjectionResult, adversarial_overshoot,
-                       export_projection_csv, project_dataset, project_to_boundary)
+from .boundary import (ProjectionError, adversarial_overshoot, export_projection_csv,
+                       project_dataset, project_to_boundary)
 from .data import (DataError, Dataset, export_csv, filter_binary, gen_gaussian_blobs,
                    gen_symmetric_layout, import_csv, load_idx, sample_balanced)
 from .fileio import atomic_write_text
-from .metrics import nearest_opposite_mean_distance
+from .metrics import global_difference, nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_finite_fields,
                  check_layer_dims, init_network, is_correct, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
@@ -110,6 +110,7 @@ class IterationRecord:
     train_accuracy: float | None
     test_accuracy: float | None
     unconverged_count: int
+    global_difference: float | None = None  # phi_k, once iteration k+1 has projected
 
 
 @dataclass
@@ -144,7 +145,8 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic per-class split; second part gets ceil(fraction) of each class."""
+    """Deterministic per-class split. The second part gets round(n * fraction)
+    of each class's n samples, halves rounding to even: 10 at 0.25 gives 2."""
     rng = make_rng(seed, stream=0x5B117)
     take_a, take_b = [], []
     for cls in (0, 1):
@@ -155,6 +157,9 @@ def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset
         take_a.append(perm[cut:])
     a = np.sort(np.concatenate(take_a))
     b = np.sort(np.concatenate(take_b))
+    if len(b) == 0:
+        raise DataError(f"held-out split is empty: {fraction} of each class rounds to 0 "
+                        f"({len(a)} samples in all); raise dataset.per_class")
     return (Dataset(data.samples[a], data.labels[a], data.name + "_a"),
             Dataset(data.samples[b], data.labels[b], data.name + "_b"))
 
@@ -164,14 +169,18 @@ def _train_fresh(dims, data: Dataset, cfg: TrainConfig, seed: int) -> tuple[MlpN
     return net, train(net, data, cfg, seed)
 
 
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
 def records_to_csv(records: list[IterationRecord]) -> str:
     buf = io.StringIO()
-    buf.write("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,unconverged_count\n")
+    buf.write("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
+              "unconverged_count,global_difference\n")
     for r in records:
-        train_acc = "" if r.train_accuracy is None else repr(r.train_accuracy)
-        test_acc = "" if r.test_accuracy is None else repr(r.test_accuracy)
         buf.write(f"{r.iteration},{r.mean_nn_distance!r},{r.mean_projection_norm!r},"
-                  f"{train_acc},{test_acc},{r.unconverged_count}\n")
+                  f"{_cell(r.train_accuracy)},{_cell(r.test_accuracy)},{r.unconverged_count},"
+                  f"{_cell(r.global_difference)}\n")
     return buf.getvalue()
 
 
@@ -181,10 +190,10 @@ def records_from_csv(text: str) -> list[IterationRecord]:
         raise DataError("not a records CSV")
     records = []
     for line in lines[1:]:
-        it, nn, pn, tr, te, uc = line.split(",")
+        it, nn, pn, tr, te, uc, gd = line.split(",")
         records.append(IterationRecord(int(it), float(nn), float(pn),
-                                       float(tr) if tr else None,
-                                       float(te) if te else None, int(uc)))
+                                       float(tr) if tr else None, float(te) if te else None,
+                                       int(uc), float(gd) if gd else None))
     return records
 
 
@@ -244,52 +253,62 @@ class RunDirectory:
         atomic_write_text(self.path / "records.csv", records_to_csv(records))
 
 
-def _iterate(cfg: ExperimentConfig, data: Dataset, records: list[IterationRecord],
-             start_iter: int, test_data: Dataset | None, run_dir: RunDirectory | None,
-             started: float, stop_after: int | None) -> list[IterationRecord]:
+def _iterate(cfg: ExperimentConfig, prev: np.ndarray | None, data: Dataset,
+             records: list[IterationRecord], start_iter: int, test_data: Dataset | None,
+             run_dir: RunDirectory | None, started: float,
+             stop_after: int | None) -> list[IterationRecord]:
+    """Iterations start_iter.. on the working set `data`. `prev` holds the
+    samples of the working set before it (None for the raw set): once
+    iteration k has projected, record k - 1 gets its global difference."""
     def abort(k: int, status: str, reason: str) -> ExperimentError:
         if run_dir:
             run_dir.write_records(records)
             run_dir.write_manifest(cfg, k - 1, status, started, test_data is not None)
         return ExperimentError(f"iteration {k}: {reason}")
 
-    for k in range(start_iter, cfg.iterations + 1):
-        seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
-        try:
-            net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
-        except TrainingDivergence as e:
-            raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
-        if report.stopped_reason != "criterion_met":
-            raise abort(k, "aborted_training", "training hit the epoch cap "
-                        f"(accuracy {report.final_train_accuracy:.3f})")
-        try:
+    k = start_iter
+    try:
+        for k in range(start_iter, cfg.iterations + 1):
+            net, report = _train_fresh(cfg.dims, data, cfg.train,
+                                       derive_seed(cfg.master_seed, SEED_ITER, k))
+            if report.stopped_reason != "criterion_met":
+                raise abort(k, "aborted_training", "training hit the epoch cap "
+                            f"(accuracy {report.final_train_accuracy:.3f})")
             projected, results = project_dataset(net, data)
-        except ProjectionError as e:
-            raise abort(k, "aborted_projection", str(e)) from e
-        unconverged = sum(not r.converged for r in results)
-        if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
-            raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
-                        "did not converge")
+            unconverged = sum(not r.converged for r in results)
+            if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
+                raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
+                            "did not converge")
 
-        # unconverged samples did not move, so they contribute zero norm
-        mean_norm = float(np.mean([r.distance if r.converged else 0.0 for r in results]))
-        data = projected
-        records.append(IterationRecord(
-            iteration=k,
-            mean_nn_distance=nearest_opposite_mean_distance(data),
-            mean_projection_norm=mean_norm,
-            train_accuracy=report.final_train_accuracy,
-            test_accuracy=accuracy(net, test_data) if test_data is not None else None,
-            unconverged_count=unconverged,
-        ))
-        if run_dir:
-            run_dir.save_iteration(k, net, data, results)
-            run_dir.write_records(records)
-            done = k == cfg.iterations
-            run_dir.write_manifest(cfg, k, "finished" if done else "running",
-                                   started, test_data is not None)
-        if stop_after is not None and k >= stop_after:
-            break
+            if prev is not None:
+                records[-1].global_difference = global_difference(
+                    prev, data.samples, projected.samples).phi
+            # unconverged samples did not move, so they contribute zero norm
+            mean_norm = float(np.mean([r.distance if r.converged else 0.0 for r in results]))
+            prev, data = data.samples, projected
+            records.append(IterationRecord(
+                iteration=k,
+                mean_nn_distance=nearest_opposite_mean_distance(data),
+                mean_projection_norm=mean_norm,
+                train_accuracy=report.final_train_accuracy,
+                test_accuracy=accuracy(net, test_data) if test_data is not None else None,
+                unconverged_count=unconverged,
+            ))
+            if run_dir:
+                run_dir.save_iteration(k, net, data, results)
+                run_dir.write_records(records)
+                done = k == cfg.iterations
+                run_dir.write_manifest(cfg, k, "finished" if done else "running",
+                                       started, test_data is not None)
+            if stop_after is not None and k >= stop_after:
+                break
+    except TrainingDivergence as e:
+        raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
+    except ProjectionError as e:
+        raise abort(k, "aborted_projection", str(e)) from e
+    except KeyboardInterrupt:
+        abort(k, "interrupted", "interrupted")
+        raise
     return records
 
 
@@ -298,8 +317,8 @@ def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     determines it, so a resumed run re-derives the same test set."""
     train_part, test_part = stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
                                              derive_seed(cfg.master_seed, SEED_SPLIT))
-    if len(test_part) == 0 or not test_part.both_classes_present():
-        raise ExperimentError("test split is empty or single-class")
+    if not test_part.both_classes_present():
+        raise ExperimentError("test split is single-class")
     return train_part, test_part
 
 
@@ -319,7 +338,7 @@ def _run(cfg: ExperimentConfig, data: Dataset, test_data: Dataset | None, out_di
     if run_dir:
         export_csv(data, run_dir.working / "iter_0.csv")
         run_dir.write_records(records)
-    return _iterate(cfg, data, records, 1, test_data, run_dir, started, stop_after)
+    return _iterate(cfg, None, data, records, 1, test_data, run_dir, started, stop_after)
 
 
 def run_iterative_projection(cfg: ExperimentConfig, out_dir=None,
@@ -341,9 +360,10 @@ def run_generalization_tracking(cfg: ExperimentConfig, out_dir=None) -> list[Ite
 def checkpoint_resume(run_dir) -> list[IterationRecord]:
     """Continue an interrupted run from its last completed iteration.
 
-    Derived seeds are positional, so the resumed records match an
-    uninterrupted run exactly. A run that tracked test accuracy re-derives
-    its test split from the saved config. Resuming a finished run is a no-op."""
+    Derived seeds are positional, so the resumed records, global differences
+    included, match an uninterrupted run exactly. A run that tracked test
+    accuracy re-derives its test split from the saved config. Resuming a
+    finished run is a no-op."""
     rd = RunDirectory(run_dir)
     manifest = rd.read_manifest()
     cfg = config_from_dict(manifest["config"])
@@ -353,8 +373,9 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
         return records
     test_data = _tracking_split(cfg)[1] if manifest["with_test"] else None
     data = import_csv(rd.working / f"iter_{completed}.csv")
+    prev = import_csv(rd.working / f"iter_{completed - 1}.csv").samples if completed else None
     records = records[:completed + 1]
-    return _iterate(cfg, data, records, completed + 1, test_data, rd, time.time(), None)
+    return _iterate(cfg, prev, data, records, completed + 1, test_data, rd, time.time(), None)
 
 
 def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> float:
@@ -419,17 +440,6 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
         kappa=kappa, mode=mode, valid=valid, n_samples=len(kept))
 
 
-def _unit_projection_signature(net: MlpNetwork,
-                               layout_data: Dataset) -> tuple[np.ndarray, list[ProjectionResult]] | None:
-    _, results = project_dataset(net, layout_data)
-    units = []
-    for r in results:
-        if not r.converged or r.distance == 0:
-            return None
-        units.append(r.vector / r.distance)
-    return np.array(units), results
-
-
 def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
                             perturb: float = 0.0, kappa: float = 0.1) -> dict:
     """Train many independently seeded networks on a (possibly perturbed)
@@ -457,30 +467,25 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         if report.stopped_reason != "criterion_met":
             failures += 1
             continue
-        sig = _unit_projection_signature(net, data)
-        if sig is None:
+        # the signature: every layout point's unit projection direction
+        _, results = project_dataset(net, data)
+        if not all(r.converged and r.distance != 0 for r in results):
             failures += 1
             continue
-        sigs.append(sig[0])
-        all_results.append(sig[1])
+        sigs.append(np.array([r.vector / r.distance for r in results]))
+        all_results.append(results)
         nets.append(net)
 
-    # greedy clustering on mean per-point cosine between signatures
-    clusters: list[list[int]] = []
+    # greedy clustering: each signature joins the first cluster whose first
+    # member it matches in mean per-point cosine, else starts a cluster
     reps: list[np.ndarray] = []
     assignment = []
-    for i, sig in enumerate(sigs):
-        placed = False
-        for c, rep in enumerate(reps):
-            if float((sig * rep).sum(axis=1).mean()) >= SYMMETRY_CLUSTER_COS:
-                clusters[c].append(i)
-                assignment.append(c)
-                placed = True
-                break
-        if not placed:
+    for sig in sigs:
+        c = next((c for c, rep in enumerate(reps)
+                  if float((sig * rep).sum(axis=1).mean()) >= SYMMETRY_CLUSTER_COS), len(reps))
+        if c == len(reps):
             reps.append(sig)
-            clusters.append([i])
-            assignment.append(len(clusters) - 1)
+        assignment.append(c)
 
     within_rates, cross_rates = [], []
     for i in range(len(nets)):
@@ -491,13 +496,13 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
             rate = _fooling_rate(nets[j], adv, data.labels)
             (within_rates if assignment[i] == assignment[j] else cross_rates).append(rate)
 
-    sizes = sorted((len(c) for c in clusters), reverse=True)
+    sizes = sorted((assignment.count(c) for c in range(len(reps))), reverse=True)
     return {
         "layout": layout_kind,
         "perturb": perturb,
         "trials": trials,
         "failed_trials": failures,
-        "cluster_count": len(clusters),
+        "cluster_count": len(reps),
         "cluster_sizes": sizes,
         "dominant_fraction": (sizes[0] / len(sigs)) if sigs else 0.0,
         "within_cluster_transfer": float(np.mean(within_rates)) if within_rates else None,

@@ -1,4 +1,9 @@
-"""Quantitative instruments: inter-class distance and the global-difference estimate."""
+"""Quantitative instruments over working sets, which need no network:
+
+- the mean nearest-opposite-class distance of one working set;
+- the global difference phi between the separators of consecutive cascade
+  iterations, from three consecutive working sets.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import project_dataset
 from .data import Dataset
-from .nn import MlpNetwork, accuracy
 
 
 @dataclass
@@ -45,33 +48,26 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
     return float((np.concatenate(row_min).sum() + col_min.sum()) / len(data))
 
 
-def estimate_global_difference(f_net: MlpNetwork, original: Dataset, projected: Dataset,
-                               g_net: MlpNetwork) -> GlobalDifferenceEstimate:
-    """Heuristic global-difference estimate against one concrete re-separator g.
+def global_difference(prev: np.ndarray, cur: np.ndarray,
+                      nxt: np.ndarray) -> GlobalDifferenceEstimate:
+    """Global difference phi_k from working sets W_{k-1}, W_k, W_{k+1}, each (s, n).
 
-    g_net must correctly classify the projected set. Each projected sample is
-    re-projected onto g's boundary; when that vector is near-collinear with
-    f's original projection vector (cosine >= ALIGNED_COSINE) the sample
-    contributes alpha = clamp(|g vector| / |f vector|, 0, 1), otherwise 0.
+    f = W_k - W_{k-1} are net k's projection vectors and g = W_{k+1} - W_k
+    net k+1's; net k+1 separates W_k, so it is one concrete re-separator.
+    An unconverged sample did not move, so its vector is zero. A sample f
+    moved whose g vector is near-collinear with its f vector (cosine >=
+    ALIGNED_COSINE; a zero g counts as collinear) contributes
+    alpha = min(|g| / |f|, 1); every other sample contributes 0.
     phi = s - sum(alpha). This is a lower-bound-style stand-in for the exact
-    maximization over all separators of the projected set, which is
-    intractable.
+    maximization over all separators of W_k, which is intractable.
     """
-    if accuracy(g_net, projected) < 1.0:
-        raise ValueError("g misclassifies the projected set; it is not a separator of it")
-    _, f_results = project_dataset(f_net, original)
-    _, g_results = project_dataset(g_net, projected)
-
-    s = len(original)
-    alphas = np.zeros(s)
-    aligned = 0
-    for i in range(s):
-        fv, gv = f_results[i].vector, g_results[i].vector
-        fn, gn = np.linalg.norm(fv), np.linalg.norm(gv)
-        if fn == 0.0:
-            continue
-        cos = float(fv @ gv / (fn * gn)) if gn > 0 else 1.0
-        if cos >= ALIGNED_COSINE:
-            alphas[i] = min(max(gn / fn, 0.0), 1.0)
-            aligned += 1
-    return GlobalDifferenceEstimate(alphas, float(s - alphas.sum()), aligned, s - aligned)
+    f, g = cur - prev, nxt - cur
+    fn, gn = np.linalg.norm(f, axis=1), np.linalg.norm(g, axis=1)
+    both = (fn > 0) & (gn > 0)
+    cos = np.ones(len(f))
+    cos[both] = (f[both] * g[both]).sum(axis=1) / (fn[both] * gn[both])
+    aligned = (fn > 0) & (cos >= ALIGNED_COSINE)
+    alphas = np.zeros(len(f))
+    alphas[aligned] = np.minimum(gn[aligned] / fn[aligned], 1.0)
+    count = int(aligned.sum())
+    return GlobalDifferenceEstimate(alphas, float(len(f) - alphas.sum()), count, len(f) - count)

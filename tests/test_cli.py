@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import blab.experiments
-from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK, main
 from blab.data import export_csv
-from blab.experiments import DatasetSpec, build_dataset
+from blab.experiments import DatasetSpec, build_dataset, checkpoint_resume
 from blab.nn import TrainingDivergence, margin_batch
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
@@ -36,8 +36,8 @@ def test_iterproj_command_writes_outputs(tmp_path):
 def test_plot_is_deterministic(tmp_path):
     records = tmp_path / "records.csv"
     records.write_text(
-        "iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,unconverged_count\n"
-        "0,3.0,0.0,,,0\n1,1.5,0.4,1.0,,0\n2,0.9,0.2,1.0,,0\n")
+        "iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,unconverged_count,"
+        "global_difference\n0,3.0,0.0,,,0,\n1,1.5,0.4,1.0,,0,29.5\n2,0.9,0.2,1.0,,0,\n")
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     assert main(["plot", str(records), str(a)]) == EXIT_OK
     assert main(["plot", str(records), str(b)]) == EXIT_OK
@@ -174,6 +174,31 @@ def test_impossible_dataset_values_exit_2_before_writing(tmp_path, capsys):
         assert not data_out.exists()
 
 
+def test_iterations_flag_is_the_last_override(tmp_path, capsys):
+    for command in ("iterproj", "gentrack"):
+        out = tmp_path / f"{command}0"
+        assert main([command, CONFIG, "--iterations", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: iterations must be >= 1\n"
+        assert not out.exists()
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG, "--set", "experiment.iterations=0", "--iterations", "1",
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (f"wrote {out / 'records.csv'} and {out / 'chart.svg'} "
+                                       "(2 records)\n")
+
+
+def test_empty_held_out_split_exits_3_naming_per_class(tmp_path, capsys):
+    # 0.25 of 2 samples per class rounds to 0, for gentrack's test set and transfer's evaluation set
+    transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
+    for k, (command, config) in enumerate((("gentrack", CONFIG), ("transfer", transfer_cfg))):
+        out = tmp_path / f"out{k}"
+        assert main([command, config, "--set", "dataset.per_class=2",
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "held-out split is empty" in err and "dataset.per_class" in err
+        assert not out.exists()
+
+
 def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
     out = tmp_path / "report.json"
     for trials in ("0", "-2"):
@@ -265,6 +290,35 @@ def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
     assert manifest["completed_iterations"] == 0
     rows = (out / "records.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("0,")
+
+
+def test_interrupt_ends_the_run_cleanly_and_resumes_byte_identical(tmp_path, monkeypatch, capsys):
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(full)]) == EXIT_OK
+    real_train = blab.experiments.train
+    seeds = []
+
+    def train_interrupted_at_iteration_2(net, data, cfg, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            raise KeyboardInterrupt
+        return real_train(net, data, cfg, seed)
+
+    monkeypatch.setattr(blab.experiments, "train", train_interrupted_at_iteration_2)
+    capsys.readouterr()
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(cut)]) == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "interrupted\n"
+    manifest = json.loads((cut / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted" and manifest["completed_iterations"] == 1
+    monkeypatch.undo()
+    checkpoint_resume(cut)
+    assert json.loads((cut / "manifest.json").read_text())["status"] == "finished"
+    assert (cut / "records.csv").read_bytes() == (full / "records.csv").read_bytes()
+    for sub in ("projections", "working", "checkpoints"):
+        names = sorted(p.name for p in (full / sub).iterdir())
+        assert sorted(p.name for p in (cut / sub).iterdir()) == names
+        for name in names:
+            assert (cut / sub / name).read_bytes() == (full / sub / name).read_bytes()
 
 
 def test_plot_missing_records_is_data_error(tmp_path):

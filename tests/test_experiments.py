@@ -45,18 +45,25 @@ def test_stratified_split_properties():
     assert len(np.unique(merged, axis=0)) == len(data)
     a2, b2 = stratified_split(data, 0.25, seed=9)
     np.testing.assert_array_equal(b.samples, b2.samples)
+    # 10 * 0.25 = 2.5 rounds half to even: 2 of each class held out, not 3
+    small = gen_gaussian_blobs(2, 10, (np.zeros(2), np.ones(2)), 1.0, seed=5)
+    a, b = stratified_split(small, 0.25, seed=9)
+    assert (b.labels == 0).sum() == 2 and (b.labels == 1).sum() == 2 and len(a) == 16
 
 
 def test_records_csv_roundtrip():
     records = [IterationRecord(0, 3.5, 0.0, None, None, 0),
-               IterationRecord(1, 1.25, 0.5, 1.0, 0.9, 2)]
+               IterationRecord(1, 1.25, 0.5, 1.0, 0.9, 2, 28.75),
+               IterationRecord(2, 1.0, 0.25, 1.0, 0.8, 0)]
     text = records_to_csv(records)
     assert text.splitlines()[0] == ("iteration,mean_nn_distance,mean_projection_norm,"
-                                    "train_acc,test_acc,unconverged_count")
+                                    "train_acc,test_acc,unconverged_count,global_difference")
     back = records_from_csv(text)
-    assert back[0].train_accuracy is None
+    assert back == records
+    assert back[0].train_accuracy is None and back[0].global_difference is None
     assert back[1].mean_nn_distance == 1.25
     assert back[1].unconverged_count == 2
+    assert back[1].global_difference == 28.75
     with pytest.raises(ValueError):
         records_from_csv("nope\n1,2\n")
 
@@ -98,6 +105,25 @@ def test_run_directory_layout_and_determinism(tmp_path):
     assert manifest["completed_iterations"] == cfg.iterations
 
 
+# phi_1..phi_3 of small_config(master_seed=4, iterations=4), in which every
+# projection converged, as the two-network re-projection that the
+# global_difference column replaced computed them (f = net k, g = net k+1)
+FROZEN_PHI = [None, 27.91760540986937, 29.602000417236884, 29.0, None]
+
+
+def test_global_difference_column_matches_the_frozen_reprojection(tmp_path):
+    records = run_iterative_projection(small_config(master_seed=4, iterations=4),
+                                       out_dir=tmp_path / "run")
+    assert all(r.unconverged_count == 0 for r in records)
+    for record, phi in zip(records, FROZEN_PHI, strict=True):
+        if phi is None:
+            assert record.global_difference is None
+        else:
+            assert record.global_difference == pytest.approx(phi, rel=1e-12, abs=1e-12)
+    rows = (tmp_path / "run" / "records.csv").read_text().splitlines()
+    assert rows[1].endswith(",0,") and rows[-1].endswith(",0,")
+
+
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     cfg = small_config(master_seed=2, iterations=4)
     full = run_iterative_projection(cfg, out_dir=tmp_path / "full")
@@ -106,7 +132,10 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
                              out_dir=partial_dir, stop_after=2)
     manifest = json.loads((partial_dir / "manifest.json").read_text())
     assert manifest["status"] == "running"
+    assert records_from_csv((partial_dir / "records.csv").read_text())[2].global_difference is None
     resumed = checkpoint_resume(partial_dir)
+    # record 2's phi needs working set 1, which the resume reads back
+    assert resumed[2].global_difference is not None
     assert records_to_csv(resumed) == records_to_csv(full)
     assert ((partial_dir / "records.csv").read_bytes()
             == (tmp_path / "full" / "records.csv").read_bytes())
@@ -132,14 +161,16 @@ def test_resume_refuses_older_manifest_format(tmp_path):
     path = tmp_path / "run" / "manifest.json"
     current = path.read_text()
     # version 2 saved a projector section, version 3 the SGD and Adam settings,
-    # version 4 the training seed and the three experiment fractions
+    # version 4 the training seed and the three experiment fractions; version 5
+    # had the same config, but its records.csv had no global_difference column
     for version, edit in (
             (2, lambda c: c.update(projector={"boundary_tolerance": 1e-6, "max_newton_steps": 200})),
             (3, lambda c: c["train"].update(momentum=0.9, adam_betas=[0.9, 0.999],
                                             adam_epsilon=1e-8)),
             (4, lambda c: c.update(train={**c["train"], "seed": 0},
                                    unconverged_abort_fraction=0.1, eval_fraction=0.25,
-                                   test_fraction=0.25))):
+                                   test_fraction=0.25)),
+            (5, lambda c: None)):
         manifest = json.loads(current)
         manifest["format_version"] = version
         edit(manifest["config"])

@@ -35,3 +35,21 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Absolute names of the modules a blab module imports from."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "blab." * (node.level > 0) + (node.module or "")
+            modules.update([base] if node.module else (base + a.name for a in node.names))
+    return modules
+
+
+def test_metrics_needs_neither_the_solver_nor_the_networks():
+    # the instruments read working sets only, so metrics sits below boundary and nn
+    assert _imported_modules("from . import nn\nfrom .data import D\n") == {"blab.nn", "blab.data"}
+    assert not _imported_modules((SRC / "metrics.py").read_text()) & {"blab.boundary", "blab.nn"}

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.data import Dataset
-from blab.metrics import estimate_global_difference, nearest_opposite_mean_distance
-from helpers import linear_net
+from blab.metrics import global_difference, nearest_opposite_mean_distance
 
 
 def test_nearest_opposite_mean_distance_frozen():
@@ -36,25 +35,30 @@ def test_nearest_opposite_distance_is_isometry_invariant(angle, shift):
 
 
 def test_global_difference_orthogonal_reprojection_contributes_nothing():
-    # f projects along x onto x0 = 0, g projects along y onto y = 0.5;
+    # f projects along x onto x = 0, g projects along y onto y = 0.5;
     # orthogonal directions, so no alpha credit and phi = s
-    f_net = linear_net([1.0, 0.0], 0.0)
-    g_net = linear_net([0.0, 1.0], -0.5)
-    original = Dataset(np.array([[-2.0, 0.0], [2.0, 1.0]]), np.array([0, 1]))
-    projected = Dataset(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-    est = estimate_global_difference(f_net, original, projected, g_net)
+    prev = np.array([[-2.0, 0.0], [2.0, 1.0]])
+    cur = np.array([[0.0, 0.0], [0.0, 1.0]])
+    nxt = np.array([[0.0, 0.5], [0.0, 0.5]])
+    est = global_difference(prev, cur, nxt)
     assert est.phi == pytest.approx(2.0)
     assert est.aligned_count == 0 and est.misaligned_count == 2
     np.testing.assert_allclose(est.alphas, 0.0)
 
 
-def test_global_difference_rejects_non_separator():
-    f_net = linear_net([1.0, 0.0], 0.0)
-    g_net = linear_net([1.0, 0.0], 5.0)  # everything lands on one side
-    original = Dataset(np.array([[-2.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
-    projected = Dataset(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-    with pytest.raises(ValueError, match="separator"):
-        estimate_global_difference(f_net, original, projected, g_net)
+def test_global_difference_credits_collinear_steps_and_nothing_for_samples_that_stayed():
+    prev = np.array([[-2.0, 0.0], [4.0, 0.0], [1.0, 1.0], [3.0, 3.0], [0.0, 6.0]])
+    cur = np.array([[-1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0, 3.0], [0.0, 4.0]])
+    nxt = np.array([[-0.5, 0.0], [-1.0, 0.0], [0.0, 1.0], [2.0, 3.0], [0.1, 3.0]])
+    est = global_difference(prev, cur, nxt)
+    # 0: g half as long as f, same direction; 1: g longer than f, clamped to 1;
+    # 2: f did not move (an unconverged projection); 3: g did not move, which
+    # counts as collinear with alpha 0; 4: cosine 1 / sqrt(1.01) ~ 0.995,
+    # |g| / |f| = sqrt(1.01) / 2
+    np.testing.assert_allclose(est.alphas, [0.5, 1.0, 0.0, 0.0, np.sqrt(1.01) / 2],
+                               rtol=1e-15)
+    assert est.aligned_count == 4 and est.misaligned_count == 1
+    assert est.phi == pytest.approx(5.0 - 1.5 - np.sqrt(1.01) / 2, rel=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784)])
