@@ -189,11 +189,14 @@ def records_from_csv(text: str) -> list[IterationRecord]:
     if not lines or not lines[0].startswith("iteration,"):
         raise DataError("not a records CSV")
     records = []
-    for line in lines[1:]:
-        it, nn, pn, tr, te, uc, gd = line.split(",")
-        records.append(IterationRecord(int(it), float(nn), float(pn),
-                                       float(tr) if tr else None, float(te) if te else None,
-                                       int(uc), float(gd) if gd else None))
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            it, nn, pn, tr, te, uc, gd = line.split(",")
+            records.append(IterationRecord(int(it), float(nn), float(pn),
+                                           float(tr) if tr else None, float(te) if te else None,
+                                           int(uc), float(gd) if gd else None))
+        except ValueError as e:
+            raise DataError(f"records CSV line {n}: {e}") from e
     return records
 
 
@@ -269,12 +272,18 @@ def _iterate(cfg: ExperimentConfig, prev: np.ndarray | None, data: Dataset,
     k = start_iter
     try:
         for k in range(start_iter, cfg.iterations + 1):
-            net, report = _train_fresh(cfg.dims, data, cfg.train,
-                                       derive_seed(cfg.master_seed, SEED_ITER, k))
+            seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
+            try:
+                net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
+            except TrainingDivergence as e:
+                raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
             if report.stopped_reason != "criterion_met":
                 raise abort(k, "aborted_training", "training hit the epoch cap "
                             f"(accuracy {report.final_train_accuracy:.3f})")
-            projected, results = project_dataset(net, data)
+            try:
+                projected, results = project_dataset(net, data)
+            except ProjectionError as e:
+                raise abort(k, "aborted_projection", str(e)) from e
             unconverged = sum(not r.converged for r in results)
             if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
                 raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
@@ -302,10 +311,6 @@ def _iterate(cfg: ExperimentConfig, prev: np.ndarray | None, data: Dataset,
                                        started, test_data is not None)
             if stop_after is not None and k >= stop_after:
                 break
-    except TrainingDivergence as e:
-        raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
-    except ProjectionError as e:
-        raise abort(k, "aborted_projection", str(e)) from e
     except KeyboardInterrupt:
         abort(k, "interrupted", "interrupted")
         raise
@@ -454,23 +459,19 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     train_cfg = TrainConfig(learning_rate=1e-2, max_epochs=5000,
                             batch_size=len(data), accuracy_target=0.99)
 
-    sigs, nets, all_results = [], [], []
-    failures = 0
+    sigs, nets, all_results = [], [], []  # of the trials that did not fail
     for t in range(trials):
         seed_t = derive_seed(master_seed, SEED_TRIAL, t)
         net = init_network(SYMMETRY_DIMS, seed_t)
         try:
             report = train(net, data, train_cfg, seed_t)
         except TrainingDivergence:
-            failures += 1
             continue
         if report.stopped_reason != "criterion_met":
-            failures += 1
             continue
         # the signature: every layout point's unit projection direction
         _, results = project_dataset(net, data)
         if not all(r.converged and r.distance != 0 for r in results):
-            failures += 1
             continue
         sigs.append(np.array([r.vector / r.distance for r in results]))
         all_results.append(results)
@@ -501,7 +502,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         "layout": layout_kind,
         "perturb": perturb,
         "trials": trials,
-        "failed_trials": failures,
+        "failed_trials": trials - len(nets),
         "cluster_count": len(reps),
         "cluster_sizes": sizes,
         "dominant_fraction": (sizes[0] / len(sigs)) if sigs else 0.0,

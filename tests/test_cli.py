@@ -188,7 +188,7 @@ def test_iterations_flag_is_the_last_override(tmp_path, capsys):
 
 
 def test_empty_held_out_split_exits_3_naming_per_class(tmp_path, capsys):
-    # 0.25 of 2 samples per class rounds to 0, for gentrack's test set and transfer's evaluation set
+    # 0.25 of 2 samples per class rounds to 0: gentrack's test set, transfer's evaluation set
     transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
     for k, (command, config) in enumerate((("gentrack", CONFIG), ("transfer", transfer_cfg))):
         out = tmp_path / f"out{k}"
@@ -321,11 +321,17 @@ def test_interrupt_ends_the_run_cleanly_and_resumes_byte_identical(tmp_path, mon
             assert (cut / sub / name).read_bytes() == (full / sub / name).read_bytes()
 
 
-def test_plot_missing_records_is_data_error(tmp_path):
+def test_plot_missing_records_is_data_error(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "none.csv"), str(tmp_path / "o.svg")]) == EXIT_DATA
     garbage = tmp_path / "g.csv"
     garbage.write_text("not,a,records\nfile,0,0\n")
     assert main(["plot", str(garbage), str(tmp_path / "o.svg")]) == EXIT_DATA
+    # a version-5 run wrote no global_difference column
+    old = tmp_path / "old.csv"
+    old.write_text("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
+                   "unconverged_count\n0,3.0,0.0,,,0\n")
+    assert main(["plot", str(old), str(tmp_path / "o.svg")]) == EXIT_DATA
+    assert "records CSV line 2" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):
