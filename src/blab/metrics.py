@@ -54,9 +54,9 @@ def global_difference(prev: np.ndarray, cur: np.ndarray,
 
     f = W_k - W_{k-1} are net k's projection vectors and g = W_{k+1} - W_k
     net k+1's; net k+1 separates W_k, so it is one concrete re-separator.
-    An unconverged sample did not move, so its vector is zero. A sample f
-    moved whose g vector is near-collinear with its f vector (cosine >=
-    ALIGNED_COSINE; a zero g counts as collinear) contributes
+    An unconverged sample did not move, so its vector is zero. A sample that
+    f moved, and whose g vector is near-collinear with its f vector (cosine
+    >= ALIGNED_COSINE; a zero g counts as collinear), contributes
     alpha = min(|g| / |f|, 1); every other sample contributes 0.
     phi = s - sum(alpha). This is a lower-bound-style stand-in for the exact
     maximization over all separators of W_k, which is intractable.
