@@ -2,5 +2,5 @@
 
 __version__ = "0.1.0"
 
-from .data import Dataset, SymmetricLayout  # noqa: F401
+from .data import Dataset  # noqa: F401
 from .nn import MlpNetwork, TrainConfig, TrainReport  # noqa: F401

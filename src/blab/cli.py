@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verify-suite failure, 2 config error, 3 data error,
 4 numeric failure (training divergence or projection breakdown), 130
-interrupted (Ctrl-C).
+interrupted (Ctrl-C). Any other error is a fault in blab, not in its input,
+and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -11,20 +12,21 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .boundary import ProjectionError
 from .config import ConfigError, parse_config, serialize_config
-from .data import LAYOUT_KINDS, DataError, export_csv, save_idx
-from .experiments import (DatasetSpec, ExperimentError, build_dataset, records_from_csv,
-                          run_generalization_tracking, run_iterative_projection,
-                          run_symmetry_experiment, run_transfer)
+from .data import LAYOUT_KINDS, DataError, export_csv, read_utf8, save_idx
+from .experiments import (TRANSFER_MODES, DatasetSpec, ExperimentError, build_dataset,
+                          records_from_csv, run_generalization_tracking,
+                          run_iterative_projection, run_symmetry_experiment, run_transfer)
 from .fileio import atomic_write_text
 from .nn import TrainingDivergence
 from .svg import line_chart
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -78,15 +80,8 @@ def cmd_cascade(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg = parse_config(args.config, _overrides(args.set))
-    report = run_transfer(cfg, args.mode, kappa=args.kappa)
+    payload = asdict(run_transfer(cfg, args.mode, kappa=args.kappa))
     out = Path(args.out or "transfer_report.json")
-    payload = {
-        "mode": report.mode, "kappa": report.kappa, "valid": report.valid,
-        "n_samples": report.n_samples,
-        "fooling_rate_transfer": report.fooling_rate_transfer,
-        "fooling_rate_source": report.fooling_rate_source,
-        "fooling_rate_random_baseline": report.fooling_rate_random_baseline,
-    }
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -106,7 +101,7 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return EXIT_CONFIG
-    results, failing = run_suite(args.suite)
+    results, failing = SUITES[args.suite]()
     all_ok = True
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -120,8 +115,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    text = Path(args.records).read_text()
-    records = records_from_csv(text)
+    records = records_from_csv(read_utf8(args.records))
     if not records:
         raise DataError("records CSV has no rows")
     _records_chart(records, args.out)
@@ -177,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("transfer", help="adversarial transferability experiment")
     common(sp)
-    sp.add_argument("--mode", choices=["cross_model", "cross_training_set"],
+    sp.add_argument("--mode", choices=TRANSFER_MODES,
                     default="cross_training_set")
     sp.add_argument("--kappa", type=_finite_float, default=None)
     sp.set_defaults(fn=cmd_transfer)
@@ -231,9 +225,6 @@ def main(argv=None) -> int:
     except (ExperimentError, TrainingDivergence, ProjectionError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -13,12 +13,9 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from .data import ConfigError
 from .experiments import DatasetSpec, ExperimentConfig
 from .nn import TrainConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _keys(cls, exclude=()) -> dict:
@@ -88,10 +85,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
             setattr(_target(cfg, section), key, _parse_value(_SCHEMA[section][key], value))
         except ValueError as e:
             raise ConfigError(f"bad value for {section}.{key}: {value!r}") from e
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    cfg.validate()
     return cfg
 
 

@@ -15,6 +15,10 @@ IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
 
+class ConfigError(ValueError):
+    """A setting that is wrong whatever the data holds."""
+
+
 class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
 
@@ -25,7 +29,6 @@ class Dataset:
 
     samples: np.ndarray
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -48,16 +51,15 @@ class Dataset:
         return 0 in self.labels and 1 in self.labels
 
     def with_samples(self, samples: np.ndarray) -> "Dataset":
-        return Dataset(samples, self.labels.copy(), self.name)
+        return Dataset(samples, self.labels.copy())
 
 
-@dataclass
-class SymmetricLayout:
-    """Curated point layout admitting more than one valid projection set."""
-
-    kind: str
-    dataset: Dataset
-    symmetry_group_note: str = ""
+def read_utf8(path) -> str:
+    """A file's UTF-8 text; DataError if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def _read_be_u32(f, path) -> int:
@@ -94,7 +96,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         labels = np.frombuffer(raw, dtype=np.uint8)
     if label_count != count:
         raise DataError(f"image/label count mismatch: {count} images vs {label_count} labels")
-    return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64), name=images_path.stem)
+    return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
 def save_idx(data: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
@@ -123,7 +125,7 @@ def filter_binary(data: Dataset, class_a: int, class_b: int) -> Dataset:
     keep = mask_a | mask_b
     samples = data.samples[keep]
     labels = np.where(data.labels[keep] == class_b, 1, 0)
-    return Dataset(samples, labels, name=f"{data.name}_{class_a}v{class_b}")
+    return Dataset(samples, labels)
 
 
 def sample_balanced(data: Dataset, total: int, seed: int) -> Dataset:
@@ -139,7 +141,7 @@ def sample_balanced(data: Dataset, total: int, seed: int) -> Dataset:
             raise DataError(f"class {cls} has only {len(idx)} samples, need {half}")
         picked.append(rng.choice(idx, size=half, replace=False))
     order = np.sort(np.concatenate(picked))
-    return Dataset(data.samples[order], data.labels[order], name=f"{data.name}_sub{total}")
+    return Dataset(data.samples[order], data.labels[order])
 
 
 def gen_gaussian_blobs(n: int, per_class: int, centers, sigma: float, seed: int) -> Dataset:
@@ -154,31 +156,32 @@ def gen_gaussian_blobs(n: int, per_class: int, centers, sigma: float, seed: int)
     pts1 = c1 + sigma * rng.standard_normal((per_class, n))
     samples = np.vstack([pts0, pts1])
     labels = np.concatenate([np.zeros(per_class, dtype=np.int64), np.ones(per_class, dtype=np.int64)])
-    return Dataset(samples, labels, name=f"blobs{n}d")
+    return Dataset(samples, labels)
 
 
 LAYOUT_KINDS = ("square_xor", "mirrored_pairs")
 
 
-def gen_symmetric_layout(kind: str, perturb: float = 0.0) -> SymmetricLayout:
-    """Built-in symmetric layouts; perturb > 0 shifts one point to break the symmetry."""
+def gen_symmetric_layout(kind: str, perturb: float = 0.0) -> Dataset:
+    """Built-in point layouts admitting more than one valid projection set;
+    perturb > 0 shifts one point to break the symmetry."""
     if kind == "square_xor":
+        # class 0 on the x-axis, class 1 on the y-axis; both diagonal lines are
+        # optimal boundaries and every point is equidistant to the two, so at
+        # least two projection assignments exist
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
-        note = ("class 0 on the x-axis, class 1 on the y-axis; both diagonal lines are "
-                "optimal boundaries and every point is equidistant to the two, so at "
-                "least two projection assignments exist")
     elif kind == "mirrored_pairs":
+        # two opposite-class pairs mirrored about the x-axis; reflecting the
+        # layout swaps the pairs without changing the point set
         pts = np.array([[-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
-        note = ("two opposite-class pairs mirrored about the x-axis; reflecting the "
-                "layout swaps the pairs without changing the point set")
     else:
         raise DataError(f"unknown layout kind: {kind!r}")
     if perturb:
         pts = pts.copy()
         pts[0] = pts[0] + np.array([perturb, perturb]) / np.sqrt(2.0)
-    return SymmetricLayout(kind, Dataset(pts, labels, name=kind), note)
+    return Dataset(pts, labels)
 
 
 def export_csv(data: Dataset, path) -> None:
@@ -191,11 +194,7 @@ def export_csv(data: Dataset, path) -> None:
 
 def import_csv(path) -> Dataset:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
-    with io.StringIO(text) as f:
+    with io.StringIO(read_utf8(path)) as f:
         header = f.readline().strip().split(",")
         if header[0] != "label":
             raise DataError(f"{path}: expected dataset CSV header starting with 'label'")
@@ -216,4 +215,4 @@ def import_csv(path) -> Dataset:
                 raise DataError(f"{path}, line {lineno}: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), name=path.stem)
+    return Dataset(np.array(rows), np.array(labels))

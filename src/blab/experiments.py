@@ -15,8 +15,9 @@ import numpy as np
 from . import __version__
 from .boundary import (ProjectionError, adversarial_overshoot, export_projection_csv,
                        project_dataset, project_to_boundary)
-from .data import (DataError, Dataset, export_csv, filter_binary, gen_gaussian_blobs,
-                   gen_symmetric_layout, import_csv, load_idx, sample_balanced)
+from .data import (LAYOUT_KINDS, ConfigError, DataError, Dataset, export_csv, filter_binary,
+                   gen_gaussian_blobs, gen_symmetric_layout, import_csv, load_idx,
+                   sample_balanced)
 from .fileio import atomic_write_text
 from .metrics import global_difference, nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_finite_fields,
@@ -36,6 +37,8 @@ SYMMETRY_DIMS = (2, 16, 2)
 SYMMETRY_CLUSTER_COS = 0.3  # mean per-point cosine that puts two trials in one cluster
 UNCONVERGED_ABORT_FRACTION = 0.10  # a cascade aborts past this fraction of unconverged projections
 HELD_OUT_FRACTION = 0.25  # of each class: transfer's evaluation set, gentrack's test set
+DATASET_SOURCES = ("blobs", "idx", "csv", "symmetric")
+TRANSFER_MODES = ("cross_model", "cross_training_set")
 
 
 class ExperimentError(RuntimeError):
@@ -45,7 +48,7 @@ class ExperimentError(RuntimeError):
 
 @dataclass
 class DatasetSpec:
-    source: str = "blobs"  # blobs | idx | csv | symmetric
+    source: str = "blobs"  # one of DATASET_SOURCES
     seed: int = 0
     # blobs
     dim: int = 2
@@ -65,22 +68,28 @@ class DatasetSpec:
 
     def validate(self) -> None:
         check_finite_fields(self)
+        if self.source not in DATASET_SOURCES:
+            raise ConfigError(f"unknown dataset source {self.source!r}; "
+                              f"choose from {', '.join(DATASET_SOURCES)}")
+        if self.layout_kind not in LAYOUT_KINDS:
+            raise ConfigError(f"unknown dataset layout_kind {self.layout_kind!r}; "
+                              f"choose from {', '.join(LAYOUT_KINDS)}")
         if self.dim < 1:
-            raise ValueError("dataset dim must be >= 1")
+            raise ConfigError("dataset dim must be >= 1")
         if self.per_class < 1:
-            raise ValueError("dataset per_class must be >= 1")
+            raise ConfigError("dataset per_class must be >= 1")
         if self.sigma <= 0:
-            raise ValueError("dataset sigma must be positive")
+            raise ConfigError("dataset sigma must be positive")
         if self.subset < 0 or self.subset % 2:
-            raise ValueError("dataset subset must be even and >= 0 (0 keeps everything)")
+            raise ConfigError("dataset subset must be even and >= 0 (0 keeps everything)")
         if self.class_a == self.class_b:
-            raise ValueError("dataset class_a and class_b must differ")
+            raise ConfigError("dataset class_a and class_b must differ")
 
 
 def _check_kappa(kappa: float) -> None:
     if not kappa > 0:
-        raise ValueError(f"kappa must be positive (an overshoot crosses the boundary "
-                         f"only for kappa > 0), got {kappa!r}")
+        raise ConfigError(f"kappa must be positive (an overshoot crosses the boundary "
+                          f"only for kappa > 0), got {kappa!r}")
 
 
 @dataclass
@@ -97,7 +106,7 @@ class ExperimentConfig:
         check_finite_fields(self)
         self.dataset.validate()
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1")
         _check_kappa(self.kappa)
         self.train.validate()
 
@@ -115,38 +124,45 @@ class IterationRecord:
 
 @dataclass
 class TransferReport:
+    """Fields in the order of the report's keys."""
+
+    mode: str
+    kappa: float
+    valid: bool
+    n_samples: int
     fooling_rate_transfer: float
     fooling_rate_source: float
     fooling_rate_random_baseline: float
-    kappa: float
-    mode: str
-    valid: bool = True
-    n_samples: int = 0
 
 
 def build_dataset(spec: DatasetSpec) -> Dataset:
+    """The dataset a spec describes; DataError unless it holds both classes."""
     if spec.source == "blobs":
         half = spec.center_distance / 2.0
         c0 = np.zeros(spec.dim)
         c1 = np.zeros(spec.dim)
         c0[0], c1[0] = -half, half
-        return gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, spec.seed)
-    if spec.source == "idx":
+        data = gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, spec.seed)
+    elif spec.source == "idx":
         data = load_idx(spec.images_path, spec.labels_path)
         data = filter_binary(data, spec.class_a, spec.class_b)
         if spec.subset:
             data = sample_balanced(data, spec.subset, spec.seed)
-        return data
-    if spec.source == "csv":
-        return import_csv(spec.csv_path)
-    if spec.source == "symmetric":
-        return gen_symmetric_layout(spec.layout_kind).dataset
-    raise ValueError(f"unknown dataset source {spec.source!r}")
+    elif spec.source == "csv":
+        data = import_csv(spec.csv_path)
+    elif spec.source == "symmetric":
+        data = gen_symmetric_layout(spec.layout_kind)
+    else:
+        raise ConfigError(f"unknown dataset source {spec.source!r}")
+    if not data.both_classes_present():
+        raise DataError("dataset must contain both classes")
+    return data
 
 
 def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic per-class split. The second part gets round(n * fraction)
-    of each class's n samples, halves rounding to even: 10 at 0.25 gives 2."""
+    of each class's n samples, halves rounding to even: 10 at 0.25 gives 2.
+    DataError if either part is empty or lacks a class."""
     rng = make_rng(seed, stream=0x5B117)
     take_a, take_b = [], []
     for cls in (0, 1):
@@ -160,8 +176,12 @@ def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset
     if len(b) == 0:
         raise DataError(f"held-out split is empty: {fraction} of each class rounds to 0 "
                         f"({len(a)} samples in all); raise dataset.per_class")
-    return (Dataset(data.samples[a], data.labels[a], data.name + "_a"),
-            Dataset(data.samples[b], data.labels[b], data.name + "_b"))
+    parts = Dataset(data.samples[a], data.labels[a]), Dataset(data.samples[b], data.labels[b])
+    for part, what in zip(parts, ("remaining", "held-out")):
+        if not part.both_classes_present():
+            raise DataError(f"{what} split holds one class only ({fraction} of each class split "
+                            f"off, {len(a)}/{len(b)} samples); raise dataset.per_class")
+    return parts
 
 
 def _train_fresh(dims, data: Dataset, cfg: TrainConfig, seed: int) -> tuple[MlpNetwork, "TrainReport"]:
@@ -320,17 +340,12 @@ def _iterate(cfg: ExperimentConfig, prev: np.ndarray | None, data: Dataset,
 def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """The (train, test) split of generalization tracking; the config alone
     determines it, so a resumed run re-derives the same test set."""
-    train_part, test_part = stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
-                                             derive_seed(cfg.master_seed, SEED_SPLIT))
-    if not test_part.both_classes_present():
-        raise ExperimentError("test split is single-class")
-    return train_part, test_part
+    return stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
+                            derive_seed(cfg.master_seed, SEED_SPLIT))
 
 
 def _run(cfg: ExperimentConfig, data: Dataset, test_data: Dataset | None, out_dir,
          stop_after: int | None) -> list[IterationRecord]:
-    if not data.both_classes_present():
-        raise ExperimentError("dataset must contain both classes")
     check_layer_dims(cfg.dims, data.dim)
     run_dir = None
     started = time.time()
@@ -394,29 +409,30 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
     if kappa is not None:
         cfg = replace(cfg, kappa=kappa)
     cfg.validate()
-    if mode not in ("cross_model", "cross_training_set"):
-        raise ValueError(f"unknown transfer mode {mode!r}")
+    if mode not in TRANSFER_MODES:
+        raise ConfigError(f"unknown transfer mode {mode!r}")
+    if mode == "cross_model" and cfg.dims_b is None:
+        raise ConfigError("cross_model transfer needs a second architecture (dims_b)")
     kappa = cfg.kappa
 
     full = build_dataset(cfg.dataset)
+    dims_a = check_layer_dims(cfg.dims, full.dim)
+    dims_b = check_layer_dims(cfg.dims_b, full.dim) if mode == "cross_model" else dims_a
     pool, eval_data = stratified_split(full, HELD_OUT_FRACTION,
                                        derive_seed(cfg.master_seed, SEED_SPLIT))
     if mode == "cross_training_set":
         data_a, data_b = stratified_split(pool, 0.5, derive_seed(cfg.master_seed, SEED_SPLIT, 1))
-        dims_a = dims_b = cfg.dims
     else:
         data_a = data_b = pool
-        dims_a = cfg.dims
-        dims_b = cfg.dims_b or cfg.dims
-        if dims_b == dims_a and cfg.dims_b is None:
-            raise ValueError("cross_model transfer needs a second architecture (dims_b)")
 
     net_a, _ = _train_fresh(dims_a, data_a, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 0))
     net_b, _ = _train_fresh(dims_b, data_b, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 1))
-    valid = accuracy(net_b, eval_data) >= 0.90 and accuracy(net_a, eval_data) >= 0.90
+    correct_a = is_correct(margin_batch(net_a, eval_data.samples), eval_data.labels)
+    correct_b = is_correct(margin_batch(net_b, eval_data.samples), eval_data.labels)
+    # a Python bool: json.dumps refuses numpy.bool_
+    valid = bool(correct_b.mean() >= 0.90 and correct_a.mean() >= 0.90)
 
-    ok = (is_correct(margin_batch(net_a, eval_data.samples), eval_data.labels)
-          & is_correct(margin_batch(net_b, eval_data.samples), eval_data.labels))
+    ok = correct_a & correct_b
     xs = eval_data.samples[ok]
     labels = eval_data.labels[ok]
 
@@ -433,16 +449,18 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
         base.append(b)
         kept.append(lab)
     if not adv:
-        return TransferReport(0.0, 0.0, 0.0, kappa, mode, valid=False, n_samples=0)
+        return TransferReport(mode=mode, kappa=kappa, valid=False, n_samples=0,
+                              fooling_rate_transfer=0.0, fooling_rate_source=0.0,
+                              fooling_rate_random_baseline=0.0)
     adv = np.array(adv)
     base = np.array(base)
     kept = np.array(kept)
 
     return TransferReport(
+        mode=mode, kappa=kappa, valid=valid, n_samples=len(kept),
         fooling_rate_transfer=_fooling_rate(net_b, adv, kept),
         fooling_rate_source=_fooling_rate(net_a, adv, kept),
-        fooling_rate_random_baseline=_fooling_rate(net_b, base, kept),
-        kappa=kappa, mode=mode, valid=valid, n_samples=len(kept))
+        fooling_rate_random_baseline=_fooling_rate(net_b, base, kept))
 
 
 def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
@@ -452,19 +470,17 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     directions of the layout points, and compare adversarial transfer within
     vs across clusters."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     _check_kappa(kappa)
-    layout = gen_symmetric_layout(layout_kind, perturb)
-    data = layout.dataset
+    data = gen_symmetric_layout(layout_kind, perturb)
     train_cfg = TrainConfig(learning_rate=1e-2, max_epochs=5000,
                             batch_size=len(data), accuracy_target=0.99)
 
     sigs, nets, all_results = [], [], []  # of the trials that did not fail
     for t in range(trials):
-        seed_t = derive_seed(master_seed, SEED_TRIAL, t)
-        net = init_network(SYMMETRY_DIMS, seed_t)
         try:
-            report = train(net, data, train_cfg, seed_t)
+            net, report = _train_fresh(SYMMETRY_DIMS, data, train_cfg,
+                                       derive_seed(master_seed, SEED_TRIAL, t))
         except TrainingDivergence:
             continue
         if report.stopped_reason != "criterion_met":

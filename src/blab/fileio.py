@@ -8,15 +8,11 @@ from pathlib import Path
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
-
-
-def atomic_write_bytes(path, payload: bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload)
+            f.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,7 +1,7 @@
 """Network-free geometric ground truth and numeric checks of the
 symmetry-uniqueness argument on raw vector data.
 
-Nothing here imports the network module: closed-form halfspace
+Nothing here imports another blab module: closed-form halfspace
 projections, the exact linear-region split of a 2D ReLU net (given as raw
 weight arrays) and 2D grid search serve as independent oracles for the
 boundary solver, and the claim checkers evaluate the inequality chains on
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-from .data import SymmetricLayout
 
 SUBSET_CAP = 12  # AM-GM sub-step enumerates 2^k subsets; cap k
 ORTHOGONAL_TOLERANCE = 1e-9  # largest |cos| between f and g vectors that counts as orthogonal
@@ -373,17 +371,15 @@ def check_claim2_product(instance: VectorProjectionInstance) -> dict:
 _DIAGONALS = (np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
 
 
-def enumerate_square_xor_projections(layout: SymmetricLayout) -> list[np.ndarray]:
-    """Distinct whole-set projection assignments onto the diagonal-pair boundary.
+def enumerate_square_xor_projections(pts: np.ndarray) -> list[np.ndarray]:
+    """Distinct whole-set projection assignments of the (s, 2) points of a
+    square_xor layout onto the diagonal-pair boundary.
 
     The candidate boundary is the union of the two diagonal lines. For each
     diagonal, the assignment sending every point to its foot on that line is
     valid when no point is strictly closer to the other diagonal; the exact
     square layout yields two assignments, a perturbed one collapses to one.
     """
-    if layout.kind != "square_xor":
-        raise ValueError(f"unsupported layout kind {layout.kind!r} for this enumeration")
-    pts = layout.dataset.samples
     feet, dists = [], []
     for u in _DIAGONALS:
         along = (pts @ u)[:, None] * u[None, :]

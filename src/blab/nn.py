@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import ConfigError, DataError, Dataset
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"BLAB"
@@ -44,11 +44,6 @@ class MlpNetwork:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy(self) -> "MlpNetwork":
-        return MlpNetwork(list(self.layer_dims),
-                          [w.copy() for w in self.weights],
-                          [b.copy() for b in self.biases])
-
     def check_finite(self) -> None:
         for w, b in zip(self.weights, self.biases):
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
@@ -56,12 +51,12 @@ class MlpNetwork:
 
 
 def check_finite_fields(cfg) -> None:
-    """ValueError naming the first float field of a config dataclass that is
+    """ConfigError naming the first float field of a config dataclass that is
     NaN or infinite. A NaN passes every ordered comparison a range check makes."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -75,15 +70,15 @@ class TrainConfig:
     def validate(self) -> None:
         check_finite_fields(self)
         if self.optimizer != "adam":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; adam is the only optimizer")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; adam is the only optimizer")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ConfigError("max_epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if not 0 < self.accuracy_target <= 1:
-            raise ValueError("accuracy_target must be in (0, 1]")
+            raise ConfigError("accuracy_target must be in (0, 1]")
 
 
 @dataclass
@@ -95,17 +90,17 @@ class TrainReport:
 
 
 def check_layer_dims(layer_dims, input_dim: int | None = None) -> list[int]:
-    """Layer widths as ints; ValueError unless they describe a network this
+    """Layer widths as ints; ConfigError unless they describe a network this
     module builds and, when input_dim is given, one that accepts such inputs."""
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2:
-        raise ValueError("need at least an input and an output layer")
+        raise ConfigError("need at least an input and an output layer")
     if any(d <= 0 for d in dims):
-        raise ValueError("all layer dimensions must be positive")
+        raise ConfigError("all layer dimensions must be positive")
     if dims[-1] != 2:
-        raise ValueError("output layer must have exactly 2 logits")
+        raise ConfigError("output layer must have exactly 2 logits")
     if input_dim is not None and dims[0] != input_dim:
-        raise ValueError(f"network input width {dims[0]} != data dimension {input_dim}")
+        raise ConfigError(f"network input width {dims[0]} != data dimension {input_dim}")
     return dims
 
 
@@ -226,11 +221,6 @@ def accuracy(net: MlpNetwork, data: Dataset) -> float:
     return float(is_correct(margin_batch(net, data.samples), data.labels).mean())
 
 
-def _mean_true_class_prob(net: MlpNetwork, data: Dataset) -> float:
-    logp = log_softmax(forward_batch(net, data.samples))
-    return float(np.exp(logp[np.arange(len(data)), data.labels]).mean())
-
-
 def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainReport:
     """Mini-batch NLL training with Adam until every sample is correct and mean
     true-class confidence reaches cfg.accuracy_target, or max_epochs.
@@ -244,14 +234,14 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
     every sample is correct."""
     cfg.validate()
     if not data.both_classes_present():
-        raise ValueError("training data must contain both classes")
+        raise DataError("training data must contain both classes")
     _check_input(net, data.samples)
     batch_size = min(cfg.batch_size, len(data))
 
     mu = data.samples.mean(axis=0)
     sd = data.samples.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    data = Dataset((data.samples - mu) / sd, data.labels, data.name)
+    data = Dataset((data.samples - mu) / sd, data.labels)
 
     def fold_whitening() -> None:
         net.biases[0] = net.biases[0] - net.weights[0] @ (mu / sd)
@@ -308,13 +298,16 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
 
         net.check_finite()
         epoch_loss = float(np.mean(losses))
-        acc = accuracy(net, data)
-        if acc == 1.0 and _mean_true_class_prob(net, data) >= cfg.accuracy_target:
+        # one pass gives both stop tests: every sample correct, and the mean
+        # true-class probability at the target
+        logits = forward_batch(net, data.samples)
+        acc = float(is_correct(logits[:, 1] - logits[:, 0], data.labels).mean())
+        if acc == 1.0 and (np.exp(log_softmax(logits)[np.arange(len(data)), data.labels]).mean()
+                           >= cfg.accuracy_target):
             fold_whitening()
             return TrainReport(epoch + 1, acc, epoch_loss, "criterion_met")
-    final_acc = accuracy(net, data)
     fold_whitening()
-    return TrainReport(cfg.max_epochs, final_acc, epoch_loss, "epoch_cap")
+    return TrainReport(cfg.max_epochs, acc, epoch_loss, "epoch_cap")
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:

@@ -232,9 +232,3 @@ def claims_suite(instances: int = 1000, ratio_samples: int = 100_000,
 
 
 SUITES = {"gradients": gradient_suite, "oracle": oracle_suite, "claims": claims_suite}
-
-
-def run_suite(name: str) -> tuple[list[CheckResult], dict | None]:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name]()

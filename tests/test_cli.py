@@ -4,13 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blab.cli
 import blab.experiments
 from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK, main
 from blab.data import export_csv
-from blab.experiments import DatasetSpec, build_dataset, checkpoint_resume
+from blab.experiments import DatasetSpec, TransferReport, build_dataset, checkpoint_resume
 from blab.nn import TrainingDivergence, margin_batch
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
+TRANSFER_CONFIG = str(Path(CONFIG).with_name("transfer2d.cfg"))
 
 
 def test_show_config_roundtrip(capsys, tmp_path):
@@ -199,6 +201,64 @@ def test_empty_held_out_split_exits_3_naming_per_class(tmp_path, capsys):
         assert not out.exists()
 
 
+ONE_CLASS_CSV = "label,f0,f1\n" + "".join(f"0,{k}.0,{k % 3}.0\n" for k in range(8))
+# 0.25 of class 1's one sample rounds to 0, so the held-out part lacks class 1
+LONE_CLASS_1_CSV = ONE_CLASS_CSV + "1,5.0,5.0\n"
+LONE_CLASS_1_MESSAGE = ("data error: held-out split holds one class only (0.25 of each class "
+                        "split off, 7/2 samples); raise dataset.per_class\n")
+
+
+@pytest.mark.parametrize("argv, rows, message", [
+    (["show-config", CONFIG, "--set", "dataset.source=foo"], None,
+     "config error: unknown dataset source 'foo'; choose from blobs, idx, csv, symmetric\n"),
+    (["iterproj", CONFIG, "--set", "dataset.source=symmetric",
+      "--set", "dataset.layout_kind=hexagon"], None,
+     "config error: unknown dataset layout_kind 'hexagon'; choose from square_xor, "
+     "mirrored_pairs\n"),
+    (["transfer", TRANSFER_CONFIG, "--set", "network.dims=3,4,2"], None,
+     "config error: network input width 3 != data dimension 2\n"),
+    (["transfer", TRANSFER_CONFIG, "--mode", "cross_model", "--set", "experiment.dims_b=3,4,2"],
+     None, "config error: network input width 3 != data dimension 2\n"),
+    (["iterproj", CONFIG], ONE_CLASS_CSV, "data error: dataset must contain both classes\n"),
+    (["gentrack", CONFIG], ONE_CLASS_CSV, "data error: dataset must contain both classes\n"),
+    (["transfer", TRANSFER_CONFIG], ONE_CLASS_CSV,
+     "data error: dataset must contain both classes\n"),
+    (["gentrack", CONFIG], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
+    (["transfer", TRANSFER_CONFIG], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
+], ids=["unknown-source", "unknown-layout", "dims-width", "dims_b-width", "iterproj-one-class",
+        "gentrack-one-class", "transfer-one-class", "gentrack-split-lacks-class",
+        "transfer-split-lacks-class"])
+def test_input_faults_exit_with_their_class_code_before_training(
+        tmp_path, monkeypatch, capsys, argv, rows, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network for a run that should have been refused")
+
+    monkeypatch.setattr(blab.experiments, "train", no_training)
+    if rows is not None:
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        argv = argv + ["--set", "dataset.source=csv", "--set", f"dataset.csv_path={data}"]
+    out = tmp_path / "out"
+    code = EXIT_CONFIG if message.startswith("config error") else EXIT_DATA
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch):
+    # the keys and their order of the report that transfer writes
+    report = TransferReport(mode="cross_model", kappa=0.1, valid=True, n_samples=40,
+                            fooling_rate_transfer=0.825, fooling_rate_source=1.0,
+                            fooling_rate_random_baseline=0.15)
+    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode, kappa=None: report)
+    out = tmp_path / "report.json"
+    assert main(["transfer", TRANSFER_CONFIG, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (
+        b'{\n  "mode": "cross_model",\n  "kappa": 0.1,\n  "valid": true,\n'
+        b'  "n_samples": 40,\n  "fooling_rate_transfer": 0.825,\n'
+        b'  "fooling_rate_source": 1.0,\n  "fooling_rate_random_baseline": 0.15\n}\n')
+
+
 def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
     out = tmp_path / "report.json"
     for trials in ("0", "-2"):
@@ -332,8 +392,22 @@ def test_plot_missing_records_is_data_error(tmp_path, capsys):
                    "unconverged_count\n0,3.0,0.0,,,0\n")
     assert main(["plot", str(old), str(tmp_path / "o.svg")]) == EXIT_DATA
     assert "records CSV line 2" in capsys.readouterr().err
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"iteration,mean_nn_distance\xff\n")
+    assert main(["plot", str(latin), str(tmp_path / "o.svg")]) == EXIT_DATA
+    assert "latin.csv: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == EXIT_CONFIG
     assert "unknown suite" in capsys.readouterr().err
+
+
+def test_verify_lets_an_internal_error_propagate(monkeypatch):
+    # a fault in blab itself is not reported as a config error
+    def broken_suite():
+        raise ValueError("no decision boundary inside bounds")
+
+    monkeypatch.setitem(blab.cli.SUITES, "oracle", broken_suite)
+    with pytest.raises(ValueError, match="no decision boundary"):
+        main(["verify", "oracle"])

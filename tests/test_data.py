@@ -134,17 +134,17 @@ def test_gen_gaussian_blobs():
 
 def test_symmetric_layouts():
     sq = gen_symmetric_layout("square_xor")
-    np.testing.assert_array_equal(sq.dataset.labels, [0, 0, 1, 1])
-    assert sq.dataset.samples.shape == (4, 2)
+    np.testing.assert_array_equal(sq.labels, [0, 0, 1, 1])
+    assert sq.samples.shape == (4, 2)
     mp = gen_symmetric_layout("mirrored_pairs")
-    assert mp.kind == "mirrored_pairs"
+    np.testing.assert_array_equal(mp.labels, [0, 0, 1, 1])
     with pytest.raises(DataError):
         gen_symmetric_layout("hexagon")
 
 
 def test_layout_perturbation_moves_one_point():
-    base = gen_symmetric_layout("square_xor").dataset.samples
-    pert = gen_symmetric_layout("square_xor", perturb=0.3).dataset.samples
+    base = gen_symmetric_layout("square_xor").samples
+    pert = gen_symmetric_layout("square_xor", perturb=0.3).samples
     moved = np.linalg.norm(pert - base, axis=1)
     assert moved[0] == pytest.approx(0.3)
     np.testing.assert_array_equal(pert[1:], base[1:])

@@ -300,8 +300,7 @@ def test_instance_json_roundtrip():
 
 
 def test_square_xor_admits_two_projection_sets():
-    layout = gen_symmetric_layout("square_xor")
-    assignments = enumerate_square_xor_projections(layout)
+    assignments = enumerate_square_xor_projections(gen_symmetric_layout("square_xor").samples)
     assert len(assignments) == 2
     for feet in assignments:
         # every foot sits on one of the two diagonals
@@ -311,6 +310,4 @@ def test_square_xor_admits_two_projection_sets():
 
 def test_perturbed_square_xor_collapses_to_one():
     layout = gen_symmetric_layout("square_xor", perturb=0.4)
-    assert len(enumerate_square_xor_projections(layout)) == 1
-    with pytest.raises(ValueError):
-        enumerate_square_xor_projections(gen_symmetric_layout("mirrored_pairs"))
+    assert len(enumerate_square_xor_projections(layout.samples)) == 1

@@ -53,3 +53,9 @@ def test_metrics_needs_neither_the_solver_nor_the_networks():
     # the instruments read working sets only, so metrics sits below boundary and nn
     assert _imported_modules("from . import nn\nfrom .data import D\n") == {"blab.nn", "blab.data"}
     assert not _imported_modules((SRC / "metrics.py").read_text()) & {"blab.boundary", "blab.nn"}
+
+
+def test_geometry_imports_no_blab_module():
+    # the oracles stay independent of the data model, the networks and the solver
+    assert not {m for m in _imported_modules((SRC / "geometry.py").read_text())
+                if m.startswith("blab")}

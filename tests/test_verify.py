@@ -1,6 +1,4 @@
-import pytest
-
-from blab.verify import claims_suite, gradient_suite, run_suite
+from blab.verify import claims_suite, gradient_suite
 
 
 def test_gradient_suite_small():
@@ -15,8 +13,3 @@ def test_claims_suite_small():
     assert all(ok for _, ok, _ in results)
     names = [name for name, _, _ in results]
     assert any("counterexample" in n for n in names)
-
-
-def test_run_suite_unknown():
-    with pytest.raises(KeyError):
-        run_suite("nonsense")
