@@ -38,6 +38,7 @@ SYMMETRY_CLUSTER_COS = 0.3  # mean per-point cosine that puts two trials in one 
 UNCONVERGED_ABORT_FRACTION = 0.10  # a cascade aborts past this fraction of unconverged projections
 HELD_OUT_FRACTION = 0.25  # of each class: transfer's evaluation set, gentrack's test set
 DATASET_SOURCES = ("blobs", "idx", "csv", "symmetric")
+DATASET_PATH_KEYS = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}
 TRANSFER_MODES = ("cross_model", "cross_training_set")
 
 
@@ -84,6 +85,9 @@ class DatasetSpec:
             raise ConfigError("dataset subset must be even and >= 0 (0 keeps everything)")
         if self.class_a == self.class_b:
             raise ConfigError("dataset class_a and class_b must differ")
+        for key in DATASET_PATH_KEYS.get(self.source, ()):
+            if not getattr(self, key):
+                raise ConfigError(f"dataset source {self.source} needs dataset.{key}")
 
 
 def _check_kappa(kappa: float) -> None:
@@ -237,8 +241,12 @@ class RunDirectory:
         self.working = self.path / "working"
 
     def create(self) -> None:
+        """ConfigError if the path, or a directory above it, is a file."""
         for d in (self.path, self.checkpoints, self.projections, self.working):
-            d.mkdir(parents=True, exist_ok=True)
+            try:
+                d.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError) as e:
+                raise ConfigError(f"cannot create run directory {self.path}: {e.strerror}") from e
 
     def write_manifest(self, cfg: ExperimentConfig, completed: int, status: str,
                        started: float, with_test: bool) -> None:
@@ -276,22 +284,70 @@ class RunDirectory:
         atomic_write_text(self.path / "records.csv", records_to_csv(records))
 
 
-def _iterate(cfg: ExperimentConfig, prev: np.ndarray | None, data: Dataset,
-             records: list[IterationRecord], start_iter: int, test_data: Dataset | None,
-             run_dir: RunDirectory | None, started: float,
-             stop_after: int | None) -> list[IterationRecord]:
-    """Iterations start_iter.. on the working set `data`. `prev` holds the
-    samples of the working set before it (None for the raw set): once
-    iteration k has projected, record k - 1 gets its global difference."""
+def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The (train, test) split of generalization tracking; the config alone
+    determines it, so a resumed run re-derives the same test set."""
+    return stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
+                            derive_seed(cfg.master_seed, SEED_SPLIT))
+
+
+def _start(cfg: ExperimentConfig, data: Dataset, with_test: bool, out_dir) -> list[IterationRecord]:
+    """Write a run directory holding only iteration 0, the raw working set
+    `data`, and resume it: fresh and resumed runs share one loop."""
+    check_layer_dims(cfg.dims, data.dim)
+    rd = RunDirectory(out_dir)
+    rd.create()
+    rd.write_manifest(cfg, 0, "running", time.time(), with_test)
+    export_csv(data, rd.working / "iter_0.csv")
+    rd.write_records([IterationRecord(0, nearest_opposite_mean_distance(data), 0.0, None, None, 0)])
+    return checkpoint_resume(rd.path)
+
+
+def run_iterative_projection(cfg: ExperimentConfig, out_dir) -> list[IterationRecord]:
+    """Iterative projection: train a fresh-seeded network, replace the
+    working set with its boundary projections, repeat. Record 0 describes
+    the raw working set; identical configs replay identically."""
+    cfg.validate()
+    return _start(cfg, build_dataset(cfg.dataset), False, out_dir)
+
+
+def run_generalization_tracking(cfg: ExperimentConfig, out_dir) -> list[IterationRecord]:
+    """Iterative projection with per-iteration accuracy on an untouched test split."""
+    cfg.validate()
+    return _start(cfg, _tracking_split(cfg)[0], True, out_dir)
+
+
+def checkpoint_resume(run_dir) -> list[IterationRecord]:
+    """Continue a run from its last completed iteration c: iterations c + 1..
+    train on working set c. Every run goes through here, a fresh one from c = 0.
+
+    Derived seeds are positional, so the resumed records, global differences
+    included, match an uninterrupted run exactly. A run that tracked test
+    accuracy re-derives its test split from the saved config. Once iteration
+    k has projected, record k - 1 gets its global difference, which needs
+    working set k - 2: the resume reads it back. Resuming a finished run is
+    a no-op."""
+    rd = RunDirectory(run_dir)
+    manifest = rd.read_manifest()
+    cfg = config_from_dict(manifest["config"])
+    completed = manifest["completed_iterations"]
+    records = records_from_csv((rd.path / "records.csv").read_text())
+    if manifest["status"] == "finished" or completed >= cfg.iterations:
+        return records
+    started, with_test = manifest["started_at"], manifest["with_test"]
+    test_data = _tracking_split(cfg)[1] if with_test else None
+    data = import_csv(rd.working / f"iter_{completed}.csv")
+    prev = import_csv(rd.working / f"iter_{completed - 1}.csv").samples if completed else None
+    records = records[:completed + 1]
+
     def abort(k: int, status: str, reason: str) -> ExperimentError:
-        if run_dir:
-            run_dir.write_records(records)
-            run_dir.write_manifest(cfg, k - 1, status, started, test_data is not None)
+        rd.write_records(records)
+        rd.write_manifest(cfg, k - 1, status, started, with_test)
         return ExperimentError(f"iteration {k}: {reason}")
 
-    k = start_iter
+    k = completed + 1
     try:
-        for k in range(start_iter, cfg.iterations + 1):
+        for k in range(completed + 1, cfg.iterations + 1):
             seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
             try:
                 net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
@@ -323,79 +379,14 @@ def _iterate(cfg: ExperimentConfig, prev: np.ndarray | None, data: Dataset,
                 test_accuracy=accuracy(net, test_data) if test_data is not None else None,
                 unconverged_count=unconverged,
             ))
-            if run_dir:
-                run_dir.save_iteration(k, net, data, results)
-                run_dir.write_records(records)
-                done = k == cfg.iterations
-                run_dir.write_manifest(cfg, k, "finished" if done else "running",
-                                       started, test_data is not None)
-            if stop_after is not None and k >= stop_after:
-                break
+            rd.save_iteration(k, net, data, results)
+            rd.write_records(records)
+            rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
+                              started, with_test)
     except KeyboardInterrupt:
         abort(k, "interrupted", "interrupted")
         raise
     return records
-
-
-def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """The (train, test) split of generalization tracking; the config alone
-    determines it, so a resumed run re-derives the same test set."""
-    return stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
-                            derive_seed(cfg.master_seed, SEED_SPLIT))
-
-
-def _run(cfg: ExperimentConfig, data: Dataset, test_data: Dataset | None, out_dir,
-         stop_after: int | None) -> list[IterationRecord]:
-    check_layer_dims(cfg.dims, data.dim)
-    run_dir = None
-    started = time.time()
-    if out_dir is not None:
-        run_dir = RunDirectory(out_dir)
-        run_dir.create()
-        run_dir.write_manifest(cfg, 0, "running", started, test_data is not None)
-
-    records = [IterationRecord(0, nearest_opposite_mean_distance(data), 0.0, None, None, 0)]
-    if run_dir:
-        export_csv(data, run_dir.working / "iter_0.csv")
-        run_dir.write_records(records)
-    return _iterate(cfg, None, data, records, 1, test_data, run_dir, started, stop_after)
-
-
-def run_iterative_projection(cfg: ExperimentConfig, out_dir=None,
-                             stop_after: int | None = None) -> list[IterationRecord]:
-    """Iterative projection: train a fresh-seeded network, replace the
-    working set with its boundary projections, repeat. Record 0 describes
-    the raw working set; identical configs replay identically."""
-    cfg.validate()
-    return _run(cfg, build_dataset(cfg.dataset), None, out_dir, stop_after)
-
-
-def run_generalization_tracking(cfg: ExperimentConfig, out_dir=None) -> list[IterationRecord]:
-    """Iterative projection with per-iteration accuracy on an untouched test split."""
-    cfg.validate()
-    train_part, test_part = _tracking_split(cfg)
-    return _run(cfg, train_part, test_part, out_dir, None)
-
-
-def checkpoint_resume(run_dir) -> list[IterationRecord]:
-    """Continue an interrupted run from its last completed iteration.
-
-    Derived seeds are positional, so the resumed records, global differences
-    included, match an uninterrupted run exactly. A run that tracked test
-    accuracy re-derives its test split from the saved config. Resuming a
-    finished run is a no-op."""
-    rd = RunDirectory(run_dir)
-    manifest = rd.read_manifest()
-    cfg = config_from_dict(manifest["config"])
-    completed = manifest["completed_iterations"]
-    records = records_from_csv((rd.path / "records.csv").read_text())
-    if manifest["status"] == "finished" or completed >= cfg.iterations:
-        return records
-    test_data = _tracking_split(cfg)[1] if manifest["with_test"] else None
-    data = import_csv(rd.working / f"iter_{completed}.csv")
-    prev = import_csv(rd.working / f"iter_{completed - 1}.csv").samples if completed else None
-    records = records[:completed + 1]
-    return _iterate(cfg, prev, data, records, completed + 1, test_data, rd, time.time(), None)
 
 
 def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> float:

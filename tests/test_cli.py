@@ -225,9 +225,22 @@ LONE_CLASS_1_MESSAGE = ("data error: held-out split holds one class only (0.25 o
      "data error: dataset must contain both classes\n"),
     (["gentrack", CONFIG], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
     (["transfer", TRANSFER_CONFIG], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
+    # an empty path would read Path(""), the working directory
+    (["iterproj", CONFIG, "--set", "dataset.source=csv"], None,
+     "config error: dataset source csv needs dataset.csv_path\n"),
+    (["gentrack", CONFIG, "--set", "dataset.source=csv"], None,
+     "config error: dataset source csv needs dataset.csv_path\n"),
+    (["transfer", TRANSFER_CONFIG, "--set", "dataset.source=csv"], None,
+     "config error: dataset source csv needs dataset.csv_path\n"),
+    (["iterproj", CONFIG, "--set", "dataset.source=idx", "--set", "dataset.labels_path=l.idx"],
+     None, "config error: dataset source idx needs dataset.images_path\n"),
+    (["transfer", TRANSFER_CONFIG, "--set", "dataset.source=idx",
+      "--set", "dataset.images_path=i.idx"], None,
+     "config error: dataset source idx needs dataset.labels_path\n"),
 ], ids=["unknown-source", "unknown-layout", "dims-width", "dims_b-width", "iterproj-one-class",
         "gentrack-one-class", "transfer-one-class", "gentrack-split-lacks-class",
-        "transfer-split-lacks-class"])
+        "transfer-split-lacks-class", "iterproj-no-csv-path", "gentrack-no-csv-path",
+        "transfer-no-csv-path", "iterproj-no-images-path", "transfer-no-labels-path"])
 def test_input_faults_exit_with_their_class_code_before_training(
         tmp_path, monkeypatch, capsys, argv, rows, message):
     def no_training(*args, **kwargs):
@@ -243,6 +256,22 @@ def test_input_faults_exit_with_their_class_code_before_training(
     assert main(argv + ["--out", str(out)]) == code
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def test_out_that_cannot_be_a_directory_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network for a run that should have been refused")
+
+    monkeypatch.setattr(blab.experiments, "train", no_training)
+    afile = tmp_path / "afile"
+    afile.write_text("not a run\n")
+    for command in ("iterproj", "gentrack"):
+        for out, reason in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+            assert main([command, CONFIG, "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (f"config error: cannot create run directory "
+                                               f"{out}: {reason}\n")
+    assert afile.read_text() == "not a run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch):

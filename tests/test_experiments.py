@@ -27,6 +27,17 @@ def small_config(master_seed=0, iterations=3):
     )
 
 
+def extend_run(run_dir, iterations: int) -> dict:
+    """Edit a run's manifest to `iterations` and status `running`, so that it
+    resumes; returns the edited manifest."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["iterations"] = iterations
+    manifest["status"] = "running"
+    path.write_text(json.dumps(manifest))
+    return manifest
+
+
 def test_build_dataset_sources(tmp_path):
     blobs = build_dataset(DatasetSpec(source="blobs", per_class=5))
     assert len(blobs) == 10 and blobs.dim == 2
@@ -128,11 +139,11 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     cfg = small_config(master_seed=2, iterations=4)
     full = run_iterative_projection(cfg, out_dir=tmp_path / "full")
     partial_dir = tmp_path / "partial"
-    run_iterative_projection(small_config(master_seed=2, iterations=4),
-                             out_dir=partial_dir, stop_after=2)
+    run_iterative_projection(small_config(master_seed=2, iterations=2), out_dir=partial_dir)
     manifest = json.loads((partial_dir / "manifest.json").read_text())
-    assert manifest["status"] == "running"
+    assert (manifest["status"], manifest["completed_iterations"]) == ("finished", 2)
     assert records_from_csv((partial_dir / "records.csv").read_text())[2].global_difference is None
+    extend_run(partial_dir, 4)
     resumed = checkpoint_resume(partial_dir)
     # record 2's phi needs working set 1, which the resume reads back
     assert resumed[2].global_difference is not None
@@ -156,10 +167,10 @@ def test_resume_requires_manifest(tmp_path):
 
 
 def test_resume_refuses_older_manifest_format(tmp_path):
-    run_iterative_projection(small_config(master_seed=3, iterations=2),
-                             out_dir=tmp_path / "run", stop_after=1)
+    run_iterative_projection(small_config(master_seed=3, iterations=1), out_dir=tmp_path / "run")
     path = tmp_path / "run" / "manifest.json"
-    current = path.read_text()
+    # a run that would otherwise resume: one more iteration to go
+    current = json.dumps(extend_run(tmp_path / "run", 2))
     # version 2 saved a projector section, version 3 the SGD and Adam settings,
     # version 4 the training seed and the three experiment fractions; version 5
     # had the same config, but its records.csv had no global_difference column
@@ -179,6 +190,16 @@ def test_resume_refuses_older_manifest_format(tmp_path):
             checkpoint_resume(tmp_path / "run")
 
 
+def test_resume_keeps_the_manifest_started_at(tmp_path):
+    run_iterative_projection(small_config(master_seed=3, iterations=2), out_dir=tmp_path / "run")
+    manifest = extend_run(tmp_path / "run", 3)
+    checkpoint_resume(tmp_path / "run")
+    resumed = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (resumed["status"], resumed["completed_iterations"]) == ("finished", 3)
+    assert resumed["started_at"] == manifest["started_at"]
+    assert resumed["updated_at"] > manifest["updated_at"]
+
+
 def test_generalization_tracking_resumes_without_test_set(tmp_path):
     def cfg(iterations):
         c = small_config(master_seed=4, iterations=iterations)
@@ -188,15 +209,11 @@ def test_generalization_tracking_resumes_without_test_set(tmp_path):
     run_generalization_tracking(cfg(3), out_dir=tmp_path / "full")
     partial = tmp_path / "partial"
     run_generalization_tracking(cfg(2), out_dir=partial)
-    path = partial / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["config"]["iterations"] = 3
-    manifest["status"] = "running"
-    path.write_text(json.dumps(manifest))
+    extend_run(partial, 3)
     checkpoint_resume(partial)
     assert ((partial / "records.csv").read_bytes()
             == (tmp_path / "full" / "records.csv").read_bytes())
-    assert json.loads(path.read_text())["status"] == "finished"
+    assert json.loads((partial / "manifest.json").read_text())["status"] == "finished"
 
 
 def test_generalization_tracking_records_test_accuracy(tmp_path):

@@ -28,7 +28,7 @@ def digits_idx(tmp_path_factory):
     return d / "images.idx", d / "labels.idx"
 
 
-def test_image_scale_cascade(digits_idx):
+def test_image_scale_cascade(digits_idx, tmp_path):
     img, lab = digits_idx
     loaded = load_idx(img, lab)
     assert loaded.dim == 784
@@ -44,7 +44,7 @@ def test_image_scale_cascade(digits_idx):
         iterations=2,
         master_seed=0,
     )
-    records = run_iterative_projection(cfg)
+    records = run_iterative_projection(cfg, out_dir=tmp_path / "run")
     assert len(records) == 3
     assert all(r.train_accuracy == 1.0 for r in records[1:])
     assert all(r.unconverged_count == 0 for r in records[1:])
