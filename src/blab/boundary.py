@@ -337,9 +337,3 @@ def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[Proje
             new_samples[i] = r.point
     return data.with_samples(new_samples), results
 
-
-def export_projection_csv(results: list[ProjectionResult], labels, path) -> None:
-    with open(path, "w") as f:
-        f.write("index,label,converged,distance,residual,method\n")
-        for i, r in enumerate(results):
-            f.write(f"{i},{int(labels[i])},{int(r.converged)},{r.distance!r},{r.residual!r},{r.method}\n")

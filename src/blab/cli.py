@@ -1,9 +1,11 @@
 """Command-line entry point: experiment dispatch, CSV/JSON emission, SVG charts.
 
-Exit codes: 0 success, 1 verify-suite failure, 2 config error, 3 data error,
-4 numeric failure (training divergence or projection breakdown), 130
-interrupted (Ctrl-C). Any other error is a fault in blab, not in its input,
-and ends with its traceback.
+Exit codes: 0 success, 1 verify-suite failure, 2 config error (a config file
+that cannot be read, or an output path that cannot be written, among them),
+3 data error (an input file that cannot be read, among them), 4 numeric
+failure (training divergence or projection breakdown), 130 interrupted
+(Ctrl-C). Any other error is a fault in blab, not in its input, and ends with
+its traceback.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import numpy as np
 
 from .boundary import ProjectionError
 from .config import ConfigError, parse_config, serialize_config
-from .data import LAYOUT_KINDS, DataError, export_csv, read_utf8, save_idx
+from .data import LAYOUT_KINDS, DataError, export_csv, read_utf8, save_idx, write_file
 from .experiments import (TRANSFER_MODES, DatasetSpec, ExperimentError, build_dataset,
                           records_from_csv, run_generalization_tracking,
                           run_iterative_projection, run_symmetry_experiment, run_transfer)
-from .fileio import atomic_write_text
 from .nn import TrainingDivergence
 from .svg import line_chart
 from .verify import SUITES
@@ -56,8 +57,8 @@ def _finite_float(text: str) -> float:
 def _records_chart(records, out_svg) -> None:
     xs = [r.iteration for r in records]
     ys = [r.mean_nn_distance for r in records]
-    atomic_write_text(out_svg, line_chart(xs, ys, "Mean inter-class distance per iteration",
-                                          "iteration", "mean distance"))
+    write_file(out_svg, line_chart(xs, ys, "Mean inter-class distance per iteration",
+                                   "iteration", "mean distance"))
 
 
 def cmd_cascade(args) -> int:
@@ -82,7 +83,7 @@ def cmd_transfer(args) -> int:
     cfg = parse_config(args.config, _overrides(args.set))
     payload = asdict(run_transfer(cfg, args.mode, kappa=args.kappa))
     out = Path(args.out or "transfer_report.json")
-    atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
+    write_file(out, json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -92,7 +93,7 @@ def cmd_symmetry(args) -> int:
                                      master_seed=args.seed, perturb=args.perturb,
                                      kappa=args.kappa)
     out = Path(args.out or "symmetry_report.json")
-    atomic_write_text(out, json.dumps(report, indent=2) + "\n")
+    write_file(out, json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -109,7 +110,7 @@ def cmd_verify(args) -> int:
         all_ok &= ok
     if not all_ok and failing is not None:
         path = Path(f"verify_{args.suite}_failure.json")
-        atomic_write_text(path, json.dumps(failing, indent=2, default=str) + "\n")
+        write_file(path, json.dumps(failing, indent=2, default=str) + "\n")
         print(f"failing case serialized to {path}", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -219,7 +220,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ExperimentError, TrainingDivergence, ProjectionError) as e:

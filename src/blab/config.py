@@ -13,7 +13,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .data import ConfigError
+from .data import ConfigError, DataError, read_utf8
 from .experiments import DatasetSpec, ExperimentConfig
 from .nn import TrainConfig
 
@@ -61,8 +61,10 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as e:
+        parser.read_string(read_utf8(path), source=str(path))
+    except DataError as e:
+        raise ConfigError(f"cannot parse config: {e}") from None
+    except configparser.Error as e:
         raise ConfigError(f"cannot parse {path}: {e}") from e
 
     cfg = ExperimentConfig()

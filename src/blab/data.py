@@ -1,8 +1,11 @@
-"""Datasets: IDX ingestion, synthetic generators, balanced subsampling."""
+"""Datasets and file access: the one reader and atomic writer of every file,
+IDX and CSV formats, synthetic generators, balanced subsampling."""
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,48 +57,68 @@ class Dataset:
         return Dataset(samples, self.labels.copy())
 
 
-def read_utf8(path) -> str:
-    """A file's UTF-8 text; DataError if it is not UTF-8."""
+def read_bytes(path) -> bytes:
+    """A file's bytes; DataError naming the path if it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
+
+
+def read_utf8(path) -> str:
+    """A file's UTF-8 text with universal newlines; DataError if it is not UTF-8."""
+    try:
+        text = read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _read_be_u32(f, path) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
+def write_file(path, content: str | bytes) -> None:
+    """Write a file atomically: a temporary file beside it, renamed into place,
+    so an interrupted write leaves the old file or none, never part of one.
+    The file gets the mode a plain open() gives. ConfigError naming the path
+    if it cannot be written."""
+    path = Path(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(content.encode() if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+        raise
+
+
+def _idx_header(raw: bytes, magic: int, words: int, path) -> tuple[tuple[int, ...], memoryview]:
+    """The big-endian u32 header words after an IDX file's magic, and a view
+    of its payload (a view, so a large image file is not copied)."""
+    if len(raw) >= 4 and (found := struct.unpack_from(">I", raw)[0]) != magic:
+        raise DataError(f"bad magic {found} in {path} (expected {magic})")
+    if len(raw) < 4 * (words + 1):
         raise DataError(f"truncated IDX file: {path}")
-    return struct.unpack(">I", raw)[0]
+    return struct.unpack_from(f">{words}I", raw, 4), memoryview(raw)[4 * (words + 1):]
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an MNIST-style IDX image/label pair; pixels scaled to [0, 1]."""
     images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as f:
-        magic = _read_be_u32(f, images_path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataError(f"bad magic {magic} in {images_path} (expected {IDX_IMAGE_MAGIC})")
-        count = _read_be_u32(f, images_path)
-        rows = _read_be_u32(f, images_path)
-        cols = _read_be_u32(f, images_path)
-        if count * rows * cols == 0:
-            raise DataError(f"no pixels in {images_path} ({count} images of {rows}x{cols})")
-        payload = f.read()
-        if len(payload) != count * rows * cols:
-            raise DataError(f"truncated IDX image payload in {images_path}")
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as f:
-        magic = _read_be_u32(f, labels_path)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataError(f"bad magic {magic} in {labels_path} (expected {IDX_LABEL_MAGIC})")
-        label_count = _read_be_u32(f, labels_path)
-        raw = f.read()
-        if len(raw) != label_count:
-            raise DataError(f"truncated IDX label payload in {labels_path}")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+    (count, rows, cols), payload = _idx_header(read_bytes(images_path), IDX_IMAGE_MAGIC, 3,
+                                               images_path)
+    if count * rows * cols == 0:
+        raise DataError(f"no pixels in {images_path} ({count} images of {rows}x{cols})")
+    if len(payload) != count * rows * cols:
+        raise DataError(f"truncated IDX image payload in {images_path}")
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
+    (label_count,), raw = _idx_header(read_bytes(labels_path), IDX_LABEL_MAGIC, 1, labels_path)
+    if len(raw) != label_count:
+        raise DataError(f"truncated IDX label payload in {labels_path}")
     if label_count != count:
         raise DataError(f"image/label count mismatch: {count} images vs {label_count} labels")
+    labels = np.frombuffer(raw, dtype=np.uint8)
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
@@ -104,12 +127,10 @@ def save_idx(data: Dataset, images_path, labels_path, rows: int, cols: int) -> N
     if rows * cols != data.dim:
         raise DataError("rows*cols must equal the feature dimension")
     pixels = np.clip(np.rint(data.samples * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, len(data), rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(data)))
-        f.write(data.labels.astype(np.uint8).tobytes())
+    write_file(images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, len(data), rows, cols)
+               + pixels.tobytes())
+    write_file(labels_path, struct.pack(">II", IDX_LABEL_MAGIC, len(data))
+               + data.labels.astype(np.uint8).tobytes())
 
 
 def filter_binary(data: Dataset, class_a: int, class_b: int) -> Dataset:
@@ -186,10 +207,9 @@ def gen_symmetric_layout(kind: str, perturb: float = 0.0) -> Dataset:
 
 def export_csv(data: Dataset, path) -> None:
     """Write `label,f0,f1,...` rows; floats use repr so values round-trip exactly."""
-    with open(path, "w") as f:
-        f.write("label," + ",".join(f"f{i}" for i in range(data.dim)) + "\n")
-        for x, l in zip(data.samples, data.labels):
-            f.write(f"{int(l)}," + ",".join(repr(float(v)) for v in x) + "\n")
+    write_file(path, "label," + ",".join(f"f{i}" for i in range(data.dim)) + "\n" + "".join(
+        f"{int(l)}," + ",".join(repr(float(v)) for v in x) + "\n"
+        for x, l in zip(data.samples, data.labels)))
 
 
 def import_csv(path) -> Dataset:

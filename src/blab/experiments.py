@@ -13,12 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import (ProjectionError, adversarial_overshoot, export_projection_csv,
-                       project_dataset, project_to_boundary)
+from .boundary import ProjectionError, adversarial_overshoot, project_dataset, project_to_boundary
 from .data import (LAYOUT_KINDS, ConfigError, DataError, Dataset, export_csv, filter_binary,
-                   gen_gaussian_blobs, gen_symmetric_layout, import_csv, load_idx,
-                   sample_balanced)
-from .fileio import atomic_write_text
+                   gen_gaussian_blobs, gen_symmetric_layout, import_csv, load_idx, read_utf8,
+                   sample_balanced, write_file)
 from .metrics import global_difference, nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_finite_fields,
                  check_layer_dims, init_network, is_correct, margin_batch, save_checkpoint, train)
@@ -260,14 +258,14 @@ class RunDirectory:
             "started_at": started,
             "updated_at": time.time(),
         }
-        atomic_write_text(self.path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        write_file(self.path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     def read_manifest(self) -> dict:
         path = self.path / "manifest.json"
         if not path.exists():
             raise ExperimentError(f"no manifest in {self.path}")
         try:
-            manifest = json.loads(path.read_text())
+            manifest = json.loads(read_utf8(path))
         except json.JSONDecodeError as e:
             raise ExperimentError(f"corrupt manifest in {self.path}: {e}") from e
         if manifest.get("format_version") != MANIFEST_VERSION:
@@ -277,11 +275,14 @@ class RunDirectory:
 
     def save_iteration(self, k: int, net: MlpNetwork, working: Dataset, results) -> None:
         save_checkpoint(net, self.checkpoints / f"iter_{k}.blab")
-        export_projection_csv(results, working.labels, self.projections / f"iter_{k}.csv")
+        rows = "".join(f"{i},{int(label)},{int(r.converged)},{r.distance!r},{r.residual!r},"
+                       f"{r.method}\n" for i, (label, r) in enumerate(zip(working.labels, results)))
+        write_file(self.projections / f"iter_{k}.csv",
+                   "index,label,converged,distance,residual,method\n" + rows)
         export_csv(working, self.working / f"iter_{k}.csv")
 
     def write_records(self, records) -> None:
-        atomic_write_text(self.path / "records.csv", records_to_csv(records))
+        write_file(self.path / "records.csv", records_to_csv(records))
 
 
 def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -331,7 +332,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     manifest = rd.read_manifest()
     cfg = config_from_dict(manifest["config"])
     completed = manifest["completed_iterations"]
-    records = records_from_csv((rd.path / "records.csv").read_text())
+    records = records_from_csv(read_utf8(rd.path / "records.csv"))
     if manifest["status"] == "finished" or completed >= cfg.iterations:
         return records
     started, with_test = manifest["started_at"], manifest["with_test"]

@@ -8,13 +8,12 @@ zero set is the decision boundary everything else in this package probes.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import ConfigError, DataError, Dataset
+from .data import ConfigError, DataError, Dataset, read_bytes, write_file
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"BLAB"
@@ -312,47 +311,45 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
 
 def save_checkpoint(net: MlpNetwork, path) -> None:
     """Binary little-endian checkpoint; round-trips bit-exactly."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(net.weights)))
-        for w, b in zip(net.weights, net.biases):
-            rows, cols = w.shape
-            f.write(struct.pack("<II", rows, cols))
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(net.weights))]
+    for w, b in zip(net.weights, net.biases):
+        parts += [struct.pack("<II", *w.shape), np.ascontiguousarray(w, dtype="<f8").tobytes(),
+                  np.ascontiguousarray(b, dtype="<f8").tobytes()]
+    write_file(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> MlpNetwork:
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+    raw = read_bytes(path)
+    pos = 4
 
-        def read(n: int, what: str) -> bytes:
-            # checked against the file size first, so a corrupt shape never
-            # asks for a huge buffer
-            if f.tell() + n > size:
-                raise ValueError(f"{path}: checkpoint truncated in {what} "
-                                 f"({size - f.tell()} of {n} bytes left)")
-            return f.read(n)
+    def read(n: int, what: str) -> bytes:
+        # checked against the file size first, so a corrupt shape never
+        # asks for a huge buffer
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValueError(f"{path}: checkpoint truncated in {what} "
+                             f"({len(raw) - pos} of {n} bytes left)")
+        pos += n
+        return raw[pos - n:pos]
 
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        version, n_layers = struct.unpack("<II", read(8, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        if n_layers == 0:
-            raise ValueError(f"{path}: checkpoint has no layers")
-        weights, biases = [], []
-        for k in range(n_layers):
-            rows, cols = struct.unpack("<II", read(8, f"layer {k} shape"))
-            if k and cols != weights[-1].shape[0]:
-                raise ValueError(f"{path}: layer {k} takes {cols} inputs but layer "
-                                 f"{k - 1} has {weights[-1].shape[0]} outputs")
-            w = np.frombuffer(read(8 * rows * cols, f"layer {k} weights"),
-                              dtype="<f8").reshape(rows, cols)
-            b = np.frombuffer(read(8 * rows, f"layer {k} biases"), dtype="<f8")
-            weights.append(w.astype(np.float64))
-            biases.append(b.astype(np.float64))
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
+    version, n_layers = struct.unpack("<II", read(8, "header"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if n_layers == 0:
+        raise ValueError(f"{path}: checkpoint has no layers")
+    weights, biases = [], []
+    for k in range(n_layers):
+        rows, cols = struct.unpack("<II", read(8, f"layer {k} shape"))
+        if k and cols != weights[-1].shape[0]:
+            raise ValueError(f"{path}: layer {k} takes {cols} inputs but layer "
+                             f"{k - 1} has {weights[-1].shape[0]} outputs")
+        w = np.frombuffer(read(8 * rows * cols, f"layer {k} weights"),
+                          dtype="<f8").reshape(rows, cols)
+        b = np.frombuffer(read(8 * rows, f"layer {k} biases"), dtype="<f8")
+        weights.append(w.astype(np.float64))
+        biases.append(b.astype(np.float64))
     try:
         dims = check_layer_dims([weights[0].shape[1]] + [w.shape[0] for w in weights])
     except ValueError as e:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,10 @@ from blab.nn import TrainingDivergence, margin_batch
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
 TRANSFER_CONFIG = str(Path(CONFIG).with_name("transfer2d.cfg"))
+CONFIG_DIR = str(Path(CONFIG).parent)
+RECORDS_CSV = ("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
+               "unconverged_count,global_difference\n0,3.0,0.0,,,0,\n1,1.5,0.4,1.0,,0,29.5\n"
+               "2,0.9,0.2,1.0,,0,\n")
 
 
 def test_show_config_roundtrip(capsys, tmp_path):
@@ -35,11 +41,26 @@ def test_iterproj_command_writes_outputs(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_every_run_directory_file_gets_the_mode_open_gives(tmp_path):
+    out = tmp_path / "run"
+    umask = os.umask(0o022)
+    try:
+        assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out)]) == EXIT_OK
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode)
+             for p in out.rglob("*") if p.is_file()}
+    assert sorted(modes) == ["chart.svg", "checkpoints/iter_1.blab", "manifest.json",
+                             "projections/iter_1.csv", "records.csv", "working/iter_0.csv",
+                             "working/iter_1.csv"]
+    assert modes == dict.fromkeys(modes, stat.S_IMODE((tmp_path / "plain").stat().st_mode))
+
+
 def test_plot_is_deterministic(tmp_path):
     records = tmp_path / "records.csv"
-    records.write_text(
-        "iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,unconverged_count,"
-        "global_difference\n0,3.0,0.0,,,0,\n1,1.5,0.4,1.0,,0,29.5\n2,0.9,0.2,1.0,,0,\n")
+    records.write_text(RECORDS_CSV)
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     assert main(["plot", str(records), str(a)]) == EXIT_OK
     assert main(["plot", str(records), str(b)]) == EXIT_OK
@@ -237,10 +258,16 @@ LONE_CLASS_1_MESSAGE = ("data error: held-out split holds one class only (0.25 o
     (["transfer", TRANSFER_CONFIG, "--set", "dataset.source=idx",
       "--set", "dataset.images_path=i.idx"], None,
      "config error: dataset source idx needs dataset.labels_path\n"),
+    (["iterproj", CONFIG, "--set", "dataset.source=csv", "--set", f"dataset.csv_path={CONFIG_DIR}"],
+     None, f"data error: cannot read {CONFIG_DIR}: Is a directory\n"),
+    (["gentrack", CONFIG, "--set", "dataset.source=idx", "--set",
+      f"dataset.images_path={CONFIG_DIR}", "--set", "dataset.labels_path=l.idx"], None,
+     f"data error: cannot read {CONFIG_DIR}: Is a directory\n"),
 ], ids=["unknown-source", "unknown-layout", "dims-width", "dims_b-width", "iterproj-one-class",
         "gentrack-one-class", "transfer-one-class", "gentrack-split-lacks-class",
         "transfer-split-lacks-class", "iterproj-no-csv-path", "gentrack-no-csv-path",
-        "transfer-no-csv-path", "iterproj-no-images-path", "transfer-no-labels-path"])
+        "transfer-no-csv-path", "iterproj-no-images-path", "transfer-no-labels-path",
+        "csv-path-is-a-directory", "images-path-is-a-directory"])
 def test_input_faults_exit_with_their_class_code_before_training(
         tmp_path, monkeypatch, capsys, argv, rows, message):
     def no_training(*args, **kwargs):
@@ -274,12 +301,48 @@ def test_out_that_cannot_be_a_directory_exits_2_before_training(tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
+@pytest.mark.parametrize("argv, out, reason", [
+    (["plot", "rec.csv"], "adir", "Is a directory"),
+    (["symmetry", "--trials", "1", "--out"], "adir", "Is a directory"),
+    (["gen-data", "--out"], "adir", "Is a directory"),
+    (["gen-data", "--format", "idx", "--dim", "4", "--out"], "adir", "Is a directory"),
+    (["plot", "rec.csv"], "nodir/x.svg", "No such file or directory"),
+    (["transfer", TRANSFER_CONFIG, "--out"], "nodir/t.json", "No such file or directory"),
+    (["gen-data", "--out"], "nodir/x.csv", "No such file or directory"),
+    (["plot", "rec.csv"], "afile/x.svg", "Not a directory"),
+], ids=["plot-into-directory", "symmetry-into-directory", "csv-into-directory",
+        "idx-into-directory", "plot-missing-parent", "transfer-missing-parent",
+        "csv-missing-parent", "plot-parent-is-a-file"])
+def test_output_path_that_cannot_be_written_exits_2_naming_it(
+        tmp_path, monkeypatch, capsys, argv, out, reason):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode, kappa=None: TRANSFER_REPORT)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("a file\n")
+    (tmp_path / "rec.csv").write_text(RECORDS_CSV)
+    assert main(argv + [out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {out}: {reason}\n"
+    # no temporary file is left behind, and the file is left as it was
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile", "rec.csv"]
+    assert (tmp_path / "afile").read_text() == "a file\n"
+
+
+def test_config_path_that_is_a_directory_exits_2_before_the_run_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG_DIR, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: cannot parse config: cannot read "
+                                       f"{CONFIG_DIR}: Is a directory\n")
+    assert not out.exists()
+
+
+# the keys and their order of the report that transfer writes
+TRANSFER_REPORT = TransferReport(mode="cross_model", kappa=0.1, valid=True, n_samples=40,
+                                 fooling_rate_transfer=0.825, fooling_rate_source=1.0,
+                                 fooling_rate_random_baseline=0.15)
+
+
 def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch):
-    # the keys and their order of the report that transfer writes
-    report = TransferReport(mode="cross_model", kappa=0.1, valid=True, n_samples=40,
-                            fooling_rate_transfer=0.825, fooling_rate_source=1.0,
-                            fooling_rate_random_baseline=0.15)
-    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode, kappa=None: report)
+    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode, kappa=None: TRANSFER_REPORT)
     out = tmp_path / "report.json"
     assert main(["transfer", TRANSFER_CONFIG, "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (
@@ -425,6 +488,8 @@ def test_plot_missing_records_is_data_error(tmp_path, capsys):
     latin.write_bytes(b"iteration,mean_nn_distance\xff\n")
     assert main(["plot", str(latin), str(tmp_path / "o.svg")]) == EXIT_DATA
     assert "latin.csv: not UTF-8 text" in capsys.readouterr().err
+    assert main(["plot", str(tmp_path), str(tmp_path / "o.svg")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_verify_unknown_suite(capsys):

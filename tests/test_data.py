@@ -1,4 +1,6 @@
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blab.data import (DataError, Dataset, export_csv, filter_binary,
                        gen_gaussian_blobs, gen_symmetric_layout, import_csv,
                        load_idx, sample_balanced, save_idx)
+from blab.nn import init_network, save_checkpoint
 
 
 def test_dataset_validation():
@@ -30,6 +33,30 @@ def test_idx_roundtrip(tmp_path):
     back = load_idx(tmp_path / "img.idx", tmp_path / "lab.idx")
     np.testing.assert_allclose(back.samples, data.samples, atol=1e-12)
     np.testing.assert_array_equal(back.labels, data.labels)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: export_csv(gen_symmetric_layout("square_xor"), path),
+    lambda path: save_checkpoint(init_network([2, 4, 2], seed=0), path),
+], ids=["export_csv", "save_checkpoint"])
+def test_interrupted_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch, write):
+    target = tmp_path / "out"
+    target.write_bytes(b"old bytes\n")
+    staged = []
+
+    def interrupted_rename(src, dst):
+        staged.append(Path(src).read_bytes())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted_rename)
+    with pytest.raises(KeyboardInterrupt):
+        write(target)
+    monkeypatch.undo()
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    # the interrupt came after the whole file was staged; uninterrupted, it replaces
+    write(target)
+    assert staged == [target.read_bytes()]
 
 
 def test_idx_bad_magic(tmp_path):
