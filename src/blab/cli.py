@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verify-suite failure, 2 config error (a config file
 that cannot be read, or an output path that cannot be written, among them),
 3 data error (an input file that cannot be read, among them), 4 numeric
 failure (training divergence or projection breakdown), 130 interrupted
-(Ctrl-C). Any other error is a fault in blab, not in its input, and ends with
-its traceback.
+(Ctrl-C or SIGTERM). Any other error is a fault in blab, not in its input,
+and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +22,8 @@ import numpy as np
 
 from .boundary import ProjectionError
 from .config import ConfigError, parse_config, serialize_config
-from .data import LAYOUT_KINDS, DataError, export_csv, read_utf8, save_idx, write_file
+from .data import (LAYOUT_KINDS, DataError, check_writable, export_csv, read_utf8, save_idx,
+                   write_file)
 from .experiments import (TRANSFER_MODES, DatasetSpec, ExperimentError, build_dataset,
                           records_from_csv, run_generalization_tracking,
                           run_iterative_projection, run_symmetry_experiment, run_transfer)
@@ -81,18 +83,20 @@ def cmd_cascade(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg = parse_config(args.config, _overrides(args.set))
-    payload = asdict(run_transfer(cfg, args.mode, kappa=args.kappa))
     out = Path(args.out or "transfer_report.json")
+    check_writable(out)
+    payload = asdict(run_transfer(cfg, args.mode, kappa=args.kappa))
     write_file(out, json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def cmd_symmetry(args) -> int:
+    out = Path(args.out or "symmetry_report.json")
+    check_writable(out)
     report = run_symmetry_experiment(args.layout, args.trials,
                                      master_seed=args.seed, perturb=args.perturb,
                                      kappa=args.kappa)
-    out = Path(args.out or "symmetry_report.json")
     write_file(out, json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -215,6 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM takes Ctrl-C's path, until main returns
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.fn(args)
     except ConfigError as e:
@@ -229,6 +235,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -93,6 +93,19 @@ def write_file(path, content: str | bytes) -> None:
         raise
 
 
+def check_writable(path) -> None:
+    """ConfigError, worded as write_file's, if write_file could not write
+    path: a command checks its output path before the work that fills it."""
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        open(tmp, "wb").close()
+        os.unlink(tmp)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
 def _idx_header(raw: bytes, magic: int, words: int, path) -> tuple[tuple[int, ...], memoryview]:
     """The big-endian u32 header words after an IDX file's magic, and a view
     of its payload (a view, so a large image file is not copied)."""
@@ -137,16 +150,11 @@ def filter_binary(data: Dataset, class_a: int, class_b: int) -> Dataset:
     """Keep two original categories, relabeling class_a -> 0 and class_b -> 1."""
     if class_a == class_b:
         raise DataError("class_a and class_b must differ")
-    mask_a = data.labels == class_a
-    mask_b = data.labels == class_b
-    if not mask_a.any():
-        raise DataError(f"class {class_a} absent from dataset")
-    if not mask_b.any():
-        raise DataError(f"class {class_b} absent from dataset")
-    keep = mask_a | mask_b
-    samples = data.samples[keep]
-    labels = np.where(data.labels[keep] == class_b, 1, 0)
-    return Dataset(samples, labels)
+    for cls in (class_a, class_b):
+        if cls not in data.labels:
+            raise DataError(f"class {cls} absent from dataset")
+    keep = (data.labels == class_a) | (data.labels == class_b)
+    return Dataset(data.samples[keep], np.where(data.labels[keep] == class_b, 1, 0))
 
 
 def sample_balanced(data: Dataset, total: int, seed: int) -> Dataset:
@@ -173,11 +181,8 @@ def gen_gaussian_blobs(n: int, per_class: int, centers, sigma: float, seed: int)
     if sigma <= 0:
         raise DataError("sigma must be positive")
     rng = make_rng(seed, stream=0xB10B)
-    pts0 = c0 + sigma * rng.standard_normal((per_class, n))
-    pts1 = c1 + sigma * rng.standard_normal((per_class, n))
-    samples = np.vstack([pts0, pts1])
-    labels = np.concatenate([np.zeros(per_class, dtype=np.int64), np.ones(per_class, dtype=np.int64)])
-    return Dataset(samples, labels)
+    samples = np.vstack([c + sigma * rng.standard_normal((per_class, n)) for c in (c0, c1)])
+    return Dataset(samples, np.repeat([0, 1], per_class))
 
 
 LAYOUT_KINDS = ("square_xor", "mirrored_pairs")

@@ -141,8 +141,7 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     """The dataset a spec describes; DataError unless it holds both classes."""
     if spec.source == "blobs":
         half = spec.center_distance / 2.0
-        c0 = np.zeros(spec.dim)
-        c1 = np.zeros(spec.dim)
+        c0, c1 = np.zeros((2, spec.dim))
         c0[0], c1[0] = -half, half
         data = gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, spec.seed)
     elif spec.source == "idx":
@@ -342,8 +341,9 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     records = records[:completed + 1]
 
     def abort(k: int, status: str, reason: str) -> ExperimentError:
-        rd.write_records(records)
+        # the manifest first, so it says how the run ended if records.csv cannot be written
         rd.write_manifest(cfg, k - 1, status, started, with_test)
+        rd.write_records(records[:k])
         return ExperimentError(f"iteration {k}: {reason}")
 
     k = completed + 1
@@ -380,10 +380,14 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
                 test_accuracy=accuracy(net, test_data) if test_data is not None else None,
                 unconverged_count=unconverged,
             ))
-            rd.save_iteration(k, net, data, results)
-            rd.write_records(records)
-            rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
-                              started, with_test)
+            try:
+                rd.save_iteration(k, net, data, results)
+                rd.write_records(records)
+                rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
+                                  started, with_test)
+            except ConfigError as e:
+                abort(k, "aborted_write", str(e))
+                raise
     except KeyboardInterrupt:
         abort(k, "interrupted", "interrupted")
         raise
@@ -444,9 +448,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
         return TransferReport(mode=mode, kappa=kappa, valid=False, n_samples=0,
                               fooling_rate_transfer=0.0, fooling_rate_source=0.0,
                               fooling_rate_random_baseline=0.0)
-    adv = np.array(adv)
-    base = np.array(base)
-    kept = np.array(kept)
+    adv, base, kept = np.array(adv), np.array(base), np.array(kept)
 
     return TransferReport(
         mode=mode, kappa=kappa, valid=valid, n_samples=len(kept),

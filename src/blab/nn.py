@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -122,14 +123,31 @@ def _check_input(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
+def _walk(net: MlpNetwork, h: np.ndarray):
+    """Each layer's output for the rows h, first to last: every hidden
+    layer's ReLU activation, then the logits. Each array is a fresh one the
+    caller may keep, and a caller that stops early skips the later layers.
+    Forward passes, input gradients and training all apply the layers here."""
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w.T
         h += b
         if k != last:
             np.maximum(h, 0.0, out=h)
+        yield h
+
+
+def _forward_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
+    for h in _walk(net, h):  # keeps one layer's activation at a time
+        pass
     return h
+
+
+def active_units(net: MlpNetwork, x: np.ndarray) -> list[np.ndarray]:
+    """Per hidden layer, a bool (batch, width) array of which ReLU units the
+    rows x switch on: their activation pattern. The margin is affine on the
+    inputs that share one pattern."""
+    return [a > 0 for a in islice(_walk(net, _check_input(net, x)), len(net.weights) - 1)]
 
 
 def _in_blocks(block_fn, net: MlpNetwork, x: np.ndarray, width: int) -> np.ndarray:
@@ -160,49 +178,38 @@ def forward_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     return _in_blocks(_forward_block, net, _check_input(net, x), 2)
 
 
-def forward(net: MlpNetwork, x) -> np.ndarray:
-    """Logit pair for a single sample."""
-    return forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-def margin(net: MlpNetwork, x) -> float:
-    """Scalar classifier value: logit1 - logit0. Sign is the predicted label, zero set is the boundary."""
-    logits = forward(net, x)
-    return float(logits[1] - logits[0])
-
-
 def margin_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     logits = forward_batch(net, x)
     return logits[:, 1] - logits[:, 0]
 
 
+def margin(net: MlpNetwork, x) -> float:
+    """Scalar classifier value: logit1 - logit0. Sign is the predicted label, zero set is the boundary."""
+    return float(margin_batch(net, np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
 def _grad_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
-    masks = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = h @ w.T
-        h += b
-        masks.append(h > 0)
-        np.maximum(h, 0.0, out=h)
     # d(margin)/d(logits) = (-1, +1)
-    delta = np.broadcast_to(net.weights[-1][1] - net.weights[-1][0], h.shape)
-    for w, mask in zip(net.weights[-2::-1], masks[::-1]):
+    w_out = net.weights[-1]
+    delta = np.broadcast_to(w_out[1] - w_out[0], (len(h), w_out.shape[1]))
+    for w, mask in zip(net.weights[-2::-1], active_units(net, h)[::-1]):
         delta = (delta * mask) @ w
     return np.ascontiguousarray(delta)
 
 
 def grad_input(net: MlpNetwork, x) -> np.ndarray:
     """Gradient of the margin w.r.t. the input, by backprop. Takes one
-    sample (n,) or rows (batch, n) and returns the same shape.
+    sample (n,) or rows (batch, n) and returns the same shape; one sample
+    goes through as a batch of one row.
 
     The backward pass needs only which hidden units are active, so each
-    hidden layer keeps a bool mask, not its float pre-activations. Rows go
-    through in forward_batch's equal blocks, so a pass holds one block's
-    activations and masks besides the result; as there, a batch taller than
+    hidden layer keeps a bool mask, not its activations. Rows go through in
+    forward_batch's equal blocks, so a pass holds one block's activations
+    and masks besides the result; as there, a batch taller than
     FORWARD_BLOCK_ROWS may differ from one pass in its last bits."""
     x = _check_input(net, x)
-    if x.ndim == 1:
-        return _grad_block(net, x)
-    return _in_blocks(_grad_block, net, x, net.input_dim)
+    g = _in_blocks(_grad_block, net, np.atleast_2d(x), net.input_dim)
+    return g[0] if x.ndim == 1 else g
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -247,15 +254,14 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
         net.weights[0] = net.weights[0] / sd
 
     n_layers = len(net.weights)
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    # Adam's moments, one per parameter array of net.weights + net.biases
+    params = net.weights + net.biases
+    moments = [np.zeros_like(p) for p in params]
+    velocities = [np.zeros_like(p) for p in params]
     b1, b2 = ADAM_BETAS
     step = 0
 
-    labels_onehot = np.zeros((len(data), 2))
-    labels_onehot[np.arange(len(data)), data.labels] = 1.0
+    labels_onehot = np.eye(2)[data.labels]
 
     epoch_loss = float("nan")
     for epoch in range(cfg.max_epochs):
@@ -265,11 +271,7 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
             idx = order[start:start + batch_size]
             xb, yb = data.samples[idx], labels_onehot[idx]
 
-            # forward, keeping activations for backprop
-            acts = [xb]
-            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-                z = acts[-1] @ w.T + b
-                acts.append(np.maximum(z, 0.0) if k != n_layers - 1 else z)
+            acts = [xb, *_walk(net, xb)]  # kept for backprop
             logp = log_softmax(acts[-1])
             batch_loss = float(-(logp * yb).sum(axis=1).mean())
             if not np.isfinite(batch_loss):
@@ -286,14 +288,12 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
                     delta = (delta @ net.weights[k]) * (acts[k] > 0)
 
             step += 1
-            for k in range(n_layers):
-                for mom, vel, g, p in ((m_w, v_w, grads_w, net.weights),
-                                       (m_b, v_b, grads_b, net.biases)):
-                    mom[k] = b1 * mom[k] + (1 - b1) * g[k]
-                    vel[k] = b2 * vel[k] + (1 - b2) * g[k] ** 2
-                    m_hat = mom[k] / (1 - b1 ** step)
-                    v_hat = vel[k] / (1 - b2 ** step)
-                    p[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            for i, (p, g) in enumerate(zip(params, grads_w + grads_b)):
+                moments[i] = b1 * moments[i] + (1 - b1) * g
+                velocities[i] = b2 * velocities[i] + (1 - b2) * g ** 2
+                m_hat = moments[i] / (1 - b1 ** step)
+                v_hat = velocities[i] / (1 - b2 ** step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
         net.check_finite()
         epoch_loss = float(np.mean(losses))

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import stat
 from pathlib import Path
 
@@ -327,6 +328,25 @@ def test_output_path_that_cannot_be_written_exits_2_naming_it(
     assert (tmp_path / "afile").read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("argv", [["transfer", TRANSFER_CONFIG], ["symmetry", "--trials", "1"]],
+                         ids=["transfer", "symmetry"])
+def test_report_path_is_checked_before_the_experiment(tmp_path, monkeypatch, capsys, argv):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("ran an experiment whose report cannot be written")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(blab.cli, "run_transfer", no_experiment)
+    monkeypatch.setattr(blab.cli, "run_symmetry_experiment", no_experiment)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("a file\n")
+    for out, reason in (("adir", "Is a directory"), ("nodir/r.json", "No such file or directory"),
+                        ("afile/r.json", "Not a directory")):
+        assert main(argv + ["--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+    assert (tmp_path / "afile").read_text() == "a file\n"
+
+
 def test_config_path_that_is_a_directory_exits_2_before_the_run_directory(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["iterproj", CONFIG_DIR, "--out", str(out)]) == EXIT_CONFIG
@@ -471,6 +491,59 @@ def test_interrupt_ends_the_run_cleanly_and_resumes_byte_identical(tmp_path, mon
         assert sorted(p.name for p in (cut / sub).iterdir()) == names
         for name in names:
             assert (cut / sub / name).read_bytes() == (full / sub / name).read_bytes()
+
+
+def test_sigterm_ends_the_run_like_an_interrupt(tmp_path, monkeypatch, capsys):
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(full)]) == EXIT_OK
+    real_train = blab.experiments.train
+    seeds = []
+
+    def train_terminated_at_iteration_2(net, data, cfg, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real_train(net, data, cfg, seed)
+
+    def unhandled(signum, frame):
+        unhandled.calls += 1
+
+    unhandled.calls = 0
+    monkeypatch.setattr(blab.experiments, "train", train_terminated_at_iteration_2)
+    # a SIGTERM that main does not handle lands here, not in pytest's default
+    outer = signal.signal(signal.SIGTERM, unhandled)
+    try:
+        capsys.readouterr()
+        code = main(["iterproj", CONFIG, "--iterations", "3", "--out", str(cut)])
+        assert signal.getsignal(signal.SIGTERM) is unhandled
+    finally:
+        signal.signal(signal.SIGTERM, outer)
+    assert (code, unhandled.calls) == (EXIT_INTERRUPTED, 0)
+    assert capsys.readouterr().err == "interrupted\n"
+    manifest = json.loads((cut / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted" and manifest["completed_iterations"] == 1
+    monkeypatch.undo()
+    checkpoint_resume(cut)
+    assert (cut / "records.csv").read_bytes() == (full / "records.csv").read_bytes()
+    for sub in ("projections", "working", "checkpoints"):
+        for path in (full / sub).iterdir():
+            assert (cut / sub / path.name).read_bytes() == path.read_bytes()
+
+
+def test_a_write_that_fails_mid_cascade_ends_the_run_aborted(tmp_path, capsys):
+    run = tmp_path / "run"
+    blocked = run / "checkpoints" / "iter_2.blab"
+    blocked.mkdir(parents=True)
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(run)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {blocked}: Is a directory\n"
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert (manifest["status"], manifest["completed_iterations"]) == ("aborted_write", 1)
+    # records.csv ends with the last completed iteration
+    rows = (run / "records.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
+    blocked.rmdir()
+    assert len(checkpoint_resume(run)) == 4
+    assert json.loads((run / "manifest.json").read_text())["status"] == "finished"
 
 
 def test_plot_missing_records_is_data_error(tmp_path, capsys):

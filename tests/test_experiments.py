@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blab.config import parse_config
 from blab.data import gen_gaussian_blobs
 from blab.experiments import (DatasetSpec, ExperimentConfig, ExperimentError,
                               IterationRecord, build_dataset, checkpoint_resume,
@@ -12,6 +14,8 @@ from blab.experiments import (DatasetSpec, ExperimentConfig, ExperimentError,
                               run_iterative_projection, run_symmetry_experiment,
                               run_transfer, stratified_split)
 from blab.nn import TrainConfig
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
 
 
 def small_config(master_seed=0, iterations=3):
@@ -133,6 +137,28 @@ def test_global_difference_column_matches_the_frozen_reprojection(tmp_path):
             assert record.global_difference == pytest.approx(phi, rel=1e-12, abs=1e-12)
     rows = (tmp_path / "run" / "records.csv").read_text().splitlines()
     assert rows[1].endswith(",0,") and rows[-1].endswith(",0,")
+
+
+# every value of records.csv for `blab iterproj configs/blobs2d.cfg
+# --iterations 2`, one tuple per row in column order, frozen so that a
+# change to training, projection or the metrics cannot move them unseen
+FROZEN_RECORDS = [
+    (0, 2.8971426203147312, 0.0, None, None, 0, None),
+    (1, 0.9274656459698579, 1.558968818227934, 1.0, None, 0, 27.994684817561065),
+    (2, 0.5091939306604971, 0.5682296118277234, 1.0, None, 0, None),
+]
+
+
+def test_blobs2d_cascade_records_match_the_frozen_values(tmp_path):
+    cfg = parse_config(CONFIG, {"experiment.iterations": "2"})
+    run_iterative_projection(cfg, out_dir=tmp_path / "run")
+    records = records_from_csv((tmp_path / "run" / "records.csv").read_text())
+    for record, frozen in zip(records, FROZEN_RECORDS, strict=True):
+        for value, want in zip(dataclasses.astuple(record), frozen, strict=True):
+            if want is None:
+                assert value is None
+            else:
+                assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from blab.config import parse_config
 from blab.data import Dataset
 from blab.experiments import build_dataset
-from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, accuracy, check_layer_dims, forward,
-                     grad_input, init_network, load_checkpoint, log_softmax, margin,
-                     margin_batch, save_checkpoint, train)
+from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, accuracy, active_units, check_layer_dims,
+                     forward_batch, grad_input, init_network, load_checkpoint, log_softmax,
+                     margin, margin_batch, save_checkpoint, train)
 from helpers import linear_net
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
@@ -34,15 +34,16 @@ def test_init_determinism_and_validation():
 def test_margin_is_logit_difference():
     net = init_network([4, 6, 2], seed=1)
     x = np.array([0.3, -1.2, 0.5, 2.0])
-    logits = forward(net, x)
+    logits = forward_batch(net, x[None, :])[0]
     assert margin(net, x) == pytest.approx(logits[1] - logits[0])
     np.testing.assert_allclose(margin_batch(net, x[None, :]), [margin(net, x)])
 
 
 def test_forward_rejects_wrong_dimension():
     net = init_network([4, 6, 2], seed=1)
-    with pytest.raises(ValueError):
-        forward(net, np.zeros(3))
+    for fn in (margin, margin_batch, grad_input, active_units):
+        with pytest.raises(ValueError):
+            fn(net, np.zeros(3))
 
 
 def _single_pass_margin(net, x):
@@ -123,6 +124,23 @@ def _pre_activation_grad(net, x):
     for w, z in zip(net.weights[-2::-1], pre_acts[::-1]):
         delta = (delta * (z > 0)) @ w
     return np.ascontiguousarray(delta)
+
+
+def test_active_units_are_the_signs_of_the_pre_activations():
+    rng = np.random.default_rng(14)
+    net = init_network([3, 10, 6, 2], seed=2)
+    net.biases = [rng.standard_normal(b.shape) for b in net.biases]
+    x = rng.standard_normal((50, 3))
+    h, expected = x, []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w.T + b
+        expected.append(z > 0)
+        h = np.maximum(z, 0.0)
+    active = active_units(net, x)
+    assert [a.shape for a in active] == [(50, 10), (50, 6)]
+    for got, want in zip(active, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert active_units(init_network([3, 2], seed=2), x) == []
 
 
 @pytest.mark.parametrize("dims", [[2, 32, 32, 2], [784, 500, 256, 128, 32, 2]])
