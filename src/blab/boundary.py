@@ -18,17 +18,18 @@ moving:
   keeping its largest winning step. Where rows are cheap, as at 2-D, all
   halvings go into one second call; at 784-d, past a few rows, each
   halving gets a call of its own;
-- for 2D inputs, a radial fan sweep inside the better radius of the first
-  two candidates.
+- for 2D inputs, a radial fan sweep inside each sample's least converged
+  distance.
 
-Each sample gets its shortest converged candidate, so returned distances
-never exceed the segment-crossing distance. Which rows a step evaluates
-depends on the samples alone, but BLAS may order a batched product's sums,
-or pick another kernel, by the batch height: the last bits of a projection
-depend on the rows it is projected with, at 2-d as well as at high input
-widths. The height BLAS sees, in margin and gradient evaluations alike,
-is at most `nn.FORWARD_BLOCK_ROWS` (1024): a taller batch is evaluated in
-equal blocks.
+All candidates are rows of one pool, each owned by its sample. Each sample
+gets its shortest converged row, so returned distances never exceed the
+segment-crossing distance; a sample with no converged row stays where it
+is. Which rows a step evaluates depends on the samples alone, but BLAS may
+order a batched product's sums, or pick another kernel, by the batch
+height: the last bits of a projection depend on the rows it is projected
+with, at 2-d as well as at high input widths. The height BLAS sees, in
+margin and gradient evaluations alike, is at most `nn.FORWARD_BLOCK_ROWS`
+(1024): a taller batch is evaluated in equal blocks.
 """
 
 from __future__ import annotations
@@ -110,14 +111,13 @@ def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, n
     return a + t[:, None] * span, m
 
 
-def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray]:
     """Newton root seeking from each row of starts: step -m*g/|g|^2, capped
     at MAX_STEP_NORM, until |margin| <= BOUNDARY_TOLERANCE or the margin
-    changes sign, then solve the last step's bracket. Returns the points,
-    their margins and a mask of rows stopped by a zero gradient."""
+    changes sign, then solve the last step's bracket. A row stops where its
+    gradient is zero. Returns the points and their margins."""
     points = np.array(starts, dtype=np.float64)
     m = margin_batch(net, points)
-    stalled = np.zeros(len(points), dtype=bool)
     brackets = []
     act = np.flatnonzero(np.abs(m) > BOUNDARY_TOLERANCE)
     for _ in range(MAX_NEWTON_STEPS):
@@ -126,7 +126,6 @@ def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray, np.nd
         g = grad_input(net, points[act])
         g2 = np.einsum("ij,ij->i", g, g)
         if not g2.all():
-            stalled[act[g2 == 0.0]] = True
             act, g, g2 = act[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
         cur, m_cur = points[act], m[act]
         step = (-m_cur / g2)[:, None] * g
@@ -145,7 +144,7 @@ def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray, np.nd
     if brackets:
         rows, lo, hi, m_lo, m_hi = (np.concatenate(p) for p in zip(*brackets))
         points[rows], m[rows] = bisect_along_segment(net, lo, hi, m_lo, m_hi)
-    return points, m, stalled
+    return points, m
 
 
 def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
@@ -181,7 +180,7 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
             etas = SLIDE_STEPS[tried:tried + per_call]
             tried += len(etas)
             starts = b[search] + etas[:, None, None] * tangent[search]
-            p, mp, _ = hit_boundary(net, starts.reshape(-1, b.shape[1]))
+            p, mp = hit_boundary(net, starts.reshape(-1, b.shape[1]))
             p, mp = p.reshape(starts.shape), mp.reshape(starts.shape[:2])
             d = np.linalg.norm(p - x[act[search]], axis=2)
             win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
@@ -196,11 +195,12 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
         act = act[moved & (before - after >= REFINE_STALL_FRACTION * after)]
 
 
-def _first_min(owner: np.ndarray, dist: np.ndarray, count: int) -> np.ndarray:
-    """For each of count samples, its first row of least dist, or -1."""
+def _pick(owner: np.ndarray, key: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """For each of count samples, the first of its rows among rows (ascending)
+    of least key, or -1 where it owns none of them."""
     best = np.full(count, -1)
-    if len(owner):
-        order = np.lexsort((dist, owner))  # stable: equal distances keep row order
+    if len(rows):
+        order = rows[np.lexsort((key[rows], owner[rows]))]  # stable: equal keys keep row order
         first = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
         best[owner[first]] = first
     return best
@@ -232,7 +232,7 @@ def _fan_sweep(net: MlpNetwork, x, m_x, radius):
     owner, lo, hi, m_lo, m_hi = (np.concatenate(p) for p in zip(*found))
     pts, m = bisect_along_segment(net, lo, hi, m_lo, m_hi)
     dist = np.linalg.norm(pts - x[owner], axis=1)
-    best = _first_min(owner, dist, len(x))
+    best = _pick(owner, dist, np.arange(len(owner)), len(x))
     best = best[best >= 0]
     return owner[best], pts[best], m[best], dist[best]
 
@@ -241,75 +241,65 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     """Nearest-boundary-point estimates for correctly classified samples
     (the rows of points, with their labels), projected in lockstep.
 
-    Candidate 1: the Newton seed, slid. Candidate 2: the nearest of the
-    crossings toward the SEGMENT_CANDIDATES nearest opposite-class samples of
-    data (an upper bound on the true distance), each slid. Candidate 3, 2D
-    only: the nearest fan-sweep crossing inside the better radius of the
-    first two, slid. Each sample gets its closest converged candidate; ties
-    within REFINE_TOLERANCE go to candidate 1.
+    Every candidate is a row of one pool, owned by its sample: first the
+    Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
+    opposite-class samples of data (each an upper bound on the true
+    distance), then, 2D only, the nearest fan-sweep crossing inside the
+    least converged distance of the rows before it; each is slid. A sample
+    gets its converged row of least distance, or its seed when that is
+    within REFINE_TOLERANCE of the least; with no converged row, it gets
+    itself (distance 0, not converged).
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     s = len(x)
     m_x = margin_batch(net, x)
 
-    # candidates 1 and 2: Newton seeds and segment crossings, slid together
+    # Newton seeds and segment crossings, slid together
     m_data = margin_batch(net, data.samples)
     near = []
     for i in range(s):
         usable = np.flatnonzero((data.labels != labels[i]) & (m_data * m_x[i] < 0))
         dists = np.linalg.norm(data.samples[usable] - x[i], axis=1)
         near.append(usable[np.argsort(dists, kind="stable")[:SEGMENT_CANDIDATES]])
-    owner = np.repeat(np.arange(s), [len(j) for j in near])
+    cross_owner = np.repeat(np.arange(s), [len(j) for j in near])
     target = np.array([j for js in near for j in js], dtype=int)
-    seed, m_seed, stalled = hit_boundary(net, x)
-    cross, m_cross = bisect_along_segment(net, x[owner], data.samples[target],
-                                          m_x[owner], m_data[target])
-    home = np.concatenate([np.arange(s), owner])
+    seed, m_seed = hit_boundary(net, x)
+    cross, m_cross = bisect_along_segment(net, x[cross_owner], data.samples[target],
+                                          m_x[cross_owner], m_data[target])
+    owner = np.concatenate([np.arange(s), cross_owner])
     pool, m_pool = np.vstack([seed, cross]), np.concatenate([m_seed, m_cross])
-    dist = np.linalg.norm(pool - x[home], axis=1)
+    dist = np.linalg.norm(pool - x[owner], axis=1)
     crossed = dist[s:].copy()
-    _slide(net, x[home], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
+    _slide(net, x[owner], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
     methods = [METHOD_NEWTON] * s + [METHOD_COMBINED if after < before - REFINE_TOLERANCE
                                      else METHOD_SEGMENT
                                      for after, before in zip(dist[s:], crossed)]
-    cand1 = np.where(stalled, -1, np.arange(s))
-    cand2 = _first_min(owner, dist[s:], s)
-    cand2[cand2 >= 0] += s
 
-    # candidate 3, 2D only: the fan sweep inside the better converged radius
-    cand3 = np.full(s, -1)
+    # 2D only: the fan sweep inside the least converged distance so far
     if data.dim == 2:
-        conv = np.abs(m_pool) <= BOUNDARY_TOLERANCE
-        radius = np.full(s, np.inf)
-        for c in (cand1, cand2):
-            has = (c >= 0) & conv[c]
-            radius[has] = np.minimum(radius[has], dist[c[has]])
+        best = _pick(owner, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE), s)
+        radius = np.where(best >= 0, dist[best], np.inf)
         fan_owner, fan, m_fan, fan_dist = _fan_sweep(net, x, m_x, radius)
         _slide(net, x[fan_owner], fan, m_fan, fan_dist,
                np.flatnonzero(np.abs(m_fan) <= BOUNDARY_TOLERANCE))
-        cand3[fan_owner] = len(pool) + np.arange(len(fan_owner))
+        owner = np.concatenate([owner, fan_owner])
         pool, m_pool = np.vstack([pool, fan]), np.concatenate([m_pool, m_fan])
         dist = np.concatenate([dist, fan_dist])
         methods += [METHOD_COMBINED] * len(fan_owner)
 
-    conv = np.abs(m_pool) <= BOUNDARY_TOLERANCE
+    key = dist.copy()
+    key[:s] -= REFINE_TOLERANCE  # a seed wins ties within REFINE_TOLERANCE
+    best = _pick(owner, key, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE), s)
     results = []
-    for i in range(s):
-        cands = [int(c) for c in (cand1[i], cand2[i], cand3[i]) if c >= 0]
-        ok = [c for c in cands if conv[c]]
-        if not cands:
+    for i, b in enumerate(best):
+        if b < 0:
             results.append(ProjectionResult(x[i].copy(), np.zeros_like(x[i]), 0.0,
                                             float(abs(m_x[i])), False, METHOD_COMBINED))
-            continue
-        # the fallback when nothing converged is candidate 1, else candidate 2
-        best = min(ok, key=lambda c: dist[c]) if ok else cands[0]
-        if cand1[i] in ok and dist[cand1[i]] <= dist[best] + REFINE_TOLERANCE:
-            best = int(cand1[i])
-        point = pool[best].copy()
-        results.append(ProjectionResult(point, point - x[i], float(dist[best]),
-                                        float(abs(m_pool[best])), bool(conv[best]),
-                                        methods[best]))
+        else:
+            point = pool[b].copy()
+            results.append(ProjectionResult(point, point - x[i], float(dist[b]),
+                                            float(abs(m_pool[b])), True, methods[b]))
     return results
 
 
@@ -324,16 +314,12 @@ def adversarial_overshoot(result: ProjectionResult, kappa: float) -> np.ndarray:
 def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[ProjectionResult]]:
     """Project every sample of a fully correctly classified dataset.
 
-    Non-converged samples keep their original location and are flagged in
-    their ProjectionResult. A misclassified sample raises ProjectionError."""
+    An unconverged sample is its own projection, so it keeps its location.
+    A misclassified sample raises ProjectionError."""
     correct = is_correct(margin_batch(net, data.samples), data.labels)
     if not correct.all():
         bad = int(np.flatnonzero(~correct)[0])
         raise ProjectionError(f"sample {bad} is misclassified; projection requires a trained separator")
     results = project_to_boundary(net, data.samples, data.labels, data)
-    new_samples = data.samples.copy()
-    for i, r in enumerate(results):
-        if r.converged:
-            new_samples[i] = r.point
-    return data.with_samples(new_samples), results
+    return data.with_samples(np.array([r.point for r in results])), results
 

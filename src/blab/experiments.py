@@ -109,6 +109,9 @@ class ExperimentConfig:
         self.dataset.validate()
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        check_layer_dims(self.dims)
+        if self.dims_b is not None:
+            check_layer_dims(self.dims_b)
         _check_kappa(self.kappa)
         self.train.validate()
 
@@ -238,7 +241,10 @@ class RunDirectory:
         self.working = self.path / "working"
 
     def create(self) -> None:
-        """ConfigError if the path, or a directory above it, is a file."""
+        """ConfigError if the path is a non-empty directory, or it, or a
+        directory above it, is a file."""
+        if self.path.is_dir() and any(self.path.iterdir()):
+            raise ConfigError(f"run directory {self.path} is not empty")
         for d in (self.path, self.checkpoints, self.projections, self.working):
             try:
                 d.mkdir(parents=True, exist_ok=True)
@@ -369,8 +375,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
             if prev is not None:
                 records[-1].global_difference = global_difference(
                     prev, data.samples, projected.samples).phi
-            # unconverged samples did not move, so they contribute zero norm
-            mean_norm = float(np.mean([r.distance if r.converged else 0.0 for r in results]))
+            mean_norm = float(np.mean([r.distance for r in results]))
             prev, data = data.samples, projected
             records.append(IterationRecord(
                 iteration=k,

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import blab.boundary
-from blab.boundary import (BOUNDARY_TOLERANCE, MAX_REFINE_STEPS, MIN_SLIDE_STEP,
-                           REFINE_STALL_FRACTION, REFINE_TOLERANCE, ProjectionError,
-                           adversarial_overshoot, bisect_along_segment, hit_boundary,
-                           project_dataset, project_to_boundary)
+from blab.boundary import (BOUNDARY_TOLERANCE, MAX_REFINE_STEPS, METHOD_SEGMENT,
+                           MIN_SLIDE_STEP, REFINE_STALL_FRACTION, REFINE_TOLERANCE,
+                           ProjectionError, adversarial_overshoot, bisect_along_segment,
+                           hit_boundary, project_dataset, project_to_boundary)
 from blab.config import parse_config
 from blab.data import Dataset, gen_gaussian_blobs
 from blab.experiments import build_dataset
 from blab.geometry import halfspace_projection
-from blab.nn import TrainConfig, grad_input, init_network, margin, margin_batch, train
+from blab.nn import (MlpNetwork, TrainConfig, grad_input, init_network, margin, margin_batch,
+                     train)
 from helpers import linear_net
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,9 +63,37 @@ def test_projection_random_linear_cases():
 
 def test_point_on_boundary_projects_to_itself():
     net = linear_net([1.0, 0.0], 0.0)
-    points, m, stalled = hit_boundary(net, np.array([[0.0, 2.0]]))
-    assert abs(m[0]) <= BOUNDARY_TOLERANCE and not stalled[0]
+    points, m = hit_boundary(net, np.array([[0.0, 2.0]]))
+    assert abs(m[0]) <= BOUNDARY_TOLERANCE
     np.testing.assert_array_equal(points, [[0.0, 2.0]])
+
+
+def test_a_seed_stopped_by_a_zero_gradient_still_gets_its_segment_crossing():
+    # margin 2*relu(x_0 - 1) - 1: flat at -1 left of x_0 = 1, zero at x_0 = 1.5
+    net = MlpNetwork([2, 1, 2], [np.array([[1.0, 0.0]]), np.array([[0.0], [2.0]])],
+                     [np.array([-1.0]), np.array([0.0, -1.0])])
+    data = Dataset(np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([0, 1]))
+    seeds, m = hit_boundary(net, data.samples[:1])
+    np.testing.assert_array_equal(seeds, [[0.0, 0.0]])
+    assert m[0] == -1.0
+    [res] = project_to_boundary(net, data.samples[:1], data.labels[:1], data)
+    assert res.converged and res.method == METHOD_SEGMENT
+    np.testing.assert_allclose(res.point, [1.5, 0.0], atol=1e-12)
+    assert res.distance == pytest.approx(1.5, abs=1e-12)
+
+
+def test_an_unconverged_sample_is_its_own_projection(monkeypatch, easy_blobs):
+    net = init_network([2, 16, 16, 2], seed=4)
+    train(net, easy_blobs, TrainConfig(max_epochs=2000, batch_size=16), 4)
+    monkeypatch.setattr(blab.boundary, "BOUNDARY_TOLERANCE", -1.0)  # nothing converges
+    projected, results = project_dataset(net, easy_blobs)
+    np.testing.assert_array_equal(projected.samples, easy_blobs.samples)
+    m = margin_batch(net, easy_blobs.samples)
+    for x, m_x, r in zip(easy_blobs.samples, m, results, strict=True):
+        assert not r.converged
+        np.testing.assert_array_equal(r.point, x)
+        np.testing.assert_array_equal(r.vector, 0.0)
+        assert r.distance == 0.0 and r.residual == abs(m_x)
 
 
 def test_bisect_requires_sign_change():
@@ -252,7 +281,7 @@ def _sequential_slide(net, x, points, m, dist, rows):
         search = np.arange(len(act))
         eta = 1.0
         while len(search) and eta >= MIN_SLIDE_STEP:
-            p, mp, _ = hit_boundary(net, b[search] + eta * tangent[search])
+            p, mp = hit_boundary(net, b[search] + eta * tangent[search])
             d = np.linalg.norm(p - x[act[search]], axis=1)
             win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
             won = act[search[win]]

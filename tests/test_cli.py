@@ -113,6 +113,11 @@ def test_iterproj_rejects_csv_labels_outside_0_1(tmp_path, capsys):
         assert f"line 4: label '{label}'" in capsys.readouterr().err
         manifest = out / "manifest.json"
         assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
+    # widths no network has, whatever the data: show-config refuses them too
+    for key, dims in (("network.dims", "2"), ("network.dims", "2,0,2"),
+                      ("experiment.dims_b", "2,0,2")):
+        assert main(["show-config", CONFIG, "--set", f"{key}={dims}"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 def test_iterproj_rejects_csv_with_non_numeric_value_or_no_features(tmp_path, capsys):
@@ -147,6 +152,11 @@ def test_bad_network_dims_fail_before_the_run_directory(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
         manifest = out / "manifest.json"
         assert not manifest.exists() or json.loads(manifest.read_text())["status"] != "running"
+    # widths no network has, whatever the data: show-config refuses them too
+    for key, dims in (("network.dims", "2"), ("network.dims", "2,0,2"),
+                      ("experiment.dims_b", "2,0,2")):
+        assert main(["show-config", CONFIG, "--set", f"{key}={dims}"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 def test_non_finite_config_values_fail_before_the_run_directory(tmp_path, capsys):
@@ -300,6 +310,29 @@ def test_out_that_cannot_be_a_directory_exits_2_before_training(tmp_path, monkey
                                                f"{out}: {reason}\n")
     assert afile.read_text() == "not a run\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_a_fresh_cascade_refuses_a_non_empty_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network for a run that should have been refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blab.experiments, "train", no_training)
+        for command in ("iterproj", "gentrack"):
+            assert main([command, CONFIG, "--iterations", "1", "--out", str(out),
+                         "--set", "experiment.master_seed=9"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: run directory {out} is not empty\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # an existing empty directory is a fresh run's to fill
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(empty)]) == EXIT_OK
+    assert (empty / "records.csv").exists()
 
 
 @pytest.mark.parametrize("argv, out, reason", [
@@ -530,10 +563,19 @@ def test_sigterm_ends_the_run_like_an_interrupt(tmp_path, monkeypatch, capsys):
             assert (cut / sub / path.name).read_bytes() == path.read_bytes()
 
 
-def test_a_write_that_fails_mid_cascade_ends_the_run_aborted(tmp_path, capsys):
+def test_a_write_that_fails_mid_cascade_ends_the_run_aborted(tmp_path, monkeypatch, capsys):
     run = tmp_path / "run"
     blocked = run / "checkpoints" / "iter_2.blab"
-    blocked.mkdir(parents=True)
+    real_train = blab.experiments.train
+
+    def train_then_block(*args, **kwargs):
+        # a fresh run refuses a non-empty run directory, so block iteration
+        # 2's checkpoint only once iteration 1 is saved
+        if (run / "checkpoints" / "iter_1.blab").exists():
+            blocked.mkdir(exist_ok=True)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(blab.experiments, "train", train_then_block)
     assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(run)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: cannot write {blocked}: Is a directory\n"
     manifest = json.loads((run / "manifest.json").read_text())
@@ -542,6 +584,7 @@ def test_a_write_that_fails_mid_cascade_ends_the_run_aborted(tmp_path, capsys):
     rows = (run / "records.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
     blocked.rmdir()
+    monkeypatch.undo()
     assert len(checkpoint_resume(run)) == 4
     assert json.loads((run / "manifest.json").read_text())["status"] == "finished"
 

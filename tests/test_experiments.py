@@ -161,6 +161,60 @@ def test_blobs2d_cascade_records_match_the_frozen_values(tmp_path):
                 assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
+# the method and distance columns of projections/iter_1..3.csv for `blab
+# iterproj configs/blobs2d.cfg --iterations 3`, frozen so that a change to
+# how a projection picks among its candidates cannot move them unseen; a
+# method is its initial: n(ewton_refine), s(egment_bisection), c(ombined)
+FROZEN_METHODS = [
+    "ccccnccncnccnccncnncnccnccnccc",
+    "nnnnnnnnnnnnnnnnnnnnnnnnnnnnnn",
+    "nnnnnnnnnncnnnnnnnnnnnnnnnnnnn",
+]
+FROZEN_DISTANCES = [
+    [
+        1.755816929716099, 1.1027959981567719, 2.6294399015533947, 1.918579646895113,
+        2.064891831442603, 3.0414201898722673, 1.9226411493685887, 2.153857461871928,
+        2.0464927956666608, 1.6957594765407207, 1.6865233453307487, 2.0800177526488803,
+        1.3172477128410967, 2.658682502410622, 1.6104417191512421, 1.1992261855866166,
+        1.75135463905753, 0.6149855519763984, 0.9724705379938443, 1.2683517148651398,
+        0.8529167109134547, 1.6577006977451563, 0.9727511288217767, 1.2650722557527059,
+        1.1141153432115833, 0.701061020505639, 0.9567264800766991, 1.0778783221684731,
+        1.6613022757483178, 1.0185432689479432,
+    ],
+    [
+        0.47238498443648186, 0.4761682932028329, 0.476640959037187, 0.4727337357287891,
+        0.4766190639539094, 0.4764391324239879, 0.47617911112916383, 0.47254924910972024,
+        0.4745103212762364, 0.4753080331902951, 0.47622019790825865, 0.2522098284416825,
+        0.021774723051181086, 0.4760987451602207, 0.4761762429366426, 0.7736950044762161,
+        1.0967139309862806, 0.5819493948921806, 0.6032780992936764, 0.4417173768391719,
+        0.6178538835231864, 1.2592190634451, 0.3220510152850518, 1.0186516210947258,
+        0.4083931365727301, 0.2788389787495667, 0.6748029868175413, 0.5144476166969132,
+        1.0219807168899044, 0.9812829082828687,
+    ],
+    [
+        0.09671994084756046, 0.09934343424467794, 0.10164763762026462, 0.09693000847080502,
+        0.10150561414853508, 0.10036144114698425, 0.09936982934087597, 0.09681636654392496,
+        0.09802436849892039, 0.09855027085250255, 0.09947007523717497, 0.039791388973498015,
+        0.008873386160871743, 0.09926885144103523, 0.09936283112188295, 0.17596222654295912,
+        0.2577442591147137, 0.14253323516049932, 0.13636172484857498, 0.0988191720340373,
+        0.13974876187673482, 0.29436108569869457, 0.0847051363258972, 0.23075269050188155,
+        0.09107547646743983, 0.07509034025292483, 0.15298226765729112, 0.11571980747061236,
+        0.2409071855281524, 0.23173814326744133,
+    ],
+]
+
+
+def test_blobs2d_cascade_projections_match_the_frozen_picks(tmp_path):
+    cfg = parse_config(CONFIG, {"experiment.iterations": "3"})
+    run_iterative_projection(cfg, out_dir=tmp_path / "run")
+    for k, (methods, distances) in enumerate(zip(FROZEN_METHODS, FROZEN_DISTANCES,
+                                                 strict=True), 1):
+        text = (tmp_path / "run" / "projections" / f"iter_{k}.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert "".join(row[5][0] for row in rows) == methods
+        assert [float(row[3]) for row in rows] == pytest.approx(distances, rel=1e-12, abs=0)
+
+
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     cfg = small_config(master_seed=2, iterations=4)
     full = run_iterative_projection(cfg, out_dir=tmp_path / "full")
