@@ -3,7 +3,7 @@
 One lockstep engine projects a whole set of samples at once. Every stage
 works on an (rows, n) array and each row stops on its own mask, so one step
 of a stage is one batched margin or gradient evaluation of the rows still
-moving:
+moving; projecting a dataset evaluates its samples' margins once:
 
 - the Newton seed (`hit_boundary`): the binary DeepFool step -m*g/|g|^2
   until the margin is within BOUNDARY_TOLERANCE or changes sign;
@@ -19,7 +19,7 @@ moving:
   halvings go into one second call; at 784-d, past a few rows, each
   halving gets a call of its own;
 - for 2D inputs, a radial fan sweep inside each sample's least converged
-  distance.
+  distance: the one stage that evaluates one sample per call (`_fan_sweep`).
 
 All candidates are rows of one pool, each owned by its sample. Each sample
 gets its shortest converged row, so returned distances never exceed the
@@ -111,13 +111,13 @@ def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, n
     return a + t[:, None] * span, m
 
 
-def hit_boundary(net: MlpNetwork, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Newton root seeking from each row of starts: step -m*g/|g|^2, capped
-    at MAX_STEP_NORM, until |margin| <= BOUNDARY_TOLERANCE or the margin
-    changes sign, then solve the last step's bracket. A row stops where its
-    gradient is zero. Returns the points and their margins."""
+def hit_boundary(net: MlpNetwork, starts, m) -> tuple[np.ndarray, np.ndarray]:
+    """Newton root seeking from each row of starts, of margins m: step
+    -m*g/|g|^2, capped at MAX_STEP_NORM, until |margin| <= BOUNDARY_TOLERANCE
+    or the margin changes sign, then solve the last step's bracket. A row
+    stops where its gradient is zero. Returns the points and their margins."""
     points = np.array(starts, dtype=np.float64)
-    m = margin_batch(net, points)
+    m = np.array(m, dtype=np.float64)
     brackets = []
     act = np.flatnonzero(np.abs(m) > BOUNDARY_TOLERANCE)
     for _ in range(MAX_NEWTON_STEPS):
@@ -179,9 +179,9 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
             per_call = 1 if not tried else max(1, SLIDE_SEARCH_MACS // (len(search) * row_macs))
             etas = SLIDE_STEPS[tried:tried + per_call]
             tried += len(etas)
-            starts = b[search] + etas[:, None, None] * tangent[search]
-            p, mp = hit_boundary(net, starts.reshape(-1, b.shape[1]))
-            p, mp = p.reshape(starts.shape), mp.reshape(starts.shape[:2])
+            starts = (b[search] + etas[:, None, None] * tangent[search]).reshape(-1, b.shape[1])
+            p, mp = hit_boundary(net, starts, margin_batch(net, starts))
+            p, mp = p.reshape(len(etas), len(search), -1), mp.reshape(len(etas), -1)
             d = np.linalg.norm(p - x[act[search]], axis=2)
             win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
             found = np.flatnonzero(win.any(axis=0))
@@ -207,11 +207,12 @@ def _pick(owner: np.ndarray, key: np.ndarray, rows: np.ndarray, count: int) -> n
 
 
 def _fan_sweep(net: MlpNetwork, x, m_x, radius):
-    """Radial sweep over FAN_DIRECTIONS evenly spaced 2D directions and
-    FAN_STEPS radii inside each sample's radius, one sample per margin_batch
-    call; the first sign change along each direction is solved. Returns the
-    owner, point, margin and distance of each sample's nearest crossing.
-    Catches nearest boundary branches the gradient-guided candidates pass."""
+    """Nearest crossing of each sample within its radius: the first sign
+    change along each of FAN_DIRECTIONS 2D directions, at FAN_STEPS radii,
+    solved. Returns owner, point, margin and distance; catches nearest
+    branches the gradient-guided candidates pass. One margin_batch call per
+    sample: one call over every sample's fan gave the same bytes and no
+    measured speedup on blobs2d, but 1.4 MiB more peak RSS."""
     angles = 2 * np.pi * np.arange(FAN_DIRECTIONS) / FAN_DIRECTIONS
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     fractions = np.arange(1, FAN_STEPS + 1) / FAN_STEPS
@@ -248,15 +249,19 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     least converged distance of the rows before it; each is slid. A sample
     gets its converged row of least distance, or its seed when that is
     within REFINE_TOLERANCE of the least; with no converged row, it gets
-    itself (distance 0, not converged).
+    itself (distance 0, not converged). A misclassified sample raises
+    ProjectionError.
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     s = len(x)
-    m_x = margin_batch(net, x)
+    m_data = margin_batch(net, data.samples)
+    m_x = m_data if x is data.samples else margin_batch(net, x)  # the data's own rows: no 2nd pass
+    bad = np.flatnonzero(~is_correct(m_x, labels))
+    if len(bad):
+        raise ProjectionError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
 
     # Newton seeds and segment crossings, slid together
-    m_data = margin_batch(net, data.samples)
     near = []
     for i in range(s):
         usable = np.flatnonzero((data.labels != labels[i]) & (m_data * m_x[i] < 0))
@@ -264,7 +269,7 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
         near.append(usable[np.argsort(dists, kind="stable")[:SEGMENT_CANDIDATES]])
     cross_owner = np.repeat(np.arange(s), [len(j) for j in near])
     target = np.array([j for js in near for j in js], dtype=int)
-    seed, m_seed = hit_boundary(net, x)
+    seed, m_seed = hit_boundary(net, x, m_x)
     cross, m_cross = bisect_along_segment(net, x[cross_owner], data.samples[target],
                                           m_x[cross_owner], m_data[target])
     owner = np.concatenate([np.arange(s), cross_owner])
@@ -312,14 +317,10 @@ def adversarial_overshoot(result: ProjectionResult, kappa: float) -> np.ndarray:
 
 
 def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[ProjectionResult]]:
-    """Project every sample of a fully correctly classified dataset.
+    """Project every sample of a fully correctly classified dataset; returns
+    the projected points, labeled as the samples, and the results.
 
-    An unconverged sample is its own projection, so it keeps its location.
-    A misclassified sample raises ProjectionError."""
-    correct = is_correct(margin_batch(net, data.samples), data.labels)
-    if not correct.all():
-        bad = int(np.flatnonzero(~correct)[0])
-        raise ProjectionError(f"sample {bad} is misclassified; projection requires a trained separator")
+    An unconverged sample is its own projection, so it keeps its location."""
     results = project_to_boundary(net, data.samples, data.labels, data)
-    return data.with_samples(np.array([r.point for r in results])), results
+    return Dataset(np.array([r.point for r in results]), data.labels.copy()), results
 

@@ -18,8 +18,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .boundary import ProjectionError
 from .config import ConfigError, parse_config, serialize_config
 from .data import (LAYOUT_KINDS, DataError, check_writable, export_csv, read_utf8, save_idx,
@@ -85,7 +83,7 @@ def cmd_transfer(args) -> int:
     cfg = parse_config(args.config, _overrides(args.set))
     out = Path(args.out or "transfer_report.json")
     check_writable(out)
-    payload = asdict(run_transfer(cfg, args.mode, kappa=args.kappa))
+    payload = asdict(run_transfer(cfg, args.mode))
     write_file(out, json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -135,16 +133,16 @@ def cmd_gen_data(args) -> int:
                            sigma=args.sigma)
         spec.validate()
     else:
-        spec = DatasetSpec(source="symmetric", layout_kind=args.kind)
+        spec = DatasetSpec(source="symmetric", layout_kind=args.kind)  # every layout is 2-D
+    side = math.isqrt(spec.dim)
+    if args.format == "idx" and side * side != spec.dim:
+        raise ConfigError(f"idx export needs a square feature dimension, got {spec.dim}")
     data = build_dataset(spec)
     out = Path(args.out)
     if args.format == "csv":
         export_csv(data, out)
         print(f"wrote {out} ({len(data)} samples)")
     else:
-        side = int(round(np.sqrt(data.dim)))
-        if side * side != data.dim:
-            raise DataError("idx export needs a square feature dimension")
         labels_path = out.with_suffix(".labels.idx")
         save_idx(data, out, labels_path, side, side)
         print(f"wrote {out} and {labels_path}")
@@ -178,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--mode", choices=TRANSFER_MODES,
                     default="cross_training_set")
-    sp.add_argument("--kappa", type=_finite_float, default=None)
     sp.set_defaults(fn=cmd_transfer)
 
     sp = sub.add_parser("symmetry", help="boundary-multiplicity experiment on a symmetric layout")

@@ -53,9 +53,6 @@ class Dataset:
     def both_classes_present(self) -> bool:
         return 0 in self.labels and 1 in self.labels
 
-    def with_samples(self, samples: np.ndarray) -> "Dataset":
-        return Dataset(samples, self.labels.copy())
-
 
 def read_bytes(path) -> bytes:
     """A file's bytes; DataError naming the path if it cannot be read."""

@@ -7,7 +7,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -403,18 +403,15 @@ def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> fl
     return float((~is_correct(margin_batch(net, points), labels)).mean())
 
 
-def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -> TransferReport:
+def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
     """Craft overshoot adversarials against a source network and measure how
     often an independently trained target misclassifies them, against an
-    equal-norm random-direction baseline. A given kappa overrides cfg.kappa."""
-    if kappa is not None:
-        cfg = replace(cfg, kappa=kappa)
+    equal-norm random-direction baseline."""
     cfg.validate()
     if mode not in TRANSFER_MODES:
         raise ConfigError(f"unknown transfer mode {mode!r}")
     if mode == "cross_model" and cfg.dims_b is None:
         raise ConfigError("cross_model transfer needs a second architecture (dims_b)")
-    kappa = cfg.kappa
 
     full = build_dataset(cfg.dataset)
     dims_a = check_layer_dims(cfg.dims, full.dim)
@@ -442,7 +439,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
     for x, lab, res in zip(xs, labels, project_to_boundary(net_a, xs, labels, data_a)):
         if not res.converged:
             continue
-        a = adversarial_overshoot(res, kappa)
+        a = adversarial_overshoot(res, cfg.kappa)
         direction = rng.standard_normal(len(x))
         direction /= np.linalg.norm(direction)
         b = x + np.linalg.norm(a - x) * direction
@@ -450,13 +447,13 @@ def run_transfer(cfg: ExperimentConfig, mode: str, kappa: float | None = None) -
         base.append(b)
         kept.append(lab)
     if not adv:
-        return TransferReport(mode=mode, kappa=kappa, valid=False, n_samples=0,
+        return TransferReport(mode=mode, kappa=cfg.kappa, valid=False, n_samples=0,
                               fooling_rate_transfer=0.0, fooling_rate_source=0.0,
                               fooling_rate_random_baseline=0.0)
     adv, base, kept = np.array(adv), np.array(base), np.array(kept)
 
     return TransferReport(
-        mode=mode, kappa=kappa, valid=valid, n_samples=len(kept),
+        mode=mode, kappa=cfg.kappa, valid=valid, n_samples=len(kept),
         fooling_rate_transfer=_fooling_rate(net_b, adv, kept),
         fooling_rate_source=_fooling_rate(net_a, adv, kept),
         fooling_rate_random_baseline=_fooling_rate(net_b, base, kept))

@@ -137,6 +137,18 @@ def _walk(net: MlpNetwork, h: np.ndarray):
         yield h
 
 
+def _walk_back(net: MlpNetwork, delta: np.ndarray, masks: list[np.ndarray]):
+    """Backprop of delta, a gradient at the logits, through the hidden layers'
+    masks of active units: the gradient at each layer's output before its
+    ReLU, last layer first, then at the input. train and grad_input use it."""
+    yield delta
+    for w, mask in zip(net.weights[:0:-1], masks[::-1]):
+        delta = delta @ w
+        delta *= mask
+        yield delta
+    yield delta @ net.weights[0]
+
+
 def _forward_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
     for h in _walk(net, h):  # keeps one layer's activation at a time
         pass
@@ -189,12 +201,10 @@ def margin(net: MlpNetwork, x) -> float:
 
 
 def _grad_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
-    # d(margin)/d(logits) = (-1, +1)
-    w_out = net.weights[-1]
-    delta = np.broadcast_to(w_out[1] - w_out[0], (len(h), w_out.shape[1]))
-    for w, mask in zip(net.weights[-2::-1], active_units(net, h)[::-1]):
-        delta = (delta * mask) @ w
-    return np.ascontiguousarray(delta)
+    d_logits = np.repeat([[-1.0, 1.0]], len(h), axis=0)  # d(margin)/d(logits)
+    for g in _walk_back(net, d_logits, active_units(net, h)):  # one layer's gradient at a time
+        pass
+    return g
 
 
 def grad_input(net: MlpNetwork, x) -> np.ndarray:
@@ -202,11 +212,10 @@ def grad_input(net: MlpNetwork, x) -> np.ndarray:
     sample (n,) or rows (batch, n) and returns the same shape; one sample
     goes through as a batch of one row.
 
-    The backward pass needs only which hidden units are active, so each
-    hidden layer keeps a bool mask, not its activations. Rows go through in
-    forward_batch's equal blocks, so a pass holds one block's activations
-    and masks besides the result; as there, a batch taller than
-    FORWARD_BLOCK_ROWS may differ from one pass in its last bits."""
+    Backprop needs only each hidden layer's bool mask of active units, not
+    its activations. Rows go through in forward_batch's equal blocks, so a
+    pass holds one block's masks and gradients besides the result; a batch
+    taller than FORWARD_BLOCK_ROWS may differ from one pass in its last bits."""
     x = _check_input(net, x)
     g = _in_blocks(_grad_block, net, np.atleast_2d(x), net.input_dim)
     return g[0] if x.ndim == 1 else g
@@ -225,6 +234,19 @@ def is_correct(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def accuracy(net: MlpNetwork, data: Dataset) -> float:
     """Fraction of samples whose margin sign matches the label (see is_correct)."""
     return float(is_correct(margin_batch(net, data.samples), data.labels).mean())
+
+
+def _nll_gradients(net: MlpNetwork, x: np.ndarray, onehot: np.ndarray):
+    """Mean NLL of the rows x, whose one-hot labels are onehot, and its
+    gradients for net.weights + net.biases: one forward and one backward walk."""
+    acts = [x, *_walk(net, x)]  # kept for backprop
+    logp = log_softmax(acts[-1])
+    walk = _walk_back(net, (np.exp(logp) - onehot) / len(x), [a > 0 for a in acts[1:-1]])
+    grads_w, grads_b = [], []
+    for a, delta in zip(acts[-2::-1], walk):  # zip stops before the input gradient
+        grads_w.insert(0, delta.T @ a)
+        grads_b.insert(0, delta.sum(axis=0))
+    return float(-(logp * onehot).sum(axis=1).mean()), grads_w + grads_b
 
 
 def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainReport:
@@ -253,7 +275,6 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
         net.biases[0] = net.biases[0] - net.weights[0] @ (mu / sd)
         net.weights[0] = net.weights[0] / sd
 
-    n_layers = len(net.weights)
     # Adam's moments, one per parameter array of net.weights + net.biases
     params = net.weights + net.biases
     moments = [np.zeros_like(p) for p in params]
@@ -269,26 +290,13 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
         losses = []
         for start in range(0, len(data), batch_size):
             idx = order[start:start + batch_size]
-            xb, yb = data.samples[idx], labels_onehot[idx]
-
-            acts = [xb, *_walk(net, xb)]  # kept for backprop
-            logp = log_softmax(acts[-1])
-            batch_loss = float(-(logp * yb).sum(axis=1).mean())
+            batch_loss, grads = _nll_gradients(net, data.samples[idx], labels_onehot[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
             losses.append(batch_loss)
 
-            # backprop
-            delta = (np.exp(logp) - yb) / len(idx)
-            grads_w, grads_b = [None] * n_layers, [None] * n_layers
-            for k in range(n_layers - 1, -1, -1):
-                grads_w[k] = delta.T @ acts[k]
-                grads_b[k] = delta.sum(axis=0)
-                if k > 0:
-                    delta = (delta @ net.weights[k]) * (acts[k] > 0)
-
             step += 1
-            for i, (p, g) in enumerate(zip(params, grads_w + grads_b)):
+            for i, (p, g) in enumerate(zip(params, grads)):
                 moments[i] = b1 * moments[i] + (1 - b1) * g
                 velocities[i] = b2 * velocities[i] + (1 - b2) * g ** 2
                 m_hat = moments[i] / (1 - b1 ** step)

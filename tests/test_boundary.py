@@ -63,7 +63,8 @@ def test_projection_random_linear_cases():
 
 def test_point_on_boundary_projects_to_itself():
     net = linear_net([1.0, 0.0], 0.0)
-    points, m = hit_boundary(net, np.array([[0.0, 2.0]]))
+    start = np.array([[0.0, 2.0]])
+    points, m = hit_boundary(net, start, margin_batch(net, start))
     assert abs(m[0]) <= BOUNDARY_TOLERANCE
     np.testing.assert_array_equal(points, [[0.0, 2.0]])
 
@@ -73,7 +74,7 @@ def test_a_seed_stopped_by_a_zero_gradient_still_gets_its_segment_crossing():
     net = MlpNetwork([2, 1, 2], [np.array([[1.0, 0.0]]), np.array([[0.0], [2.0]])],
                      [np.array([-1.0]), np.array([0.0, -1.0])])
     data = Dataset(np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([0, 1]))
-    seeds, m = hit_boundary(net, data.samples[:1])
+    seeds, m = hit_boundary(net, data.samples[:1], margin_batch(net, data.samples[:1]))
     np.testing.assert_array_equal(seeds, [[0.0, 0.0]])
     assert m[0] == -1.0
     [res] = project_to_boundary(net, data.samples[:1], data.labels[:1], data)
@@ -143,8 +144,24 @@ def test_overshoot_crosses_boundary():
 def test_project_dataset_rejects_misclassified():
     net = linear_net([1.0, 0.0], 0.0)
     data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
-    with pytest.raises(ProjectionError, match="misclassified"):
+    with pytest.raises(ProjectionError, match="sample 0 is misclassified"):
         project_dataset(net, data)
+    # every caller gets the check, naming the row of the points it was given
+    with pytest.raises(ProjectionError, match="sample 1 is misclassified"):
+        project_to_boundary(net, data.samples[::-1], data.labels[::-1], data)
+
+
+def test_project_dataset_evaluates_the_data_once(monkeypatch):
+    net, data = _trained_blobs2d()
+    passes = []  # per margin_batch call, whether it evaluated the data's rows
+
+    def counted(net, x):
+        passes.append(np.array_equal(x, data.samples))
+        return margin_batch(net, x)
+
+    monkeypatch.setattr(blab.boundary, "margin_batch", counted)
+    project_dataset(net, data)
+    assert sum(passes) == 1
 
 
 def test_projection_on_curved_boundary_finds_near_branch():
@@ -281,7 +298,8 @@ def _sequential_slide(net, x, points, m, dist, rows):
         search = np.arange(len(act))
         eta = 1.0
         while len(search) and eta >= MIN_SLIDE_STEP:
-            p, mp = hit_boundary(net, b[search] + eta * tangent[search])
+            starts = b[search] + eta * tangent[search]
+            p, mp = hit_boundary(net, starts, margin_batch(net, starts))
             d = np.linalg.norm(p - x[act[search]], axis=1)
             win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
             won = act[search[win]]
@@ -351,11 +369,11 @@ def test_a_slide_step_reroots_in_at_most_two_hit_boundary_calls(monkeypatch):
             steps.append(0)
         return grad_input(net, pts)
 
-    def counted_hit(net, starts):
+    def counted_hit(net, starts, m):
         steps[-1] += 1
         inside.append(True)
         try:
-            return hit_boundary(net, starts)
+            return hit_boundary(net, starts, m)
         finally:
             inside.pop()
 

@@ -89,9 +89,20 @@ def test_gen_data_csv_and_idx(tmp_path):
                  "--seed", "3"]) == EXIT_OK
     assert cli_out.read_bytes() == spec_out.read_bytes()
 
-    # non-square feature dimension cannot be written as an image grid
-    assert main(["gen-data", "--kind", "blobs", "--dim", "3", "--per-class", "3",
-                 "--format", "idx", "--out", str(tmp_path / "x.idx")]) == EXIT_DATA
+
+def test_idx_export_of_a_non_square_dimension_exits_2_before_generating(
+        tmp_path, monkeypatch, capsys):
+    # a flag combination no image grid can hold, so a command-line mistake
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("built a dataset that cannot be written")
+
+    monkeypatch.setattr(blab.cli, "build_dataset", no_dataset)
+    out = tmp_path / "x.idx"
+    for kind, dim in ((["--dim", "3"], 3), (["--kind", "square_xor"], 2)):
+        assert main(["gen-data", "--format", "idx", "--out", str(out)] + kind) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: idx export needs a square "
+                                           f"feature dimension, got {dim}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_exit_codes(tmp_path):
@@ -170,10 +181,8 @@ def test_non_finite_config_values_fail_before_the_run_directory(tmp_path, capsys
 
 
 def test_non_finite_cli_floats_exit_2_before_running(tmp_path, capsys):
-    transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
     out = tmp_path / "report.json"
-    for argv in (["transfer", transfer_cfg, "--kappa", "nan"],
-                 ["symmetry", "--trials", "1", "--kappa", "inf"],
+    for argv in (["symmetry", "--trials", "1", "--kappa", "inf"],
                  ["symmetry", "--trials", "1", "--perturb", "nan"],
                  ["gen-data", "--distance", "nan"],
                  ["gen-data", "--sigma", "inf"]):
@@ -350,7 +359,7 @@ def test_a_fresh_cascade_refuses_a_non_empty_out(tmp_path, monkeypatch, capsys):
 def test_output_path_that_cannot_be_written_exits_2_naming_it(
         tmp_path, monkeypatch, capsys, argv, out, reason):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode, kappa=None: TRANSFER_REPORT)
+    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode: TRANSFER_REPORT)
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("a file\n")
     (tmp_path / "rec.csv").write_text(RECORDS_CSV)
@@ -395,7 +404,7 @@ TRANSFER_REPORT = TransferReport(mode="cross_model", kappa=0.1, valid=True, n_sa
 
 
 def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch):
-    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode, kappa=None: TRANSFER_REPORT)
+    monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode: TRANSFER_REPORT)
     out = tmp_path / "report.json"
     assert main(["transfer", TRANSFER_CONFIG, "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (
@@ -444,14 +453,18 @@ def test_kappa_at_or_below_zero_exits_2_before_training(tmp_path, monkeypatch, c
     monkeypatch.setattr(blab.experiments, "train", no_training)
     transfer_cfg = str(Path(CONFIG).with_name("transfer2d.cfg"))
     out = tmp_path / "report.json"
-    for argv in (["transfer", transfer_cfg, "--kappa", "-3"],
-                 ["transfer", transfer_cfg, "--kappa", "0"],
+    for argv in (["transfer", transfer_cfg, "--set", "experiment.kappa=-3"],
                  ["transfer", transfer_cfg, "--set", "experiment.kappa=0"],
                  ["symmetry", "--trials", "1", "--kappa", "0"],
                  ["symmetry", "--trials", "1", "--kappa", "-0.5"]):
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert "kappa must be positive" in capsys.readouterr().err
         assert not out.exists()
+    # transfer reads kappa from its config only
+    with pytest.raises(SystemExit) as exit_info:
+        main(["transfer", transfer_cfg, "--kappa", "0.2", "--out", str(out)])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --kappa 0.2" in capsys.readouterr().err
 
 
 def test_symmetry_unknown_layout_exits_2(tmp_path, capsys):

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from blab.config import parse_config
 from blab.data import Dataset
 from blab.experiments import build_dataset
-from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, accuracy, active_units, check_layer_dims,
-                     forward_batch, grad_input, init_network, load_checkpoint, log_softmax,
-                     margin, margin_batch, save_checkpoint, train)
+from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, _nll_gradients, accuracy, active_units,
+                     check_layer_dims, forward_batch, grad_input, init_network, load_checkpoint,
+                     log_softmax, margin, margin_batch, save_checkpoint, train)
 from helpers import linear_net
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
@@ -110,6 +110,29 @@ def test_grad_input_matches_finite_differences():
             lo[i] -= step
             fd = (margin(net, hi) - margin(net, lo)) / (2 * step)
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def test_training_gradients_match_central_differences_of_the_batch_nll():
+    net = init_network([3, 5, 4, 2], seed=2)
+    rng = np.random.default_rng(6)
+    x, onehot = rng.standard_normal((7, 3)), np.eye(2)[rng.integers(0, 2, 7)]
+
+    def nll():
+        return float(-(log_softmax(forward_batch(net, x)) * onehot).sum(axis=1).mean())
+
+    loss, grads = _nll_gradients(net, x, onehot)
+    assert loss == nll()
+    step = 1e-6
+    for p, g in zip(net.weights + net.biases, grads, strict=True):
+        assert g.shape == p.shape
+        for i in np.ndindex(p.shape):
+            keep = p[i]
+            p[i] = keep + step
+            hi = nll()
+            p[i] = keep - step
+            lo = nll()
+            p[i] = keep
+            assert g[i] == pytest.approx((hi - lo) / (2 * step), rel=1e-5, abs=1e-8)
 
 
 def _pre_activation_grad(net, x):
