@@ -54,6 +54,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _given(args, flags) -> dict:
+    """By dest, the flags given; an unset flag (None) keeps the default of
+    the function or dataclass its dest names."""
+    return {a.dest: getattr(args, a.dest) for a in flags if getattr(args, a.dest) is not None}
+
+
 def _records_chart(records, out_svg) -> None:
     xs = [r.iteration for r in records]
     ys = [r.mean_nn_distance for r in records]
@@ -92,18 +98,13 @@ def cmd_transfer(args) -> int:
 def cmd_symmetry(args) -> int:
     out = Path(args.out or "symmetry_report.json")
     check_writable(out)
-    report = run_symmetry_experiment(args.layout, args.trials,
-                                     master_seed=args.seed, perturb=args.perturb,
-                                     kappa=args.kappa)
+    report = run_symmetry_experiment(args.layout, args.trials, **_given(args, args.symmetry_flags))
     write_file(out, json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return EXIT_CONFIG
     results, failing = SUITES[args.suite]()
     all_ok = True
     for name, ok, detail in results:
@@ -127,11 +128,13 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    given = _given(args, args.blob_flags)
     if args.kind == "blobs":
-        spec = DatasetSpec(source="blobs", seed=args.seed, dim=args.dim,
-                           per_class=args.per_class, center_distance=args.distance,
-                           sigma=args.sigma)
+        spec = DatasetSpec(source="blobs", **given)
         spec.validate()
+    elif given:
+        flags = ", ".join(a.option_strings[0] for a in args.blob_flags if a.dest in given)
+        raise ConfigError(f"--kind {args.kind} takes no blob flag, got {flags}")
     else:
         spec = DatasetSpec(source="symmetric", layout_kind=args.kind)  # every layout is 2-D
     side = math.isqrt(spec.dim)
@@ -181,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("symmetry", help="boundary-multiplicity experiment on a symmetric layout")
     sp.add_argument("--layout", choices=LAYOUT_KINDS, default="square_xor")
     sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--perturb", type=_finite_float, default=0.0)
-    sp.add_argument("--kappa", type=_finite_float, default=0.1)
+    sp.set_defaults(fn=cmd_symmetry, symmetry_flags=[  # dests: run_symmetry_experiment's parameters
+        sp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int),
+        sp.add_argument("--perturb", type=_finite_float),
+        sp.add_argument("--kappa", type=_finite_float)])
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_symmetry)
 
     sp = sub.add_parser("verify", help="run a property suite")
-    sp.add_argument("suite", help="oracle | claims | gradients")
+    sp.add_argument("suite", choices=sorted(SUITES))
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("plot", help="records CSV -> SVG line chart")
@@ -200,12 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("blobs",) + LAYOUT_KINDS, default="blobs")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=["csv", "idx"], default="csv")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--per-class", dest="per_class", type=int, default=50)
-    sp.add_argument("--distance", type=_finite_float, default=4.0)
-    sp.add_argument("--sigma", type=_finite_float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_gen_data)
+    sp.set_defaults(fn=cmd_gen_data, blob_flags=[  # --kind blobs only; dests: DatasetSpec fields
+        sp.add_argument("--dim", type=int),
+        sp.add_argument("--per-class", type=int),
+        sp.add_argument("--distance", dest="center_distance", metavar="DISTANCE",
+                        type=_finite_float),
+        sp.add_argument("--sigma", type=_finite_float),
+        sp.add_argument("--seed", type=int)])
 
     sp = sub.add_parser("show-config", help="parse and echo a resolved config")
     common(sp)

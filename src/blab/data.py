@@ -182,29 +182,29 @@ def gen_gaussian_blobs(n: int, per_class: int, centers, sigma: float, seed: int)
     return Dataset(samples, np.repeat([0, 1], per_class))
 
 
-LAYOUT_KINDS = ("square_xor", "mirrored_pairs")
+# Built-in 2-D layouts admitting more than one valid projection set: two
+# class-0 points, then two class-1 points.
+_LAYOUTS = {
+    # class 0 on the x-axis, class 1 on the y-axis; both diagonal lines are
+    # optimal boundaries and every point is equidistant to the two, so at
+    # least two projection assignments exist
+    "square_xor": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+    # two opposite-class pairs mirrored about the x-axis; reflecting the
+    # layout swaps the pairs without changing the point set
+    "mirrored_pairs": [[-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [1.0, -1.0]],
+}
+LAYOUT_KINDS = tuple(_LAYOUTS)
 
 
 def gen_symmetric_layout(kind: str, perturb: float = 0.0) -> Dataset:
-    """Built-in point layouts admitting more than one valid projection set;
-    perturb > 0 shifts one point to break the symmetry."""
-    if kind == "square_xor":
-        # class 0 on the x-axis, class 1 on the y-axis; both diagonal lines are
-        # optimal boundaries and every point is equidistant to the two, so at
-        # least two projection assignments exist
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        labels = np.array([0, 0, 1, 1])
-    elif kind == "mirrored_pairs":
-        # two opposite-class pairs mirrored about the x-axis; reflecting the
-        # layout swaps the pairs without changing the point set
-        pts = np.array([[-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
-        labels = np.array([0, 0, 1, 1])
-    else:
+    """The built-in layout `kind`; perturb > 0 shifts one point to break
+    the symmetry."""
+    if kind not in _LAYOUTS:
         raise DataError(f"unknown layout kind: {kind!r}")
+    pts = np.array(_LAYOUTS[kind])
     if perturb:
-        pts = pts.copy()
         pts[0] = pts[0] + np.array([perturb, perturb]) / np.sqrt(2.0)
-    return Dataset(pts, labels)
+    return Dataset(pts, np.array([0, 0, 1, 1]))
 
 
 def export_csv(data: Dataset, path) -> None:

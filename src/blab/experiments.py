@@ -27,7 +27,6 @@ MANIFEST_VERSION = 6
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
 SEED_TRIAL = 2
-SEED_EVAL = 3
 SEED_BASELINE = 4
 SEED_SPLIT = 5
 

@@ -11,11 +11,10 @@ explicit vector instances, reporting where they hold and where they do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
-SUBSET_CAP = 12  # AM-GM sub-step enumerates 2^k subsets; cap k
 ORTHOGONAL_TOLERANCE = 1e-9  # largest |cos| between f and g vectors that counts as orthogonal
 EQUAL_PRODUCT_RTOL = 1e-9  # relative gap under which prod|f| and prod|g| count as equal
 TIE_TOLERANCE = 1e-9  # distance gap under which a point counts as equally close to both diagonals
@@ -41,13 +40,19 @@ class VectorProjectionInstance:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.f_vectors = np.asarray(self.f_vectors, dtype=np.float64)
         self.g_vectors = np.asarray(self.g_vectors, dtype=np.float64)
-        s = len(self.points)
-        for arr in (self.labels,):
-            if arr.shape != (s,):
-                raise ValueError("labels length must match points")
+        if self.labels.shape != (len(self.points),):
+            raise ValueError("labels length must match points")
         for arr in (self.f_vectors, self.g_vectors):
             if arr.shape != self.points.shape:
                 raise ValueError("vector arrays must match points shape")
+
+    def norms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """|f|, |g| and |h| per sample, for the midpoint vectors h = (f + g)/2,
+        and whether f and g are orthogonal at every sample."""
+        f, g = self.f_vectors, self.g_vectors
+        fn, gn, hn = (np.linalg.norm(v, axis=1) for v in (f, g, 0.5 * (f + g)))
+        cos = np.abs((f * g).sum(axis=1)) / np.maximum(fn * gn, 1e-300)
+        return fn, gn, hn, bool((cos <= ORTHOGONAL_TOLERANCE).all())
 
     def to_jsonable(self) -> dict:
         return {"points": self.points.tolist(), "labels": self.labels.tolist(),
@@ -87,7 +92,6 @@ class GridBoundary:
         (x_lo, x_hi), (y_lo, y_hi) = bounds
         xs = np.arange(x_lo, x_hi + step / 2, step)
         ys = np.arange(y_lo, y_hi + step / 2, step)
-        self.bounds = ((x_lo, x_hi), (y_lo, y_hi))
 
         rows = max(1, GRID_SLAB_POINTS // len(ys))
         flips_x, flips_y, zeros = [], [], []  # (ix, iy) grid indices, slab by slab
@@ -238,19 +242,13 @@ class PiecewiseLinearBoundary:
         return p[i], float(dist[i])
 
 
-def ratio_bound(a: float, b: float) -> float:
-    """a/b + b/a; at least 2 for positive reals, equality only at a = b."""
-    if a <= 0 or b <= 0:
+def ratio_bound(a, b):
+    """a/b + b/a, elementwise for arrays; at least 2 for positive reals,
+    equality only at a = b."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if (a <= 0).any() or (b <= 0).any():
         raise ValueError("inputs must be positive")
     return a / b + b / a
-
-
-def _opposite_pairs(labels: np.ndarray):
-    idx0 = np.flatnonzero(labels == 0)
-    idx1 = np.flatnonzero(labels == 1)
-    for i in idx0:
-        for j in idx1:
-            yield int(i), int(j)
 
 
 def check_claim1_chain(instance: VectorProjectionInstance) -> dict:
@@ -264,12 +262,7 @@ def check_claim1_chain(instance: VectorProjectionInstance) -> dict:
     violated steps are reported, never raised.
     """
     pts, labels = instance.points, instance.labels
-    fv, gv = instance.f_vectors, instance.g_vectors
-    fn = np.linalg.norm(fv, axis=1)
-    gn = np.linalg.norm(gv, axis=1)
-    dots = np.abs((fv * gv).sum(axis=1))
-    scale = np.maximum(fn * gn, 1e-300)
-    orthogonal_everywhere = bool((dots / scale <= ORTHOGONAL_TOLERANCE).all())
+    fn, gn, hn, orthogonal_everywhere = instance.norms()
 
     report = {
         "orthogonal_everywhere": orthogonal_everywhere,
@@ -283,15 +276,14 @@ def check_claim1_chain(instance: VectorProjectionInstance) -> dict:
         "vacuous": not orthogonal_everywhere,
     }
 
-    hv = 0.5 * (fv + gv)
-    hn = np.linalg.norm(hv, axis=1)
     # step (iii) is unconditional
     tri_bad = hn > 0.5 * (fn + gn) + 1e-12
     if tri_bad.any():
         report["triangle_ok"] = False
         report["violations"].append({"step": "triangle", "indices": np.flatnonzero(tri_bad).tolist()})
 
-    for i, j in _opposite_pairs(labels):
+    idx0, idx1 = (np.flatnonzero(labels == c).tolist() for c in (0, 1))
+    for i, j in product(idx0, idx1):
         dist = float(np.linalg.norm(pts[i] - pts[j]))
         sep_f = fn[i] + fn[j] <= dist + 1e-12
         sep_g = gn[i] + gn[j] <= dist + 1e-12
@@ -323,35 +315,17 @@ def check_claim2_product(instance: VectorProjectionInstance) -> dict:
     Computes h = (f + g)/2 per sample and reports whether
     prod|h| > prod|f| = prod|g| actually holds, raising a counterexample
     flag when it does not (orthogonal equal-norm vectors are a concrete
-    failure case). Also checks the scalar a/b + b/a >= 2 sub-step over
-    index subsets up to SUBSET_CAP.
+    failure case).
     """
-    fn = np.linalg.norm(instance.f_vectors, axis=1)
-    gn = np.linalg.norm(instance.g_vectors, axis=1)
+    fn, gn, hn, orthogonal_everywhere = instance.norms()
     if (fn == 0).any() or (gn == 0).any():
         raise ValueError("zero-norm projection vector")
-    hn = np.linalg.norm(0.5 * (instance.f_vectors + instance.g_vectors), axis=1)
-    dots = np.abs((instance.f_vectors * instance.g_vectors).sum(axis=1))
-    orthogonal_everywhere = bool((dots / (fn * gn) <= ORTHOGONAL_TOLERANCE).all())
 
     prod_f = float(np.prod(fn))
     prod_g = float(np.prod(gn))
     prod_h = float(np.prod(hn))
     equal_premise = abs(prod_f - prod_g) <= EQUAL_PRODUCT_RTOL * max(prod_f, prod_g)
     strict_holds = prod_h > prod_f and prod_h > prod_g
-
-    s = len(fn)
-    cap = min(s, SUBSET_CAP)
-    amgm_ok = True
-    amgm_min = float("inf")
-    for size in range(1, cap + 1):
-        for subset in combinations(range(cap), size):
-            a = float(np.prod(fn[list(subset)]))
-            b = float(np.prod(gn[list(subset)]))
-            val = ratio_bound(a, b)
-            amgm_min = min(amgm_min, val)
-            if val < 2.0 - 1e-12:
-                amgm_ok = False
 
     return {
         "prod_f": prod_f,
@@ -363,8 +337,6 @@ def check_claim2_product(instance: VectorProjectionInstance) -> dict:
         # a counterexample needs the claim's premises to hold while its
         # conclusion fails; without orthogonality the failure is vacuous
         "counterexample": orthogonal_everywhere and equal_premise and not strict_holds,
-        "amgm_substep_ok": amgm_ok,
-        "amgm_min": amgm_min,
     }
 
 

@@ -36,13 +36,16 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass
 class MlpNetwork:
-    layer_dims: list[int]
-    weights: list[np.ndarray]  # weights[k] has shape (dims[k+1], dims[k])
+    weights: list[np.ndarray]  # weights[k] has shape (layer_dims[k+1], layer_dims[k])
     biases: list[np.ndarray]
 
     @property
+    def layer_dims(self) -> list[int]:
+        return [self.input_dim] + [w.shape[0] for w in self.weights]
+
+    @property
     def input_dim(self) -> int:
-        return self.layer_dims[0]
+        return self.weights[0].shape[1]
 
     def check_finite(self) -> None:
         for w, b in zip(self.weights, self.biases):
@@ -113,7 +116,7 @@ def init_network(layer_dims, seed: int) -> MlpNetwork:
         scale = np.sqrt(2.0 / fan_in)
         weights.append(scale * rng.standard_normal((fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpNetwork(dims, weights, biases)
+    return MlpNetwork(weights, biases)
 
 
 def _check_input(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
@@ -358,8 +361,9 @@ def load_checkpoint(path) -> MlpNetwork:
         b = np.frombuffer(read(8 * rows, f"layer {k} biases"), dtype="<f8")
         weights.append(w.astype(np.float64))
         biases.append(b.astype(np.float64))
+    net = MlpNetwork(weights, biases)
     try:
-        dims = check_layer_dims([weights[0].shape[1]] + [w.shape[0] for w in weights])
+        check_layer_dims(net.layer_dims)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    return MlpNetwork(dims, weights, biases)
+    return net

@@ -11,7 +11,8 @@ import numpy as np
 from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
 from .geometry import (GridBoundary, PiecewiseLinearBoundary, VectorProjectionInstance,
-                       check_claim1_chain, check_claim2_product, halfspace_projection)
+                       check_claim1_chain, check_claim2_product, halfspace_projection,
+                       ratio_bound)
 from .nn import (MlpNetwork, TrainConfig, active_units, grad_input, init_network, is_correct,
                  margin, margin_batch, train)
 from .rng import derive_seed, make_rng
@@ -122,7 +123,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
         while np.linalg.norm(w) < 0.3:
             w = rng.standard_normal(2)
         c = float(rng.standard_normal())
-        net = MlpNetwork([2, 2], [np.vstack([np.zeros(2), w])], [np.array([0.0, c])])
+        net = MlpNetwork([np.vstack([np.zeros(2), w])], [np.array([0.0, c])])
         x = 3.0 * rng.standard_normal(2)
         m = margin(net, x)
         if abs(m) < 1e-9:
@@ -184,7 +185,7 @@ def claims_suite(instances: int = 1000, ratio_samples: int = 100_000,
 
     rng = make_rng(seed, stream=0x4A71)
     vals = np.exp(rng.uniform(-6, 6, size=(ratio_samples, 2)))
-    rb = vals[:, 0] / vals[:, 1] + vals[:, 1] / vals[:, 0]
+    rb = ratio_bound(vals[:, 0], vals[:, 1])
     ratio_ok = bool((rb >= 2.0 - 1e-12).all())
     if not ratio_ok and failing is None:
         bad = int(np.argmin(rb))

@@ -20,7 +20,7 @@ INVOKE = ROOT / "perfbench" / "invoke.py"
 
 def _invoke(out: Path, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", BLAB_THREADS="1")
+               OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, str(INVOKE), args[0], str(out), "1", *args[1:]],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -71,7 +71,7 @@ def test_point_on_boundary_projects_to_itself():
 
 def test_a_seed_stopped_by_a_zero_gradient_still_gets_its_segment_crossing():
     # margin 2*relu(x_0 - 1) - 1: flat at -1 left of x_0 = 1, zero at x_0 = 1.5
-    net = MlpNetwork([2, 1, 2], [np.array([[1.0, 0.0]]), np.array([[0.0], [2.0]])],
+    net = MlpNetwork([np.array([[1.0, 0.0]]), np.array([[0.0], [2.0]])],
                      [np.array([-1.0]), np.array([0.0, -1.0])])
     data = Dataset(np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([0, 1]))
     seeds, m = hit_boundary(net, data.samples[:1], margin_batch(net, data.samples[:1]))

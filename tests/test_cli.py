@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import stat
 from pathlib import Path
@@ -88,6 +89,24 @@ def test_gen_data_csv_and_idx(tmp_path):
                  "--per-class", "6", "--distance", "2.5", "--sigma", "0.3",
                  "--seed", "3"]) == EXIT_OK
     assert cli_out.read_bytes() == spec_out.read_bytes()
+
+
+def test_gen_data_without_blob_flags_writes_the_default_spec(tmp_path):
+    spec_out, cli_out = tmp_path / "spec.csv", tmp_path / "cli.csv"
+    export_csv(build_dataset(DatasetSpec(source="blobs")), spec_out)
+    assert main(["gen-data", "--kind", "blobs", "--out", str(cli_out)]) == EXIT_OK
+    assert cli_out.read_bytes() == spec_out.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--dim", "2"), ("--per-class", "40"),
+                                         ("--distance", "4.0"), ("--sigma", "0.5"),
+                                         ("--seed", "9")])
+def test_a_blob_flag_with_a_layout_kind_exits_2_writing_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "sq.csv"
+    assert main(["gen-data", "--kind", "square_xor", flag, value, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: --kind square_xor takes no blob flag, "
+                                       f"got {flag}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_idx_export_of_a_non_square_dimension_exits_2_before_generating(
@@ -421,6 +440,18 @@ def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_symmetry_flags_left_out_keep_the_experiment_defaults(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(blab.cli, "run_symmetry_experiment",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or {})
+    out = str(tmp_path / "report.json")
+    assert main(["symmetry", "--out", out]) == EXIT_OK
+    assert main(["symmetry", "--trials", "3", "--seed", "4", "--kappa", "0.2",
+                 "--out", out]) == EXIT_OK
+    assert calls == [(("square_xor", 20), {}),
+                     (("square_xor", 3), {"master_seed": 4, "kappa": 0.2})]
+
+
 def test_removed_optimizer_settings_exit_2_before_the_run_directory(tmp_path, capsys):
     sgd = tmp_path / "sgd.cfg"
     sgd.write_text(Path(CONFIG).read_text().replace("optimizer = adam",
@@ -622,8 +653,11 @@ def test_plot_missing_records_is_data_error(tmp_path, capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    assert main(["verify", "nonsense"]) == EXIT_CONFIG
-    assert "unknown suite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "nonsense"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert re.search(r"invalid choice: 'nonsense' \(choose from '?claims'?, '?gradients'?, "
+                     r"'?oracle'?\)", capsys.readouterr().err)
 
 
 def test_verify_lets_an_internal_error_propagate(monkeypatch):
