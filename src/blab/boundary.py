@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, NumericError
 from .nn import MlpNetwork, grad_input, is_correct, margin_batch
 
 METHOD_NEWTON = "newton_refine"
@@ -65,10 +65,6 @@ SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bracket ends
 FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers miss
 FAN_STEPS = 24  # radii per fan direction
 REFINE_STALL_FRACTION = 1e-4  # stop sliding once per-step gain falls below this fraction of the distance
-
-
-class ProjectionError(RuntimeError):
-    """The network misclassifies a sample it was asked to project."""
 
 
 @dataclass
@@ -250,7 +246,7 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     gets its converged row of least distance, or its seed when that is
     within REFINE_TOLERANCE of the least; with no converged row, it gets
     itself (distance 0, not converged). A misclassified sample raises
-    ProjectionError.
+    NumericError.
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -259,7 +255,7 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     m_x = m_data if x is data.samples else margin_batch(net, x)  # the data's own rows: no 2nd pass
     bad = np.flatnonzero(~is_correct(m_x, labels))
     if len(bad):
-        raise ProjectionError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
+        raise NumericError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
 
     # Newton seeds and segment crossings, slid together
     near = []

@@ -1,11 +1,13 @@
 """Command-line entry point: experiment dispatch, CSV/JSON emission, SVG charts.
 
-Exit codes: 0 success, 1 verify-suite failure, 2 config error (a config file
-that cannot be read, or an output path that cannot be written, among them),
-3 data error (an input file that cannot be read, among them), 4 numeric
-failure (training divergence or projection breakdown), 130 interrupted
-(Ctrl-C or SIGTERM). Any other error is a fault in blab, not in its input,
-and ends with its traceback.
+Exit codes: 0 success, 1 verify-suite failure, 2 config error (ConfigError:
+a config file that cannot be read, or an output path that cannot be written,
+among them), 3 data error (DataError: an input file that cannot be read, or
+a run directory's manifest or checkpoint that is not blab's, among them),
+4 numeric failure (NumericError: training that diverges or hits its epoch
+cap, or a projection that breaks down), 130 interrupted (Ctrl-C or SIGTERM).
+Any other error is a fault in blab, not in its input, and ends with its
+traceback.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .boundary import ProjectionError
-from .config import ConfigError, parse_config, serialize_config
-from .data import (LAYOUT_KINDS, DataError, check_writable, export_csv, read_utf8, save_idx,
-                   write_file)
-from .experiments import (TRANSFER_MODES, DatasetSpec, ExperimentError, build_dataset,
-                          records_from_csv, run_generalization_tracking,
-                          run_iterative_projection, run_symmetry_experiment, run_transfer)
-from .nn import TrainingDivergence
+from .config import parse_config, serialize_config
+from .data import (LAYOUT_KINDS, ConfigError, DataError, NumericError, check_writable, export_csv,
+                   read_utf8, save_idx, write_file)
+from .experiments import (TRANSFER_MODES, DatasetSpec, build_dataset, records_from_csv,
+                          run_generalization_tracking, run_iterative_projection,
+                          run_symmetry_experiment, run_transfer)
 from .svg import line_chart
 from .verify import SUITES
 
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ExperimentError, TrainingDivergence, ProjectionError) as e:
+    except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except KeyboardInterrupt:

@@ -23,7 +23,12 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed or inconsistent dataset input."""
+    """Malformed or inconsistent input: a dataset, or a file blab wrote."""
+
+
+class NumericError(RuntimeError):
+    """A network that will not separate its data: training diverged or hit its
+    epoch cap, a sample to project is misclassified, or projections failed."""
 
 
 @dataclass

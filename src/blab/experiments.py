@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import ProjectionError, adversarial_overshoot, project_dataset, project_to_boundary
-from .data import (LAYOUT_KINDS, ConfigError, DataError, Dataset, export_csv, filter_binary,
-                   gen_gaussian_blobs, gen_symmetric_layout, import_csv, load_idx, read_utf8,
-                   sample_balanced, write_file)
+from .boundary import adversarial_overshoot, project_dataset, project_to_boundary
+from .data import (LAYOUT_KINDS, ConfigError, DataError, Dataset, NumericError, export_csv,
+                   filter_binary, gen_gaussian_blobs, gen_symmetric_layout, import_csv, load_idx,
+                   read_utf8, sample_balanced, write_file)
 from .metrics import global_difference, nearest_opposite_mean_distance
-from .nn import (MlpNetwork, TrainConfig, TrainingDivergence, accuracy, check_finite_fields,
-                 check_layer_dims, init_network, is_correct, margin_batch, save_checkpoint, train)
+from .nn import (MlpNetwork, TrainConfig, accuracy, check_finite_fields, check_layer_dims,
+                 init_network, is_correct, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
 MANIFEST_VERSION = 6
@@ -37,11 +37,6 @@ HELD_OUT_FRACTION = 0.25  # of each class: transfer's evaluation set, gentrack's
 DATASET_SOURCES = ("blobs", "idx", "csv", "symmetric")
 DATASET_PATH_KEYS = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}
 TRANSFER_MODES = ("cross_model", "cross_training_set")
-
-
-class ExperimentError(RuntimeError):
-    """Run aborted: training failed, the network misclassified a sample to
-    project, or too many projections did not converge."""
 
 
 @dataclass
@@ -265,16 +260,16 @@ class RunDirectory:
         write_file(self.path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     def read_manifest(self) -> dict:
+        """DataError naming the file if it is unreadable, not JSON, or of another version."""
         path = self.path / "manifest.json"
-        if not path.exists():
-            raise ExperimentError(f"no manifest in {self.path}")
         try:
             manifest = json.loads(read_utf8(path))
         except json.JSONDecodeError as e:
-            raise ExperimentError(f"corrupt manifest in {self.path}: {e}") from e
-        if manifest.get("format_version") != MANIFEST_VERSION:
-            raise ExperimentError(f"manifest format version {manifest.get('format_version')} "
-                                  f"!= supported {MANIFEST_VERSION}")
+            raise DataError(f"{path}: corrupt manifest: {e}") from None
+        version = manifest.get("format_version") if isinstance(manifest, dict) else None
+        if version != MANIFEST_VERSION:
+            raise DataError(f"{path}: manifest format version {version} "
+                            f"!= supported {MANIFEST_VERSION}")
         return manifest
 
     def save_iteration(self, k: int, net: MlpNetwork, working: Dataset, results) -> None:
@@ -289,9 +284,10 @@ class RunDirectory:
         write_file(self.path / "records.csv", records_to_csv(records))
 
 
-def _tracking_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """The (train, test) split of generalization tracking; the config alone
-    determines it, so a resumed run re-derives the same test set."""
+def _held_out_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The config's dataset, split into the rest and the part held out:
+    gentrack's (train, test) and transfer's (pool, evaluation). The config
+    alone determines it, so a resumed run re-derives the same test set."""
     return stratified_split(build_dataset(cfg.dataset), HELD_OUT_FRACTION,
                             derive_seed(cfg.master_seed, SEED_SPLIT))
 
@@ -319,7 +315,7 @@ def run_iterative_projection(cfg: ExperimentConfig, out_dir) -> list[IterationRe
 def run_generalization_tracking(cfg: ExperimentConfig, out_dir) -> list[IterationRecord]:
     """Iterative projection with per-iteration accuracy on an untouched test split."""
     cfg.validate()
-    return _start(cfg, _tracking_split(cfg)[0], True, out_dir)
+    return _start(cfg, _held_out_split(cfg)[0], True, out_dir)
 
 
 def checkpoint_resume(run_dir) -> list[IterationRecord]:
@@ -340,16 +336,16 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     if manifest["status"] == "finished" or completed >= cfg.iterations:
         return records
     started, with_test = manifest["started_at"], manifest["with_test"]
-    test_data = _tracking_split(cfg)[1] if with_test else None
+    test_data = _held_out_split(cfg)[1] if with_test else None
     data = import_csv(rd.working / f"iter_{completed}.csv")
     prev = import_csv(rd.working / f"iter_{completed - 1}.csv").samples if completed else None
     records = records[:completed + 1]
 
-    def abort(k: int, status: str, reason: str) -> ExperimentError:
+    def abort(k: int, status: str, reason: str) -> NumericError:
         # the manifest first, so it says how the run ended if records.csv cannot be written
         rd.write_manifest(cfg, k - 1, status, started, with_test)
         rd.write_records(records[:k])
-        return ExperimentError(f"iteration {k}: {reason}")
+        return NumericError(f"iteration {k}: {reason}")
 
     k = completed + 1
     try:
@@ -357,14 +353,14 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
             seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
             try:
                 net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
-            except TrainingDivergence as e:
+            except NumericError as e:
                 raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
             if report.stopped_reason != "criterion_met":
                 raise abort(k, "aborted_training", "training hit the epoch cap "
                             f"(accuracy {report.final_train_accuracy:.3f})")
             try:
                 projected, results = project_dataset(net, data)
-            except ProjectionError as e:
+            except NumericError as e:
                 raise abort(k, "aborted_projection", str(e)) from e
             unconverged = sum(not r.converged for r in results)
             if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
@@ -412,11 +408,9 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
     if mode == "cross_model" and cfg.dims_b is None:
         raise ConfigError("cross_model transfer needs a second architecture (dims_b)")
 
-    full = build_dataset(cfg.dataset)
-    dims_a = check_layer_dims(cfg.dims, full.dim)
-    dims_b = check_layer_dims(cfg.dims_b, full.dim) if mode == "cross_model" else dims_a
-    pool, eval_data = stratified_split(full, HELD_OUT_FRACTION,
-                                       derive_seed(cfg.master_seed, SEED_SPLIT))
+    pool, eval_data = _held_out_split(cfg)
+    dims_a = check_layer_dims(cfg.dims, pool.dim)
+    dims_b = check_layer_dims(cfg.dims_b, pool.dim) if mode == "cross_model" else dims_a
     if mode == "cross_training_set":
         data_a, data_b = stratified_split(pool, 0.5, derive_seed(cfg.master_seed, SEED_SPLIT, 1))
     else:
@@ -476,7 +470,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         try:
             net, report = _train_fresh(SYMMETRY_DIMS, data, train_cfg,
                                        derive_seed(master_seed, SEED_TRIAL, t))
-        except TrainingDivergence:
+        except NumericError:
             continue
         if report.stopped_reason != "criterion_met":
             continue

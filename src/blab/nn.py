@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .data import ConfigError, DataError, Dataset, read_bytes, write_file
+from .data import ConfigError, DataError, Dataset, NumericError, read_bytes, write_file
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"BLAB"
@@ -30,10 +30,6 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
 
 
-class TrainingDivergence(RuntimeError):
-    """Loss became non-finite during training."""
-
-
 @dataclass
 class MlpNetwork:
     weights: list[np.ndarray]  # weights[k] has shape (layer_dims[k+1], layer_dims[k])
@@ -46,11 +42,6 @@ class MlpNetwork:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
-
-    def check_finite(self) -> None:
-        for w, b in zip(self.weights, self.biases):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise TrainingDivergence("network parameters are non-finite")
 
 
 def check_finite_fields(cfg) -> None:
@@ -295,7 +286,7 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
             idx = order[start:start + batch_size]
             batch_loss, grads = _nll_gradients(net, data.samples[idx], labels_onehot[idx])
             if not np.isfinite(batch_loss):
-                raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
+                raise NumericError(f"non-finite loss at epoch {epoch}")
             losses.append(batch_loss)
 
             step += 1
@@ -306,7 +297,8 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
                 v_hat = velocities[i] / (1 - b2 ** step)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
-        net.check_finite()
+        if not all(np.isfinite(p).all() for p in params):
+            raise NumericError("network parameters are non-finite")
         epoch_loss = float(np.mean(losses))
         # one pass gives both stop tests: every sample correct, and the mean
         # true-class probability at the target
@@ -330,6 +322,7 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> MlpNetwork:
+    """The network save_checkpoint wrote to path; DataError naming path if not one."""
     raw = read_bytes(path)
     pos = 4
 
@@ -338,24 +331,24 @@ def load_checkpoint(path) -> MlpNetwork:
         # asks for a huge buffer
         nonlocal pos
         if pos + n > len(raw):
-            raise ValueError(f"{path}: checkpoint truncated in {what} "
-                             f"({len(raw) - pos} of {n} bytes left)")
+            raise DataError(f"{path}: checkpoint truncated in {what} "
+                            f"({len(raw) - pos} of {n} bytes left)")
         pos += n
         return raw[pos - n:pos]
 
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
+        raise DataError(f"{path}: bad checkpoint magic {raw[:4]!r}")
     version, n_layers = struct.unpack("<II", read(8, "header"))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     if n_layers == 0:
-        raise ValueError(f"{path}: checkpoint has no layers")
+        raise DataError(f"{path}: checkpoint has no layers")
     weights, biases = [], []
     for k in range(n_layers):
         rows, cols = struct.unpack("<II", read(8, f"layer {k} shape"))
         if k and cols != weights[-1].shape[0]:
-            raise ValueError(f"{path}: layer {k} takes {cols} inputs but layer "
-                             f"{k - 1} has {weights[-1].shape[0]} outputs")
+            raise DataError(f"{path}: layer {k} takes {cols} inputs but layer "
+                            f"{k - 1} has {weights[-1].shape[0]} outputs")
         w = np.frombuffer(read(8 * rows * cols, f"layer {k} weights"),
                           dtype="<f8").reshape(rows, cols)
         b = np.frombuffer(read(8 * rows, f"layer {k} biases"), dtype="<f8")
@@ -364,6 +357,6 @@ def load_checkpoint(path) -> MlpNetwork:
     net = MlpNetwork(weights, biases)
     try:
         check_layer_dims(net.layer_dims)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
     return net

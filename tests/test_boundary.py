@@ -10,10 +10,10 @@ import pytest
 import blab.boundary
 from blab.boundary import (BOUNDARY_TOLERANCE, MAX_REFINE_STEPS, METHOD_SEGMENT,
                            MIN_SLIDE_STEP, REFINE_STALL_FRACTION, REFINE_TOLERANCE,
-                           ProjectionError, adversarial_overshoot, bisect_along_segment,
-                           hit_boundary, project_dataset, project_to_boundary)
+                           adversarial_overshoot, bisect_along_segment, hit_boundary,
+                           project_dataset, project_to_boundary)
 from blab.config import parse_config
-from blab.data import Dataset, gen_gaussian_blobs
+from blab.data import Dataset, NumericError, gen_gaussian_blobs
 from blab.experiments import build_dataset
 from blab.geometry import halfspace_projection
 from blab.nn import (MlpNetwork, TrainConfig, grad_input, init_network, margin, margin_batch,
@@ -144,10 +144,10 @@ def test_overshoot_crosses_boundary():
 def test_project_dataset_rejects_misclassified():
     net = linear_net([1.0, 0.0], 0.0)
     data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
-    with pytest.raises(ProjectionError, match="sample 0 is misclassified"):
+    with pytest.raises(NumericError, match="sample 0 is misclassified"):
         project_dataset(net, data)
     # every caller gets the check, naming the row of the points it was given
-    with pytest.raises(ProjectionError, match="sample 1 is misclassified"):
+    with pytest.raises(NumericError, match="sample 1 is misclassified"):
         project_to_boundary(net, data.samples[::-1], data.labels[::-1], data)
 
 

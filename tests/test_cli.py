@@ -1,21 +1,28 @@
+import dataclasses
+import importlib.util
 import json
+import math
 import os
 import re
 import signal
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blab.boundary
 import blab.cli
 import blab.experiments
-from blab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK, main
-from blab.data import export_csv
+from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK,
+                      main)
+from blab.data import NumericError, export_csv
 from blab.experiments import DatasetSpec, TransferReport, build_dataset, checkpoint_resume
-from blab.nn import TrainingDivergence, margin_batch
+from blab.nn import margin_batch
 
-CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg")
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = str(ROOT / "configs" / "blobs2d.cfg")
 TRANSFER_CONFIG = str(Path(CONFIG).with_name("transfer2d.cfg"))
 CONFIG_DIR = str(Path(CONFIG).parent)
 RECORDS_CSV = ("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
@@ -507,38 +514,53 @@ def test_symmetry_unknown_layout_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):
+def test_each_numeric_abort_exits_4_with_its_status(tmp_path, monkeypatch, capsys):
     real_train = blab.experiments.train
 
-    def train_leaving_one_wrong(net, data, cfg, seed):
+    def diverging(net, data, cfg, seed):
+        raise NumericError("non-finite loss at epoch 0")
+
+    def capped_at_one_epoch(net, data, cfg, seed):
+        return real_train(net, data, dataclasses.replace(cfg, max_epochs=1), seed)
+
+    def leaving_one_wrong(net, data, cfg, seed):
         report = real_train(net, data, cfg, seed)
         # lower the margin past the least confident class-1 sample only
         m = np.sort(margin_batch(net, data.samples[data.labels == 1]))
         net.biases[-1][1] -= 0.5 * (m[0] + m[1])
         return report
 
-    monkeypatch.setattr(blab.experiments, "train", train_leaving_one_wrong)
-    out = tmp_path / "run"
-    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out)]) == EXIT_NUMERIC
-    assert "misclassified" in capsys.readouterr().err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "aborted_projection"
-    assert manifest["completed_iterations"] == 0
+    def leaving_no_projection_converged(net, data, cfg, seed):
+        # no margin is within a negative tolerance of the boundary
+        monkeypatch.setattr(blab.boundary, "BOUNDARY_TOLERANCE", -1.0)
+        return real_train(net, data, cfg, seed)
 
+    # each fault strikes iteration 2, so iteration 1's record and checkpoint stay
+    for fault, status, reason in (
+            (diverging, "aborted_training",
+             "training loss diverged: non-finite loss at epoch 0"),
+            (capped_at_one_epoch, "aborted_training",
+             "training hit the epoch cap (accuracy 0.733)"),
+            (leaving_one_wrong, "aborted_projection",
+             "sample 25 is misclassified; projection requires a trained separator"),
+            (leaving_no_projection_converged, "aborted_projection",
+             "30/30 projections did not converge")):
+        calls = []
 
-def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
-    def diverging_train(net, data, cfg, seed):
-        raise TrainingDivergence("non-finite loss at epoch 0")
+        def train_with_fault(net, data, cfg, seed):
+            calls.append(seed)
+            return (fault if len(calls) == 2 else real_train)(net, data, cfg, seed)
 
-    monkeypatch.setattr(blab.experiments, "train", diverging_train)
-    out = tmp_path / "run"
-    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out)]) == EXIT_NUMERIC
-    assert "diverged" in capsys.readouterr().err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "aborted_training"
-    assert manifest["completed_iterations"] == 0
-    rows = (out / "records.csv").read_text().splitlines()
-    assert len(rows) == 2 and rows[1].startswith("0,")
+        monkeypatch.setattr(blab.experiments, "train", train_with_fault)
+        out = tmp_path / fault.__name__
+        assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric failure: iteration 2: {reason}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["completed_iterations"]) == (status, 1)
+        rows = (out / "records.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["iteration", "0", "1"]
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["iter_1.blab"]
+        monkeypatch.undo()
 
 
 def test_interrupt_ends_the_run_cleanly_and_resumes_byte_identical(tmp_path, monkeypatch, capsys):
@@ -658,6 +680,54 @@ def test_verify_unknown_suite(capsys):
     assert exit_info.value.code == EXIT_CONFIG
     assert re.search(r"invalid choice: 'nonsense' \(choose from '?claims'?, '?gradients'?, "
                      r"'?oracle'?\)", capsys.readouterr().err)
+
+
+def test_verify_claims_passes_end_to_end(capsys):
+    assert main(["verify", "claims"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_a_failing_verify_suite_exits_1_and_writes_the_failing_case(tmp_path, monkeypatch, capsys):
+    failing = {"instance": 7, "prod_h": 0.5, "prod_f": 1.0}
+    monkeypatch.setitem(blab.cli.SUITES, "claims", lambda: (
+        [("holds", True, ""), ("breaks", False, "prod_h=0.5")], failing))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "claims"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "[PASS] holds\n[FAIL] breaks  (prod_h=0.5)\n"
+    assert json.loads((tmp_path / "verify_claims_failure.json").read_text()) == failing
+    assert err == "failing case serialized to verify_claims_failure.json\n"
+
+
+def test_transfer2d_runs_the_cross_model_mode(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["transfer", TRANSFER_CONFIG, "--mode", "cross_model", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["mode"] == "cross_model" and report["n_samples"] > 0
+    rates = [v for k, v in report.items() if k.startswith("fooling_rate_")]
+    assert len(rates) == 3 and all(0 <= r <= 1 for r in rates)
+
+
+def test_784d_cascade_on_generated_idx_data(tmp_path, monkeypatch):
+    # the idx dataset source and the benchmark's 784-d network, on blobs that
+    # gen-data writes; one iteration takes about 1.5 s, against a 3-s budget
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # where its dataclasses find their module
+    spec.loader.exec_module(bench)
+    images = tmp_path / "blobs784.idx"
+    assert main(["gen-data", "--dim", "784", "--per-class", "20", "--format", "idx",
+                 "--seed", "7", "--out", str(images)]) == EXIT_OK
+    cfg = tmp_path / "cascade784.cfg"
+    cfg.write_text(bench.CASCADE784_CONFIG.format(
+        images=images, labels=images.with_suffix(".labels.idx"), subset=8))
+    out = tmp_path / "run"
+    assert main(["iterproj", str(cfg), "--iterations", "1", "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["status"] == "finished"
+    record = (out / "records.csv").read_text().splitlines()[2].split(",")
+    assert all(math.isfinite(float(v)) for v in record[1:3])
+    assert (record[3], record[5]) == ("1.0", "0")
 
 
 def test_verify_lets_an_internal_error_propagate(monkeypatch):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from blab.config import parse_config
-from blab.data import gen_gaussian_blobs
-from blab.experiments import (DatasetSpec, ExperimentConfig, ExperimentError,
-                              IterationRecord, build_dataset, checkpoint_resume,
-                              config_from_dict, records_from_csv,
+from blab.data import DataError, gen_gaussian_blobs
+from blab.experiments import (DatasetSpec, ExperimentConfig, IterationRecord, build_dataset,
+                              checkpoint_resume, config_from_dict, records_from_csv,
                               records_to_csv, run_generalization_tracking,
                               run_iterative_projection, run_symmetry_experiment,
                               run_transfer, stratified_split)
@@ -242,8 +241,14 @@ def test_resume_finished_run_is_noop(tmp_path):
 
 
 def test_resume_requires_manifest(tmp_path):
-    with pytest.raises(ExperimentError, match="manifest"):
+    path = tmp_path / "manifest.json"
+    with pytest.raises(DataError, match=f"cannot read {path}: No such file"):
         checkpoint_resume(tmp_path)
+    for text, message in (('{"format_version": ', "corrupt manifest: Expecting value"),
+                          ("[6]", "manifest format version None")):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"{path}: {message}"):
+            checkpoint_resume(tmp_path)
 
 
 def test_resume_refuses_older_manifest_format(tmp_path):
@@ -266,7 +271,7 @@ def test_resume_refuses_older_manifest_format(tmp_path):
         manifest["format_version"] = version
         edit(manifest["config"])
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ExperimentError, match=f"format version {version}"):
+        with pytest.raises(DataError, match=f"{path}: manifest format version {version} "):
             checkpoint_resume(tmp_path / "run")
 
 

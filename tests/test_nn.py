@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.config import parse_config
-from blab.data import Dataset
+from blab.data import DataError, Dataset
 from blab.experiments import build_dataset
 from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, _nll_gradients, accuracy, active_units,
                      check_layer_dims, forward_batch, grad_input, init_network, load_checkpoint,
@@ -260,7 +260,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, easy_blobs):
 def test_checkpoint_rejects_bad_files(tmp_path):
     bad = tmp_path / "bad.blab"
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(DataError, match="bad.blab: bad checkpoint magic"):
         load_checkpoint(bad)
     net = init_network([2, 2], seed=0)
     path = tmp_path / "v.blab"
@@ -268,7 +268,7 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 99  # version field
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(DataError, match="v.blab: unsupported checkpoint version 99"):
         load_checkpoint(path)
 
 
@@ -283,7 +283,7 @@ def test_truncated_checkpoint_names_file_and_field(tmp_path, cut, field):
     raw = path.read_bytes()
     assert len(raw) == 684
     path.write_bytes(raw[:cut])
-    with pytest.raises(ValueError, match=f"cut.blab: checkpoint truncated in {field} "):
+    with pytest.raises(DataError, match=f"cut.blab: checkpoint truncated in {field} "):
         load_checkpoint(path)
 
 
@@ -303,7 +303,7 @@ def _checkpoint_bytes(*layers) -> bytes:
 def test_checkpoint_rejects_bad_shapes(tmp_path, layers, message):
     path = tmp_path / "shape.blab"
     path.write_bytes(_checkpoint_bytes(*layers))
-    with pytest.raises(ValueError, match=f"shape.blab: {message}"):
+    with pytest.raises(DataError, match=f"shape.blab: {message}"):
         load_checkpoint(path)
 
 
@@ -322,7 +322,7 @@ def test_mutated_checkpoint_loads_a_valid_net_or_raises(tmp_path_factory, data):
     path.write_bytes(bytes(raw))
     try:
         net = load_checkpoint(path)
-    except ValueError:
+    except DataError:
         return
     assert check_layer_dims(net.layer_dims) == net.layer_dims
     assert [w.shape for w in net.weights] == list(zip(net.layer_dims[1:], net.layer_dims[:-1]))
