@@ -514,14 +514,46 @@ def test_symmetry_unknown_layout_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_each_numeric_abort_exits_4_with_its_status(tmp_path, monkeypatch, capsys):
+def _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, fault, status, reason):
+    # the fault strikes iteration 2, so iteration 1's record and checkpoint stay
     real_train = blab.experiments.train
+    calls = []
 
+    def train_with_fault(net, data, cfg, seed):
+        calls.append(seed)
+        return (fault if len(calls) == 2 else real_train)(net, data, cfg, seed)
+
+    monkeypatch.setattr(blab.experiments, "train", train_with_fault)
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric failure: iteration 2: {reason}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["completed_iterations"]) == (status, 1)
+    rows = (out / "records.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["iteration", "0", "1"]
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["iter_1.blab"]
+
+
+def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
     def diverging(net, data, cfg, seed):
         raise NumericError("non-finite loss at epoch 0")
 
+    _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, diverging, "aborted_training",
+                               "training loss diverged: non-finite loss at epoch 0")
+
+
+def test_epoch_cap_aborts_the_run(tmp_path, monkeypatch, capsys):
+    real_train = blab.experiments.train
+
     def capped_at_one_epoch(net, data, cfg, seed):
         return real_train(net, data, dataclasses.replace(cfg, max_epochs=1), seed)
+
+    _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, capped_at_one_epoch,
+                               "aborted_training", "training hit the epoch cap (accuracy 0.733)")
+
+
+def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):
+    real_train = blab.experiments.train
 
     def leaving_one_wrong(net, data, cfg, seed):
         report = real_train(net, data, cfg, seed)
@@ -530,37 +562,21 @@ def test_each_numeric_abort_exits_4_with_its_status(tmp_path, monkeypatch, capsy
         net.biases[-1][1] -= 0.5 * (m[0] + m[1])
         return report
 
+    _assert_iteration_2_aborts(
+        tmp_path, monkeypatch, capsys, leaving_one_wrong, "aborted_projection",
+        "sample 25 is misclassified; projection requires a trained separator")
+
+
+def test_unconverged_projections_abort_the_run(tmp_path, monkeypatch, capsys):
+    real_train = blab.experiments.train
+
     def leaving_no_projection_converged(net, data, cfg, seed):
         # no margin is within a negative tolerance of the boundary
         monkeypatch.setattr(blab.boundary, "BOUNDARY_TOLERANCE", -1.0)
         return real_train(net, data, cfg, seed)
 
-    # each fault strikes iteration 2, so iteration 1's record and checkpoint stay
-    for fault, status, reason in (
-            (diverging, "aborted_training",
-             "training loss diverged: non-finite loss at epoch 0"),
-            (capped_at_one_epoch, "aborted_training",
-             "training hit the epoch cap (accuracy 0.733)"),
-            (leaving_one_wrong, "aborted_projection",
-             "sample 25 is misclassified; projection requires a trained separator"),
-            (leaving_no_projection_converged, "aborted_projection",
-             "30/30 projections did not converge")):
-        calls = []
-
-        def train_with_fault(net, data, cfg, seed):
-            calls.append(seed)
-            return (fault if len(calls) == 2 else real_train)(net, data, cfg, seed)
-
-        monkeypatch.setattr(blab.experiments, "train", train_with_fault)
-        out = tmp_path / fault.__name__
-        assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)]) == EXIT_NUMERIC
-        assert capsys.readouterr().err == f"numeric failure: iteration 2: {reason}\n"
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert (manifest["status"], manifest["completed_iterations"]) == (status, 1)
-        rows = (out / "records.csv").read_text().splitlines()
-        assert [row.split(",")[0] for row in rows] == ["iteration", "0", "1"]
-        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["iter_1.blab"]
-        monkeypatch.undo()
+    _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, leaving_no_projection_converged,
+                               "aborted_projection", "30/30 projections did not converge")
 
 
 def test_interrupt_ends_the_run_cleanly_and_resumes_byte_identical(tmp_path, monkeypatch, capsys):
