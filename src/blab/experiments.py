@@ -7,8 +7,10 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .nn import (MlpNetwork, TrainConfig, accuracy, check_finite_fields, check_l
                  init_network, is_correct, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
-MANIFEST_VERSION = 6
+MANIFEST_VERSION = 7
 
 # positional seed namespaces, so derived seeds never collide across uses
 SEED_ITER = 1
@@ -108,6 +110,63 @@ class ExperimentConfig:
             check_layer_dims(self.dims_b)
         _check_kappa(self.kappa)
         self.train.validate()
+
+
+def _keys(cls, exclude=()) -> dict:
+    """Field name -> type hint, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in exclude}
+
+
+_NESTED = ("dataset", "train")
+_EXPERIMENT = _keys(ExperimentConfig, exclude=_NESTED)
+# section -> key -> type hint, in file order; dims gets a section of its own
+CONFIG_SCHEMA = {
+    "dataset": _keys(DatasetSpec),
+    "network": {"dims": _EXPERIMENT.pop("dims")},
+    "train": _keys(TrainConfig),
+    "experiment": _EXPERIMENT,
+}
+
+
+def _target(cfg: ExperimentConfig, section: str):
+    return getattr(cfg, section) if section in _NESTED else cfg
+
+
+def _parse_value(hint, text: str):
+    """Comma lists for list hints; an empty value clears an optional key."""
+    if isinstance(hint, UnionType):
+        inner = next(a for a in get_args(hint) if a is not type(None))
+        return _parse_value(inner, text) if text.strip() else None
+    if get_origin(hint) is list:
+        item = get_args(hint)[0]
+        return [item(v) for v in text.replace(" ", "").split(",") if v]
+    return hint(text)
+
+
+def _format_value(value) -> str:
+    return ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+
+
+def config_from_items(items) -> ExperimentConfig:
+    """The defaults with `(section, key, text)` triples applied in order, then validated."""
+    cfg = ExperimentConfig()
+    for section, key, text in items:
+        if key not in CONFIG_SCHEMA.get(section, ()):
+            raise ConfigError(f"unknown config key {section}.{key}")
+        try:
+            setattr(_target(cfg, section), key, _parse_value(CONFIG_SCHEMA[section][key], text))
+        except ValueError as e:
+            raise ConfigError(f"bad value for {section}.{key}: {text!r}") from e
+    cfg.validate()
+    return cfg
+
+
+def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
+    """Section -> key -> text, as show-config prints it; unset optional keys are left out."""
+    return {section: {key: _format_value(getattr(_target(cfg, section), key))
+                      for key in keys if getattr(_target(cfg, section), key) is not None}
+            for section, keys in CONFIG_SCHEMA.items()}
 
 
 @dataclass
@@ -218,13 +277,6 @@ def records_from_csv(text: str) -> list[IterationRecord]:
     return records
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    d["dataset"] = DatasetSpec(**d["dataset"])
-    d["train"] = TrainConfig(**d["train"])
-    return ExperimentConfig(**d)
-
-
 class RunDirectory:
     """Persistent layout of one iterative-projection run."""
 
@@ -250,7 +302,7 @@ class RunDirectory:
         manifest = {
             "format_version": MANIFEST_VERSION,
             "tool_version": __version__,
-            "config": asdict(cfg),
+            "config": config_sections(cfg),
             "completed_iterations": completed,
             "status": status,
             "with_test": with_test,
@@ -259,8 +311,9 @@ class RunDirectory:
         }
         write_file(self.path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    def read_manifest(self) -> dict:
-        """DataError naming the file if it is unreadable, not JSON, or of another version."""
+    def read_manifest(self) -> tuple[ExperimentConfig, dict]:
+        """The run's config and manifest; DataError naming the file if it is unreadable,
+        not JSON or of another version, or if a field is missing or invalid."""
         path = self.path / "manifest.json"
         try:
             manifest = json.loads(read_utf8(path))
@@ -270,7 +323,23 @@ class RunDirectory:
         if version != MANIFEST_VERSION:
             raise DataError(f"{path}: manifest format version {version} "
                             f"!= supported {MANIFEST_VERSION}")
-        return manifest
+        for name, types in (("status", (str,)), ("with_test", (bool,)), ("config", (dict,)),
+                            ("completed_iterations", (int,)), ("started_at", (int, float))):
+            if type(manifest.get(name)) not in types:  # type(), so an int refuses a bool
+                raise DataError(f"{path}: manifest {name} is missing or not {types[-1].__name__}")
+        sections = manifest["config"]
+        if not all(isinstance(keys, dict) and all(isinstance(text, str) for text in keys.values())
+                   for keys in sections.values()):
+            raise DataError(f"{path}: manifest config must map sections to key -> text")
+        try:
+            cfg = config_from_items((section, key, text) for section, keys in sections.items()
+                                    for key, text in keys.items())
+        except ConfigError as e:
+            raise DataError(f"{path}: {e}") from None
+        if not 0 <= (done := manifest["completed_iterations"]) <= cfg.iterations:
+            raise DataError(f"{path}: manifest completed_iterations {done} is not in "
+                            f"0..{cfg.iterations}")
+        return cfg, manifest
 
     def save_iteration(self, k: int, net: MlpNetwork, working: Dataset, results) -> None:
         save_checkpoint(net, self.checkpoints / f"iter_{k}.blab")
@@ -329,11 +398,10 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     working set k - 2: the resume reads it back. Resuming a finished run is
     a no-op."""
     rd = RunDirectory(run_dir)
-    manifest = rd.read_manifest()
-    cfg = config_from_dict(manifest["config"])
+    cfg, manifest = rd.read_manifest()
     completed = manifest["completed_iterations"]
     records = records_from_csv(read_utf8(rd.path / "records.csv"))
-    if manifest["status"] == "finished" or completed >= cfg.iterations:
+    if manifest["status"] == "finished" or completed == cfg.iterations:
         return records
     started, with_test = manifest["started_at"], manifest["with_test"]
     test_data = _held_out_split(cfg)[1] if with_test else None
@@ -369,7 +437,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
 
             if prev is not None:
                 records[-1].global_difference = global_difference(
-                    prev, data.samples, projected.samples).phi
+                    prev, data.samples, projected.samples)
             mean_norm = float(np.mean([r.distance for r in results]))
             prev, data = data.samples, projected
             records.append(IterationRecord(

@@ -7,20 +7,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
-
-
-@dataclass
-class GlobalDifferenceEstimate:
-    alphas: np.ndarray
-    phi: float
-    aligned_count: int
-    misaligned_count: int
-
 
 NEAREST_BLOCK_ELEMENTS = 1 << 20  # floats in one block of pairwise differences (8 MiB)
 ALIGNED_COSINE = 0.95  # least cosine between f's and g's projection vectors that earns alpha
@@ -48,8 +37,7 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
     return float((np.concatenate(row_min).sum() + col_min.sum()) / len(data))
 
 
-def global_difference(prev: np.ndarray, cur: np.ndarray,
-                      nxt: np.ndarray) -> GlobalDifferenceEstimate:
+def global_difference(prev: np.ndarray, cur: np.ndarray, nxt: np.ndarray) -> float:
     """Global difference phi_k from working sets W_{k-1}, W_k, W_{k+1}, each (s, n).
 
     f = W_k - W_{k-1} are net k's projection vectors and g = W_{k+1} - W_k
@@ -69,5 +57,4 @@ def global_difference(prev: np.ndarray, cur: np.ndarray,
     aligned = (fn > 0) & (cos >= ALIGNED_COSINE)
     alphas = np.zeros(len(f))
     alphas[aligned] = np.minimum(gn[aligned] / fn[aligned], 1.0)
-    count = int(aligned.sum())
-    return GlobalDifferenceEstimate(alphas, float(len(f) - alphas.sum()), count, len(f) - count)
+    return float(len(f) - alphas.sum())

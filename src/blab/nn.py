@@ -243,11 +243,12 @@ def _nll_gradients(net: MlpNetwork, x: np.ndarray, onehot: np.ndarray):
     return float(-(logp * onehot).sum(axis=1).mean()), grads_w + grads_b
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainReport:
     """Mini-batch NLL training with Adam until every sample is correct and mean
     true-class confidence reaches cfg.accuracy_target, or max_epochs.
     Mutates net in place; deterministic for a fixed seed, which orders the
-    mini-batches.
+    mini-batches. numpy's float warnings are off; the non-finite checks report divergence.
 
     Inputs are standardized internally and the affine map is folded back
     into the first layer afterwards, so the returned network acts on raw

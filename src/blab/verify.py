@@ -23,6 +23,7 @@ ORACLE_BOX = ((-4.0, 4.0), (-3.0, 3.0))
 CROSS_CHECK_STEP = 2e-2  # grid spacing of the cross-check of the exact oracle
 FD_STEP = 1e-5  # central-difference step of the gradient check
 GRADIENT_REL_TOL = 1e-4  # largest relative gap between backprop and finite differences
+ORACLE_POINTS_PER_NET = 5  # correctly classified samples each trained net projects
 
 
 def gradient_suite(pairs: int = 100, seed: int = 2024) -> tuple[list[CheckResult], dict | None]:
@@ -67,8 +68,7 @@ def _train_2d_net(seed: int):
     return net, data, report
 
 
-def oracle_suite(nets: int = 10, points_per_net: int = 5,
-                 seed: int = 77) -> tuple[list[CheckResult], dict | None]:
+def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dict | None]:
     """Combined projection solver vs the exact piecewise-linear oracle on
     trained 2D nets (2% relative), and vs the analytic halfspace projection
     on linear networks (1e-3 absolute). A coarse grid cross-checks the exact
@@ -91,7 +91,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
         exact = PiecewiseLinearBoundary(net.weights, net.biases, ORACLE_BOX)
         grid = GridBoundary(lambda pts: margin_batch(net, pts), ORACLE_BOX, CROSS_CHECK_STEP)
         correct = np.flatnonzero(is_correct(margin_batch(net, data.samples), data.labels))
-        picks = rng.choice(correct, size=points_per_net, replace=False)
+        picks = rng.choice(correct, size=ORACLE_POINTS_PER_NET, replace=False)
         projections = project_to_boundary(net, data.samples[picks], data.labels[picks], data)
         for i, res in zip(picks, projections):
             x = data.samples[i]
@@ -109,7 +109,7 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
                 grid_ok = False
                 if failing is None:
                     failing = {"net": n, "sample": int(i), "grid": d_grid, "exact": d_exact}
-    results.append((f"exact oracle ({nets} nets x {points_per_net} points)", exact_ok,
+    results.append((f"exact oracle ({nets} nets x {ORACLE_POINTS_PER_NET} points)", exact_ok,
                     f"worst relative gap {worst_rel:.4f}"))
     gaps = f"{min(grid_gaps):.1e} to {max(grid_gaps):.1e}" if grid_gaps else "none"
     results.append((f"grid cross-check of the exact oracle (step {CROSS_CHECK_STEP})",
@@ -144,10 +144,11 @@ def oracle_suite(nets: int = 10, points_per_net: int = 5,
     return results, failing
 
 
-def random_claim1_instance(seed: int, s: int = 6, dim: int = 4) -> VectorProjectionInstance:
+def random_claim1_instance(seed: int) -> VectorProjectionInstance:
     """Instance with pointwise-orthogonal f/g vectors whose norms satisfy the
     pair-separation preconditions with strict slack."""
     rng = make_rng(seed, stream=0xC1A1)
+    s, dim = 6, 4  # points, dimension
     half = s // 2
     pts = np.vstack([rng.standard_normal((half, dim)) - 4.0,
                      rng.standard_normal((s - half, dim)) + 4.0])

@@ -133,7 +133,7 @@ def test_criterion_03_2d_cascade_strict_decrease(cascade_run):
 
 
 def test_criterion_04_projection_oracle_equivalence():
-    results, failing = oracle_suite(nets=10, points_per_net=5)
+    results, failing = oracle_suite(nets=10)
     details = "; ".join(f"{name}: {detail}" for name, _, detail in results)
     _record(4, all(ok for _, ok, _ in results) and failing is None, details)
 

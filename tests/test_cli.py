@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -540,6 +541,16 @@ def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
 
     _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, diverging, "aborted_training",
                                "training loss diverged: non-finite loss at epoch 0")
+
+
+def test_a_diverging_run_prints_one_line(tmp_path):
+    # numpy's overflow warnings would come first, each with a source line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "blab.cli", "iterproj", CONFIG,
+                           "--set", "train.learning_rate=1e300", "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_NUMERIC, "numeric failure: iteration 1: "
+                                              "training loss diverged: non-finite loss at epoch 1\n")
 
 
 def test_epoch_cap_aborts_the_run(tmp_path, monkeypatch, capsys):

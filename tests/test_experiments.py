@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from blab.config import parse_config
 from blab.data import DataError, gen_gaussian_blobs
 from blab.experiments import (DatasetSpec, ExperimentConfig, IterationRecord, build_dataset,
-                              checkpoint_resume, config_from_dict, records_from_csv,
-                              records_to_csv, run_generalization_tracking,
+                              checkpoint_resume, config_from_items, config_sections,
+                              records_from_csv, records_to_csv, run_generalization_tracking,
                               run_iterative_projection, run_symmetry_experiment,
                               run_transfer, stratified_split)
 from blab.nn import TrainConfig
@@ -35,7 +37,7 @@ def extend_run(run_dir, iterations: int) -> dict:
     resumes; returns the edited manifest."""
     path = run_dir / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["config"]["iterations"] = iterations
+    manifest["config"]["experiment"]["iterations"] = str(iterations)
     manifest["status"] = "running"
     path.write_text(json.dumps(manifest))
     return manifest
@@ -82,12 +84,21 @@ def test_records_csv_roundtrip():
         records_from_csv("nope\n1,2\n")
 
 
-def test_config_dict_roundtrip():
+def _items(sections):
+    return [(section, key, text) for section, keys in sections.items()
+            for key, text in keys.items()]
+
+
+def test_config_sections_roundtrip():
     cfg = small_config()
+    assert "dims_b" not in config_sections(cfg)["experiment"]
     cfg.dims_b = [2, 8, 2]
-    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
-    # survives JSON serialization too
-    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+    sections = config_sections(cfg)
+    assert sections["network"] == {"dims": "2,32,32,2"}
+    assert sections["experiment"]["dims_b"] == "2,8,2"
+    assert config_from_items(_items(sections)) == cfg
+    # survives JSON serialization too, as a manifest stores it
+    assert config_from_items(_items(json.loads(json.dumps(sections)))) == cfg
 
 
 def test_iterative_projection_decreases_distance(tmp_path):
@@ -258,7 +269,8 @@ def test_resume_refuses_older_manifest_format(tmp_path):
     current = json.dumps(extend_run(tmp_path / "run", 2))
     # version 2 saved a projector section, version 3 the SGD and Adam settings,
     # version 4 the training seed and the three experiment fractions; version 5
-    # had the same config, but its records.csv had no global_difference column
+    # had the same config, but its records.csv had no global_difference column;
+    # version 6 stored the config's typed values, not its config-file text
     for version, edit in (
             (2, lambda c: c.update(projector={"boundary_tolerance": 1e-6, "max_newton_steps": 200})),
             (3, lambda c: c["train"].update(momentum=0.9, adam_betas=[0.9, 0.999],
@@ -266,13 +278,58 @@ def test_resume_refuses_older_manifest_format(tmp_path):
             (4, lambda c: c.update(train={**c["train"], "seed": 0},
                                    unconverged_abort_fraction=0.1, eval_fraction=0.25,
                                    test_fraction=0.25)),
-            (5, lambda c: None)):
+            (5, lambda c: None),
+            (6, lambda c: c.update(dataclasses.asdict(small_config(master_seed=3,
+                                                                   iterations=2))))):
         manifest = json.loads(current)
         manifest["format_version"] = version
         edit(manifest["config"])
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=f"{path}: manifest format version {version} "):
             checkpoint_resume(tmp_path / "run")
+
+
+@pytest.fixture(scope="module")
+def resumable_run(tmp_path_factory):
+    """A 2-iteration run, and one with 1 of its 2 iterations completed."""
+    root = tmp_path_factory.mktemp("resumable")
+    run_iterative_projection(small_config(master_seed=3, iterations=2), out_dir=root / "full")
+    run_iterative_projection(small_config(master_seed=3, iterations=1), out_dir=root / "partial")
+    extend_run(root / "partial", 2)
+    return root / "full", root / "partial"
+
+
+def _set_config(section, key, text):
+    return lambda m: m["config"][section].update({key: text})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, None),
+    (_set_config("train", "warmup", "5"), "unknown config key train.warmup"),
+    (_set_config("network", "dims", "2,x"), "bad value for network.dims: '2,x'"),
+    (_set_config("experiment", "iterations", "0"), "iterations must be >= 1"),
+    (lambda m: m.pop("status"), "manifest status is missing or not str"),
+    (lambda m: m.update(completed_iterations="1"),
+     "manifest completed_iterations is missing or not int"),
+    (lambda m: m.update(completed_iterations=99), "completed_iterations 99 is not in 0..2"),
+], ids=["unedited", "unknown_key", "bad_value", "zero_iterations", "no_status",
+        "completed_as_text", "completed_past_iterations"])
+def test_resume_refuses_a_manifest_it_cannot_trust(resumable_run, tmp_path, edit, message):
+    full, partial = resumable_run
+    run = tmp_path / "run"
+    shutil.copytree(partial, run)
+    path = run / "manifest.json"
+    if edit is None:
+        checkpoint_resume(run)
+        assert (run / "records.csv").read_bytes() == (full / "records.csv").read_bytes()
+        return
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        checkpoint_resume(run)
+    # refused before anything is written
+    assert json.loads(path.read_text()) == manifest
 
 
 def test_resume_keeps_the_manifest_started_at(tmp_path):

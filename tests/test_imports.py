@@ -1,7 +1,9 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every import is at module level.
 
 No linter is part of the toolchain, so this scan is the guard against dead
 imports. `__init__.py` is skipped: its imports are the public re-exports.
+An import inside a function binds its name when the function runs, so it
+would bypass a test or benchmark that replaces the module attribute.
 """
 
 import ast
@@ -35,6 +37,23 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _nested_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def test_scan_finds_a_nested_import():
+    source = "import os\n\ndef f():\n    from . import nn\n    return nn\n"
+    assert _nested_imports(source) == ["line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert _nested_imports(path.read_text()) == []
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -34,31 +34,35 @@ def test_nearest_opposite_distance_is_isometry_invariant(angle, shift):
     assert d1 == pytest.approx(d0, rel=1e-9, abs=1e-9)
 
 
+def _phi_per_sample(prev, cur, nxt) -> list[float]:
+    """phi of each sample alone: 1 - its alpha."""
+    return [global_difference(*(w[i:i + 1] for w in (prev, cur, nxt))) for i in range(len(prev))]
+
+
 def test_global_difference_orthogonal_reprojection_contributes_nothing():
     # f projects along x onto x = 0, g projects along y onto y = 0.5;
     # orthogonal directions, so no alpha credit and phi = s
     prev = np.array([[-2.0, 0.0], [2.0, 1.0]])
     cur = np.array([[0.0, 0.0], [0.0, 1.0]])
     nxt = np.array([[0.0, 0.5], [0.0, 0.5]])
-    est = global_difference(prev, cur, nxt)
-    assert est.phi == pytest.approx(2.0)
-    assert est.aligned_count == 0 and est.misaligned_count == 2
-    np.testing.assert_allclose(est.alphas, 0.0)
+    assert global_difference(prev, cur, nxt) == 2.0
+    assert _phi_per_sample(prev, cur, nxt) == [1.0, 1.0]
 
 
 def test_global_difference_credits_collinear_steps_and_nothing_for_samples_that_stayed():
     prev = np.array([[-2.0, 0.0], [4.0, 0.0], [1.0, 1.0], [3.0, 3.0], [0.0, 6.0]])
     cur = np.array([[-1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0, 3.0], [0.0, 4.0]])
     nxt = np.array([[-0.5, 0.0], [-1.0, 0.0], [0.0, 1.0], [2.0, 3.0], [0.1, 3.0]])
-    est = global_difference(prev, cur, nxt)
     # 0: g half as long as f, same direction; 1: g longer than f, clamped to 1;
     # 2: f did not move (an unconverged projection); 3: g did not move, which
     # counts as collinear with alpha 0; 4: cosine 1 / sqrt(1.01) ~ 0.995,
     # |g| / |f| = sqrt(1.01) / 2
-    np.testing.assert_allclose(est.alphas, [0.5, 1.0, 0.0, 0.0, np.sqrt(1.01) / 2],
-                               rtol=1e-15)
-    assert est.aligned_count == 4 and est.misaligned_count == 1
-    assert est.phi == pytest.approx(5.0 - 1.5 - np.sqrt(1.01) / 2, rel=1e-15)
+    alphas = [0.5, 1.0, 0.0, 0.0, np.sqrt(1.01) / 2]
+    assert _phi_per_sample(prev, cur, nxt) == pytest.approx([1.0 - a for a in alphas],
+                                                            rel=0, abs=1e-15)
+    assert global_difference(prev, cur, nxt) == pytest.approx(5.0 - sum(alphas), rel=1e-15)
+    # sample 4 turned past ALIGNED_COSINE earns nothing
+    assert _phi_per_sample(prev[4:], cur[4:], np.array([[0.5, 3.0]])) == [1.0]
 
 
 @pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784)])
