@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verify-suite failure, 2 config error (ConfigError:
 a config file that cannot be read, or an output path that cannot be written,
 among them), 3 data error (DataError: an input file that cannot be read, or
-a run directory's manifest or checkpoint that is not blab's, among them),
+a run directory's file that is not blab's or does not fit its run, among them),
 4 numeric failure (NumericError: training that diverges or hits its epoch
 cap, or a projection that breaks down), 130 interrupted (Ctrl-C or SIGTERM).
 Any other error is a fault in blab, not in its input, and ends with its
@@ -74,14 +74,11 @@ def cmd_cascade(args) -> int:
         overrides["experiment.iterations"] = str(args.iterations)
     cfg = parse_config(args.config, overrides)
     out = Path(args.out or f"run_{args.command}")
-    if args.command == "gentrack":
-        records = run_generalization_tracking(cfg, out_dir=out)
-        done = f"{out / 'records.csv'} ({len(records)} records, test accuracy tracked)"
-    else:
-        records = run_iterative_projection(cfg, out_dir=out)
-        done = f"{out / 'records.csv'} and {out / 'chart.svg'} ({len(records)} records)"
+    tracking = args.command == "gentrack"
+    records = (run_generalization_tracking if tracking else run_iterative_projection)(cfg, out)
     _records_chart(records, out / "chart.svg")
-    print(f"wrote {done}")
+    print(f"wrote {out / 'records.csv'} and {out / 'chart.svg'} ({len(records)} records"
+          f"{', test accuracy tracked' if tracking else ''})")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from .data import (LAYOUT_KINDS, ConfigError, DataError, Dataset, NumericError, 
                    read_utf8, sample_balanced, write_file)
 from .metrics import global_difference, nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, accuracy, check_finite_fields, check_layer_dims,
-                 init_network, is_correct, margin_batch, save_checkpoint, train)
+                 init_network, is_correct, load_checkpoint, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
 
 MANIFEST_VERSION = 7
@@ -39,6 +39,7 @@ HELD_OUT_FRACTION = 0.25  # of each class: transfer's evaluation set, gentrack's
 DATASET_SOURCES = ("blobs", "idx", "csv", "symmetric")
 DATASET_PATH_KEYS = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}
 TRANSFER_MODES = ("cross_model", "cross_training_set")
+PROJECTION_HEADER = "index,label,converged,distance,residual,method"
 
 
 @dataclass
@@ -345,9 +346,23 @@ class RunDirectory:
         save_checkpoint(net, self.checkpoints / f"iter_{k}.blab")
         rows = "".join(f"{i},{int(label)},{int(r.converged)},{r.distance!r},{r.residual!r},"
                        f"{r.method}\n" for i, (label, r) in enumerate(zip(working.labels, results)))
-        write_file(self.projections / f"iter_{k}.csv",
-                   "index,label,converged,distance,residual,method\n" + rows)
+        write_file(self.projections / f"iter_{k}.csv", PROJECTION_HEADER + "\n" + rows)
         export_csv(working, self.working / f"iter_{k}.csv")
+
+    def read_projections(self, k: int, labels: np.ndarray) -> tuple[list[float], int]:
+        """Distances and unconverged count of iteration k's projection rows; DataError
+        naming the file unless they are the rows save_iteration writes for these labels."""
+        path = self.projections / f"iter_{k}.csv"
+        header, *rows = read_utf8(path).splitlines() or [""]
+        cells = [row.split(",") for row in rows]
+        if header != PROJECTION_HEADER or len(cells) != len(labels) or any(
+                len(c) != 6 or c[:2] != [str(i), str(label)] or c[2] not in ("0", "1")
+                for i, (c, label) in enumerate(zip(cells, labels))):
+            raise DataError(f"{path}: rows do not match the {len(labels)} samples of the run")
+        try:
+            return [float(c[3]) for c in cells], sum(c[2] == "0" for c in cells)
+        except ValueError as e:
+            raise DataError(f"{path}: {e}") from None
 
     def write_records(self, records) -> None:
         write_file(self.path / "records.csv", records_to_csv(records))
@@ -369,7 +384,6 @@ def _start(cfg: ExperimentConfig, data: Dataset, with_test: bool, out_dir) -> li
     rd.create()
     rd.write_manifest(cfg, 0, "running", time.time(), with_test)
     export_csv(data, rd.working / "iter_0.csv")
-    rd.write_records([IterationRecord(0, nearest_opposite_mean_distance(data), 0.0, None, None, 0)])
     return checkpoint_resume(rd.path)
 
 
@@ -391,23 +405,45 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     """Continue a run from its last completed iteration c: iterations c + 1..
     train on working set c. Every run goes through here, a fresh one from c = 0.
 
-    Derived seeds are positional, so the resumed records, global differences
-    included, match an uninterrupted run exactly. A run that tracked test
-    accuracy re-derives its test split from the saved config. Once iteration
-    k has projected, record k - 1 gets its global difference, which needs
-    working set k - 2: the resume reads it back. Resuming a finished run is
-    a no-op."""
+    Records 0..c come from the run's files, never from records.csv, a view
+    the run only writes: mean_nn_distance from working/iter_k.csv, phi_k from
+    working sets k - 1..k + 1, mean_projection_norm and unconverged_count
+    from projections/iter_k.csv, and test_acc from checkpoints/iter_k.blab on
+    the test split re-derived from the saved config. train_acc is 1.0, as
+    training that ends below it aborts the run. A working set without W_0's
+    labels and shape, projection rows that do not match it, or a checkpoint
+    without the config's dims is a DataError naming the file, raised before
+    anything is written. Derived seeds are positional, so a resumed run
+    matches an uninterrupted one exactly. Resuming a finished run writes nothing."""
     rd = RunDirectory(run_dir)
     cfg, manifest = rd.read_manifest()
-    completed = manifest["completed_iterations"]
-    records = records_from_csv(read_utf8(rd.path / "records.csv"))
+    completed, started, with_test = (manifest[key] for key in (
+        "completed_iterations", "started_at", "with_test"))
+    test_data = _held_out_split(cfg)[1] if with_test else None
+    data = first = import_csv(rd.working / "iter_0.csv")
+    records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, None, 0)]
+    window = [first.samples]  # the samples of the last working sets, at most two
+
+    def record(k: int, data: Dataset, net: MlpNetwork, distances, unconverged: int) -> None:
+        # the one rule for record k >= 1, derived or appended; record k - 1 >= 1 gets its phi here
+        if len(window) == 2:
+            records[-1].global_difference = global_difference(*window, data.samples)
+        window[:] = [window[-1], data.samples]
+        records.append(IterationRecord(
+            k, nearest_opposite_mean_distance(data), float(np.mean(distances)), 1.0,
+            accuracy(net, test_data) if test_data is not None else None, unconverged))
+
+    for k in range(1, completed + 1):
+        path = rd.working / f"iter_{k}.csv"
+        data = import_csv(path)
+        if data.samples.shape != first.samples.shape or np.any(data.labels != first.labels):
+            raise DataError(f"{path}: labels or shape differ from working/iter_0.csv")
+        path = rd.checkpoints / f"iter_{k}.blab"
+        if (net := load_checkpoint(path)).layer_dims != cfg.dims:
+            raise DataError(f"{path}: layer widths {net.layer_dims} != the config's {cfg.dims}")
+        record(k, data, net, *rd.read_projections(k, first.labels))
     if manifest["status"] == "finished" or completed == cfg.iterations:
         return records
-    started, with_test = manifest["started_at"], manifest["with_test"]
-    test_data = _held_out_split(cfg)[1] if with_test else None
-    data = import_csv(rd.working / f"iter_{completed}.csv")
-    prev = import_csv(rd.working / f"iter_{completed - 1}.csv").samples if completed else None
-    records = records[:completed + 1]
 
     def abort(k: int, status: str, reason: str) -> NumericError:
         # the manifest first, so it says how the run ended if records.csv cannot be written
@@ -427,27 +463,14 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
                 raise abort(k, "aborted_training", "training hit the epoch cap "
                             f"(accuracy {report.final_train_accuracy:.3f})")
             try:
-                projected, results = project_dataset(net, data)
+                data, results = project_dataset(net, data)
             except NumericError as e:
                 raise abort(k, "aborted_projection", str(e)) from e
             unconverged = sum(not r.converged for r in results)
             if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
                 raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
                             "did not converge")
-
-            if prev is not None:
-                records[-1].global_difference = global_difference(
-                    prev, data.samples, projected.samples)
-            mean_norm = float(np.mean([r.distance for r in results]))
-            prev, data = data.samples, projected
-            records.append(IterationRecord(
-                iteration=k,
-                mean_nn_distance=nearest_opposite_mean_distance(data),
-                mean_projection_norm=mean_norm,
-                train_accuracy=report.final_train_accuracy,
-                test_accuracy=accuracy(net, test_data) if test_data is not None else None,
-                unconverged_count=unconverged,
-            ))
+            record(k, data, net, [r.distance for r in results], unconverged)
             try:
                 rd.save_iteration(k, net, data, results)
                 rd.write_records(records)

@@ -51,6 +51,14 @@ def test_iterproj_command_writes_outputs(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_gentrack_names_both_files_it_writes(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["gentrack", CONFIG, "--iterations", "1", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (f"wrote {out / 'records.csv'} and {out / 'chart.svg'} "
+                                       "(2 records, test accuracy tracked)\n")
+    assert (out / "chart.svg").read_text().startswith("<svg")
+
+
 def test_every_run_directory_file_gets_the_mode_open_gives(tmp_path):
     out = tmp_path / "run"
     umask = os.umask(0o022)

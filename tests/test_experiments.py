@@ -14,7 +14,7 @@ from blab.experiments import (DatasetSpec, ExperimentConfig, IterationRecord, bu
                               records_from_csv, records_to_csv, run_generalization_tracking,
                               run_iterative_projection, run_symmetry_experiment,
                               run_transfer, stratified_split)
-from blab.nn import TrainConfig
+from blab.nn import TrainConfig, init_network, save_checkpoint
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
 
@@ -235,7 +235,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert records_from_csv((partial_dir / "records.csv").read_text())[2].global_difference is None
     extend_run(partial_dir, 4)
     resumed = checkpoint_resume(partial_dir)
-    # record 2's phi needs working set 1, which the resume reads back
+    # record 2's phi needs working sets 1..3: two on disk, and the one iteration 3 projects
     assert resumed[2].global_difference is not None
     assert records_to_csv(resumed) == records_to_csv(full)
     assert ((partial_dir / "records.csv").read_bytes()
@@ -330,6 +330,66 @@ def test_resume_refuses_a_manifest_it_cannot_trust(resumable_run, tmp_path, edit
         checkpoint_resume(run)
     # refused before anything is written
     assert json.loads(path.read_text()) == manifest
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _flip_first_label(path):
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, str(1 - int(first[0])) + first[1:], *rest]))
+
+
+def _other_widths(path):
+    save_checkpoint(init_network([2, 8, 2], seed=0), path)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("working/iter_1.csv", _flip_first_label, "labels or shape differ from working/iter_0.csv"),
+    ("working/iter_1.csv", _drop_last_line, "labels or shape differ from working/iter_0.csv"),
+    ("projections/iter_1.csv", _drop_last_line, "rows do not match the 30 samples of the run"),
+    ("checkpoints/iter_1.blab", Path.unlink, "No such file or directory"),
+    ("checkpoints/iter_1.blab", _other_widths,
+     "layer widths [2, 8, 2] != the config's [2, 32, 32, 2]"),
+], ids=["working_label_flipped", "working_row_missing", "projections_row_missing",
+        "checkpoint_missing", "checkpoint_other_widths"])
+def test_resume_refuses_source_files_that_do_not_fit_the_run(resumable_run, tmp_path, name,
+                                                             edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(resumable_run[1], run)
+    edit(run / name)
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    with pytest.raises(DataError, match=f"{re.escape(str(run / name))}: .*{re.escape(message)}"):
+        checkpoint_resume(run)
+    # refused before anything is written, the manifest included
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
+@pytest.fixture(scope="module", params=["iterproj", "gentrack"])
+def two_of_three_iterations(request, tmp_path_factory):
+    """A 3-iteration run, and one stopped after 2 of its 3 iterations."""
+    root = tmp_path_factory.mktemp(request.param)
+    runner = {"iterproj": run_iterative_projection,
+              "gentrack": run_generalization_tracking}[request.param]
+    for name, iterations in (("full", 3), ("partial", 2)):
+        cfg = small_config(master_seed=4, iterations=iterations)
+        cfg.dataset.per_class = 20
+        runner(cfg, out_dir=root / name)
+    extend_run(root / "partial", 3)
+    return root / "full", root / "partial"
+
+
+@pytest.mark.parametrize("edit", [_drop_last_line, Path.unlink], ids=["last_row_removed",
+                                                                      "deleted"])
+def test_resume_derives_its_records_without_records_csv(two_of_three_iterations, tmp_path, edit):
+    # records.csv is a view: a resume rebuilds records 0..2 from the run's other files
+    full, partial = two_of_three_iterations
+    run = tmp_path / "run"
+    shutil.copytree(partial, run)
+    edit(run / "records.csv")
+    checkpoint_resume(run)
+    assert (run / "records.csv").read_bytes() == (full / "records.csv").read_bytes()
 
 
 def test_resume_keeps_the_manifest_started_at(tmp_path):
