@@ -175,8 +175,9 @@ def sample_balanced(data: Dataset, total: int, seed: int) -> Dataset:
     return Dataset(data.samples[order], data.labels[order])
 
 
+@np.errstate(over="ignore")
 def gen_gaussian_blobs(n: int, per_class: int, centers, sigma: float, seed: int) -> Dataset:
-    """Two isotropic normal blobs, per_class points each."""
+    """Two isotropic normal blobs, per_class points each; DataError if a point overflows."""
     c0, c1 = (np.asarray(c, dtype=np.float64) for c in centers)
     if c0.shape != (n,) or c1.shape != (n,):
         raise DataError("centers must both have dimension n")

@@ -414,7 +414,9 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     labels and shape, projection rows that do not match it, or a checkpoint
     without the config's dims is a DataError naming the file, raised before
     anything is written. Derived seeds are positional, so a resumed run
-    matches an uninterrupted one exactly. Resuming a finished run writes nothing."""
+    matches an uninterrupted one exactly. Resuming a finished run writes nothing.
+    Any exception that ends iteration k writes the manifest, at k - 1 iterations
+    and the status of its stage, then records 0..k - 1, and propagates."""
     rd = RunDirectory(run_dir)
     cfg, manifest = rd.read_manifest()
     completed, started, with_test = (manifest[key] for key in (
@@ -445,50 +447,48 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     if manifest["status"] == "finished" or completed == cfg.iterations:
         return records
 
-    def abort(k: int, status: str, reason: str) -> NumericError:
-        # the manifest first, so it says how the run ended if records.csv cannot be written
-        rd.write_manifest(cfg, k - 1, status, started, with_test)
-        rd.write_records(records[:k])
-        return NumericError(f"iteration {k}: {reason}")
-
-    k = completed + 1
+    k, stage = completed + 1, "aborted_training"
     try:
         for k in range(completed + 1, cfg.iterations + 1):
+            stage = "aborted_training"
             seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
             try:
                 net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
             except NumericError as e:
-                raise abort(k, "aborted_training", f"training loss diverged: {e}") from e
+                raise NumericError(f"training loss diverged: {e}") from e
             if report.stopped_reason != "criterion_met":
-                raise abort(k, "aborted_training", "training hit the epoch cap "
-                            f"(accuracy {report.final_train_accuracy:.3f})")
-            try:
-                data, results = project_dataset(net, data)
-            except NumericError as e:
-                raise abort(k, "aborted_projection", str(e)) from e
+                raise NumericError("training hit the epoch cap "
+                                   f"(accuracy {report.final_train_accuracy:.3f})")
+            stage = "aborted_projection"
+            data, results = project_dataset(net, data)
             unconverged = sum(not r.converged for r in results)
             if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
-                raise abort(k, "aborted_projection", f"{unconverged}/{len(data)} projections "
-                            "did not converge")
+                raise NumericError(f"{unconverged}/{len(data)} projections did not converge")
             record(k, data, net, [r.distance for r in results], unconverged)
-            try:
-                rd.save_iteration(k, net, data, results)
-                rd.write_records(records)
-                rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
-                                  started, with_test)
-            except ConfigError as e:
-                abort(k, "aborted_write", str(e))
-                raise
-    except KeyboardInterrupt:
-        abort(k, "interrupted", "interrupted")
+            stage = "aborted_write"
+            rd.save_iteration(k, net, data, results)
+            rd.write_records(records)
+            rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
+                              started, with_test)
+    except BaseException as e:
+        # the manifest first, so it says how the run ended if records.csv cannot be written
+        status = "interrupted" if isinstance(e, KeyboardInterrupt) else stage
+        rd.write_manifest(cfg, k - 1, status, started, with_test)
+        rd.write_records(records[:k])
+        if isinstance(e, NumericError):
+            raise NumericError(f"iteration {k}: {e}") from e
         raise
     return records
 
 
 def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> float:
-    return float((~is_correct(margin_batch(net, points), labels)).mean())
+    margins = margin_batch(net, points)
+    if (bad := int(np.sum(~np.isfinite(margins)))):
+        raise NumericError(f"{bad} of {len(points)} perturbed points have a non-finite margin")
+    return float((~is_correct(margins, labels)).mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _fooling_rate reports an overflow
 def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
     """Craft overshoot adversarials against a source network and measure how
     often an independently trained target misclassifies them, against an
@@ -530,19 +530,15 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
         adv.append(a)
         base.append(b)
         kept.append(lab)
-    if not adv:
-        return TransferReport(mode=mode, kappa=cfg.kappa, valid=False, n_samples=0,
-                              fooling_rate_transfer=0.0, fooling_rate_source=0.0,
-                              fooling_rate_random_baseline=0.0)
-    adv, base, kept = np.array(adv), np.array(base), np.array(kept)
-
-    return TransferReport(
-        mode=mode, kappa=cfg.kappa, valid=valid, n_samples=len(kept),
-        fooling_rate_transfer=_fooling_rate(net_b, adv, kept),
-        fooling_rate_source=_fooling_rate(net_a, adv, kept),
-        fooling_rate_random_baseline=_fooling_rate(net_b, base, kept))
+    rates = (0.0, 0.0, 0.0)  # with no converged projection, nothing transfers
+    if kept:
+        adv, base, kept = np.array(adv), np.array(base), np.array(kept)
+        rates = (_fooling_rate(net_b, adv, kept), _fooling_rate(net_a, adv, kept),
+                 _fooling_rate(net_b, base, kept))
+    return TransferReport(mode, cfg.kappa, valid and len(kept) > 0, len(kept), *rates)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _fooling_rate reports an overflow
 def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
                             perturb: float = 0.0, kappa: float = 0.1) -> dict:
     """Train many independently seeded networks on a (possibly perturbed)

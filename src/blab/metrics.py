@@ -15,9 +15,10 @@ NEAREST_BLOCK_ELEMENTS = 1 << 20  # floats in one block of pairwise differences 
 ALIGNED_COSINE = 0.95  # least cosine between f's and g's projection vectors that earns alpha
 
 
+@np.errstate(over="ignore")
 def nearest_opposite_mean_distance(data: Dataset) -> float:
     """Mean over samples of the Euclidean distance to the closest
-    opposite-class sample; exhaustive over all pairs.
+    opposite-class sample, exhaustive over all pairs; inf if a distance overflows.
 
     Class-0 rows go in blocks of exact differences, never the
     |a|^2 + |b|^2 - 2ab expansion, which cancels once points crowd together.

@@ -264,6 +264,8 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
     mu = data.samples.mean(axis=0)
     sd = data.samples.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
+    if not np.isfinite([mu, sd]).all():  # finite inputs too large to standardize
+        raise NumericError("a feature's mean or standard deviation overflows")
     data = Dataset((data.samples - mu) / sd, data.labels)
 
     def fold_whitening() -> None:

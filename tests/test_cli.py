@@ -18,7 +18,7 @@ import blab.cli
 import blab.experiments
 from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK,
                       main)
-from blab.data import NumericError, export_csv
+from blab.data import DataError, NumericError, export_csv
 from blab.experiments import DatasetSpec, TransferReport, build_dataset, checkpoint_resume
 from blab.nn import margin_batch
 
@@ -523,8 +523,18 @@ def test_symmetry_unknown_layout_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, fault, status, reason):
-    # the fault strikes iteration 2, so iteration 1's record and checkpoint stay
+def _assert_ended_in_iteration_2(out, status):
+    # iteration 1's record and checkpoint stay
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["completed_iterations"]) == (status, 1)
+    rows = (out / "records.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["iteration", "0", "1"]
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["iter_1.blab"]
+
+
+def _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, fault, status, reason,
+                               code=EXIT_NUMERIC):
+    # the fault strikes iteration 2's training; a NumericError names the iteration
     real_train = blab.experiments.train
     calls = []
 
@@ -534,13 +544,10 @@ def _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, fault, status, rea
 
     monkeypatch.setattr(blab.experiments, "train", train_with_fault)
     out = tmp_path / "run"
-    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)]) == EXIT_NUMERIC
-    assert capsys.readouterr().err == f"numeric failure: iteration 2: {reason}\n"
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["status"], manifest["completed_iterations"]) == (status, 1)
-    rows = (out / "records.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in rows] == ["iteration", "0", "1"]
-    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["iter_1.blab"]
+    assert main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)]) == code
+    prefix = "numeric failure: iteration 2: " if code == EXIT_NUMERIC else "data error: "
+    assert capsys.readouterr().err == f"{prefix}{reason}\n"
+    _assert_ended_in_iteration_2(out, status)
 
 
 def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
@@ -551,14 +558,61 @@ def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
                                "training loss diverged: non-finite loss at epoch 0")
 
 
-def test_a_diverging_run_prints_one_line(tmp_path):
+def test_a_data_error_in_training_aborts_the_run(tmp_path, monkeypatch, capsys):
+    def refusing(net, data, cfg, seed):
+        raise DataError("training data must contain both classes")
+
+    _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, refusing, "aborted_training",
+                               "training data must contain both classes", code=EXIT_DATA)
+
+
+def test_a_fault_in_blab_aborts_the_run_and_propagates(tmp_path, monkeypatch):
+    real_save = blab.experiments.RunDirectory.save_iteration
+
+    def save_failing_at_2(self, k, *args):
+        if k == 2:
+            raise RuntimeError("not a blab error")
+        real_save(self, k, *args)
+
+    monkeypatch.setattr(blab.experiments.RunDirectory, "save_iteration", save_failing_at_2)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="not a blab error"):
+        main(["iterproj", CONFIG, "--iterations", "3", "--out", str(out)])
+    _assert_ended_in_iteration_2(out, "aborted_write")
+
+
+OVERFLOW = "training loss diverged: a feature's mean or standard deviation overflows"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["iterproj", CONFIG, "--set", "train.learning_rate=1e300"], EXIT_NUMERIC,
+     "numeric failure: iteration 1: training loss diverged: non-finite loss at epoch 1"),
+    (["iterproj", CONFIG, "--set", "dataset.center_distance=1e308"], EXIT_NUMERIC,
+     f"numeric failure: iteration 1: {OVERFLOW}"),
+    (["iterproj", CONFIG, "--set", "dataset.sigma=1e300"], EXIT_NUMERIC,
+     f"numeric failure: iteration 1: {OVERFLOW}"),
+    (["gen-data", "--sigma", "1e308"], EXIT_DATA, "data error: samples contain non-finite values"),
+    # an overshoot margin that overflows is not a misclassification, so no fooling rate counts it
+    (["transfer", TRANSFER_CONFIG, "--set", "experiment.kappa=1e308"], EXIT_NUMERIC,
+     "numeric failure: 38 of 40 perturbed points have a non-finite margin"),
+    (["symmetry", "--kappa", "1e308", "--trials", "3"], EXIT_NUMERIC,
+     "numeric failure: 2 of 4 perturbed points have a non-finite margin"),
+], ids=["learning_rate", "center_distance", "sigma", "gen_data_sigma", "transfer_kappa",
+        "symmetry_kappa"])
+def test_a_diverging_run_prints_one_line(tmp_path, argv, code, err):
     # numpy's overflow warnings would come first, each with a source line
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "blab.cli", "iterproj", CONFIG,
-                           "--set", "train.learning_rate=1e300", "--out", str(tmp_path / "run")],
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "blab.cli", *argv, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (EXIT_NUMERIC, "numeric failure: iteration 1: "
-                                              "training loss diverged: non-finite loss at epoch 1\n")
+    assert (proc.returncode, proc.stderr) == (code, err + "\n")
+    if argv[0] == "iterproj":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["completed_iterations"]) == ("aborted_training", 0)
+        rows = (out / "records.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["iteration", "0"]
+    else:
+        assert not out.exists()
 
 
 def test_epoch_cap_aborts_the_run(tmp_path, monkeypatch, capsys):
