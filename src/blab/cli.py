@@ -24,9 +24,8 @@ from .config import parse_config, serialize_config
 from .data import (LAYOUT_KINDS, ConfigError, DataError, NumericError, check_writable, export_csv,
                    read_utf8, save_idx, write_file)
 from .experiments import (TRANSFER_MODES, DatasetSpec, build_dataset, records_from_csv,
-                          run_generalization_tracking, run_iterative_projection,
+                          records_to_svg, run_generalization_tracking, run_iterative_projection,
                           run_symmetry_experiment, run_transfer)
-from .svg import line_chart
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -60,13 +59,6 @@ def _given(args, flags) -> dict:
     return {a.dest: getattr(args, a.dest) for a in flags if getattr(args, a.dest) is not None}
 
 
-def _records_chart(records, out_svg) -> None:
-    xs = [r.iteration for r in records]
-    ys = [r.mean_nn_distance for r in records]
-    write_file(out_svg, line_chart(xs, ys, "Mean inter-class distance per iteration",
-                                   "iteration", "mean distance"))
-
-
 def cmd_cascade(args) -> int:
     """`iterproj`, and `gentrack`, which also tracks test accuracy."""
     overrides = _overrides(args.set)
@@ -76,7 +68,6 @@ def cmd_cascade(args) -> int:
     out = Path(args.out or f"run_{args.command}")
     tracking = args.command == "gentrack"
     records = (run_generalization_tracking if tracking else run_iterative_projection)(cfg, out)
-    _records_chart(records, out / "chart.svg")
     print(f"wrote {out / 'records.csv'} and {out / 'chart.svg'} ({len(records)} records"
           f"{', test accuracy tracked' if tracking else ''})")
     return EXIT_OK
@@ -119,7 +110,7 @@ def cmd_plot(args) -> int:
     records = records_from_csv(read_utf8(args.records))
     if not records:
         raise DataError("records CSV has no rows")
-    _records_chart(records, args.out)
+    write_file(args.out, records_to_svg(records))
     print(f"wrote {args.out} ({len(records)} points)")
     return EXIT_OK
 

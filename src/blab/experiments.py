@@ -23,6 +23,7 @@ from .metrics import global_difference, nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, accuracy, check_finite_fields, check_layer_dims,
                  init_network, is_correct, load_checkpoint, margin_batch, save_checkpoint, train)
 from .rng import derive_seed, make_rng
+from .svg import line_chart
 
 MANIFEST_VERSION = 7
 
@@ -175,7 +176,6 @@ class IterationRecord:
     iteration: int
     mean_nn_distance: float
     mean_projection_norm: float
-    train_accuracy: float | None
     test_accuracy: float | None
     unconverged_count: int
     global_difference: float | None = None  # phi_k, once iteration k+1 has projected
@@ -252,14 +252,20 @@ def _cell(value: float | None) -> str:
 
 
 def records_to_csv(records: list[IterationRecord]) -> str:
+    """train_acc is 1.0 from record 1 on: training that ends below it aborts the run."""
     buf = io.StringIO()
     buf.write("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
               "unconverged_count,global_difference\n")
     for r in records:
         buf.write(f"{r.iteration},{r.mean_nn_distance!r},{r.mean_projection_norm!r},"
-                  f"{_cell(r.train_accuracy)},{_cell(r.test_accuracy)},{r.unconverged_count},"
-                  f"{_cell(r.global_difference)}\n")
+                  f"{'1.0' if r.iteration else ''},{_cell(r.test_accuracy)},"
+                  f"{r.unconverged_count},{_cell(r.global_difference)}\n")
     return buf.getvalue()
+
+
+def records_to_svg(records: list[IterationRecord]) -> str:
+    return line_chart([r.iteration for r in records], [r.mean_nn_distance for r in records],
+                      "Mean inter-class distance per iteration", "iteration", "mean distance")
 
 
 def records_from_csv(text: str) -> list[IterationRecord]:
@@ -269,10 +275,10 @@ def records_from_csv(text: str) -> list[IterationRecord]:
     records = []
     for n, line in enumerate(lines[1:], start=2):
         try:
-            it, nn, pn, tr, te, uc, gd = line.split(",")
+            it, nn, pn, _, te, uc, gd = line.split(",")
             records.append(IterationRecord(int(it), float(nn), float(pn),
-                                           float(tr) if tr else None, float(te) if te else None,
-                                           int(uc), float(gd) if gd else None))
+                                           float(te) if te else None, int(uc),
+                                           float(gd) if gd else None))
         except ValueError as e:
             raise DataError(f"records CSV line {n}: {e}") from e
     return records
@@ -365,7 +371,9 @@ class RunDirectory:
             raise DataError(f"{path}: {e}") from None
 
     def write_records(self, records) -> None:
+        """The run's two views, records.csv and chart.svg, of the same records."""
         write_file(self.path / "records.csv", records_to_csv(records))
+        write_file(self.path / "chart.svg", records_to_svg(records))
 
 
 def _held_out_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -405,25 +413,25 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     """Continue a run from its last completed iteration c: iterations c + 1..
     train on working set c. Every run goes through here, a fresh one from c = 0.
 
-    Records 0..c come from the run's files, never from records.csv, a view
-    the run only writes: mean_nn_distance from working/iter_k.csv, phi_k from
-    working sets k - 1..k + 1, mean_projection_norm and unconverged_count
-    from projections/iter_k.csv, and test_acc from checkpoints/iter_k.blab on
-    the test split re-derived from the saved config. train_acc is 1.0, as
-    training that ends below it aborts the run. A working set without W_0's
+    Records 0..c come from the run's files, never from records.csv or
+    chart.svg, views the run only writes: mean_nn_distance from
+    working/iter_k.csv, phi_k from working sets k - 1..k + 1,
+    mean_projection_norm and unconverged_count from projections/iter_k.csv,
+    and test_acc from checkpoints/iter_k.blab on the test split re-derived
+    from the saved config. A working set without W_0's
     labels and shape, projection rows that do not match it, or a checkpoint
     without the config's dims is a DataError naming the file, raised before
     anything is written. Derived seeds are positional, so a resumed run
     matches an uninterrupted one exactly. Resuming a finished run writes nothing.
     Any exception that ends iteration k writes the manifest, at k - 1 iterations
-    and the status of its stage, then records 0..k - 1, and propagates."""
+    and the status of its stage, then the views a resume of it derives, and propagates."""
     rd = RunDirectory(run_dir)
     cfg, manifest = rd.read_manifest()
     completed, started, with_test = (manifest[key] for key in (
         "completed_iterations", "started_at", "with_test"))
     test_data = _held_out_split(cfg)[1] if with_test else None
     data = first = import_csv(rd.working / "iter_0.csv")
-    records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, None, 0)]
+    records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, 0)]
     window = [first.samples]  # the samples of the last working sets, at most two
 
     def record(k: int, data: Dataset, net: MlpNetwork, distances, unconverged: int) -> None:
@@ -432,7 +440,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
             records[-1].global_difference = global_difference(*window, data.samples)
         window[:] = [window[-1], data.samples]
         records.append(IterationRecord(
-            k, nearest_opposite_mean_distance(data), float(np.mean(distances)), 1.0,
+            k, nearest_opposite_mean_distance(data), float(np.mean(distances)),
             accuracy(net, test_data) if test_data is not None else None, unconverged))
 
     for k in range(1, completed + 1):
@@ -452,10 +460,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
         for k in range(completed + 1, cfg.iterations + 1):
             stage = "aborted_training"
             seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
-            try:
-                net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
-            except NumericError as e:
-                raise NumericError(f"training loss diverged: {e}") from e
+            net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
             if report.stopped_reason != "criterion_met":
                 raise NumericError("training hit the epoch cap "
                                    f"(accuracy {report.final_train_accuracy:.3f})")
@@ -471,9 +476,10 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
             rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
                               started, with_test)
     except BaseException as e:
-        # the manifest first, so it says how the run ended if records.csv cannot be written
+        # the manifest first, so it says how the run ended if the views cannot be written
         status = "interrupted" if isinstance(e, KeyboardInterrupt) else stage
         rd.write_manifest(cfg, k - 1, status, started, with_test)
+        records[k - 1].global_difference = None  # a resume leaves phi_{k-1} to iteration k
         rd.write_records(records[:k])
         if isinstance(e, NumericError):
             raise NumericError(f"iteration {k}: {e}") from e

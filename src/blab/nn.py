@@ -289,7 +289,7 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
             idx = order[start:start + batch_size]
             batch_loss, grads = _nll_gradients(net, data.samples[idx], labels_onehot[idx])
             if not np.isfinite(batch_loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
+                raise NumericError(f"training loss diverged: non-finite loss at epoch {epoch}")
             losses.append(batch_loss)
 
             step += 1
@@ -301,7 +301,7 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
         if not all(np.isfinite(p).all() for p in params):
-            raise NumericError("network parameters are non-finite")
+            raise NumericError("training loss diverged: network parameters are non-finite")
         epoch_loss = float(np.mean(losses))
         # one pass gives both stop tests: every sample correct, and the mean
         # true-class probability at the target

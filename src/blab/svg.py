@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 40, 60
 
@@ -11,16 +13,17 @@ def _escape(text: str) -> str:
 
 
 def line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
-    """Single-series line chart; x is expected monotone (iteration index)."""
+    """Single-series chart of the finite points; x is expected monotone (iteration index)."""
     if len(xs) != len(ys) or not xs:
         raise ValueError("need equal-length nonempty x and y series")
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
+    finite = [(x, y) for x, y in zip(map(float, xs), map(float, ys))
+              if math.isfinite(x) and math.isfinite(y)]
+    xs, ys = [x for x, _ in finite], [y for _, y in finite]
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
+    x_min, x_max = min(xs, default=0.0), max(xs, default=0.0)
+    y_min, y_max = min(ys, default=0.0), max(ys, default=0.0)
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import stat
 import subprocess
@@ -19,7 +20,8 @@ import blab.experiments
 from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK,
                       main)
 from blab.data import DataError, NumericError, export_csv
-from blab.experiments import DatasetSpec, TransferReport, build_dataset, checkpoint_resume
+from blab.experiments import (DatasetSpec, TransferReport, build_dataset, checkpoint_resume,
+                              records_to_csv, records_to_svg)
 from blab.nn import margin_batch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +31,22 @@ CONFIG_DIR = str(Path(CONFIG).parent)
 RECORDS_CSV = ("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
                "unconverged_count,global_difference\n0,3.0,0.0,,,0,\n1,1.5,0.4,1.0,,0,29.5\n"
                "2,0.9,0.2,1.0,,0,\n")
+
+
+def _assert_views_are_the_derivation(run):
+    # records.csv and chart.svg render exactly the records a resume of the run
+    # derives: a copy set to stop at its completed iterations resumes writing nothing
+    copy = run.with_name(run.name + "_derived")
+    shutil.copytree(run, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["config"]["experiment"]["iterations"] = str(manifest["completed_iterations"])
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    files = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    records = checkpoint_resume(copy)
+    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == files
+    assert (run / "records.csv").read_bytes() == records_to_csv(records).encode()
+    assert (run / "chart.svg").read_bytes() == records_to_svg(records).encode()
+    shutil.rmtree(copy)
 
 
 def test_show_config_roundtrip(capsys, tmp_path):
@@ -49,6 +67,7 @@ def test_iterproj_command_writes_outputs(tmp_path):
     assert (out / "manifest.json").exists()
     svg = (out / "chart.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    _assert_views_are_the_derivation(out)
 
 
 def test_gentrack_names_both_files_it_writes(tmp_path, capsys):
@@ -57,6 +76,7 @@ def test_gentrack_names_both_files_it_writes(tmp_path, capsys):
     assert capsys.readouterr().out == (f"wrote {out / 'records.csv'} and {out / 'chart.svg'} "
                                        "(2 records, test accuracy tracked)\n")
     assert (out / "chart.svg").read_text().startswith("<svg")
+    _assert_views_are_the_derivation(out)
 
 
 def test_every_run_directory_file_gets_the_mode_open_gives(tmp_path):
@@ -530,6 +550,7 @@ def _assert_ended_in_iteration_2(out, status):
     rows = (out / "records.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows] == ["iteration", "0", "1"]
     assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["iter_1.blab"]
+    _assert_views_are_the_derivation(out)
 
 
 def _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, fault, status, reason,
@@ -552,7 +573,7 @@ def _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, fault, status, rea
 
 def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
     def diverging(net, data, cfg, seed):
-        raise NumericError("non-finite loss at epoch 0")
+        raise NumericError("training loss diverged: non-finite loss at epoch 0")
 
     _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, diverging, "aborted_training",
                                "training loss diverged: non-finite loss at epoch 0")
@@ -581,7 +602,7 @@ def test_a_fault_in_blab_aborts_the_run_and_propagates(tmp_path, monkeypatch):
     _assert_ended_in_iteration_2(out, "aborted_write")
 
 
-OVERFLOW = "training loss diverged: a feature's mean or standard deviation overflows"
+OVERFLOW = "a feature's mean or standard deviation overflows"
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -613,6 +634,26 @@ def test_a_diverging_run_prints_one_line(tmp_path, argv, code, err):
         assert [row.split(",")[0] for row in rows] == ["iteration", "0"]
     else:
         assert not out.exists()
+
+
+def test_a_non_finite_record_gets_a_finite_chart(tmp_path):
+    # record 0's mean_nn_distance overflows, then standardizing the features does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "run"
+
+    def blab(*argv):
+        return subprocess.run([sys.executable, "-m", "blab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = blab("iterproj", CONFIG, "--iterations", "1", "--out", str(out), "--set",
+                "dataset.center_distance=3e154", "--set", "dataset.sigma=4e153")
+    assert (proc.returncode, proc.stderr) == (EXIT_NUMERIC,
+                                              f"numeric failure: iteration 1: {OVERFLOW}\n")
+    assert (out / "records.csv").read_text().splitlines()[1] == "0,inf,0.0,,,0,"
+    assert blab("plot", str(out / "records.csv"), str(tmp_path / "plot.svg")).returncode == EXIT_OK
+    for svg in (out / "chart.svg", tmp_path / "plot.svg"):
+        text = svg.read_text()
+        assert text.startswith("<svg") and "nan" not in text and "inf" not in text
 
 
 def test_epoch_cap_aborts_the_run(tmp_path, monkeypatch, capsys):
@@ -670,9 +711,12 @@ def test_interrupt_ends_the_run_cleanly_and_resumes_byte_identical(tmp_path, mon
     assert capsys.readouterr().err == "interrupted\n"
     manifest = json.loads((cut / "manifest.json").read_text())
     assert manifest["status"] == "interrupted" and manifest["completed_iterations"] == 1
+    _assert_views_are_the_derivation(cut)
     monkeypatch.undo()
     checkpoint_resume(cut)
     assert json.loads((cut / "manifest.json").read_text())["status"] == "finished"
+    _assert_views_are_the_derivation(cut)
+    assert (cut / "chart.svg").read_bytes() == (full / "chart.svg").read_bytes()
     assert (cut / "records.csv").read_bytes() == (full / "records.csv").read_bytes()
     for sub in ("projections", "working", "checkpoints"):
         names = sorted(p.name for p in (full / sub).iterdir())
@@ -710,6 +754,7 @@ def test_sigterm_ends_the_run_like_an_interrupt(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "interrupted\n"
     manifest = json.loads((cut / "manifest.json").read_text())
     assert manifest["status"] == "interrupted" and manifest["completed_iterations"] == 1
+    _assert_views_are_the_derivation(cut)
     monkeypatch.undo()
     checkpoint_resume(cut)
     assert (cut / "records.csv").read_bytes() == (full / "records.csv").read_bytes()
@@ -735,13 +780,16 @@ def test_a_write_that_fails_mid_cascade_ends_the_run_aborted(tmp_path, monkeypat
     assert capsys.readouterr().err == f"config error: cannot write {blocked}: Is a directory\n"
     manifest = json.loads((run / "manifest.json").read_text())
     assert (manifest["status"], manifest["completed_iterations"]) == ("aborted_write", 1)
-    # records.csv ends with the last completed iteration
+    # records.csv ends with the last completed iteration, whose phi waits for iteration 2
     rows = (run / "records.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
+    assert rows[-1].endswith(",1.0,,0,")
+    _assert_views_are_the_derivation(run)
     blocked.rmdir()
     monkeypatch.undo()
     assert len(checkpoint_resume(run)) == 4
     assert json.loads((run / "manifest.json").read_text())["status"] == "finished"
+    _assert_views_are_the_derivation(run)
 
 
 def test_plot_missing_records_is_data_error(tmp_path, capsys):

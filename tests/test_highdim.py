@@ -46,7 +46,6 @@ def test_image_scale_cascade(digits_idx, tmp_path):
     )
     records = run_iterative_projection(cfg, out_dir=tmp_path / "run")
     assert len(records) == 3
-    assert all(r.train_accuracy == 1.0 for r in records[1:])
     assert all(r.unconverged_count == 0 for r in records[1:])
     # projections move points onto the boundary, shrinking class separation
     assert all(r.mean_projection_norm > 0 for r in records[1:])
