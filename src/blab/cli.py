@@ -20,11 +20,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import parse_config, serialize_config
+from .config import DatasetSpec, parse_config, serialize_config
 from .data import (LAYOUT_KINDS, ConfigError, DataError, NumericError, check_writable, export_csv,
                    read_utf8, save_idx, write_file)
-from .experiments import (TRANSFER_MODES, DatasetSpec, build_dataset, records_from_csv,
-                          records_to_svg, run_generalization_tracking, run_iterative_projection,
+from .experiments import (TRANSFER_MODES, build_dataset, records_from_csv, records_to_svg,
+                          run_generalization_tracking, run_iterative_projection,
                           run_symmetry_experiment, run_transfer)
 from .verify import SUITES
 
@@ -34,16 +34,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_INTERRUPTED = 130
-
-
-def _overrides(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} must be section.key=value")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
 
 
 def _finite_float(text: str) -> float:
@@ -61,10 +51,8 @@ def _given(args, flags) -> dict:
 
 def cmd_cascade(args) -> int:
     """`iterproj`, and `gentrack`, which also tracks test accuracy."""
-    overrides = _overrides(args.set)
-    if args.iterations is not None:
-        overrides["experiment.iterations"] = str(args.iterations)
-    cfg = parse_config(args.config, overrides)
+    iterations = [] if args.iterations is None else [f"experiment.iterations={args.iterations}"]
+    cfg = parse_config(args.config, args.set + iterations)
     out = Path(args.out or f"run_{args.command}")
     tracking = args.command == "gentrack"
     records = (run_generalization_tracking if tracking else run_iterative_projection)(cfg, out)
@@ -74,7 +62,7 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    cfg = parse_config(args.config, _overrides(args.set))
+    cfg = parse_config(args.config, args.set)
     out = Path(args.out or "transfer_report.json")
     check_writable(out)
     payload = asdict(run_transfer(cfg, args.mode))
@@ -141,7 +129,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_show_config(args) -> int:
-    cfg = parse_config(args.config, _overrides(args.set))
+    cfg = parse_config(args.config, args.set)
     sys.stdout.write(serialize_config(cfg))
     return EXIT_OK
 
@@ -152,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("config", help="experiment config file")
-        sp.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+        sp.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a config value")
         sp.add_argument("--out", help="output directory / file")
 

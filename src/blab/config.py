@@ -1,21 +1,163 @@
-"""Flat `key = value` config files with bracketed sections.
+"""The config format: flat `key = value` files with bracketed sections.
 
-Sections map onto the experiment config: [dataset], [network], [train],
-[experiment]. Unknown sections or keys are errors so typos
-never silently fall back to defaults. CLI overrides beat file values.
+This module owns the sections ([dataset], [network], [train], [experiment]),
+their keys, the value text, the `--set SECTION.KEY=VALUE` overrides and the
+`show-config` text that a manifest also stores. Unknown sections or keys are
+errors so typos never silently fall back to defaults. Overrides beat file values.
 """
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
-from .data import ConfigError, DataError, read_utf8
-from .experiments import CONFIG_SCHEMA, ExperimentConfig, config_from_items, config_sections
+from .data import LAYOUT_KINDS, ConfigError, DataError, read_utf8
+from .nn import TrainConfig, check_finite_fields, check_layer_dims
+
+DATASET_SOURCES = ("blobs", "idx", "csv", "symmetric")
+DATASET_PATH_KEYS = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}
 
 
-def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Read a config file and apply `section.key -> value` overrides."""
+@dataclass
+class DatasetSpec:
+    source: str = "blobs"  # one of DATASET_SOURCES
+    seed: int = 0
+    # blobs
+    dim: int = 2
+    per_class: int = 50
+    center_distance: float = 4.0
+    sigma: float = 0.5
+    # idx
+    images_path: str = ""
+    labels_path: str = ""
+    class_a: int = 3
+    class_b: int = 5
+    subset: int = 0  # 0 keeps everything
+    # csv
+    csv_path: str = ""
+    # symmetric
+    layout_kind: str = "square_xor"
+
+    def validate(self) -> None:
+        check_finite_fields(self)
+        if self.source not in DATASET_SOURCES:
+            raise ConfigError(f"unknown dataset source {self.source!r}; "
+                              f"choose from {', '.join(DATASET_SOURCES)}")
+        if self.layout_kind not in LAYOUT_KINDS:
+            raise ConfigError(f"unknown dataset layout_kind {self.layout_kind!r}; "
+                              f"choose from {', '.join(LAYOUT_KINDS)}")
+        if self.dim < 1:
+            raise ConfigError("dataset dim must be >= 1")
+        if self.per_class < 1:
+            raise ConfigError("dataset per_class must be >= 1")
+        if self.sigma <= 0:
+            raise ConfigError("dataset sigma must be positive")
+        if self.subset < 0 or self.subset % 2:
+            raise ConfigError("dataset subset must be even and >= 0 (0 keeps everything)")
+        if self.class_a == self.class_b:
+            raise ConfigError("dataset class_a and class_b must differ")
+        for key in DATASET_PATH_KEYS.get(self.source, ()):
+            if not getattr(self, key):
+                raise ConfigError(f"dataset source {self.source} needs dataset.{key}")
+
+
+def check_kappa(kappa: float) -> None:
+    if not kappa > 0:
+        raise ConfigError(f"kappa must be positive (an overshoot crosses the boundary "
+                          f"only for kappa > 0), got {kappa!r}")
+
+
+@dataclass
+class ExperimentConfig:
+    dataset: DatasetSpec = field(default_factory=DatasetSpec)
+    dims: list[int] = field(default_factory=lambda: [2, 16, 16, 2])
+    train: TrainConfig = field(default_factory=TrainConfig)
+    iterations: int = 5
+    master_seed: int = 0
+    kappa: float = 0.1
+    dims_b: list[int] | None = None  # second architecture (cross-model transfer)
+
+    def validate(self) -> None:
+        check_finite_fields(self)
+        self.dataset.validate()
+        if self.iterations < 1:
+            raise ConfigError("iterations must be >= 1")
+        check_layer_dims(self.dims)
+        if self.dims_b is not None:
+            check_layer_dims(self.dims_b)
+        check_kappa(self.kappa)
+        self.train.validate()
+
+
+def _keys(cls, exclude=()) -> dict:
+    """Field name -> type hint, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in exclude}
+
+
+_NESTED = ("dataset", "train")
+_EXPERIMENT = _keys(ExperimentConfig, exclude=_NESTED)
+# section -> key -> type hint, in file order; dims gets a section of its own
+CONFIG_SCHEMA = {
+    "dataset": _keys(DatasetSpec),
+    "network": {"dims": _EXPERIMENT.pop("dims")},
+    "train": _keys(TrainConfig),
+    "experiment": _EXPERIMENT,
+}
+
+
+def _target(cfg: ExperimentConfig, section: str):
+    return getattr(cfg, section) if section in _NESTED else cfg
+
+
+def _parse_value(hint, text: str):
+    """Comma lists for list hints; an empty value clears an optional key."""
+    if isinstance(hint, UnionType):
+        inner = next(a for a in get_args(hint) if a is not type(None))
+        return _parse_value(inner, text) if text.strip() else None
+    if get_origin(hint) is list:
+        item = get_args(hint)[0]
+        return [item(v) for v in text.replace(" ", "").split(",") if v]
+    return hint(text)
+
+
+def _format_value(value) -> str:
+    return ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+
+
+def config_from_items(items) -> ExperimentConfig:
+    """The defaults with `(section, key, text)` triples applied in order, then validated."""
+    cfg = ExperimentConfig()
+    for section, key, text in items:
+        if key not in CONFIG_SCHEMA.get(section, ()):
+            raise ConfigError(f"unknown config key {section}.{key}")
+        try:
+            setattr(_target(cfg, section), key, _parse_value(CONFIG_SCHEMA[section][key], text))
+        except ValueError as e:
+            raise ConfigError(f"bad value for {section}.{key}: {text!r}") from e
+    cfg.validate()
+    return cfg
+
+
+def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
+    """Section -> key -> text, as show-config prints it; unset optional keys are left out."""
+    return {section: {key: _format_value(getattr(_target(cfg, section), key))
+                      for key in keys if getattr(_target(cfg, section), key) is not None}
+            for section, keys in CONFIG_SCHEMA.items()}
+
+
+def parse_config(path, sets=()) -> ExperimentConfig:
+    """Read a config file and apply `SECTION.KEY=VALUE` strings over it, key and
+    value stripped. A key set twice keeps its first place and takes its last value."""
+    overrides = {}
+    for item in sets:
+        key, equals, value = item.partition("=")
+        if not equals:
+            raise ConfigError(f"override {item!r} must be section.key=value")
+        overrides[key.strip()] = value.strip()
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -31,7 +173,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
         if section not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
     items = [(section, *item) for section in parser.sections() for item in parser.items(section)]
-    for dotted, value in (overrides or {}).items():
+    for dotted, value in overrides.items():
         if "." not in dotted:
             raise ConfigError(f"override {dotted!r} must be section.key")
         items.append((*dotted.split(".", 1), value))

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blab.config import DatasetSpec, ExperimentConfig
 from blab.data import import_csv
-from blab.experiments import (DatasetSpec, ExperimentConfig, run_iterative_projection,
-                              run_symmetry_experiment, run_transfer)
+from blab.experiments import run_iterative_projection, run_symmetry_experiment, run_transfer
 from blab.nn import TrainConfig
 from blab.verify import claims_suite, gradient_suite, oracle_suite
 from conftest import ACCEPTANCE_LINES

@@ -19,9 +19,10 @@ import blab.cli
 import blab.experiments
 from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK,
                       main)
+from blab.config import DatasetSpec
 from blab.data import DataError, NumericError, export_csv
-from blab.experiments import (DatasetSpec, TransferReport, build_dataset, checkpoint_resume,
-                              records_to_csv, records_to_svg)
+from blab.experiments import (TransferReport, build_dataset, checkpoint_resume, records_to_csv,
+                              records_to_svg)
 from blab.nn import margin_batch
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.cli import EXIT_CONFIG, EXIT_OK, main
-from blab.config import ConfigError, parse_config, serialize_config
-from blab.experiments import DatasetSpec, ExperimentConfig
+from blab.config import ConfigError, DatasetSpec, ExperimentConfig, parse_config, serialize_config
 from blab.nn import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,16 +65,40 @@ def test_invalid_value_is_config_error(tmp_path):
 
 def test_overrides_beat_file_values():
     cfg = parse_config(CONFIG_DIR / "blobs2d.cfg",
-                       {"train.learning_rate": "0.005",
-                        "experiment.iterations": "2",
-                        "network.dims": "2,8,2"})
+                       ["train.learning_rate=0.005", "experiment.iterations=2",
+                        "network.dims=2,8,2"])
     assert cfg.train.learning_rate == 0.005
     assert cfg.iterations == 2
     assert cfg.dims == [2, 8, 2]
     with pytest.raises(ConfigError, match="section.key"):
-        parse_config(CONFIG_DIR / "blobs2d.cfg", {"iterations": "2"})
+        parse_config(CONFIG_DIR / "blobs2d.cfg", ["iterations=2"])
     with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config(CONFIG_DIR / "blobs2d.cfg", {"train.warmup": "5"})
+        parse_config(CONFIG_DIR / "blobs2d.cfg", ["train.warmup=5"])
+
+
+def test_a_key_set_twice_keeps_its_first_place_and_takes_its_last_value():
+    blobs = CONFIG_DIR / "blobs2d.cfg"
+    # the earlier value is never parsed
+    assert parse_config(blobs, ["train.batch_size=abc", "train.batch_size=8"]).train.batch_size == 8
+    # learning_rate is applied first, so its bad value is the one reported
+    with pytest.raises(ConfigError, match=r"^bad value for train.learning_rate: 'x3'$"):
+        parse_config(blobs, ["train.learning_rate=x1", "train.batch_size=x2",
+                             "train.learning_rate=x3"])
+
+
+def test_override_keys_and_values_are_stripped():
+    cfg = parse_config(CONFIG_DIR / "blobs2d.cfg", [" train.batch_size = 7 ", "network.dims= 2,4,2"])
+    assert cfg.train.batch_size == 7 and cfg.dims == [2, 4, 2]
+
+
+def test_set_strings_on_the_command_line(capsys):
+    blobs = str(CONFIG_DIR / "blobs2d.cfg")
+    assert main(["show-config", blobs, "--set", "train.batch_size=abc",
+                 "--set", "train.batch_size=8"]) == EXIT_OK
+    assert "\nbatch_size = 8\n" in capsys.readouterr().out
+    for item, form in (("foo", "section.key=value"), ("foo=1", "section.key")):
+        assert main(["show-config", blobs, "--set", item]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: override 'foo' must be {form}\n")
 
 
 def test_serialize_parse_roundtrip(tmp_path):
@@ -149,7 +172,7 @@ def test_non_finite_float_values_are_config_errors():
     for key in keys:
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be finite"):
-                parse_config(CONFIG_DIR / "blobs2d.cfg", {key: bad})
+                parse_config(CONFIG_DIR / "blobs2d.cfg", [f"{key}={bad}"])
 
 
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
@@ -171,18 +194,19 @@ _LINES = st.tuples(st.sampled_from(_KEYS) | _TEXT, st.sampled_from([" = ", ":", 
 _BLOCKS = st.tuples(st.sampled_from(_SECTIONS) | _TEXT,
                     st.lists(_LINES, max_size=4)).map(
     lambda block: "\n".join([f"[{block[0]}]", *block[1]]))
+# SECTION.KEY=VALUE strings, some without the "." or the "="
+_SETS = st.tuples(st.sampled_from(_SECTIONS) | _TEXT, st.sampled_from([".", ""]),
+                  st.sampled_from(_KEYS) | _TEXT, st.sampled_from(["=", " = ", ""]),
+                  _VALUES).map("".join)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_BLOCKS, max_size=4).map("\n".join) | _TEXT,
-       st.dictionaries(st.tuples(st.sampled_from(_SECTIONS) | _TEXT,
-                                 st.sampled_from(_KEYS) | _TEXT).map(".".join),
-                       _VALUES, max_size=3) | st.dictionaries(_TEXT, _VALUES, max_size=2))
-def test_arbitrary_config_text_parses_or_raises_config_error(tmp_path_factory, text, overrides):
+@given(st.lists(_BLOCKS, max_size=4).map("\n".join) | _TEXT, st.lists(_SETS, max_size=3))
+def test_arbitrary_config_text_parses_or_raises_config_error(tmp_path_factory, text, sets):
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
     try:
-        cfg = parse_config(path, overrides)
+        cfg = parse_config(path, sets)
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)

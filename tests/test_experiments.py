@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blab.config import parse_config
+from blab.config import (DatasetSpec, ExperimentConfig, config_from_items, config_sections,
+                         parse_config)
 from blab.data import DataError, gen_gaussian_blobs, import_csv
-from blab.experiments import (DatasetSpec, ExperimentConfig, IterationRecord, build_dataset,
-                              checkpoint_resume, config_from_items, config_sections,
-                              records_from_csv, records_to_csv, run_generalization_tracking,
-                              run_iterative_projection, run_symmetry_experiment,
-                              run_transfer, stratified_split)
+from blab.experiments import (IterationRecord, build_dataset, checkpoint_resume, records_from_csv,
+                              records_to_csv, run_generalization_tracking,
+                              run_iterative_projection, run_symmetry_experiment, run_transfer,
+                              stratified_split)
 from blab.geometry import PiecewiseLinearBoundary
 from blab.nn import TrainConfig, grad_input, init_network, load_checkpoint, margin, save_checkpoint
 
@@ -162,7 +162,7 @@ FROZEN_RECORDS = [
 
 
 def test_blobs2d_cascade_records_match_the_frozen_values(tmp_path):
-    cfg = parse_config(CONFIG, {"experiment.iterations": "2"})
+    cfg = parse_config(CONFIG, ["experiment.iterations=2"])
     run_iterative_projection(cfg, out_dir=tmp_path / "run")
     records = records_from_csv((tmp_path / "run" / "records.csv").read_text())
     for record, frozen in zip(records, FROZEN_RECORDS, strict=True):
@@ -217,7 +217,7 @@ FROZEN_DISTANCES = [
 
 
 def test_blobs2d_cascade_projections_match_the_frozen_picks(tmp_path):
-    cfg = parse_config(CONFIG, {"experiment.iterations": "3"})
+    cfg = parse_config(CONFIG, ["experiment.iterations=3"])
     run_iterative_projection(cfg, out_dir=tmp_path / "run")
     for k, (methods, distances) in enumerate(zip(FROZEN_METHODS, FROZEN_DISTANCES,
                                                  strict=True), 1):
@@ -232,7 +232,7 @@ def test_the_shipped_cascade_projects_within_2pct_of_the_exact_boundary(tmp_path
     # files; a box holding every ball of engine radius holds each nearer exact point.
     # Below, the engine may undercut the exact distance by its point's own residual
     # |m| / |grad m|, and both distances by the float64 rounding of the box's coordinates
-    cfg = parse_config(CONFIG, {})
+    cfg = parse_config(CONFIG)
     assert cfg.iterations == 5
     run = tmp_path / "run"
     run_iterative_projection(cfg, out_dir=run)

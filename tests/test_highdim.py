@@ -11,8 +11,9 @@ import pytest
 
 sklearn_datasets = pytest.importorskip("sklearn.datasets")
 
+from blab.config import DatasetSpec, ExperimentConfig
 from blab.data import filter_binary, load_idx, sample_balanced, save_idx, Dataset
-from blab.experiments import DatasetSpec, ExperimentConfig, run_iterative_projection
+from blab.experiments import run_iterative_projection
 from blab.nn import TrainConfig
 
 

@@ -78,3 +78,9 @@ def test_geometry_imports_no_blab_module():
     # the oracles stay independent of the data model, the networks and the solver
     assert not {m for m in _imported_modules((SRC / "geometry.py").read_text())
                 if m.startswith("blab")}
+
+
+def test_config_imports_only_the_data_model_and_the_networks():
+    # the config format sits below the runners that read it
+    assert {m for m in _imported_modules((SRC / "config.py").read_text())
+            if m.startswith("blab")} <= {"blab.data", "blab.nn"}
