@@ -21,9 +21,9 @@ CHECKPOINT_MAGIC = b"BLAB"
 CHECKPOINT_VERSION = 1
 # Most rows in one block of a batched forward pass. At 2048 rows, glibc gave
 # the (rows, width) temporaries of each pass back to the system and the next
-# pass faulted them in again: the 2D fan sweep's single-sample passes of 1536
-# rows took about 8k minor page faults per cascade2d projection. As two
-# 768-row blocks they stay in the heap, and the projection takes about 90.
+# pass faulted them in again: thirty 1536-row passes per cascade2d projection
+# took about 8k minor page faults, and about 90 as two 768-row blocks each.
+# The 2D fan sweep's 1920 ray ends on blobs2d run as two 960-row blocks.
 FORWARD_BLOCK_ROWS = 1024
 # train's only update rule is Adam (Kingma & Ba, ICLR 2015), with their suggested settings
 ADAM_BETAS = (0.9, 0.999)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blab.boundary
-from blab.boundary import (BOUNDARY_TOLERANCE, MAX_REFINE_STEPS, METHOD_SEGMENT,
+from blab.boundary import (BOUNDARY_TOLERANCE, FAN_DIRECTIONS, MAX_REFINE_STEPS, METHOD_SEGMENT,
                            MIN_SLIDE_STEP, REFINE_STALL_FRACTION, REFINE_TOLERANCE,
                            adversarial_overshoot, bisect_along_segment, hit_boundary,
                            project_dataset, project_to_boundary)
@@ -176,6 +176,49 @@ def test_projection_on_curved_boundary_finds_near_branch():
     for res in project_to_boundary(net, data.samples[picks], data.labels[picks], data):
         assert res.converged
         assert res.residual <= BOUNDARY_TOLERANCE
+
+
+def test_fan_sweep_finds_a_line_just_inside_the_radius():
+    # the line 0.6 x + 0.8 y = 0.5 lies D = 3.1 from (2, 3); rays 1.01 D long
+    # reach it, rays 0.99 D long do not, and an infinite radius is skipped
+    net = linear_net([0.6, 0.8], -0.5)
+    x = np.array([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
+    d = 3.1
+    owner, pts, m, dist = blab.boundary._fan_sweep(net, x, margin_batch(net, x),
+                                                   np.array([1.01 * d, 0.99 * d, np.inf]))
+    np.testing.assert_array_equal(owner, [0])
+    np.testing.assert_allclose(pts @ [0.6, 0.8] - 0.5, 0.0, atol=1e-12)
+    np.testing.assert_allclose(m, 0.0, atol=BOUNDARY_TOLERANCE)
+    assert d - 1e-12 <= dist[0] <= d / np.cos(np.pi / FAN_DIRECTIONS)
+
+
+def test_fan_sweep_tests_every_ray_end_in_one_margin_pass(monkeypatch):
+    net, data = _trained_blobs2d()
+    m_x = margin_batch(net, data.samples)
+    gaps = np.linalg.norm(data.samples[:, None] - data.samples[None], axis=2)
+    radius = np.where(data.labels[:, None] != data.labels[None], gaps, np.inf).min(axis=1)
+    radius[0] = np.inf  # a sample with no converged row gets no fan
+    rows_per_call = []  # margin passes outside the bracket solve
+    inside = []
+
+    def counted(net, pts):
+        if not inside:
+            rows_per_call.append(len(pts))
+        return margin_batch(net, pts)
+
+    def bracket_solve(*args):
+        inside.append(True)
+        try:
+            return bisect_along_segment(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(blab.boundary, "margin_batch", counted)
+    monkeypatch.setattr(blab.boundary, "bisect_along_segment", bracket_solve)
+    owner, _, m, _ = blab.boundary._fan_sweep(net, data.samples, m_x, radius)
+    assert rows_per_call == [(len(data) - 1) * FAN_DIRECTIONS]
+    assert len(owner) and 0 not in owner
+    assert (np.abs(m) <= BOUNDARY_TOLERANCE).all()
 
 
 def test_illinois_is_exact_in_one_step_on_a_linear_segment(monkeypatch):

@@ -57,15 +57,17 @@ def _single_pass_margin(net, x):
 
 @pytest.mark.parametrize("dims", [[2, 16, 16, 2], [2, 32, 32, 2]])
 def test_blocked_margin_batch_matches_one_pass_bit_for_bit(dims):
-    # heights around the block, the fan sweep's 1536 rows (two 768-row
-    # blocks) and the oracle grid's 120701 points; 2049 and 4097 would leave
-    # a 1-row block if blocks were all 2048 tall. Not every height matches:
-    # 1025 rows split 512 + 513 move the last bits of 613 rows on [2,32,32,2].
+    # heights around the block, the 2D fan sweep's 1920 ray ends on blobs2d
+    # (30 samples x 64 rays, two 960-row blocks) and the oracle grid's 120701
+    # points; 2049 and 4097 would leave a 1-row block if blocks were all 2048
+    # tall. Not every height matches on [2,32,32,2]: 1025 rows split
+    # 512 + 513 move the last bits of 613 rows, and a 17-sample fan's 1088
+    # rows split 544 + 544 those of 648.
     rng = np.random.default_rng(11)
     net = init_network(dims, seed=4)
     net.biases = [rng.standard_normal(b.shape) for b in net.biases]
     x = rng.uniform(-3.0, 3.0, (120701, 2))
-    for rows in (1, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, 1536, 2047, 2048, 2049,
+    for rows in (1, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, 1920, 2047, 2048, 2049,
                  4097, 120701):
         np.testing.assert_array_equal(margin_batch(net, x[:rows]),
                                       _single_pass_margin(net, x[:rows]))
