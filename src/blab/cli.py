@@ -22,10 +22,9 @@ from pathlib import Path
 
 from .config import DatasetSpec, parse_config, serialize_config
 from .data import (LAYOUT_KINDS, ConfigError, DataError, NumericError, check_writable, export_csv,
-                   read_utf8, save_idx, write_file)
-from .experiments import (TRANSFER_MODES, build_dataset, records_from_csv, records_to_svg,
-                          run_generalization_tracking, run_iterative_projection,
-                          run_symmetry_experiment, run_transfer)
+                   save_idx, write_file)
+from .experiments import (TRANSFER_MODES, build_dataset, run_generalization_tracking,
+                          run_iterative_projection, run_symmetry_experiment, run_transfer)
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -94,15 +93,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
-def cmd_plot(args) -> int:
-    records = records_from_csv(read_utf8(args.records))
-    if not records:
-        raise DataError("records CSV has no rows")
-    write_file(args.out, records_to_svg(records))
-    print(f"wrote {args.out} ({len(records)} points)")
-    return EXIT_OK
-
-
 def cmd_gen_data(args) -> int:
     given = _given(args, args.blob_flags)
     if args.kind == "blobs":
@@ -169,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a property suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("plot", help="records CSV -> SVG line chart")
-    sp.add_argument("records")
-    sp.add_argument("out")
-    sp.set_defaults(fn=cmd_plot)
 
     sp = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     sp.add_argument("--kind", choices=("blobs",) + LAYOUT_KINDS, default="blobs")

@@ -137,22 +137,6 @@ def records_to_svg(records: list[IterationRecord]) -> str:
                       "Mean inter-class distance per iteration", "iteration", "mean distance")
 
 
-def records_from_csv(text: str) -> list[IterationRecord]:
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("iteration,"):
-        raise DataError("not a records CSV")
-    records = []
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            it, nn, pn, _, te, uc, gd = line.split(",")
-            records.append(IterationRecord(int(it), float(nn), float(pn),
-                                           float(te) if te else None, int(uc),
-                                           float(gd) if gd else None))
-        except ValueError as e:
-            raise DataError(f"records CSV line {n}: {e}") from e
-    return records
-
-
 class RunDirectory:
     """Persistent layout of one iterative-projection run."""
 

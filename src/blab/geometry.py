@@ -58,11 +58,6 @@ class VectorProjectionInstance:
         return {"points": self.points.tolist(), "labels": self.labels.tolist(),
                 "f_vectors": self.f_vectors.tolist(), "g_vectors": self.g_vectors.tolist()}
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "VectorProjectionInstance":
-        return cls(np.array(d["points"]), np.array(d["labels"]),
-                   np.array(d["f_vectors"]), np.array(d["g_vectors"]))
-
 
 def halfspace_projection(w, b: float, x) -> np.ndarray:
     """Closed-form nearest point on the hyperplane {p : w.p + b = 0}."""

@@ -19,8 +19,9 @@ from .rng import derive_seed, make_rng
 
 CheckResult = tuple[str, bool, str]
 
-ORACLE_BOX = ((-4.0, 4.0), (-3.0, 3.0))
-CROSS_CHECK_STEP = 2e-2  # grid spacing of the cross-check of the exact oracle
+CROSS_CHECK_STEP = 2e-2  # grid spacing of the exact oracle's cross-check, and its box's lattice
+EXACT_REL_BOUND = 0.02  # most an engine distance may exceed the exact one, relative
+ON_BOUNDARY_TOL = 1e-4  # farthest an engine point may lie off the exact boundary, relative
 FD_STEP = 1e-5  # central-difference step of the gradient check
 GRADIENT_REL_TOL = 1e-4  # largest relative gap between backprop and finite differences
 ORACLE_POINTS_PER_NET = 5  # correctly classified samples each trained net projects
@@ -68,12 +69,38 @@ def _train_2d_net(seed: int):
     return net, data, report
 
 
+def exact_check_2d(net: MlpNetwork, samples: np.ndarray, points: np.ndarray):
+    """The engine's boundary points of 2-D samples against the exact boundary.
+    Returns the box ((x_lo, x_hi), (y_lo, y_hi)) and, per sample, the engine
+    distance d, the exact distance and whether d passed.
+
+    The box holds every sample's ball of radius d, snapped outward to
+    multiples of CROSS_CHECK_STEP, so a grid on it lies on one lattice; every
+    boundary point nearer than d lies in that ball, so the oracle's nearest
+    point is the exact one whenever d does not undercut it. A sample passes
+    when its engine point's exact distance to the boundary is at most
+    ON_BOUNDARY_TOL times the sample's exact distance, and d <= (1 +
+    EXACT_REL_BOUND) exact. By the triangle inequality the first bounds d
+    from below: d >= (1 - ON_BOUNDARY_TOL) exact. The exact oracle raises
+    ValueError when the box holds no boundary, as when no engine point lies
+    on it."""
+    engine = np.linalg.norm(points - samples, axis=1)
+    lo = np.floor((samples - engine[:, None]).min(axis=0) / CROSS_CHECK_STEP) * CROSS_CHECK_STEP
+    hi = np.ceil((samples + engine[:, None]).max(axis=0) / CROSS_CHECK_STEP) * CROSS_CHECK_STEP
+    box = tuple(zip(lo.tolist(), hi.tolist()))
+    oracle = PiecewiseLinearBoundary(net.weights, net.biases, box)
+    exact = np.array([oracle.nearest(x)[1] for x in samples])
+    off = np.array([oracle.nearest(p)[1] for p in points])
+    return box, engine, exact, (off <= ON_BOUNDARY_TOL * exact) & (
+        engine <= (1 + EXACT_REL_BOUND) * exact)
+
+
 def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dict | None]:
     """Combined projection solver vs the exact piecewise-linear oracle on
-    trained 2D nets (2% relative), and vs the analytic halfspace projection
-    on linear networks (1e-3 absolute). A coarse grid cross-checks the exact
-    oracle independently: its distance may not fall below the exact one and
-    may exceed it by at most two grid steps."""
+    trained 2D nets (exact_check_2d), and vs the analytic halfspace projection
+    on linear networks (1e-3 absolute). A coarse grid on the exact check's box
+    cross-checks the exact oracle independently: its distance may not fall
+    below the exact one and may exceed it by at most two grid steps."""
     results: list[CheckResult] = []
     failing = None
     rng = make_rng(seed, stream=0x04AC)
@@ -88,27 +115,34 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
             exact_ok = grid_ok = False
             failing = failing or {"net": n, "reason": "training did not reach criterion"}
             continue
-        exact = PiecewiseLinearBoundary(net.weights, net.biases, ORACLE_BOX)
-        grid = GridBoundary(lambda pts: margin_batch(net, pts), ORACLE_BOX, CROSS_CHECK_STEP)
         correct = np.flatnonzero(is_correct(margin_batch(net, data.samples), data.labels))
         picks = rng.choice(correct, size=ORACLE_POINTS_PER_NET, replace=False)
         projections = project_to_boundary(net, data.samples[picks], data.labels[picks], data)
-        for i, res in zip(picks, projections):
-            x = data.samples[i]
-            _, d_exact = exact.nearest(x)
-            _, d_grid = grid.nearest(x)
-            rel = abs(res.distance - d_exact) / max(d_exact, 1e-12)
+        converged = np.array([res.converged for res in projections])
+        if not converged.all():
+            exact_ok = False
+            failing = failing or {"net": n, "reason": "a projection did not converge"}
+            if not converged.any():
+                continue
+        picks = picks[converged]  # the converged picks still face both checks
+        reported = [res.distance for res in projections if res.converged]
+        box, engine, exact, passed = exact_check_2d(
+            net, data.samples[picks], np.array([res.point for res in projections])[converged])
+        grid = GridBoundary(lambda pts: margin_batch(net, pts), box, CROSS_CHECK_STEP)
+        for i, d, d_exact, ok, r in zip(picks.tolist(), engine.tolist(), exact.tolist(), passed,
+                                        reported):
+            _, d_grid = grid.nearest(data.samples[i])
+            rel = abs(d - d_exact) / max(d_exact, 1e-12)
             worst_rel = max(worst_rel, rel)
-            if not res.converged or rel > 0.02:
+            if not ok or abs(r - d) > 1e-12 * d:  # the reported distance is its point's
                 exact_ok = False
                 if failing is None:
-                    failing = {"net": n, "sample": int(i), "solver": res.distance,
-                               "exact": d_exact, "rel": rel}
+                    failing = {"net": n, "sample": i, "solver": d, "exact": d_exact, "rel": rel}
             grid_gaps.append(d_grid - d_exact)
             if not d_exact - 1e-9 <= d_grid <= d_exact + 2 * CROSS_CHECK_STEP:
                 grid_ok = False
                 if failing is None:
-                    failing = {"net": n, "sample": int(i), "grid": d_grid, "exact": d_exact}
+                    failing = {"net": n, "sample": i, "grid": d_grid, "exact": d_exact}
     results.append((f"exact oracle ({nets} nets x {ORACLE_POINTS_PER_NET} points)", exact_ok,
                     f"worst relative gap {worst_rel:.4f}"))
     gaps = f"{min(grid_gaps):.1e} to {max(grid_gaps):.1e}" if grid_gaps else "none"

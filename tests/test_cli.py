@@ -29,9 +29,6 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = str(ROOT / "configs" / "blobs2d.cfg")
 TRANSFER_CONFIG = str(Path(CONFIG).with_name("transfer2d.cfg"))
 CONFIG_DIR = str(Path(CONFIG).parent)
-RECORDS_CSV = ("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
-               "unconverged_count,global_difference\n0,3.0,0.0,,,0,\n1,1.5,0.4,1.0,,0,29.5\n"
-               "2,0.9,0.2,1.0,,0,\n")
 
 
 def _assert_views_are_the_derivation(run):
@@ -95,15 +92,6 @@ def test_every_run_directory_file_gets_the_mode_open_gives(tmp_path):
                              "projections/iter_1.csv", "records.csv", "working/iter_0.csv",
                              "working/iter_1.csv"]
     assert modes == dict.fromkeys(modes, stat.S_IMODE((tmp_path / "plain").stat().st_mode))
-
-
-def test_plot_is_deterministic(tmp_path):
-    records = tmp_path / "records.csv"
-    records.write_text(RECORDS_CSV)
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    assert main(["plot", str(records), str(a)]) == EXIT_OK
-    assert main(["plot", str(records), str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_data_csv_and_idx(tmp_path):
@@ -401,28 +389,24 @@ def test_a_fresh_cascade_refuses_a_non_empty_out(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, out, reason", [
-    (["plot", "rec.csv"], "adir", "Is a directory"),
     (["symmetry", "--trials", "1", "--out"], "adir", "Is a directory"),
     (["gen-data", "--out"], "adir", "Is a directory"),
     (["gen-data", "--format", "idx", "--dim", "4", "--out"], "adir", "Is a directory"),
-    (["plot", "rec.csv"], "nodir/x.svg", "No such file or directory"),
     (["transfer", TRANSFER_CONFIG, "--out"], "nodir/t.json", "No such file or directory"),
     (["gen-data", "--out"], "nodir/x.csv", "No such file or directory"),
-    (["plot", "rec.csv"], "afile/x.svg", "Not a directory"),
-], ids=["plot-into-directory", "symmetry-into-directory", "csv-into-directory",
-        "idx-into-directory", "plot-missing-parent", "transfer-missing-parent",
-        "csv-missing-parent", "plot-parent-is-a-file"])
+    (["gen-data", "--out"], "afile/x.csv", "Not a directory"),
+], ids=["symmetry-into-directory", "csv-into-directory", "idx-into-directory",
+        "transfer-missing-parent", "csv-missing-parent", "csv-parent-is-a-file"])
 def test_output_path_that_cannot_be_written_exits_2_naming_it(
         tmp_path, monkeypatch, capsys, argv, out, reason):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode: TRANSFER_REPORT)
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("a file\n")
-    (tmp_path / "rec.csv").write_text(RECORDS_CSV)
     assert main(argv + [out]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: cannot write {out}: {reason}\n"
     # no temporary file is left behind, and the file is left as it was
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile", "rec.csv"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
     assert (tmp_path / "afile").read_text() == "a file\n"
 
 
@@ -641,20 +625,15 @@ def test_a_non_finite_record_gets_a_finite_chart(tmp_path):
     # record 0's mean_nn_distance overflows, then standardizing the features does
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     out = tmp_path / "run"
-
-    def blab(*argv):
-        return subprocess.run([sys.executable, "-m", "blab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    proc = blab("iterproj", CONFIG, "--iterations", "1", "--out", str(out), "--set",
-                "dataset.center_distance=3e154", "--set", "dataset.sigma=4e153")
+    proc = subprocess.run([sys.executable, "-m", "blab.cli", "iterproj", CONFIG, "--iterations",
+                           "1", "--out", str(out), "--set", "dataset.center_distance=3e154",
+                           "--set", "dataset.sigma=4e153"],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (EXIT_NUMERIC,
                                               f"numeric failure: iteration 1: {OVERFLOW}\n")
     assert (out / "records.csv").read_text().splitlines()[1] == "0,inf,0.0,,,0,"
-    assert blab("plot", str(out / "records.csv"), str(tmp_path / "plot.svg")).returncode == EXIT_OK
-    for svg in (out / "chart.svg", tmp_path / "plot.svg"):
-        text = svg.read_text()
-        assert text.startswith("<svg") and "nan" not in text and "inf" not in text
+    text = (out / "chart.svg").read_text()
+    assert text.startswith("<svg") and "nan" not in text and "inf" not in text
 
 
 def test_epoch_cap_aborts_the_run(tmp_path, monkeypatch, capsys):
@@ -791,25 +770,6 @@ def test_a_write_that_fails_mid_cascade_ends_the_run_aborted(tmp_path, monkeypat
     assert len(checkpoint_resume(run)) == 4
     assert json.loads((run / "manifest.json").read_text())["status"] == "finished"
     _assert_views_are_the_derivation(run)
-
-
-def test_plot_missing_records_is_data_error(tmp_path, capsys):
-    assert main(["plot", str(tmp_path / "none.csv"), str(tmp_path / "o.svg")]) == EXIT_DATA
-    garbage = tmp_path / "g.csv"
-    garbage.write_text("not,a,records\nfile,0,0\n")
-    assert main(["plot", str(garbage), str(tmp_path / "o.svg")]) == EXIT_DATA
-    # a version-5 run wrote no global_difference column
-    old = tmp_path / "old.csv"
-    old.write_text("iteration,mean_nn_distance,mean_projection_norm,train_acc,test_acc,"
-                   "unconverged_count\n0,3.0,0.0,,,0\n")
-    assert main(["plot", str(old), str(tmp_path / "o.svg")]) == EXIT_DATA
-    assert "records CSV line 2" in capsys.readouterr().err
-    latin = tmp_path / "latin.csv"
-    latin.write_bytes(b"iteration,mean_nn_distance\xff\n")
-    assert main(["plot", str(latin), str(tmp_path / "o.svg")]) == EXIT_DATA
-    assert "latin.csv: not UTF-8 text" in capsys.readouterr().err
-    assert main(["plot", str(tmp_path), str(tmp_path / "o.svg")]) == EXIT_DATA
-    assert capsys.readouterr().err == f"data error: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_verify_unknown_suite(capsys):

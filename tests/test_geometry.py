@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from functools import partial
 
@@ -12,8 +13,10 @@ from blab.geometry import (GRID_SLAB_POINTS, GridBoundary, PiecewiseLinearBounda
                            halfspace_projection, ratio_bound)
 from blab.nn import margin_batch
 from blab.rng import derive_seed, make_rng
-from blab.verify import CROSS_CHECK_STEP, ORACLE_BOX as BOX, _train_2d_net
+from blab.verify import CROSS_CHECK_STEP, _train_2d_net
 from helpers import linear_net
+
+BOX = ((-4.0, 4.0), (-3.0, 3.0))  # the box of the frozen oracle fixtures below
 
 
 def test_halfspace_projection_frozen():
@@ -299,7 +302,7 @@ def test_claim2_rejects_zero_vectors():
 
 def test_instance_json_roundtrip():
     inst = _orthogonal_instance()
-    back = VectorProjectionInstance.from_jsonable(inst.to_jsonable())
+    back = VectorProjectionInstance(**json.loads(json.dumps(inst.to_jsonable())))
     np.testing.assert_array_equal(back.points, inst.points)
     np.testing.assert_array_equal(back.g_vectors, inst.g_vectors)
     with pytest.raises(ValueError):

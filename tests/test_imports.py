@@ -1,9 +1,11 @@
-"""Every name a module imports is used in it, and every import is at module level.
+"""Every name a module imports is used in it, every import is at module level,
+and every public function, class and method has a caller in blab.
 
-No linter is part of the toolchain, so this scan is the guard against dead
-imports. `__init__.py` is skipped: its imports are the public re-exports.
-An import inside a function binds its name when the function runs, so it
-would bypass a test or benchmark that replaces the module attribute.
+No linter is part of the toolchain, so these scans are the guard against dead
+imports and dead code. `__init__.py` is skipped by the import scan: its imports
+are the public re-exports. An import inside a function binds its name when the
+function runs, so it would bypass a test or benchmark that replaces the module
+attribute. Public code that only tests call is code the program does not need.
 """
 
 import ast
@@ -84,3 +86,31 @@ def test_config_imports_only_the_data_model_and_the_networks():
     # the config format sits below the runners that read it
     assert {m for m in _imported_modules((SRC / "config.py").read_text())
             if m.startswith("blab")} <= {"blab.data", "blab.nn"}
+
+
+def _public_without_a_caller(sources: dict[str, str]) -> list[str]:
+    """module.name of each public function, class or method that no code of
+    these modules names (as a name or an attribute) outside its own definition."""
+    nodes = [(module, node) for module, source in sources.items()
+             for node in ast.walk(ast.parse(source))]
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, node) for _, node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for module, node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and id(ref) not in own for name, ref in refs):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_scan_finds_public_code_without_a_caller():
+    source = ("def used():\n    return 1\n\ndef recursive():\n    return recursive()\n\n"
+              "class Box:\n    def get(self):\n        return used() + self._size\n")
+    assert _public_without_a_caller({"m": source}) == ["m.Box", "m.get", "m.recursive"]
+
+
+def test_every_public_function_class_and_method_has_a_caller_in_blab():
+    # the one exception waits for the symmetry experiment to enumerate its exact answers
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _public_without_a_caller(sources) == ["geometry.enumerate_square_xor_projections"]
