@@ -11,16 +11,15 @@ moving; projecting a dataset evaluates its samples' margins once:
   every sign change the other stages find;
 - segment crossings toward each sample's SEGMENT_CANDIDATES nearest
   opposite-class samples;
-- the tangent slide (`_slide`): each converged candidate moves toward its
-  sample along the boundary's tangent plane and is re-rooted: the full step
-  for every row in one hit_boundary call, then, for the rows whose full step
-  did not shrink the distance, the halvings down to MIN_SLIDE_STEP, each row
-  keeping its largest winning step. Where rows are cheap, as at 2-D, all
-  halvings go into one second call; at 784-d, past a few rows, each
-  halving gets a call of its own;
 - for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample, each as
-  long as the sample's least converged distance: every ray whose end has
-  the other margin sign is one more bracket (`_fan_sweep`).
+  long as its least converged seed or crossing distance: every ray whose
+  end has the other margin sign is one more bracket (`_fan_sweep`);
+- the tangent slide (`_slide`) of every converged candidate at once: each
+  moves toward its sample along the boundary's tangent plane and is
+  re-rooted at the fractions of SLIDE_STEPS (the full step, then halvings
+  down to MIN_SLIDE_STEP), keeping its largest winning step. Where rows
+  are cheap, as at 2-D, a step tries every fraction in one hit_boundary
+  call; at 784-d, past a few rows, each fraction gets a call of its own.
 
 All candidates are rows of one pool, each owned by its sample. Each sample
 gets its shortest converged row, so returned distances never exceed the
@@ -58,8 +57,8 @@ SLIDE_STEPS = 0.5 ** np.arange(int(-np.log2(MIN_SLIDE_STEP)) + 1)
 # call as keep its rows x fractions x forward multiply-adds per row under
 # this, about what the fixed cost of a call buys: a 1-row call took about
 # 1 ms, and a row of a [784,500,256,128,32,2] net (557k multiply-adds)
-# about 0.16 ms, with 1 BLAS thread. So a 2-D net tries all 13 halvings in
-# one call, while at 784-d, past 3 rows, each halving gets a call of its own.
+# about 0.16 ms, with 1 BLAS thread. So a 2-D net tries all 14 step fractions
+# in one call, while at 784-d, past 3 rows, each gets a call of its own.
 SLIDE_SEARCH_MACS = 1 << 22
 MAX_STEP_NORM = 1e3
 SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bracket ends
@@ -146,9 +145,9 @@ def hit_boundary(net: MlpNetwork, starts, m) -> tuple[np.ndarray, np.ndarray]:
 def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
     """Slide points[rows] toward x[rows] along the boundary's tangent plane,
     in place. A step re-roots each slid point with hit_boundary and keeps it
-    when the distance drops by more than REFINE_TOLERANCE. Rows whose full
-    step loses try the halvings of SLIDE_STEPS, as many per call as
-    SLIDE_SEARCH_MACS allows, and keep their largest winning step: the one a
+    when the distance drops by more than REFINE_TOLERANCE. Each row tries
+    the fractions of SLIDE_STEPS, the full step first, as many per call as
+    SLIDE_SEARCH_MACS allows, and keeps its largest winning step: the one a
     halve-until-it-wins loop would stop at. A row stops when no step helps
     or a step gains less than REFINE_STALL_FRACTION of the distance."""
     row_macs = sum(w.size for w in net.weights)
@@ -172,8 +171,7 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
             search = np.flatnonzero(~moved)
             if not len(search):
                 break
-            per_call = 1 if not tried else max(1, SLIDE_SEARCH_MACS // (len(search) * row_macs))
-            etas = SLIDE_STEPS[tried:tried + per_call]
+            etas = SLIDE_STEPS[tried:tried + max(1, SLIDE_SEARCH_MACS // (len(search) * row_macs))]
             tried += len(etas)
             starts = (b[search] + etas[:, None, None] * tangent[search]).reshape(-1, b.shape[1])
             p, mp = hit_boundary(net, starts, margin_batch(net, starts))
@@ -233,11 +231,11 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
     opposite-class samples of data (each an upper bound on the true
     distance), then, 2D only, the nearest fan-sweep crossing inside the
-    least converged distance of the rows before it; each is slid. A sample
-    gets its converged row of least distance, or its seed when that is
-    within REFINE_TOLERANCE of the least; with no converged row, it gets
-    itself (distance 0, not converged). A misclassified sample raises
-    NumericError.
+    least converged seed or crossing distance; then the whole pool is slid
+    in one _slide call. A sample gets its converged row of least
+    distance, or its seed when that is within REFINE_TOLERANCE of the
+    least; with no converged row, it gets itself (distance 0, not
+    converged). A misclassified sample raises NumericError.
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -248,7 +246,6 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     if len(bad):
         raise NumericError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
 
-    # Newton seeds and segment crossings, slid together
     near = []
     for i in range(s):
         usable = np.flatnonzero((data.labels != labels[i]) & (m_data * m_x[i] < 0))
@@ -262,23 +259,22 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     owner = np.concatenate([np.arange(s), cross_owner])
     pool, m_pool = np.vstack([seed, cross]), np.concatenate([m_seed, m_cross])
     dist = np.linalg.norm(pool - x[owner], axis=1)
-    crossed = dist[s:].copy()
-    _slide(net, x[owner], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
-    methods = [METHOD_NEWTON] * s + [METHOD_COMBINED if after < before - REFINE_TOLERANCE
-                                     else METHOD_SEGMENT
-                                     for after, before in zip(dist[s:], crossed)]
 
-    # 2D only: the fan sweep inside the least converged distance so far
+    # 2D only: the fan sweep inside the least converged seed or crossing distance
     if data.dim == 2:
         best = _pick(owner, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE), s)
         radius = np.where(best >= 0, dist[best], np.inf)
         fan_owner, fan, m_fan, fan_dist = _fan_sweep(net, x, m_x, radius)
-        _slide(net, x[fan_owner], fan, m_fan, fan_dist,
-               np.flatnonzero(np.abs(m_fan) <= BOUNDARY_TOLERANCE))
         owner = np.concatenate([owner, fan_owner])
         pool, m_pool = np.vstack([pool, fan]), np.concatenate([m_pool, m_fan])
         dist = np.concatenate([dist, fan_dist])
-        methods += [METHOD_COMBINED] * len(fan_owner)
+
+    crossed = dist[s:s + len(target)].copy()
+    _slide(net, x[owner], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
+    methods = ([METHOD_NEWTON] * s
+               + [METHOD_COMBINED if after < before - REFINE_TOLERANCE else METHOD_SEGMENT
+                  for after, before in zip(dist[s:], crossed)]
+               + [METHOD_COMBINED] * (len(owner) - s - len(target)))
 
     key = dist.copy()
     key[:s] -= REFINE_TOLERANCE  # a seed wins ties within REFINE_TOLERANCE

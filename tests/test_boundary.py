@@ -373,7 +373,7 @@ def _slide_inputs(monkeypatch, net, data):
 def test_lockstep_slide_keeps_the_largest_winning_step(monkeypatch, trained):
     net, data = trained()
     calls = _slide_inputs(monkeypatch, net, data)
-    assert len(calls) == (2 if data.dim == 2 else 1)
+    assert len(calls) == 1  # one slide over the whole candidate pool
     moved = 0
     for x, points, m, dist, rows in calls:
         start = dist.copy()
@@ -401,7 +401,7 @@ def test_a_halving_per_call_is_the_sequential_slide_bit_for_bit(monkeypatch):
             np.testing.assert_array_equal(got, want)
 
 
-def test_a_slide_step_reroots_in_at_most_two_hit_boundary_calls(monkeypatch):
+def test_a_slide_step_reroots_in_one_hit_boundary_call(monkeypatch):
     net, data = _trained_blobs2d()
     calls = _slide_inputs(monkeypatch, net, data)
     steps = []  # hit_boundary calls of each slide step
@@ -424,4 +424,4 @@ def test_a_slide_step_reroots_in_at_most_two_hit_boundary_calls(monkeypatch):
     monkeypatch.setattr(blab.boundary, "hit_boundary", counted_hit)
     for x, points, m, dist, rows in calls:
         blab.boundary._slide(net, x, points, m, dist, rows)
-    assert max(steps) == 2  # some step searched the halvings, none took more calls
+    assert max(steps) == 1  # every step fraction of a 2-D slide step in one call

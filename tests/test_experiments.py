@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blab.boundary import project_to_boundary
 from blab.config import (DatasetSpec, ExperimentConfig, config_from_items, config_sections,
                          parse_config)
 from blab.data import DataError, NumericError, gen_gaussian_blobs, import_csv
-from blab.experiments import (IterationRecord, build_dataset, checkpoint_resume, records_to_csv,
-                              run_generalization_tracking, run_iterative_projection,
-                              run_symmetry_experiment, run_transfer, stratified_split)
+from blab.experiments import (TRANSFER_MODES, IterationRecord, build_dataset, checkpoint_resume,
+                              records_to_csv, run_generalization_tracking,
+                              run_iterative_projection, run_symmetry_experiment, run_transfer,
+                              stratified_split)
 from blab.nn import TrainConfig, init_network, load_checkpoint, save_checkpoint
 from blab.verify import exact_check_2d
 
@@ -124,9 +126,10 @@ def test_run_directory_layout_and_determinism(tmp_path):
 
 
 # phi_1..phi_3 of small_config(master_seed=4, iterations=4), in which every
-# projection converged, as the two-network re-projection that the
-# global_difference column replaced computed them (f = net k, g = net k+1)
-FROZEN_PHI = [None, 27.91760540986937, 29.602000417236884, 29.0, None]
+# projection converged, as metrics.global_difference computes them from the
+# run's working sets W_{k-1}, W_k and W_{k+1}, frozen so that a change to
+# training or projection cannot move them unseen
+FROZEN_PHI = [None, 27.91737921939347, 29.60367926881888, 29.0, None]
 
 
 def test_global_difference_column_matches_the_frozen_reprojection(tmp_path):
@@ -147,8 +150,8 @@ def test_global_difference_column_matches_the_frozen_reprojection(tmp_path):
 # change to training, projection or the metrics cannot move them unseen
 FROZEN_RECORDS = [
     (0, 2.8971426203147312, 0.0, None, 0, None),
-    (1, 0.9274656459698579, 1.558968818227934, None, 0, 27.994684817561065),
-    (2, 0.5091939306604971, 0.5682296118277234, None, 0, None),
+    (1, 0.9274399601762864, 1.5589634132405326, None, 0, 27.9946245908389),
+    (2, 0.5091747913932375, 0.5682152069555556, None, 0, None),
 ]
 
 
@@ -170,38 +173,38 @@ def test_blobs2d_cascade_records_match_the_frozen_values(tmp_path):
 FROZEN_METHODS = [
     "ccccnccncnccnccncnncnccnccnccc",
     "nnnnnnnnnnnnnnnnnnnnnnnnnnnnnn",
-    "nnnnnnnnnncnnnnnnnnnnnnnnnnnnn",
+    "nnnnnncnnncnnnnnnnnnnnnnnnnnnn",
 ]
 FROZEN_DISTANCES = [
     [
-        1.755816929716099, 1.1027959981567719, 2.6294399015533947, 1.918579646895113,
+        1.755816929716099, 1.1027959981567719, 2.6294399015533947, 1.9184174972730734,
         2.064891831442603, 3.0414201898722673, 1.9226411493685887, 2.153857461871928,
-        2.0464927956666608, 1.6957594765407207, 1.6865233453307487, 2.0800177526488803,
+        2.0464927956666608, 1.695759476540721, 1.6865233453307487, 2.0800177526488803,
         1.3172477128410967, 2.658682502410622, 1.6104417191512421, 1.1992261855866166,
-        1.75135463905753, 0.6149855519763984, 0.9724705379938443, 1.2683517148651398,
-        0.8529167109134547, 1.6577006977451563, 0.9727511288217767, 1.2650722557527059,
-        1.1141153432115833, 0.701061020505639, 0.9567264800766991, 1.0778783221684731,
-        1.6613022757483178, 1.0185432689479432,
+        1.75135463905753, 0.6149855519763984, 0.9724705379938443, 1.26835171486514,
+        0.8529167109134547, 1.6577006977451556, 0.9727511288217766, 1.2650722557527059,
+        1.1141153432115833, 0.701061020505639, 0.9567264800766991, 1.0778783221684727,
+        1.6613022757483178, 1.0185432689479434,
     ],
     [
-        0.47238498443648186, 0.4761682932028329, 0.476640959037187, 0.4727337357287891,
-        0.4766190639539094, 0.4764391324239879, 0.47617911112916383, 0.47254924910972024,
-        0.4745103212762364, 0.4753080331902951, 0.47622019790825865, 0.2522098284416825,
-        0.021774723051181086, 0.4760987451602207, 0.4761762429366426, 0.7736950044762161,
-        1.0967139309862806, 0.5819493948921806, 0.6032780992936764, 0.4417173768391719,
-        0.6178538835231864, 1.2592190634451, 0.3220510152850518, 1.0186516210947258,
-        0.4083931365727301, 0.2788389787495667, 0.6748029868175413, 0.5144476166969132,
-        1.0219807168899044, 0.9812829082828687,
+        0.47239935479321504, 0.4761826092673582, 0.4766552274052256, 0.472333829359534,
+        0.4766333352618013, 0.4764534274160003, 0.4761934266473168, 0.47256361747134273,
+        0.4745246646435321, 0.47532236567313635, 0.4762345113512733, 0.2522257008325905,
+        0.021779384079237327, 0.4761130627685944, 0.476190558599657, 0.7736832673831052,
+        1.0966925982401028, 0.5819301764912213, 0.603267885837683, 0.4417086078403067,
+        0.617843539750275, 1.2591970588031962, 0.32203285814163296, 1.0186373997775122,
+        0.40838466551408026, 0.27882099805626526, 0.6747921338828919, 0.5144381974427648,
+        1.0219596931365953, 0.9812620527992211,
     ],
     [
-        0.09671994084756046, 0.09934343424467794, 0.10164763762026462, 0.09693000847080502,
-        0.10150561414853508, 0.10036144114698425, 0.09936982934087597, 0.09681636654392496,
-        0.09802436849892039, 0.09855027085250255, 0.09947007523717497, 0.039791388973498015,
-        0.008873386160871743, 0.09926885144103523, 0.09936283112188295, 0.17596222654295912,
-        0.2577442591147137, 0.14253323516049932, 0.13636172484857498, 0.0988191720340373,
-        0.13974876187673482, 0.29436108569869457, 0.0847051363258972, 0.23075269050188155,
-        0.09107547646743983, 0.07509034025292483, 0.15298226765729112, 0.11571980747061236,
-        0.2409071855281524, 0.23173814326744133,
+        0.09672926136444458, 0.09935267460103506, 0.10165680571682834, 0.09670862407792472,
+        0.10151478671256842, 0.10037064969530078, 0.09937906424284855, 0.09682568430590514,
+        0.09803365156577305, 0.09855953477037566, 0.09947931179960293, 0.03980351844365259,
+        0.008873102051019367, 0.0992780940342684, 0.09937207087742314, 0.17595517096698762,
+        0.25772432219324615, 0.14251633858425694, 0.1363562490049437, 0.09881519382761468,
+        0.13974315091835254, 0.29434016051942474, 0.08468976234290745, 0.23074345561852144,
+        0.09107180717039451, 0.0750752194240923, 0.15297612878336053, 0.11571515506868114,
+        0.24088769404987384, 0.2317188943662003,
     ],
 ]
 
@@ -253,6 +256,29 @@ def test_the_shipped_cascade_projects_within_2pct_of_the_exact_boundary(tmp_path
                                                            exact, passed) if not ok]
         checked += len(passed)
     assert checked > 0
+
+
+@pytest.mark.parametrize("mode", TRANSFER_MODES)
+def test_the_transfer_source_projects_within_2pct_of_the_exact_boundary(monkeypatch, mode):
+    # the exact 2-D check on the source net's projections of the evaluation picks that
+    # run_transfer makes for configs/transfer2d.cfg, recorded from its own call
+    calls = []
+
+    def recording(net, points, labels, data):
+        results = project_to_boundary(net, points, labels, data)
+        calls.append((net, np.asarray(points), results))
+        return results
+
+    monkeypatch.setattr("blab.experiments.project_to_boundary", recording)
+    report = run_transfer(parse_config(CONFIG.with_name("transfer2d.cfg")), mode)
+    (net, xs, results), = calls
+    converged = np.array([r.converged for r in results])
+    assert report.valid and converged.sum() == report.n_samples > 0
+    points = np.array([r.point for r in results])[converged]
+    _, engine, exact, passed = exact_check_2d(net, xs[converged], points)
+    assert passed.all(), [f"pick {i}: engine {d!r}, exact {d_exact!r}"
+                          for i, d, d_exact, ok in zip(np.flatnonzero(converged), engine, exact,
+                                                       passed) if not ok]
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):

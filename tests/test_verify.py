@@ -30,17 +30,29 @@ def test_claims_suite_small():
         "3.015660 against the exact 2.578085, at (-5.180, -1.180) (17% over the 2% bound); "
         "none of the 64 fan ray ends at radius 3.015660 lies across the boundary, while "
         "one of 128 does (205.3 deg)"))),
+    *(pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=(
+        f"CHANGES.md FOUND on the 1-net oracle suite (perfbench oracle seed {bench}): the "
+        f"engine puts net 0 sample {sample} at {engine} against the exact {exact} "
+        f"({engine / exact - 1:.2%} over the 2% bound)")))
+      for seed, bench, sample, engine, exact in [
+          (3579755366, 577, 38, 1.579698, 1.546485),
+          (372722248, 757, 36, 2.309373, 2.240371),
+          (2820562475, 857, 67, 2.642092, 2.590015),
+          (1972207522, 2711, 56, 2.117832, 2.050697),
+      ]),
 ])
 def test_oracle_suite_one_net_engine_misses(seed):
     results, failing = oracle_suite(nets=1, seed=seed)
     assert results[0][1], failing
 
 
-@pytest.mark.parametrize("seed", [210153483, 2724455604])
+@pytest.mark.parametrize("seed", [210153483, 2724455604, 2311736575])
 def test_oracle_suite_one_net_checks_in_the_box_of_its_points(seed):
     # at 210153483, net 0 sample 39's engine point lies outside [-4, 4] x [-3, 3], so a
     # fixed box read a 29% gap; at 2724455604, a box not snapped to the grid step puts
-    # the cross-check 0.0418 from the exact distance, over its two steps
+    # the cross-check 0.0418 from the exact distance, over its two steps; at 2311736575,
+    # a fan sweep inside the slid distances put net 0 sample 27 at 2.110794 against the
+    # exact 2.048945 (3.02% over), and one inside the unslid ones finds the exact branch
     results, failing = oracle_suite(nets=1, seed=seed)
     assert results[0][1] and results[1][1], failing
 
