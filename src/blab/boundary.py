@@ -13,7 +13,7 @@ moving; projecting a dataset evaluates its samples' margins once:
   opposite-class samples;
 - for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample, each as
   long as its least converged seed or crossing distance: every ray whose
-  end has the other margin sign is one more bracket (`_fan_sweep`);
+  end has the other margin sign adds its crossing to the pool (`_fan_sweep`);
 - the tangent slide (`_slide`) of every converged candidate at once: each
   moves toward its sample along the boundary's tangent plane and is
   re-rooted at the fractions of SLIDE_STEPS (the full step, then halvings
@@ -201,13 +201,13 @@ def _pick(owner: np.ndarray, key: np.ndarray, rows: np.ndarray, count: int) -> n
 
 
 def _fan_sweep(net: MlpNetwork, x, m_x, radius):
-    """Nearest crossing of each sample within its radius: each of
+    """Every crossing of each sample's fan within its radius: each of
     FAN_DIRECTIONS 2D rays from the sample, as long as its radius, whose end
     has the other margin sign brackets a crossing, and all brackets are
-    solved together. Returns owner, point, margin and distance; catches
-    nearest branches the gradient-guided candidates pass. The ends of every
-    sample's rays go through one margin_batch call. A ray that crosses the
-    boundary twice ends on its sample's side and brackets nothing."""
+    solved together. Returns the owner, point, margin and distance of each,
+    so a farther crossing that slides shorter still competes in the pool.
+    The ends of every sample's rays go through one margin_batch call. A ray
+    that crosses the boundary twice ends on its sample's side: no bracket."""
     angles = 2 * np.pi * np.arange(FAN_DIRECTIONS) / FAN_DIRECTIONS
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     rows = np.flatnonzero(np.isfinite(radius) & (radius > 0))
@@ -217,10 +217,7 @@ def _fan_sweep(net: MlpNetwork, x, m_x, radius):
     hit = m_end * m_x[owner] < 0
     owner = owner[hit]
     pts, m = bisect_along_segment(net, x[owner], ends[hit], m_x[owner], m_end[hit])
-    dist = np.linalg.norm(pts - x[owner], axis=1)
-    best = _pick(owner, dist, np.arange(len(owner)), len(x))
-    best = best[best >= 0]
-    return owner[best], pts[best], m[best], dist[best]
+    return owner, pts, m, np.linalg.norm(pts - x[owner], axis=1)
 
 
 def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[ProjectionResult]:
@@ -230,12 +227,12 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     Every candidate is a row of one pool, owned by its sample: first the
     Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
     opposite-class samples of data (each an upper bound on the true
-    distance), then, 2D only, the nearest fan-sweep crossing inside the
-    least converged seed or crossing distance; then the whole pool is slid
-    in one _slide call. A sample gets its converged row of least
-    distance, or its seed when that is within REFINE_TOLERANCE of the
-    least; with no converged row, it gets itself (distance 0, not
-    converged). A misclassified sample raises NumericError.
+    distance), then, 2D only, every fan-sweep crossing inside the least
+    converged seed or crossing distance; then the whole pool is slid in one
+    _slide call. A sample gets its converged row of least distance, or its
+    seed when that is within REFINE_TOLERANCE of the least; with no
+    converged row, it gets itself (distance 0, not converged). A
+    misclassified sample raises NumericError.
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)

@@ -19,11 +19,12 @@ from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"BLAB"
 CHECKPOINT_VERSION = 1
-# Most rows in one block of a batched forward pass. At 2048 rows, glibc gave
-# the (rows, width) temporaries of each pass back to the system and the next
-# pass faulted them in again: thirty 1536-row passes per cascade2d projection
-# took about 8k minor page faults, and about 90 as two 768-row blocks each.
-# The 2D fan sweep's 1920 ray ends on blobs2d run as two 960-row blocks.
+# Most rows in one block of a batched forward or gradient pass, so a pass
+# holds one block's temporaries: the 2D fan sweep's 1920 ray ends on blobs2d
+# run as two 960-row blocks, the oracle grid's 8192-point slabs as eight
+# 1024-row blocks and the 1600-row pool of criteria 01/02 at 784-d as two
+# 800-row blocks. test_margin_batch_memory_is_bounded_by_the_block and
+# test_grad_input_memory_is_bounded_by_the_block pin the memory it bounds.
 FORWARD_BLOCK_ROWS = 1024
 # train's only update rule is Adam (Kingma & Ba, ICLR 2015), with their suggested settings
 ADAM_BETAS = (0.9, 0.999)

@@ -179,17 +179,22 @@ def test_projection_on_curved_boundary_finds_near_branch():
 
 
 def test_fan_sweep_finds_a_line_just_inside_the_radius():
-    # the line 0.6 x + 0.8 y = 0.5 lies D = 3.1 from (2, 3); rays 1.01 D long
-    # reach it, rays 0.99 D long do not, and an infinite radius is skipped
+    # the line 0.6 x + 0.8 y = 0.5 lies D = 3.1 from (2, 3); a ray 1.01 D long reaches it
+    # when it is within acos(1/1.01) of the direction to the line's foot, rays 0.99 D
+    # long never do, and an infinite radius is skipped
     net = linear_net([0.6, 0.8], -0.5)
     x = np.array([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
     d = 3.1
     owner, pts, m, dist = blab.boundary._fan_sweep(net, x, margin_batch(net, x),
                                                    np.array([1.01 * d, 0.99 * d, np.inf]))
-    np.testing.assert_array_equal(owner, [0])
+    angles = 2 * np.pi * np.arange(FAN_DIRECTIONS) / FAN_DIRECTIONS
+    to_foot = -np.array([0.6, 0.8])
+    reaching = np.column_stack([np.cos(angles), np.sin(angles)]) @ to_foot > 1 / 1.01
+    assert reaching.sum() >= 2  # 2 at FAN_DIRECTIONS = 64: more than the nearest crossing
+    np.testing.assert_array_equal(owner, np.zeros(reaching.sum(), dtype=int))
     np.testing.assert_allclose(pts @ [0.6, 0.8] - 0.5, 0.0, atol=1e-12)
     np.testing.assert_allclose(m, 0.0, atol=BOUNDARY_TOLERANCE)
-    assert d - 1e-12 <= dist[0] <= d / np.cos(np.pi / FAN_DIRECTIONS)
+    assert d - 1e-12 <= dist.min() <= d / np.cos(np.pi / FAN_DIRECTIONS)
 
 
 def test_fan_sweep_tests_every_ray_end_in_one_margin_pass(monkeypatch):
