@@ -11,9 +11,10 @@ moving; projecting a dataset evaluates its samples' margins once:
   every sign change the other stages find;
 - segment crossings toward each sample's SEGMENT_CANDIDATES nearest
   opposite-class samples;
-- for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample, each as
-  long as its least converged seed or crossing distance: every ray whose
-  end has the other margin sign adds its crossing to the pool (`_fan_sweep`);
+- for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample whose seed
+  converged, each as long as the seed's distance: every ray whose end has
+  the other margin sign is a bracket (`_fan_sweep`), solved in the one
+  bracket solve with the segment crossings;
 - the tangent slide (`_slide`) of every converged candidate at once: each
   moves toward its sample along the boundary's tangent plane and is
   re-rooted at the fractions of SLIDE_STEPS (the full step, then halvings
@@ -201,13 +202,12 @@ def _pick(owner: np.ndarray, key: np.ndarray, rows: np.ndarray, count: int) -> n
 
 
 def _fan_sweep(net: MlpNetwork, x, m_x, radius):
-    """Every crossing of each sample's fan within its radius: each of
-    FAN_DIRECTIONS 2D rays from the sample, as long as its radius, whose end
-    has the other margin sign brackets a crossing, and all brackets are
-    solved together. Returns the owner, point, margin and distance of each,
-    so a farther crossing that slides shorter still competes in the pool.
-    The ends of every sample's rays go through one margin_batch call. A ray
-    that crosses the boundary twice ends on its sample's side: no bracket."""
+    """The bracketing rays of each sample's fan: each of FAN_DIRECTIONS 2D
+    rays from the sample, as long as its radius, whose end has the other
+    margin sign. Returns the owner, end and end margin of each, for the one
+    bracket solve. The ends of every sample's rays go through one
+    margin_batch call. A ray that crosses the boundary twice ends on its
+    sample's side: no bracket."""
     angles = 2 * np.pi * np.arange(FAN_DIRECTIONS) / FAN_DIRECTIONS
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     rows = np.flatnonzero(np.isfinite(radius) & (radius > 0))
@@ -215,9 +215,7 @@ def _fan_sweep(net: MlpNetwork, x, m_x, radius):
     m_end = margin_batch(net, ends)
     owner = np.repeat(rows, FAN_DIRECTIONS)
     hit = m_end * m_x[owner] < 0
-    owner = owner[hit]
-    pts, m = bisect_along_segment(net, x[owner], ends[hit], m_x[owner], m_end[hit])
-    return owner, pts, m, np.linalg.norm(pts - x[owner], axis=1)
+    return owner[hit], ends[hit], m_end[hit]
 
 
 def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[ProjectionResult]:
@@ -227,12 +225,13 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     Every candidate is a row of one pool, owned by its sample: first the
     Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
     opposite-class samples of data (each an upper bound on the true
-    distance), then, 2D only, every fan-sweep crossing inside the least
-    converged seed or crossing distance; then the whole pool is slid in one
-    _slide call. A sample gets its converged row of least distance, or its
-    seed when that is within REFINE_TOLERANCE of the least; with no
-    converged row, it gets itself (distance 0, not converged). A
-    misclassified sample raises NumericError.
+    distance), then, 2D only, the crossing of every fan ray as long as its
+    sample's converged seed distance (a sample whose seed did not converge
+    gets no fan). The crossings and fan rays are solved in one bracket
+    solve, and the whole pool is slid in one _slide call. A sample gets its
+    converged row of least distance, or its seed when that is within
+    REFINE_TOLERANCE of the least; with no converged row, it gets itself
+    (distance 0, not converged). A misclassified sample raises NumericError.
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -251,20 +250,17 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     cross_owner = np.repeat(np.arange(s), [len(j) for j in near])
     target = np.array([j for js in near for j in js], dtype=int)
     seed, m_seed = hit_boundary(net, x, m_x)
-    cross, m_cross = bisect_along_segment(net, x[cross_owner], data.samples[target],
-                                          m_x[cross_owner], m_data[target])
-    owner = np.concatenate([np.arange(s), cross_owner])
-    pool, m_pool = np.vstack([seed, cross]), np.concatenate([m_seed, m_cross])
+    ray_owner, ends, m_ends = cross_owner, data.samples[target], m_data[target]
+    if data.dim == 2:  # 2D only: a fan as long as each converged seed's distance
+        radius = np.where(np.abs(m_seed) <= BOUNDARY_TOLERANCE,
+                          np.linalg.norm(seed - x, axis=1), np.inf)
+        fan_owner, fan_ends, m_fan = _fan_sweep(net, x, m_x, radius)
+        ray_owner = np.concatenate([cross_owner, fan_owner])
+        ends, m_ends = np.vstack([ends, fan_ends]), np.concatenate([m_ends, m_fan])
+    rays, m_rays = bisect_along_segment(net, x[ray_owner], ends, m_x[ray_owner], m_ends)
+    owner = np.concatenate([np.arange(s), ray_owner])
+    pool, m_pool = np.vstack([seed, rays]), np.concatenate([m_seed, m_rays])
     dist = np.linalg.norm(pool - x[owner], axis=1)
-
-    # 2D only: the fan sweep inside the least converged seed or crossing distance
-    if data.dim == 2:
-        best = _pick(owner, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE), s)
-        radius = np.where(best >= 0, dist[best], np.inf)
-        fan_owner, fan, m_fan, fan_dist = _fan_sweep(net, x, m_x, radius)
-        owner = np.concatenate([owner, fan_owner])
-        pool, m_pool = np.vstack([pool, fan]), np.concatenate([m_pool, m_fan])
-        dist = np.concatenate([dist, fan_dist])
 
     crossed = dist[s:s + len(target)].copy()
     _slide(net, x[owner], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))

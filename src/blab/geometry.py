@@ -268,7 +268,6 @@ def check_claim1_chain(instance: VectorProjectionInstance) -> dict:
         "triangle_ok": True,
         "violations": [],
         "pairs_checked": 0,
-        "vacuous": not orthogonal_everywhere,
     }
 
     # step (iii) is unconditional

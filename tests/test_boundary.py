@@ -10,8 +10,8 @@ import pytest
 import blab.boundary
 from blab.boundary import (BOUNDARY_TOLERANCE, FAN_DIRECTIONS, MAX_REFINE_STEPS, METHOD_SEGMENT,
                            MIN_SLIDE_STEP, REFINE_STALL_FRACTION, REFINE_TOLERANCE,
-                           adversarial_overshoot, bisect_along_segment, hit_boundary,
-                           project_dataset, project_to_boundary)
+                           SEGMENT_CANDIDATES, adversarial_overshoot, bisect_along_segment,
+                           hit_boundary, project_dataset, project_to_boundary)
 from blab.config import parse_config
 from blab.data import Dataset, NumericError, gen_gaussian_blobs
 from blab.experiments import build_dataset
@@ -184,16 +184,19 @@ def test_fan_sweep_finds_a_line_just_inside_the_radius():
     # long never do, and an infinite radius is skipped
     net = linear_net([0.6, 0.8], -0.5)
     x = np.array([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
+    m_x = margin_batch(net, x)
     d = 3.1
-    owner, pts, m, dist = blab.boundary._fan_sweep(net, x, margin_batch(net, x),
-                                                   np.array([1.01 * d, 0.99 * d, np.inf]))
+    owner, ends, m_end = blab.boundary._fan_sweep(net, x, m_x,
+                                                  np.array([1.01 * d, 0.99 * d, np.inf]))
     angles = 2 * np.pi * np.arange(FAN_DIRECTIONS) / FAN_DIRECTIONS
     to_foot = -np.array([0.6, 0.8])
     reaching = np.column_stack([np.cos(angles), np.sin(angles)]) @ to_foot > 1 / 1.01
     assert reaching.sum() >= 2  # 2 at FAN_DIRECTIONS = 64: more than the nearest crossing
     np.testing.assert_array_equal(owner, np.zeros(reaching.sum(), dtype=int))
+    pts, m = bisect_along_segment(net, x[owner], ends, m_x[owner], m_end)
     np.testing.assert_allclose(pts @ [0.6, 0.8] - 0.5, 0.0, atol=1e-12)
     np.testing.assert_allclose(m, 0.0, atol=BOUNDARY_TOLERANCE)
+    dist = np.linalg.norm(pts - x[owner], axis=1)
     assert d - 1e-12 <= dist.min() <= d / np.cos(np.pi / FAN_DIRECTIONS)
 
 
@@ -202,28 +205,50 @@ def test_fan_sweep_tests_every_ray_end_in_one_margin_pass(monkeypatch):
     m_x = margin_batch(net, data.samples)
     gaps = np.linalg.norm(data.samples[:, None] - data.samples[None], axis=2)
     radius = np.where(data.labels[:, None] != data.labels[None], gaps, np.inf).min(axis=1)
-    radius[0] = np.inf  # a sample with no converged row gets no fan
-    rows_per_call = []  # margin passes outside the bracket solve
-    inside = []
+    radius[0] = np.inf  # a sample whose seed did not converge gets no fan
+    rows_per_call = []
 
     def counted(net, pts):
-        if not inside:
-            rows_per_call.append(len(pts))
+        rows_per_call.append(len(pts))
         return margin_batch(net, pts)
 
-    def bracket_solve(*args):
+    monkeypatch.setattr(blab.boundary, "margin_batch", counted)
+    owner, ends, m_end = blab.boundary._fan_sweep(net, data.samples, m_x, radius)
+    monkeypatch.undo()
+    assert rows_per_call == [(len(data) - 1) * FAN_DIRECTIONS]
+    assert len(owner) and 0 not in owner
+    _, m = bisect_along_segment(net, data.samples[owner], ends, m_x[owner], m_end)
+    assert (np.abs(m) <= BOUNDARY_TOLERANCE).all()
+
+
+def test_a_2d_projection_solves_every_bracket_in_one_call(monkeypatch):
+    net, data = _trained_blobs2d()
+    pick = blab.boundary._pick
+    solves, picks = [], []  # bracket solves outside hit_boundary, and picks
+    inside = []
+
+    def counted_solve(*args):
+        if not inside:
+            solves.append(len(args[1]))
+        return bisect_along_segment(*args)
+
+    def counted_hit(net, starts, m):
         inside.append(True)
         try:
-            return bisect_along_segment(*args)
+            return hit_boundary(net, starts, m)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(blab.boundary, "margin_batch", counted)
-    monkeypatch.setattr(blab.boundary, "bisect_along_segment", bracket_solve)
-    owner, _, m, _ = blab.boundary._fan_sweep(net, data.samples, m_x, radius)
-    assert rows_per_call == [(len(data) - 1) * FAN_DIRECTIONS]
-    assert len(owner) and 0 not in owner
-    assert (np.abs(m) <= BOUNDARY_TOLERANCE).all()
+    def counted_pick(*args):
+        picks.append(True)
+        return pick(*args)
+
+    monkeypatch.setattr(blab.boundary, "bisect_along_segment", counted_solve)
+    monkeypatch.setattr(blab.boundary, "hit_boundary", counted_hit)
+    monkeypatch.setattr(blab.boundary, "_pick", counted_pick)
+    project_dataset(net, data)
+    assert len(solves) == 1 and solves[0] > SEGMENT_CANDIDATES * len(data)  # fan rays too
+    assert len(picks) == 1
 
 
 def test_illinois_is_exact_in_one_step_on_a_linear_segment(monkeypatch):

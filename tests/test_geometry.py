@@ -268,7 +268,7 @@ def test_claim1_chain_vacuous_without_orthogonality():
     inst = VectorProjectionInstance(inst.points, inst.labels,
                                     inst.f_vectors, inst.f_vectors.copy())
     report = check_claim1_chain(inst)
-    assert report["vacuous"]
+    assert not report["orthogonal_everywhere"]
     assert report["passed"]  # no orthogonal strictness claims to violate
 
 
