@@ -18,9 +18,10 @@ moving; projecting a dataset evaluates its samples' margins once:
 - the tangent slide (`_slide`) of every converged candidate at once: each
   moves toward its sample along the boundary's tangent plane and is
   re-rooted at the fractions of SLIDE_STEPS (the full step, then halvings
-  down to MIN_SLIDE_STEP), keeping its largest winning step. Where rows
-  are cheap, as at 2-D, a step tries every fraction in one hit_boundary
-  call; at 784-d, past a few rows, each fraction gets a call of its own.
+  down to REFINE_STALL_FRACTION), keeping its largest winning step. A step
+  tries as many fractions per hit_boundary call as SLIDE_SEARCH_MACS allows:
+  at 2-D all of them, up to a few hundred rows; at 784-d, past a few rows,
+  one. No loop of these stages runs more than MAX_STEPS steps.
 
 All candidates are rows of one pool, each owned by its sample. Each sample
 gets its shortest converged row, so returned distances never exceed the
@@ -47,24 +48,25 @@ METHOD_SEGMENT = "segment_bisection"
 METHOD_COMBINED = "combined"
 
 BOUNDARY_TOLERANCE = 1e-6
-MAX_NEWTON_STEPS = 200
-MAX_BRACKET_STEPS = 200
-MAX_REFINE_STEPS = 500
+# the most steps of each engine loop (Newton seed, bracket solve, slide), set by
+# the seed: perfbench oracle seed 864 needs a Newton row's 159th step (the
+# bracket solve has needed at most 25 steps, the slide 17)
+MAX_STEPS = 200
 REFINE_TOLERANCE = 1e-9
-MIN_SLIDE_STEP = 1e-4  # backtracking halves a slide step down to this fraction of the tangent
-# the slide's step fractions: 1, then each halving down to MIN_SLIDE_STEP
-SLIDE_STEPS = 0.5 ** np.arange(int(-np.log2(MIN_SLIDE_STEP)) + 1)
+REFINE_STALL_FRACTION = 1e-4  # stop sliding once per-step gain falls below this fraction of the distance
+# the slide's step fractions: 1, then halvings down to REFINE_STALL_FRACTION; a
+# step of fraction f gains about f*d at most: below it, too little to keep sliding
+SLIDE_STEPS = 0.5 ** np.arange(int(-np.log2(REFINE_STALL_FRACTION)) + 1)
 # A slide's halving search puts as many step fractions into one hit_boundary
 # call as keep its rows x fractions x forward multiply-adds per row under
 # this, about what the fixed cost of a call buys: a 1-row call took about
 # 1 ms, and a row of a [784,500,256,128,32,2] net (557k multiply-adds)
-# about 0.16 ms, with 1 BLAS thread. So a 2-D net tries all 14 step fractions
-# in one call, while at 784-d, past 3 rows, each gets a call of its own.
+# about 0.16 ms, with 1 BLAS thread. So a [2,32,32,2] net tries all 14 step
+# fractions in one call up to 260 rows and splits a taller search, while at
+# 784-d, past 3 rows, each fraction gets a call of its own.
 SLIDE_SEARCH_MACS = 1 << 22
-MAX_STEP_NORM = 1e3
 SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bracket ends
 FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers miss
-REFINE_STALL_FRACTION = 1e-4  # stop sliding once per-step gain falls below this fraction of the distance
 
 
 @dataclass
@@ -92,7 +94,7 @@ def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, n
     t_new, f_new = np.ones(len(a)), np.array(m_b, dtype=np.float64)
     t, m = t_new.copy(), f_new.copy()
     act = np.arange(len(a))
-    for _ in range(MAX_BRACKET_STEPS):
+    for _ in range(MAX_STEPS):
         if not len(act):
             break
         to, fo, tn, fn = t_old[act], f_old[act], t_new[act], f_new[act]
@@ -107,29 +109,29 @@ def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, n
     return a + t[:, None] * span, m
 
 
+def _with_gradient(net: MlpNetwork, points, act):
+    """The rows act of points whose margin gradient g is nonzero, with g and
+    |g|^2: no step follows a zero gradient, so such a row stops."""
+    g = grad_input(net, points[act])
+    g2 = np.einsum("ij,ij->i", g, g)
+    return act[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
+
+
 def hit_boundary(net: MlpNetwork, starts, m) -> tuple[np.ndarray, np.ndarray]:
     """Newton root seeking from each row of starts, of margins m: step
-    -m*g/|g|^2, capped at MAX_STEP_NORM, until |margin| <= BOUNDARY_TOLERANCE
-    or the margin changes sign, then solve the last step's bracket. A row
-    stops where its gradient is zero. Returns the points and their margins."""
+    -m*g/|g|^2 until |margin| <= BOUNDARY_TOLERANCE or the margin changes
+    sign, then solve the last step's bracket. A row stops where its gradient
+    is zero (_with_gradient). Returns the points and their margins."""
     points = np.array(starts, dtype=np.float64)
     m = np.array(m, dtype=np.float64)
     brackets = []
     act = np.flatnonzero(np.abs(m) > BOUNDARY_TOLERANCE)
-    for _ in range(MAX_NEWTON_STEPS):
+    for _ in range(MAX_STEPS):
         if not len(act):
             break
-        g = grad_input(net, points[act])
-        g2 = np.einsum("ij,ij->i", g, g)
-        if not g2.all():
-            act, g, g2 = act[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
+        act, g, g2 = _with_gradient(net, points, act)
         cur, m_cur = points[act], m[act]
-        step = (-m_cur / g2)[:, None] * g
-        norm = np.linalg.norm(step, axis=1)
-        big = norm > MAX_STEP_NORM
-        if big.any():
-            step[big] *= (MAX_STEP_NORM / norm[big])[:, None]
-        nxt = cur + step
+        nxt = cur + (-m_cur / g2)[:, None] * g
         m_nxt = margin_batch(net, nxt)
         on = np.abs(m_nxt) <= BOUNDARY_TOLERANCE
         flip = ~on & (m_nxt * m_cur < 0)
@@ -153,14 +155,11 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
     or a step gains less than REFINE_STALL_FRACTION of the distance."""
     row_macs = sum(w.size for w in net.weights)
     act = rows
-    for _ in range(MAX_REFINE_STEPS):
+    for _ in range(MAX_STEPS):
         if not len(act):
             break
+        act, g, g2 = _with_gradient(net, points, act)
         b = points[act]
-        g = grad_input(net, b)
-        g2 = np.einsum("ij,ij->i", g, g)
-        if not g2.all():
-            act, b, g, g2 = act[g2 != 0.0], b[g2 != 0.0], g[g2 != 0.0], g2[g2 != 0.0]
         v = x[act] - b
         tangent = v - (np.einsum("ij,ij->i", v, g) / g2)[:, None] * g
         keep = np.linalg.norm(tangent, axis=1) > REFINE_TOLERANCE

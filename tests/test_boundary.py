@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import blab.boundary
-from blab.boundary import (BOUNDARY_TOLERANCE, FAN_DIRECTIONS, MAX_REFINE_STEPS, METHOD_SEGMENT,
-                           MIN_SLIDE_STEP, REFINE_STALL_FRACTION, REFINE_TOLERANCE,
+from blab.boundary import (BOUNDARY_TOLERANCE, FAN_DIRECTIONS, MAX_STEPS, METHOD_SEGMENT,
+                           REFINE_STALL_FRACTION, REFINE_TOLERANCE,
                            SEGMENT_CANDIDATES, adversarial_overshoot, bisect_along_segment,
                            hit_boundary, project_dataset, project_to_boundary)
 from blab.config import parse_config
@@ -351,10 +351,10 @@ def test_cascade_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def _sequential_slide(net, x, points, m, dist, rows):
     """The slide before the lockstep step search, kept as its reference: each
-    step tries eta = 1, 0.5, 0.25, ... down to MIN_SLIDE_STEP, one
+    step tries eta = 1, 0.5, 0.25, ... down to REFINE_STALL_FRACTION, one
     hit_boundary call per halving, and a row keeps the first step that wins."""
     act = rows
-    for _ in range(MAX_REFINE_STEPS):
+    for _ in range(MAX_STEPS):
         if not len(act):
             break
         b = points[act]
@@ -370,7 +370,7 @@ def _sequential_slide(net, x, points, m, dist, rows):
         moved = np.zeros(len(act), dtype=bool)
         search = np.arange(len(act))
         eta = 1.0
-        while len(search) and eta >= MIN_SLIDE_STEP:
+        while len(search) and eta >= REFINE_STALL_FRACTION:
             starts = b[search] + eta * tangent[search]
             p, mp = hit_boundary(net, starts, margin_batch(net, starts))
             d = np.linalg.norm(p - x[act[search]], axis=1)

@@ -56,6 +56,14 @@ def test_show_config_roundtrip(capsys, tmp_path):
     assert capsys.readouterr().out == text
 
 
+def test_python_m_blab_runs_the_command_line(capsys):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "blab", "show-config", CONFIG],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert main(["show-config", CONFIG]) == EXIT_OK
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, capsys.readouterr().out, "")
+
+
 def test_iterproj_command_writes_outputs(tmp_path):
     out = tmp_path / "run"
     code = main(["iterproj", CONFIG, "--iterations", "1", "--out", str(out)])

@@ -1,8 +1,17 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from blab.geometry import halfspace_projection
-from blab.verify import ON_BOUNDARY_TOL, claims_suite, exact_check_2d, gradient_suite, oracle_suite
+import blab.cli
+import blab.verify
+from blab.cli import EXIT_FAIL, main
+from blab.geometry import GridBoundary, halfspace_projection
+from blab.nn import init_network, margin
+from blab.rng import derive_seed, make_rng
+from blab.verify import (FD_STEP, ON_BOUNDARY_TOL, claims_suite, exact_check_2d, gradient_suite,
+                         oracle_suite, random_claim1_instance)
 from helpers import linear_net
 
 
@@ -45,7 +54,7 @@ def test_oracle_suite_one_net_engine_misses(seed):
     assert results[0][1], failing
 
 
-@pytest.mark.parametrize("seed", [210153483, 2724455604, 2311736575, 1972207522])
+@pytest.mark.parametrize("seed", [210153483, 2724455604, 2311736575, 1972207522, 1672861077])
 def test_oracle_suite_one_net_checks_in_the_box_of_its_points(seed):
     # at 210153483, net 0 sample 39's engine point lies outside [-4, 4] x [-3, 3], so a
     # fixed box read a 29% gap; at 2724455604, a box not snapped to the grid step puts
@@ -54,7 +63,9 @@ def test_oracle_suite_one_net_checks_in_the_box_of_its_points(seed):
     # exact 2.048945 (3.02% over), and one inside the unslid ones finds the exact branch;
     # at 1972207522, keeping only each sample's nearest fan crossing put net 0 sample 56
     # at 2.117832 against the exact 2.050697 (3.27% over), and a farther crossing slides
-    # to the exact branch once every crossing joins the pool
+    # to the exact branch once every crossing joins the pool; at 1672861077 (perfbench
+    # oracle seed 864), with a Newton bound of 158 steps or fewer, net 0 sample 48 comes
+    # out at 2.033580 against the exact 1.885818 (7.8% over the exact distance)
     results, failing = oracle_suite(nets=1, seed=seed)
     assert results[0][1] and results[1][1], failing
 
@@ -76,3 +87,177 @@ def test_exact_check_fails_an_engine_point_off_the_boundary():
     assert exact_check_2d(net, samples[:1], nudged[None])[3].tolist() == [True]
     with pytest.raises(ValueError, match="no decision boundary"):
         exact_check_2d(net, samples[1:], points[1:])
+
+
+# a suite seed whose 1-net oracle suite passes every check
+PASSING_ORACLE_SEED = 210153483
+
+
+def _failed_in_cli(monkeypatch, tmp_path, capsys, suite, run):
+    """The names of the checks that `blab verify suite` reports as FAIL, and the
+    failing case it writes, when the suite is run()."""
+    monkeypatch.setitem(blab.cli.SUITES, suite, run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", suite]) == EXIT_FAIL
+    failed = [line[len("[FAIL] "):].split("  (")[0]
+              for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL] ")]
+    return failed, json.loads((tmp_path / f"verify_{suite}_failure.json").read_text())
+
+
+def _one_net_oracle():
+    return oracle_suite(nets=1, seed=PASSING_ORACLE_SEED)
+
+
+def test_oracle_suite_fails_a_net_that_misses_its_training_criterion(monkeypatch, tmp_path,
+                                                                      capsys):
+    real = blab.verify._train_2d_net
+
+    def undertrained(seed):
+        net, data, report = real(seed)
+        return net, data, dataclasses.replace(report, stopped_reason="epoch_cap")
+
+    monkeypatch.setattr(blab.verify, "_train_2d_net", undertrained)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle", _one_net_oracle)
+    assert failed == ["exact oracle (1 nets x 5 points)",
+                      "grid cross-check of the exact oracle (step 0.02)"]
+    assert failing == {"net": 0, "reason": "training did not reach criterion"}
+
+
+@pytest.mark.parametrize("unconverged", [1, 5])
+def test_oracle_suite_fails_a_projection_that_does_not_converge(monkeypatch, tmp_path, capsys,
+                                                                unconverged):
+    # with one of five unconverged, the other four still face both checks; with all
+    # five, the net has nothing left to check
+    real = blab.verify.project_to_boundary
+
+    def unconverging(net, points, labels, data):
+        results = real(net, points, labels, data)
+        return [dataclasses.replace(r, converged=False) if k < unconverged else r
+                for k, r in enumerate(results)]
+
+    monkeypatch.setattr(blab.verify, "project_to_boundary", unconverging)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle", _one_net_oracle)
+    assert failed == ["exact oracle (1 nets x 5 points)"]
+    assert failing == {"net": 0, "reason": "a projection did not converge"}
+
+
+def test_oracle_suite_fails_a_grid_cross_check_miss(monkeypatch, tmp_path, capsys):
+    seen = {}
+    real_check = blab.verify.exact_check_2d
+
+    def recording_check(net, samples, points):
+        out = real_check(net, samples, points)
+        seen["samples"], seen["exact"] = samples, out[2]
+        return out
+
+    class FarGrid(GridBoundary):  # every grid distance 1 too long: over its two steps
+        def nearest(self, x):
+            point, d = super().nearest(x)
+            seen.setdefault("grid", d)
+            return point, d + 1.0
+
+    monkeypatch.setattr(blab.verify, "exact_check_2d", recording_check)
+    monkeypatch.setattr(blab.verify, "GridBoundary", FarGrid)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle", _one_net_oracle)
+    assert failed == ["grid cross-check of the exact oracle (step 0.02)"]
+    _, data, _ = blab.verify._train_2d_net(derive_seed(PASSING_ORACLE_SEED, 0))
+    [sample] = np.flatnonzero((data.samples == seen["samples"][0]).all(axis=1))
+    assert failing == {"net": 0, "sample": int(sample), "grid": seen["grid"] + 1.0,
+                       "exact": seen["exact"][0]}
+
+
+def test_oracle_suite_fails_a_linear_oracle_miss(monkeypatch, tmp_path, capsys):
+    # no trained nets: only the linear cases run, and each distance is 0.01 too long
+    seen = []
+    real = blab.verify.project_to_boundary
+
+    def too_far(net, points, labels, data):
+        [res] = real(net, points, labels, data)
+        seen.append((net, points[0], res.distance))
+        return [dataclasses.replace(res, distance=res.distance + 0.01)]
+
+    monkeypatch.setattr(blab.verify, "project_to_boundary", too_far)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle",
+                                     lambda: oracle_suite(nets=0))
+    assert failed == ["linear analytic oracle (20 cases)"]
+    net, x, distance = seen[0]
+    w, c = net.weights[0][1], net.biases[0][1]
+    assert failing == {"linear_case": 0, "solver": distance + 0.01,
+                       "exact": float(np.linalg.norm(halfspace_projection(w, c, x) - x))}
+
+
+def test_oracle_suite_skips_a_linear_case_on_its_boundary(monkeypatch):
+    cases, projected = [], []
+    real_margin, real_project = blab.verify.margin, blab.verify.project_to_boundary
+
+    def first_on_boundary(net, x):
+        cases.append(x)
+        return 0.0 if len(cases) == 1 else real_margin(net, x)
+
+    def counted(*args):
+        projected.append(args)
+        return real_project(*args)
+
+    monkeypatch.setattr(blab.verify, "margin", first_on_boundary)
+    monkeypatch.setattr(blab.verify, "project_to_boundary", counted)
+    results, failing = oracle_suite(nets=0)
+    assert all(ok for _, ok, _ in results) and failing is None
+    assert len(cases) == 20 and len(projected) == 19  # case 0 is not projected
+
+
+def test_claims_suite_fails_a_claim1_chain(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(blab.verify, "check_claim1_chain", lambda inst: {"passed": False})
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "claims",
+                                     lambda: claims_suite(instances=2, ratio_samples=10))
+    assert failed == ["claim-1 chain on 2 randomized instances"]
+    seed = derive_seed(13, 0)
+    assert failing == {"instance_seed": seed, "report": {"passed": False},
+                       "instance": random_claim1_instance(seed).to_jsonable()}
+
+
+def test_claims_suite_fails_a_ratio_below_2(monkeypatch, tmp_path, capsys):
+    seen = []
+    real = blab.verify.ratio_bound
+
+    def low_at_3(a, b):
+        seen.append((a, b))
+        return np.where(np.arange(len(a)) == 3, 1.5, real(a, b))
+
+    monkeypatch.setattr(blab.verify, "ratio_bound", low_at_3)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "claims",
+                                     lambda: claims_suite(instances=2, ratio_samples=10))
+    assert failed == ["a/b + b/a >= 2 on 10 random pairs"]
+    [(a, b)] = seen
+    assert failing == {"ratio_pair": [a[3], b[3]], "value": 1.5}
+
+
+def test_claims_suite_fails_claim2_on_a_flagged_collinear_instance(monkeypatch, tmp_path, capsys):
+    flagged = {"counterexample": True, "strict_product_inequality": False,
+               "prod_h": 1.0, "prod_f": 1.0}
+    monkeypatch.setattr(blab.verify, "check_claim2_product", lambda inst: flagged)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "claims",
+                                     lambda: claims_suite(instances=2, ratio_samples=10))
+    assert failed == ["claim-2 accepts the collinear equality instance"]
+    assert failing == {"orth_report": flagged, "coll_report": flagged}
+
+
+def test_gradient_suite_fails_a_backprop_mismatch(monkeypatch, tmp_path, capsys):
+    seen = []
+    real = blab.verify.grad_input
+
+    def off_by_one(net, x):
+        g = real(net, x)
+        seen.append(g)
+        return g + 1.0
+
+    monkeypatch.setattr(blab.verify, "grad_input", off_by_one)
+    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "gradients",
+                                     lambda: gradient_suite(pairs=1))
+    assert failed == ["gradient check (1 pairs)"]
+    # pair 0: a [4, 8, 2] net at x, whose coordinate 0 has no kink in its stencil
+    net = init_network([4, 8, 2], derive_seed(2024, 0))
+    x = make_rng(2024, stream=0x64AD).standard_normal(4)
+    steps = FD_STEP * np.eye(4)
+    fd = (margin(net, (x + steps)[0]) - margin(net, (x - steps)[0])) / (2 * FD_STEP)
+    assert failing == {"pair": 0, "coordinate": 0, "dims": [4, 8, 2],
+                       "backprop": seen[0][0] + 1.0, "fd": fd}
