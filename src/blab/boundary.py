@@ -57,13 +57,15 @@ REFINE_STALL_FRACTION = 1e-4  # stop sliding once per-step gain falls below this
 # the slide's step fractions: 1, then halvings down to REFINE_STALL_FRACTION; a
 # step of fraction f gains about f*d at most: below it, too little to keep sliding
 SLIDE_STEPS = 0.5 ** np.arange(int(-np.log2(REFINE_STALL_FRACTION)) + 1)
-# A slide's halving search puts as many step fractions into one hit_boundary
-# call as keep its rows x fractions x forward multiply-adds per row under
-# this, about what the fixed cost of a call buys: a 1-row call took about
-# 1 ms, and a row of a [784,500,256,128,32,2] net (557k multiply-adds)
-# about 0.16 ms, with 1 BLAS thread. So a [2,32,32,2] net tries all 14 step
-# fractions in one call up to 260 rows and splits a taller search, while at
-# 784-d, past 3 rows, each fraction gets a call of its own.
+# A slide's halving search puts as many step fractions into one hit_boundary call
+# as keep its rows x fractions x forward multiply-adds per row under this: more per
+# call save calls, fewer spare the rows below the winning fraction. With 1 BLAS
+# thread, on a [784,500,256,128,32,2] net (557k multiply-adds a row), a 1-row
+# margin_batch call took 0.15 ms and a 1-row grad_input 0.27 ms, but a row inside a
+# 200-row batch 0.013 and 0.025 ms: a call's fixed cost is about 10 batched rows
+# (5.5M multiply-adds), and the budget stays under it. So a [2,32,32,2] net tries all
+# 14 fractions per call up to 260 rows, while at 784-d, past 3 rows, each fraction
+# gets its own call (all 14 per call took a 784-d projection from 0.73 to 2.33 s).
 SLIDE_SEARCH_MACS = 1 << 22
 SEGMENT_CANDIDATES = 3  # opposite-class neighbors tried as bracket ends
 FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers miss
@@ -72,7 +74,6 @@ FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers mis
 @dataclass
 class ProjectionResult:
     point: np.ndarray
-    vector: np.ndarray  # point - original sample
     distance: float
     residual: float
     converged: bool
@@ -274,21 +275,20 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     results = []
     for i, b in enumerate(best):
         if b < 0:
-            results.append(ProjectionResult(x[i].copy(), np.zeros_like(x[i]), 0.0,
-                                            float(abs(m_x[i])), False, METHOD_COMBINED))
+            results.append(ProjectionResult(x[i].copy(), 0.0, float(abs(m_x[i])), False,
+                                            METHOD_COMBINED))
         else:
-            point = pool[b].copy()
-            results.append(ProjectionResult(point, point - x[i], float(dist[b]),
+            results.append(ProjectionResult(pool[b].copy(), float(dist[b]),
                                             float(abs(m_pool[b])), True, methods[b]))
     return results
 
 
-def adversarial_overshoot(result: ProjectionResult, kappa: float) -> np.ndarray:
-    """x + (1+kappa) * projection vector; crosses the boundary for kappa > 0."""
+def adversarial_overshoot(x, result: ProjectionResult, kappa: float) -> np.ndarray:
+    """x + (1+kappa) * (result.point - x), for result the projection of the
+    sample x; crosses the boundary for kappa > 0."""
     if not result.converged:
         raise ValueError("overshoot requires a converged projection")
-    x = result.point - result.vector
-    return x + (1.0 + kappa) * result.vector
+    return x + (1.0 + kappa) * (result.point - x)
 
 
 def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[ProjectionResult]]:

@@ -17,7 +17,6 @@ import json
 import math
 import signal
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import DatasetSpec, parse_config, serialize_config
@@ -60,23 +59,24 @@ def cmd_cascade(args) -> int:
     return EXIT_OK
 
 
+def _report(out: Path, run) -> int:
+    """The one path of transfer and symmetry: check that out can be written,
+    run the experiment, write its report to out as JSON and print it."""
+    check_writable(out)
+    text = json.dumps(run(), indent=2)
+    write_file(out, text + "\n")
+    print(text)
+    return EXIT_OK
+
+
 def cmd_transfer(args) -> int:
     cfg = parse_config(args.config, args.set)
-    out = Path(args.out or "transfer_report.json")
-    check_writable(out)
-    payload = asdict(run_transfer(cfg, args.mode))
-    write_file(out, json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return _report(Path(args.out or "transfer_report.json"), lambda: run_transfer(cfg, args.mode))
 
 
 def cmd_symmetry(args) -> int:
-    out = Path(args.out or "symmetry_report.json")
-    check_writable(out)
-    report = run_symmetry_experiment(args.layout, args.trials, **_given(args, args.symmetry_flags))
-    write_file(out, json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
+    return _report(Path(args.out or "symmetry_report.json"), lambda: run_symmetry_experiment(
+        args.layout, args.trials, **_given(args, args.symmetry_flags)))
 
 
 def cmd_verify(args) -> int:

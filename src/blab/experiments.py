@@ -50,19 +50,6 @@ class IterationRecord:
     global_difference: float | None = None  # phi_k, once iteration k+1 has projected
 
 
-@dataclass
-class TransferReport:
-    """Fields in the order of the report's keys."""
-
-    mode: str
-    kappa: float
-    valid: bool
-    n_samples: int
-    fooling_rate_transfer: float
-    fooling_rate_source: float
-    fooling_rate_random_baseline: float
-
-
 def build_dataset(spec: DatasetSpec) -> Dataset:
     """The dataset a spec describes; DataError unless it holds both classes."""
     if spec.source == "blobs":
@@ -348,10 +335,11 @@ def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> fl
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _fooling_rate reports an overflow
-def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
+def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     """Craft overshoot adversarials against a source network and measure how
     often an independently trained target misclassifies them, against an
-    equal-norm random-direction baseline."""
+    equal-norm random-direction baseline. The report's keys are in the order
+    it is written."""
     cfg.validate()
     if mode not in TRANSFER_MODES:
         raise ConfigError(f"unknown transfer mode {mode!r}")
@@ -382,7 +370,7 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
     for x, lab, res in zip(xs, labels, project_to_boundary(net_a, xs, labels, data_a)):
         if not res.converged:
             continue
-        a = adversarial_overshoot(res, cfg.kappa)
+        a = adversarial_overshoot(x, res, cfg.kappa)
         direction = rng.standard_normal(len(x))
         direction /= np.linalg.norm(direction)
         b = x + np.linalg.norm(a - x) * direction
@@ -394,7 +382,9 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> TransferReport:
         adv, base, kept = np.array(adv), np.array(base), np.array(kept)
         rates = (_fooling_rate(net_b, adv, kept), _fooling_rate(net_a, adv, kept),
                  _fooling_rate(net_b, base, kept))
-    return TransferReport(mode, cfg.kappa, valid and len(kept) > 0, len(kept), *rates)
+    return {"mode": mode, "kappa": cfg.kappa, "valid": valid and len(kept) > 0,
+            "n_samples": len(kept), "fooling_rate_transfer": rates[0],
+            "fooling_rate_source": rates[1], "fooling_rate_random_baseline": rates[2]}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _fooling_rate reports an overflow
@@ -424,7 +414,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         _, results = project_dataset(net, data)
         if not all(r.converged and r.distance != 0 for r in results):
             continue
-        sigs.append(np.array([r.vector / r.distance for r in results]))
+        sigs.append(np.array([(r.point - x) / r.distance for x, r in zip(data.samples, results)]))
         all_results.append(results)
         nets.append(net)
 
@@ -441,7 +431,8 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
 
     within_rates, cross_rates = [], []
     for i in range(len(nets)):
-        adv = np.array([adversarial_overshoot(r, kappa) for r in all_results[i]])
+        adv = np.array([adversarial_overshoot(x, r, kappa)
+                        for x, r in zip(data.samples, all_results[i])])
         for j in range(len(nets)):
             if i == j:
                 continue

@@ -29,6 +29,7 @@ FORWARD_BLOCK_ROWS = 1024
 # train's only update rule is Adam (Kingma & Ba, ICLR 2015), with their suggested settings
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
+INIT_STREAM = 0x11717  # init_network's Philox stream; train shuffles epoch e with stream e
 
 
 @dataclass
@@ -70,6 +71,9 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if self.max_epochs > INIT_STREAM:
+            raise ConfigError(f"max_epochs must be <= {INIT_STREAM}: epoch {INIT_STREAM}'s "
+                              "shuffle would replay init_network's weight stream")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not 0 < self.accuracy_target <= 1:
@@ -102,7 +106,7 @@ def check_layer_dims(layer_dims, input_dim: int | None = None) -> list[int]:
 def init_network(layer_dims, seed: int) -> MlpNetwork:
     """He-scaled normal weights, zero biases; bitwise deterministic per seed."""
     dims = check_layer_dims(layer_dims)
-    rng = make_rng(seed, stream=0x11717)
+    rng = make_rng(seed, stream=INIT_STREAM)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = np.sqrt(2.0 / fan_in)

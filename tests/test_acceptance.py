@@ -193,9 +193,9 @@ def test_criterion_07_transferability(transfer_reports):
     wins = 0
     rates = []
     for report in transfer_reports:
-        rates.append((report.fooling_rate_transfer, report.fooling_rate_random_baseline))
-        if (report.fooling_rate_transfer > 0
-                and report.fooling_rate_transfer >= 2.0 * report.fooling_rate_random_baseline):
+        transfer, baseline = report["fooling_rate_transfer"], report["fooling_rate_random_baseline"]
+        rates.append((transfer, baseline))
+        if transfer > 0 and transfer >= 2.0 * baseline:
             wins += 1
     detail = f"{wins}/5 seeds with transfer >= 2x baseline; rates {rates}"
     _record(7, wins >= 4, detail)

@@ -21,8 +21,7 @@ from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_
                       main)
 from blab.config import DatasetSpec
 from blab.data import DataError, NumericError, export_csv
-from blab.experiments import (TransferReport, build_dataset, checkpoint_resume, records_to_csv,
-                              records_to_svg)
+from blab.experiments import build_dataset, checkpoint_resume, records_to_csv, records_to_svg
 from blab.nn import margin_batch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -445,13 +444,16 @@ def test_config_path_that_is_a_directory_exits_2_before_the_run_directory(tmp_pa
     assert not out.exists()
 
 
-# the keys and their order of the report that transfer writes
-TRANSFER_REPORT = TransferReport(mode="cross_model", kappa=0.1, valid=True, n_samples=40,
-                                 fooling_rate_transfer=0.825, fooling_rate_source=1.0,
-                                 fooling_rate_random_baseline=0.15)
+# the keys, in their order, of the reports that transfer and symmetry write
+TRANSFER_REPORT = {"mode": "cross_model", "kappa": 0.1, "valid": True, "n_samples": 40,
+                   "fooling_rate_transfer": 0.825, "fooling_rate_source": 1.0,
+                   "fooling_rate_random_baseline": 0.15}
+SYMMETRY_REPORT = {"layout": "square_xor", "perturb": 0.0, "trials": 20, "failed_trials": 1,
+                   "cluster_count": 2, "cluster_sizes": [12, 7], "dominant_fraction": 12 / 19,
+                   "within_cluster_transfer": 0.5625, "cross_cluster_transfer": None}
 
 
-def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch):
+def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(blab.cli, "run_transfer", lambda cfg, mode: TRANSFER_REPORT)
     out = tmp_path / "report.json"
     assert main(["transfer", TRANSFER_CONFIG, "--out", str(out)]) == EXIT_OK
@@ -459,6 +461,19 @@ def test_transfer_report_bytes_are_frozen(tmp_path, monkeypatch):
         b'{\n  "mode": "cross_model",\n  "kappa": 0.1,\n  "valid": true,\n'
         b'  "n_samples": 40,\n  "fooling_rate_transfer": 0.825,\n'
         b'  "fooling_rate_source": 1.0,\n  "fooling_rate_random_baseline": 0.15\n}\n')
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_symmetry_report_bytes_are_frozen(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(blab.cli, "run_symmetry_experiment", lambda *a, **kw: SYMMETRY_REPORT)
+    out = tmp_path / "report.json"
+    assert main(["symmetry", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (
+        b'{\n  "layout": "square_xor",\n  "perturb": 0.0,\n  "trials": 20,\n'
+        b'  "failed_trials": 1,\n  "cluster_count": 2,\n  "cluster_sizes": [\n    12,\n'
+        b'    7\n  ],\n  "dominant_fraction": 0.631578947368421,\n'
+        b'  "within_cluster_transfer": 0.5625,\n  "cross_cluster_transfer": null\n}\n')
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_symmetry_refuses_fewer_than_one_trial(tmp_path, capsys):
@@ -503,6 +518,19 @@ def test_removed_optimizer_settings_exit_2_before_the_run_directory(tmp_path, ca
             == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_max_epochs_past_the_init_stream_exits_2_before_the_run_directory(tmp_path, capsys):
+    # epoch e shuffles with Philox stream e, and stream 71447 draws the initial weights
+    ok, refused = tmp_path / "ok", tmp_path / "refused"
+    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(ok),
+                 "--set", "train.max_epochs=71447"]) == EXIT_OK
+    assert (ok / "records.csv").is_file()
+    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(refused),
+                 "--set", "train.max_epochs=71448"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: max_epochs must be <= 71447: epoch 71447's "
+                                       "shuffle would replay init_network's weight stream\n")
+    assert not refused.exists()
 
 
 def test_kappa_at_or_below_zero_exits_2_before_training(tmp_path, monkeypatch, capsys):

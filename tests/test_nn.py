@@ -9,14 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.config import parse_config
-from blab.data import DataError, Dataset
+from blab.data import ConfigError, DataError, Dataset
 from blab.experiments import build_dataset
-from blab.nn import (FORWARD_BLOCK_ROWS, TrainConfig, _nll_gradients, accuracy, active_units,
+from blab.nn import (FORWARD_BLOCK_ROWS, INIT_STREAM, TrainConfig, _nll_gradients, accuracy, active_units,
                      check_layer_dims, forward_batch, grad_input, init_network, load_checkpoint,
                      log_softmax, margin, margin_batch, save_checkpoint, train)
 from helpers import linear_net
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
+
+
+def test_max_epochs_stops_before_the_shuffles_reach_the_init_stream():
+    # train shuffles epoch e with Philox stream e; stream 71447 draws init_network's weights
+    assert INIT_STREAM == 71447
+    TrainConfig(max_epochs=71447).validate()
+    with pytest.raises(ConfigError, match="max_epochs must be <= 71447: epoch 71447's shuffle "
+                                          "would replay init_network's weight stream"):
+        TrainConfig(max_epochs=71448).validate()
 
 
 def test_init_determinism_and_validation():
