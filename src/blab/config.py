@@ -49,6 +49,8 @@ class DatasetSpec:
         if self.layout_kind not in LAYOUT_KINDS:
             raise ConfigError(f"unknown dataset layout_kind {self.layout_kind!r}; "
                               f"choose from {', '.join(LAYOUT_KINDS)}")
+        if not 0 <= self.seed < 2**63:  # make_rng keys Philox exactly only below 2**63
+            raise ConfigError(f"dataset seed must be in [0, 2**63), got {self.seed}")
         if self.dim < 1:
             raise ConfigError("dataset dim must be >= 1")
         if self.per_class < 1:

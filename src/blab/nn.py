@@ -84,7 +84,6 @@ class TrainConfig:
 class TrainReport:
     epochs_run: int
     final_train_accuracy: float
-    final_loss: float
     stopped_reason: str  # criterion_met | epoch_cap
 
 
@@ -286,16 +285,13 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
 
     labels_onehot = np.eye(2)[data.labels]
 
-    epoch_loss = float("nan")
     for epoch in range(cfg.max_epochs):
         order = make_rng(seed, stream=epoch).permutation(len(data))
-        losses = []
         for start in range(0, len(data), batch_size):
             idx = order[start:start + batch_size]
             batch_loss, grads = _nll_gradients(net, data.samples[idx], labels_onehot[idx])
             if not np.isfinite(batch_loss):
                 raise NumericError(f"training loss diverged: non-finite loss at epoch {epoch}")
-            losses.append(batch_loss)
 
             step += 1
             for i, (p, g) in enumerate(zip(params, grads)):
@@ -307,7 +303,6 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
 
         if not all(np.isfinite(p).all() for p in params):
             raise NumericError("training loss diverged: network parameters are non-finite")
-        epoch_loss = float(np.mean(losses))
         # one pass gives both stop tests: every sample correct, and the mean
         # true-class probability at the target
         logits = forward_batch(net, data.samples)
@@ -315,9 +310,9 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
         if acc == 1.0 and (np.exp(log_softmax(logits)[np.arange(len(data)), data.labels]).mean()
                            >= cfg.accuracy_target):
             fold_whitening()
-            return TrainReport(epoch + 1, acc, epoch_loss, "criterion_met")
+            return TrainReport(epoch + 1, acc, "criterion_met")
     fold_whitening()
-    return TrainReport(cfg.max_epochs, acc, epoch_loss, "epoch_cap")
+    return TrainReport(cfg.max_epochs, acc, "epoch_cap")
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:

@@ -533,6 +533,22 @@ def test_max_epochs_past_the_init_stream_exits_2_before_the_run_directory(tmp_pa
     assert not refused.exists()
 
 
+def test_a_dataset_seed_outside_0_to_2_63_exits_2_writing_nothing(tmp_path, capsys):
+    # make_rng keys Philox exactly only below 2**63: seeds -1, -2 and -5 drew the same blobs
+    ok = tmp_path / "ok"
+    assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(ok),
+                 "--set", f"dataset.seed={2**63 - 1}"]) == EXIT_OK
+    assert (ok / "records.csv").is_file()
+    for seed in (-1, 2**63):
+        run, data = tmp_path / f"run{seed}", tmp_path / f"data{seed}.csv"
+        assert main(["iterproj", CONFIG, "--iterations", "1", "--out", str(run),
+                     "--set", f"dataset.seed={seed}"]) == EXIT_CONFIG
+        assert main(["gen-data", "--seed", str(seed), "--out", str(data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: dataset seed must be in [0, 2**63), got {seed}\n" * 2
+        assert not run.exists() and not data.exists()
+
+
 def test_kappa_at_or_below_zero_exits_2_before_training(tmp_path, monkeypatch, capsys):
     # an overshoot of x + (1 + kappa) * v crosses the boundary only for kappa > 0
     def no_training(*args, **kwargs):

@@ -114,6 +114,16 @@ def test_grid_boundary_rejects_empty_field():
         GridBoundary(lambda pts: np.ones(len(pts)), ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
 
 
+def test_grid_zeros_without_a_sign_change_are_the_crossings():
+    # -x**2 touches zero on the lattice line x = 0 but never changes sign
+    field = GridBoundary(lambda pts: -pts[:, 0] ** 2, ((-1.0, 1.0), (-1.0, 1.0)), 0.5)
+    ys = np.arange(-1.0, 1.25, 0.5)
+    np.testing.assert_array_equal(field.crossings, np.column_stack([np.zeros(5), ys]))
+    point, d = field.nearest([0.3, 0.0])
+    np.testing.assert_array_equal(point, [0.0, 0.0])
+    assert d == 0.3
+
+
 @pytest.fixture(scope="module")
 def trained_net():
     net, data, report = _train_2d_net(3)  # a [2, 16, 16, 2] net as oracle_suite trains it

@@ -1,11 +1,13 @@
 """Every name a module imports is used in it, every import is at module level,
-and every public function, class and method has a caller in blab.
+every public function, class and method has a caller in blab, and every field
+blab stores has a reader.
 
 No linter is part of the toolchain, so these scans are the guard against dead
-imports and dead code. `__init__.py` is skipped by the import scan: its imports
-are the public re-exports. An import inside a function binds its name when the
-function runs, so it would bypass a test or benchmark that replaces the module
-attribute. Public code that only tests call is code the program does not need.
+imports, dead code and dead state. `__init__.py` is skipped by the import scan:
+its imports are the public re-exports. An import inside a function binds its
+name when the function runs, so it would bypass a test or benchmark that
+replaces the module attribute. Public code that only tests call is code the
+program does not need, and a field nothing reads is work done for no one.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "blab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "blab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -114,3 +117,40 @@ def test_every_public_function_class_and_method_has_a_caller_in_blab():
     # the one exception waits for the symmetry experiment to enumerate its exact answers
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert _public_without_a_caller(sources) == ["geometry.enumerate_square_xor_projections"]
+
+
+def _unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """module.Class.name of each field a class body of these modules annotates
+    (a dataclass field) and each self.<name> its methods assign, that no code
+    in readers loads as an attribute."""
+    loaded = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = {node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+            names.update(node.attr for node in ast.walk(cls)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self")
+            found.update(f"{module}.{cls.name}.{name}" for name in names - loaded)
+    return sorted(found)
+
+
+def test_scan_finds_a_field_without_a_reader():
+    source = ("@dataclass\nclass Report:\n    epochs: int\n    loss: float\n\n"
+              "class Run:\n    def __init__(self, path):\n        self.path = path\n"
+              "        self.size = 0\n        self.size += 1\n\n"
+              "def show(report, run):\n    return report.epochs, run.path\n")
+    assert _unread_fields({"m": source}, [source]) == ["m.Report.loss", "m.Run.size"]
+
+
+def test_every_field_blab_stores_has_a_reader():
+    # two fields have readers only outside blab: TrainReport.epochs_run (perfbench's
+    # tracer and a training test) and PiecewiseLinearBoundary.pieces (a geometry test)
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for d in ("src/blab", "perfbench", "tests")
+               for p in (ROOT / d).rglob("*.py")]
+    assert _unread_fields(sources, readers) == []

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from blab.rng import derive_seed, make_rng
@@ -28,6 +29,14 @@ def test_derive_seed_accepts_full_u64_range():
     assert 0 <= big < 2**64
     # derived seeds must themselves be usable as master seeds
     make_rng(big).standard_normal(1)
+
+
+# numpy holds the key list [seed, stream] in float64 when seed >= 2**63, so the
+# seed's low bits are lost; about half of derive_seed's seeds are that large
+@pytest.mark.xfail(reason="make_rng rounds a seed >= 2**63 through float64")
+def test_seeds_above_2_63_draw_different_numbers():
+    assert not np.array_equal(make_rng(2**63).standard_normal(4),
+                              make_rng(2**63 + 1).standard_normal(4))
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1),
