@@ -93,7 +93,6 @@ def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, n
     span = b - a
     t_old, f_old = np.zeros(len(a)), np.array(m_a, dtype=np.float64)
     t_new, f_new = np.ones(len(a)), np.array(m_b, dtype=np.float64)
-    t, m = t_new.copy(), f_new.copy()
     act = np.arange(len(a))
     for _ in range(MAX_STEPS):
         if not len(act):
@@ -101,13 +100,12 @@ def bisect_along_segment(net: MlpNetwork, a, b, m_a, m_b) -> tuple[np.ndarray, n
         to, fo, tn, fn = t_old[act], f_old[act], t_new[act], f_new[act]
         tc = (to * fn - tn * fo) / (fn - fo)
         mc = margin_batch(net, a[act] + tc[:, None] * span[act])
-        t[act], m[act] = tc, mc
         flip = mc * fn < 0
         t_old[act] = np.where(flip, tn, to)
         f_old[act] = np.where(flip, fn, 0.5 * fo)
         t_new[act], f_new[act] = tc, mc
         act = act[np.abs(mc) > BOUNDARY_TOLERANCE]
-    return a + t[:, None] * span, m
+    return a + t_new[:, None] * span, f_new
 
 
 def _with_gradient(net: MlpNetwork, points, act):

@@ -195,9 +195,9 @@ class RunDirectory:
         write_file(self.projections / f"iter_{k}.csv", PROJECTION_HEADER + "\n" + rows)
         export_csv(working, self.working / f"iter_{k}.csv")
 
-    def read_projections(self, k: int, labels: np.ndarray) -> tuple[list[float], int]:
-        """Distances and unconverged count of iteration k's projection rows; DataError
-        naming the file unless they are the rows save_iteration writes for these labels."""
+    def read_projections(self, k: int, labels: np.ndarray) -> int:
+        """Unconverged count of iteration k's projection rows; DataError naming
+        the file unless they are the rows save_iteration writes for these labels."""
         path = self.projections / f"iter_{k}.csv"
         header, *rows = read_utf8(path).splitlines() or [""]
         cells = [row.split(",") for row in rows]
@@ -205,10 +205,7 @@ class RunDirectory:
                 len(c) != 6 or c[:2] != [str(i), str(label)] or c[2] not in ("0", "1")
                 for i, (c, label) in enumerate(zip(cells, labels))):
             raise DataError(f"{path}: rows do not match the {len(labels)} samples of the run")
-        try:
-            return [float(c[3]) for c in cells], sum(c[2] == "0" for c in cells)
-        except ValueError as e:
-            raise DataError(f"{path}: {e}") from None
+        return sum(c[2] == "0" for c in cells)
 
     def write_records(self, records) -> None:
         """The run's two views, records.csv and chart.svg, of the same records."""
@@ -256,8 +253,11 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     Records 0..c come from the run's files, never from records.csv or
     chart.svg, views the run only writes: mean_nn_distance from
     working/iter_k.csv, phi_k from working sets k - 1..k + 1,
-    mean_projection_norm and unconverged_count from projections/iter_k.csv,
-    and test_acc from checkpoints/iter_k.blab on the test split re-derived
+    mean_projection_norm from the row lengths of W_k - W_{k-1}, measured
+    so on a live iteration too, unconverged_count from the convergence flags
+    of projections/iter_k.csv, whose rows a resume reads for nothing else
+    (their identity and flags, never a distance), and test_acc from
+    checkpoints/iter_k.blab on the test split re-derived
     from the saved config. A working set without W_0's
     labels and shape, projection rows that do not match it, or a checkpoint
     without the config's dims is a DataError naming the file, raised before
@@ -274,13 +274,14 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, 0)]
     window = [first.samples]  # the samples of the last working sets, at most two
 
-    def record(k: int, data: Dataset, net: MlpNetwork, distances, unconverged: int) -> None:
+    def record(k: int, data: Dataset, net: MlpNetwork, unconverged: int) -> None:
         # the one rule for record k >= 1, derived or appended; record k - 1 >= 1 gets its phi here
         if len(window) == 2:
             records[-1].global_difference = global_difference(*window, data.samples)
+        moved = np.linalg.norm(data.samples - window[-1], axis=1)  # the rows of W_k - W_{k-1}
         window[:] = [window[-1], data.samples]
         records.append(IterationRecord(
-            k, nearest_opposite_mean_distance(data), float(np.mean(distances)),
+            k, nearest_opposite_mean_distance(data), float(np.mean(moved)),
             accuracy(net, test_data) if test_data is not None else None, unconverged))
 
     for k in range(1, completed + 1):
@@ -291,7 +292,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
         path = rd.checkpoints / f"iter_{k}.blab"
         if (net := load_checkpoint(path)).layer_dims != cfg.dims:
             raise DataError(f"{path}: layer widths {net.layer_dims} != the config's {cfg.dims}")
-        record(k, data, net, *rd.read_projections(k, first.labels))
+        record(k, data, net, rd.read_projections(k, first.labels))
     if manifest["status"] == "finished" or completed == cfg.iterations:
         return records
 
@@ -309,7 +310,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
             unconverged = sum(not r.converged for r in results)
             if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
                 raise NumericError(f"{unconverged}/{len(data)} projections did not converge")
-            record(k, data, net, [r.distance for r in results], unconverged)
+            record(k, data, net, unconverged)
             stage = "aborted_write"
             rd.save_iteration(k, net, data, results)
             rd.write_records(records)

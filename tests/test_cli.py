@@ -17,6 +17,7 @@ import pytest
 import blab.boundary
 import blab.cli
 import blab.experiments
+import blab.nn
 from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK,
                       main)
 from blab.config import DatasetSpec
@@ -512,6 +513,10 @@ def test_removed_optimizer_settings_exit_2_before_the_run_directory(tmp_path, ca
             (CONFIG, ["--set", "experiment.test_fraction=1.5"],
              "unknown config key experiment.test_fraction"),
             (CONFIG, ["--set", "train.batch_size=0"], "batch_size must be >= 1"),
+            (CONFIG, ["--set", "train.max_epochs=0"], "max_epochs must be >= 1"),
+            (CONFIG, ["--set", "train.accuracy_target=0"], "accuracy_target must be in (0, 1]"),
+            (CONFIG, ["--set", "train.accuracy_target=1.5"],
+             "accuracy_target must be in (0, 1]"),
             (str(sgd), [], "adam is the only optimizer"))):
         out = tmp_path / f"run{k}"
         assert main(["iterproj", config, "--iterations", "1", "--out", str(out)] + extra) \
@@ -614,6 +619,24 @@ def test_training_divergence_aborts_the_run(tmp_path, monkeypatch, capsys):
 
     _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, diverging, "aborted_training",
                                "training loss diverged: non-finite loss at epoch 0")
+
+
+def test_non_finite_parameters_after_an_epoch_abort_the_run(tmp_path, monkeypatch, capsys):
+    # every batch loss is finite, so only the end-of-epoch parameter check can see the
+    # infinite gradient's Adam step (inf / inf) leave the weights NaN
+    real_gradients = blab.nn._nll_gradients
+
+    def infinite_gradients(net, x, onehot):
+        _, grads = real_gradients(net, x, onehot)
+        return 1.0, [np.full_like(g, np.inf) for g in grads]
+
+    monkeypatch.setattr(blab.nn, "_nll_gradients", infinite_gradients)
+    out = tmp_path / "run"
+    assert main(["iterproj", CONFIG, "--iterations", "2", "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numeric failure: iteration 1: training loss diverged: "
+                                       "network parameters are non-finite\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["completed_iterations"]) == ("aborted_training", 0)
 
 
 def test_a_data_error_in_training_aborts_the_run(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -74,6 +75,11 @@ def test_idx_truncated_payload(tmp_path):
     img.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + b"\x00" * 3)
     lab.write_bytes(struct.pack(">II", 2049, 2) + b"\x00\x01")
     with pytest.raises(DataError, match="truncated"):
+        load_idx(img, lab)
+    # whole images, but one label of the two the header counts
+    img.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + b"\x00" * 8)
+    lab.write_bytes(struct.pack(">II", 2049, 2) + b"\x00")
+    with pytest.raises(DataError, match=f"truncated IDX label payload in {re.escape(str(lab))}"):
         load_idx(img, lab)
 
 

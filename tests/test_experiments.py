@@ -369,8 +369,10 @@ def _set_config(section, key, text):
     (lambda m: m.update(completed_iterations="1"),
      "manifest completed_iterations is missing or not int"),
     (lambda m: m.update(completed_iterations=99), "completed_iterations 99 is not in 0..2"),
+    (lambda m: m["config"]["train"].update(batch_size=30),
+     "manifest config must map sections to key -> text"),
 ], ids=["unedited", "unknown_key", "bad_value", "zero_iterations", "no_status",
-        "completed_as_text", "completed_past_iterations"])
+        "completed_as_text", "completed_past_iterations", "config_value_not_text"])
 def test_resume_refuses_a_manifest_it_cannot_trust(resumable_run, tmp_path, edit, message):
     full, partial = resumable_run
     run = tmp_path / "run"
@@ -421,6 +423,19 @@ def test_resume_refuses_source_files_that_do_not_fit_the_run(resumable_run, tmp_
         checkpoint_resume(run)
     # refused before anything is written, the manifest included
     assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
+def test_resume_measures_projection_norms_on_the_working_sets(tmp_path):
+    # the distance column of projections/iter_k.csv is a view: a resume reads
+    # the rows' identity and flags only, and takes the norms of W_k - W_{k-1}
+    run = tmp_path / "run"
+    records = run_iterative_projection(small_config(master_seed=3, iterations=1), out_dir=run)
+    path = run / "projections" / "iter_1.csv"
+    header, *rows = path.read_text().splitlines()
+    zeroed = [",".join([*c[:3], "0.0", *c[4:]]) for c in (row.split(",") for row in rows)]
+    path.write_text("\n".join([header, *zeroed]) + "\n")
+    assert records[1].mean_projection_norm > 0
+    assert checkpoint_resume(run) == records
 
 
 @pytest.fixture(scope="module", params=["iterproj", "gentrack"])
