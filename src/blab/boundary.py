@@ -281,12 +281,10 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     return results
 
 
-def adversarial_overshoot(x, result: ProjectionResult, kappa: float) -> np.ndarray:
-    """x + (1+kappa) * (result.point - x), for result the projection of the
-    sample x; crosses the boundary for kappa > 0."""
-    if not result.converged:
-        raise ValueError("overshoot requires a converged projection")
-    return x + (1.0 + kappa) * (result.point - x)
+def adversarial_overshoot(x, points, kappa: float) -> np.ndarray:
+    """x + (1+kappa) * (points - x), row by row, for points the converged
+    projections of the samples x; crosses the boundary for kappa > 0."""
+    return x + (1.0 + kappa) * (points - x)
 
 
 def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[ProjectionResult]]:

@@ -339,8 +339,9 @@ def _fooling_rate(net: MlpNetwork, points: np.ndarray, labels: np.ndarray) -> fl
 def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     """Craft overshoot adversarials against a source network and measure how
     often an independently trained target misclassifies them, against an
-    equal-norm random-direction baseline. The report's keys are in the order
-    it is written."""
+    equal-norm random-direction baseline. Only the sources whose projection
+    converged count (n_samples), each with one baseline direction. The
+    report's keys are in the order it is written."""
     cfg.validate()
     if mode not in TRANSFER_MODES:
         raise ConfigError(f"unknown transfer mode {mode!r}")
@@ -366,25 +367,21 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     xs = eval_data.samples[ok]
     labels = eval_data.labels[ok]
 
+    results = project_to_boundary(net_a, xs, labels, data_a)
+    kept = np.array([r.converged for r in results], dtype=bool)
+    points = np.reshape([r.point for r in results], xs.shape)[kept]
+    xs, labels = xs[kept], labels[kept]
+    adv = adversarial_overshoot(xs, points, cfg.kappa)
     rng = make_rng(derive_seed(cfg.master_seed, SEED_BASELINE), stream=0)
-    adv, base, kept = [], [], []
-    for x, lab, res in zip(xs, labels, project_to_boundary(net_a, xs, labels, data_a)):
-        if not res.converged:
-            continue
-        a = adversarial_overshoot(x, res, cfg.kappa)
-        direction = rng.standard_normal(len(x))
-        direction /= np.linalg.norm(direction)
-        b = x + np.linalg.norm(a - x) * direction
-        adv.append(a)
-        base.append(b)
-        kept.append(lab)
+    direction = rng.standard_normal(xs.shape)  # one per kept row, in row order
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    base = xs + np.linalg.norm(adv - xs, axis=1, keepdims=True) * direction
     rates = (0.0, 0.0, 0.0)  # with no converged projection, nothing transfers
-    if kept:
-        adv, base, kept = np.array(adv), np.array(base), np.array(kept)
-        rates = (_fooling_rate(net_b, adv, kept), _fooling_rate(net_a, adv, kept),
-                 _fooling_rate(net_b, base, kept))
-    return {"mode": mode, "kappa": cfg.kappa, "valid": valid and len(kept) > 0,
-            "n_samples": len(kept), "fooling_rate_transfer": rates[0],
+    if len(xs):
+        rates = (_fooling_rate(net_b, adv, labels), _fooling_rate(net_a, adv, labels),
+                 _fooling_rate(net_b, base, labels))
+    return {"mode": mode, "kappa": cfg.kappa, "valid": valid and len(xs) > 0,
+            "n_samples": len(xs), "fooling_rate_transfer": rates[0],
             "fooling_rate_source": rates[1], "fooling_rate_random_baseline": rates[2]}
 
 
@@ -394,7 +391,9 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     """Train many independently seeded networks on a (possibly perturbed)
     symmetric layout, cluster their boundary orientations by the projection
     directions of the layout points, and compare adversarial transfer within
-    vs across clusters."""
+    vs across clusters. A trial fails when its training raises or stops at
+    the epoch cap, or when a layout point's projection did not converge or
+    has distance 0."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check_kappa(kappa)
@@ -402,7 +401,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     train_cfg = TrainConfig(learning_rate=1e-2, max_epochs=5000,
                             batch_size=len(data), accuracy_target=0.99)
 
-    sigs, nets, all_results = [], [], []  # of the trials that did not fail
+    sigs, nets, advs = [], [], []  # of the trials that did not fail
     for t in range(trials):
         try:
             net, report = _train_fresh(SYMMETRY_DIMS, data, train_cfg,
@@ -411,12 +410,13 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
             continue
         if report.stopped_reason != "criterion_met":
             continue
-        # the signature: every layout point's unit projection direction
-        _, results = project_dataset(net, data)
+        projected, results = project_dataset(net, data)
         if not all(r.converged and r.distance != 0 for r in results):
             continue
-        sigs.append(np.array([(r.point - x) / r.distance for x, r in zip(data.samples, results)]))
-        all_results.append(results)
+        # the signature: every layout point's unit projection direction
+        step = projected.samples - data.samples
+        sigs.append(step / np.linalg.norm(step, axis=1, keepdims=True))
+        advs.append(adversarial_overshoot(data.samples, projected.samples, kappa))
         nets.append(net)
 
     # greedy clustering: each signature joins the first cluster whose first
@@ -431,9 +431,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         assignment.append(c)
 
     within_rates, cross_rates = [], []
-    for i in range(len(nets)):
-        adv = np.array([adversarial_overshoot(x, r, kappa)
-                        for x, r in zip(data.samples, all_results[i])])
+    for i, adv in enumerate(advs):
         for j in range(len(nets)):
             if i == j:
                 continue

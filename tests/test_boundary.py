@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -131,22 +130,21 @@ def test_overshoot_crosses_boundary():
     x = np.array([4.0, 3.0])
     net, data, label = _linear_case([0.6, 0.8], 0.0, x)
     [res] = project_to_boundary(net, [x], [label], data)
-    adv = adversarial_overshoot(x, res, kappa=0.1)
+    [adv] = adversarial_overshoot(x[None], res.point[None], kappa=0.1)
     assert margin(net, adv) * margin(net, x) < 0
-    bogus = dataclasses.replace(res, residual=1.0, converged=False)
-    with pytest.raises(ValueError):
-        adversarial_overshoot(x, bogus, kappa=0.1)
 
 
 def test_an_overshoot_starts_from_the_sample_bit_for_bit():
-    # here the sample rebuilt from the projection, point - (point - x), is an ulp off x
-    x = np.array([0.1, 0.7])
-    net, data, label = _linear_case([0.6, 0.8], 0.3, x)
-    [res] = project_to_boundary(net, [x], [label], data)
-    assert not np.array_equal(res.point - (res.point - x), x)
+    # for the first row, the sample rebuilt from the projection, point - (point - x),
+    # is an ulp off x
+    xs = np.array([[0.1, 0.7], [4.0, 3.0], [-1.3, 2.9]])
+    net, data, label = _linear_case([0.6, 0.8], 0.3, xs[0])
+    results = project_to_boundary(net, xs, [label] * len(xs), data)
+    points = np.array([r.point for r in results])
+    assert not np.array_equal(points[0] - (points[0] - xs[0]), xs[0])
     for kappa in (0.1, 0.5, 2.0):
-        np.testing.assert_array_equal(adversarial_overshoot(x, res, kappa),
-                                      x + (1 + kappa) * (res.point - x))
+        np.testing.assert_array_equal(adversarial_overshoot(xs, points, kappa),
+                                      [x + (1 + kappa) * (p - x) for x, p in zip(xs, points)])
 
 
 def test_project_dataset_rejects_misclassified():

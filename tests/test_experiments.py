@@ -7,15 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blab.experiments
 from blab.boundary import project_to_boundary
 from blab.config import (DatasetSpec, ExperimentConfig, config_from_items, config_sections,
                          parse_config)
-from blab.data import DataError, NumericError, gen_gaussian_blobs, import_csv
-from blab.experiments import (TRANSFER_MODES, IterationRecord, build_dataset, checkpoint_resume,
-                              records_to_csv, run_generalization_tracking,
+from blab.data import DataError, Dataset, NumericError, gen_gaussian_blobs, import_csv
+from blab.experiments import (SEED_BASELINE, TRANSFER_MODES, IterationRecord, build_dataset,
+                              checkpoint_resume, records_to_csv, run_generalization_tracking,
                               run_iterative_projection, run_symmetry_experiment, run_transfer,
                               stratified_split)
-from blab.nn import TrainConfig, init_network, load_checkpoint, save_checkpoint
+from blab.nn import (TrainConfig, init_network, is_correct, load_checkpoint, margin_batch,
+                     save_checkpoint)
+from blab.rng import derive_seed, make_rng
 from blab.verify import exact_check_2d
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
@@ -519,12 +522,99 @@ def test_transfer_cross_training_set():
     assert report["fooling_rate_source"] == 1.0
 
 
+def test_transfer_counts_only_converged_sources_each_with_one_baseline_direction(monkeypatch):
+    full = run_transfer(parse_config(CONFIG.with_name("transfer2d.cfg")), "cross_training_set")
+    nets, projected, scored = [], [], []
+    train_fresh, fooling_rate = blab.experiments._train_fresh, blab.experiments._fooling_rate
+
+    def training(*args):
+        net, train_report = train_fresh(*args)
+        nets.append(net)
+        return net, train_report
+
+    def dropping_the_first(net, points, labels, data):
+        results = project_to_boundary(net, points, labels, data)
+        results[0] = dataclasses.replace(results[0], converged=False)
+        projected.append((np.asarray(points), np.asarray(labels), results))
+        return results
+
+    def scoring(net, points, labels):
+        scored.append(points)
+        return fooling_rate(net, points, labels)
+
+    monkeypatch.setattr("blab.experiments._train_fresh", training)
+    monkeypatch.setattr("blab.experiments.project_to_boundary", dropping_the_first)
+    monkeypatch.setattr("blab.experiments._fooling_rate", scoring)
+    cfg = parse_config(CONFIG.with_name("transfer2d.cfg"))
+    report = run_transfer(cfg, "cross_training_set")
+
+    (xs, labels, results), = projected
+    kept = [i for i, r in enumerate(results) if r.converged]
+    assert report["n_samples"] == len(kept) == full["n_samples"] - 1
+    # by hand, row by row: the overshoot of each kept source, and one baseline
+    # direction per kept row drawn in row order
+    rng = make_rng(derive_seed(cfg.master_seed, SEED_BASELINE), stream=0)
+    adv, base = [], []
+    for i in kept:
+        adv.append(xs[i] + (1 + cfg.kappa) * (results[i].point - xs[i]))
+        direction = rng.standard_normal(len(xs[i]))
+        direction /= np.linalg.norm(direction)
+        base.append(xs[i] + np.linalg.norm(adv[-1] - xs[i]) * direction)
+    adv, base = np.array(adv), np.array(base)
+    np.testing.assert_array_equal(scored[0], adv)
+    np.testing.assert_array_equal(scored[1], adv)
+    # a row norm may round its last bit unlike the 1-D norm of that row
+    np.testing.assert_allclose(scored[2], base, rtol=0, atol=1e-12)
+    net_a, net_b = nets
+
+    def fooled(net, points):
+        return float((~is_correct(margin_batch(net, points), labels[kept])).mean())
+
+    assert ((report["fooling_rate_transfer"], report["fooling_rate_source"],
+             report["fooling_rate_random_baseline"])
+            == (fooled(net_b, adv), fooled(net_a, adv), fooled(net_b, base)))
+
+
 def test_transfer_cross_model_needs_second_architecture():
     cfg = small_config()
     with pytest.raises(ValueError, match="dims_b"):
         run_transfer(cfg, "cross_model")
     with pytest.raises(ValueError, match="mode"):
         run_transfer(cfg, "sideways")
+
+
+def test_symmetry_counts_each_kind_of_skipped_trial(monkeypatch):
+    # trial 0's training raises, trial 1's stops at the epoch cap, trial 2 has an
+    # unconverged projection and trial 3 a converged one at distance 0; trials 4
+    # and 5 pass, as every trial of seed 0 does unpatched
+    train_fresh, project_dataset = blab.experiments._train_fresh, blab.experiments.project_dataset
+    trained, projections = [], []
+
+    def training(dims, data, cfg, seed):
+        trained.append(seed)
+        if len(trained) == 1:
+            raise NumericError("training loss diverged")
+        net, report = train_fresh(dims, data, cfg, seed)
+        if len(trained) == 2:
+            report = dataclasses.replace(report, stopped_reason="epoch_cap")
+        return net, report
+
+    def projecting(net, data):
+        _, results = project_dataset(net, data)
+        projections.append(results)
+        if len(projections) == 1:
+            results[1] = dataclasses.replace(results[1], converged=False)
+        elif len(projections) == 2:
+            results[2] = dataclasses.replace(results[2], point=data.samples[2].copy(),
+                                             distance=0.0)
+        return Dataset(np.array([r.point for r in results]), data.labels.copy()), results
+
+    monkeypatch.setattr("blab.experiments._train_fresh", training)
+    monkeypatch.setattr("blab.experiments.project_dataset", projecting)
+    report = run_symmetry_experiment("square_xor", trials=6, master_seed=0)
+    assert (len(trained), len(projections)) == (6, 4)
+    assert report["failed_trials"] == 4
+    assert sum(report["cluster_sizes"]) == 2
 
 
 def test_symmetry_experiment_shape():

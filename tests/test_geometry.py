@@ -273,6 +273,19 @@ def test_claim1_chain_reports_precondition_violation():
     assert not report["passed"]
 
 
+def test_claim1_chain_reports_strictness_and_averaged_chain_violations():
+    # separation holds with equality (|f_0| + |f_1| = |g_0| + |g_1| = 4 = the pair
+    # distance), so neither inequality is strict and the averaged chain reaches 4
+    inst = VectorProjectionInstance(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([0, 1]),
+                                    np.array([[2.0, 0.0], [-2.0, 0.0]]),
+                                    np.array([[0.0, 2.0], [0.0, -2.0]]))
+    report = check_claim1_chain(inst)
+    assert report["orthogonal_everywhere"] and report["precondition_ok"]
+    assert (report["strictness_ok"], report["averaged_chain_ok"]) == (False, False)
+    assert [v["step"] for v in report["violations"]] == ["strictness", "averaged_chain"]
+    assert not report["passed"]
+
+
 def test_claim1_chain_vacuous_without_orthogonality():
     inst = _orthogonal_instance()
     inst = VectorProjectionInstance(inst.points, inst.labels,

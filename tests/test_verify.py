@@ -35,10 +35,10 @@ def test_claims_suite_small():
         "lies at 164.6 deg, between the fan directions 163.125 and 168.75 deg, so the engine "
         "reports 2.083637 against the exact 2.010765 (3.6% over the 2% bound)"))),
     pytest.param(3599392323, marks=pytest.mark.xfail(reason=(
-        "CHANGES.md FOUND on the 1-net oracle suite: the engine puts net 0 sample 27 at "
-        "3.015660 against the exact 2.578085, at (-5.180, -1.180) (17% over the 2% bound); "
-        "none of the 64 fan ray ends at radius 3.015660 lies across the boundary, while "
-        "one of 128 does (205.3 deg)"))),
+        "ROADMAP item 26 on the 1-net oracle suite (perfbench oracle seed 219): net 0 sample "
+        "27's Newton seed stalls 4.1e-5 from the wedge apex, at margin -2.0e-5, so the "
+        "sample gets no fan; the slide of its crossings lands at 3.015660 against the "
+        "exact 2.578085 (17% over the 2% bound)"))),
     *(pytest.param(seed, marks=pytest.mark.xfail(reason=(
         f"CHANGES.md FOUND on the 1-net oracle suite (perfbench oracle seed {bench}): the "
         f"engine puts net 0 sample {sample} at {engine} against the exact {exact} "
