@@ -73,8 +73,8 @@ FAN_DIRECTIONS = 64  # 2D only: global sweep for crossings the local solvers mis
 
 @dataclass
 class ProjectionResult:
+    """One sample's projection; its distance is |point - sample|."""
     point: np.ndarray
-    distance: float
     residual: float
     converged: bool
     method: str
@@ -144,10 +144,11 @@ def hit_boundary(net: MlpNetwork, starts, m) -> tuple[np.ndarray, np.ndarray]:
     return points, m
 
 
-def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
+def _slide(net: MlpNetwork, x, points, m, rows) -> None:
     """Slide points[rows] toward x[rows] along the boundary's tangent plane,
-    in place. A step re-roots each slid point with hit_boundary and keeps it
-    when the distance drops by more than REFINE_TOLERANCE. Each row tries
+    in place. A step measures each row's distance |points - x| and re-roots
+    each slid point with hit_boundary, keeping it when that distance drops
+    by more than REFINE_TOLERANCE. Each row tries
     the fractions of SLIDE_STEPS, the full step first, as many per call as
     SLIDE_SEARCH_MACS allows, and keeps its largest winning step: the one a
     halve-until-it-wins loop would stop at. A row stops when no step helps
@@ -163,7 +164,8 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
         tangent = v - (np.einsum("ij,ij->i", v, g) / g2)[:, None] * g
         keep = np.linalg.norm(tangent, axis=1) > REFINE_TOLERANCE
         act, b, tangent = act[keep], b[keep], tangent[keep]
-        before = dist[act]
+        before = np.linalg.norm(b - x[act], axis=1)
+        after = before.copy()
         moved = np.zeros(len(act), dtype=bool)
         tried = 0
         while tried < len(SLIDE_STEPS):
@@ -180,11 +182,11 @@ def _slide(net: MlpNetwork, x, points, m, dist, rows) -> None:
             found = np.flatnonzero(win.any(axis=0))
             level = win[:, found].argmax(axis=0)  # the first, so the largest, winning step
             won = act[search[found]]
-            points[won], m[won], dist[won] = p[level, found], mp[level, found], d[level, found]
+            points[won], m[won] = p[level, found], mp[level, found]
+            after[search[found]] = d[level, found]
             moved[search[found]] = True
         # gains shrink geometrically; once a step buys less than a small
         # fraction of the distance the slide has effectively converged
-        after = dist[act]
         act = act[moved & (before - after >= REFINE_STALL_FRACTION * after)]
 
 
@@ -228,8 +230,8 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     gets no fan). The crossings and fan rays are solved in one bracket
     solve, and the whole pool is slid in one _slide call. A sample gets its
     converged row of least distance, or its seed when that is within
-    REFINE_TOLERANCE of the least; with no converged row, it gets itself
-    (distance 0, not converged). A misclassified sample raises NumericError.
+    REFINE_TOLERANCE of the least; with no converged row, it gets itself,
+    not converged. A misclassified sample raises NumericError.
     """
     x = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -258,10 +260,9 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     rays, m_rays = bisect_along_segment(net, x[ray_owner], ends, m_x[ray_owner], m_ends)
     owner = np.concatenate([np.arange(s), ray_owner])
     pool, m_pool = np.vstack([seed, rays]), np.concatenate([m_seed, m_rays])
+    crossed = np.linalg.norm(rays[:len(target)] - x[cross_owner], axis=1)
+    _slide(net, x[owner], pool, m_pool, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
     dist = np.linalg.norm(pool - x[owner], axis=1)
-
-    crossed = dist[s:s + len(target)].copy()
-    _slide(net, x[owner], pool, m_pool, dist, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
     methods = ([METHOD_NEWTON] * s
                + [METHOD_COMBINED if after < before - REFINE_TOLERANCE else METHOD_SEGMENT
                   for after, before in zip(dist[s:], crossed)]
@@ -270,15 +271,9 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     key = dist.copy()
     key[:s] -= REFINE_TOLERANCE  # a seed wins ties within REFINE_TOLERANCE
     best = _pick(owner, key, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE), s)
-    results = []
-    for i, b in enumerate(best):
-        if b < 0:
-            results.append(ProjectionResult(x[i].copy(), 0.0, float(abs(m_x[i])), False,
-                                            METHOD_COMBINED))
-        else:
-            results.append(ProjectionResult(pool[b].copy(), float(dist[b]),
-                                            float(abs(m_pool[b])), True, methods[b]))
-    return results
+    return [ProjectionResult(pool[b].copy(), float(abs(m_pool[b])), True, methods[b]) if b >= 0
+            else ProjectionResult(x[i].copy(), float(abs(m_x[i])), False, METHOD_COMBINED)
+            for i, b in enumerate(best)]
 
 
 def adversarial_overshoot(x, points, kappa: float) -> np.ndarray:

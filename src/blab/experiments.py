@@ -188,10 +188,11 @@ class RunDirectory:
                             f"0..{cfg.iterations}")
         return cfg, manifest
 
-    def save_iteration(self, k: int, net: MlpNetwork, working: Dataset, results) -> None:
+    def save_iteration(self, k: int, net: MlpNetwork, working: Dataset, results, distances) -> None:
+        """distances: the row lengths of W_k - W_{k-1}, the projections' distance column."""
         save_checkpoint(net, self.checkpoints / f"iter_{k}.blab")
-        rows = "".join(f"{i},{int(label)},{int(r.converged)},{r.distance!r},{r.residual!r},"
-                       f"{r.method}\n" for i, (label, r) in enumerate(zip(working.labels, results)))
+        rows = "".join(f"{i},{int(label)},{int(r.converged)},{d!r},{r.residual!r},{r.method}\n"
+                       for i, (label, r, d) in enumerate(zip(working.labels, results, distances)))
         write_file(self.projections / f"iter_{k}.csv", PROJECTION_HEADER + "\n" + rows)
         export_csv(working, self.working / f"iter_{k}.csv")
 
@@ -274,8 +275,9 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, 0)]
     window = [first.samples]  # the samples of the last working sets, at most two
 
-    def record(k: int, data: Dataset, net: MlpNetwork, unconverged: int) -> None:
-        # the one rule for record k >= 1, derived or appended; record k - 1 >= 1 gets its phi here
+    def record(k: int, data: Dataset, net: MlpNetwork, unconverged: int) -> np.ndarray:
+        # the one rule for record k >= 1, derived or appended; record k - 1 >= 1 gets its phi
+        # here. Returns the row lengths of W_k - W_{k-1}: iteration k's projection distances
         if len(window) == 2:
             records[-1].global_difference = global_difference(*window, data.samples)
         moved = np.linalg.norm(data.samples - window[-1], axis=1)  # the rows of W_k - W_{k-1}
@@ -283,6 +285,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
         records.append(IterationRecord(
             k, nearest_opposite_mean_distance(data), float(np.mean(moved)),
             accuracy(net, test_data) if test_data is not None else None, unconverged))
+        return moved
 
     for k in range(1, completed + 1):
         path = rd.working / f"iter_{k}.csv"
@@ -310,9 +313,9 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
             unconverged = sum(not r.converged for r in results)
             if unconverged > UNCONVERGED_ABORT_FRACTION * len(data):
                 raise NumericError(f"{unconverged}/{len(data)} projections did not converge")
-            record(k, data, net, unconverged)
+            moved = record(k, data, net, unconverged)
             stage = "aborted_write"
-            rd.save_iteration(k, net, data, results)
+            rd.save_iteration(k, net, data, results, moved.tolist())
             rd.write_records(records)
             rd.write_manifest(cfg, k, "finished" if k == cfg.iterations else "running",
                               started, with_test)
@@ -411,11 +414,12 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
         if report.stopped_reason != "criterion_met":
             continue
         projected, results = project_dataset(net, data)
-        if not all(r.converged and r.distance != 0 for r in results):
+        step = projected.samples - data.samples
+        length = np.linalg.norm(step, axis=1, keepdims=True)
+        if not (all(r.converged for r in results) and length.all()):
             continue
         # the signature: every layout point's unit projection direction
-        step = projected.samples - data.samples
-        sigs.append(step / np.linalg.norm(step, axis=1, keepdims=True))
+        sigs.append(step / length)
         advs.append(adversarial_overshoot(data.samples, projected.samples, kappa))
         nets.append(net)
 

@@ -5,13 +5,11 @@ Nothing here imports another blab module: closed-form halfspace
 projections, the exact linear-region split of a 2D ReLU net (given as raw
 weight arrays) and 2D grid search serve as independent oracles for the
 boundary solver, and the claim checkers evaluate the inequality chains on
-explicit vector instances, reporting where they hold and where they do not.
+explicit vector instances, given as plain arrays (points, labels and the f
+and g projection vectors), reporting where they hold and where they do not.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -26,37 +24,6 @@ TIE_TOLERANCE = 1e-9  # distance gap under which a point counts as equally close
 # than at 8192 in 4 of 10 pairs). Medians of 10 fresh oracle processes per
 # size, 2 vCPUs, 1 BLAS thread.
 GRID_SLAB_POINTS = 1 << 13
-
-
-@dataclass
-class VectorProjectionInstance:
-    points: np.ndarray      # (s, n)
-    labels: np.ndarray      # (s,) in {0,1}
-    f_vectors: np.ndarray   # (s, n) projection vectors attributed to classifier f
-    g_vectors: np.ndarray   # (s, n) projection vectors attributed to classifier g
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.f_vectors = np.asarray(self.f_vectors, dtype=np.float64)
-        self.g_vectors = np.asarray(self.g_vectors, dtype=np.float64)
-        if self.labels.shape != (len(self.points),):
-            raise ValueError("labels length must match points")
-        for arr in (self.f_vectors, self.g_vectors):
-            if arr.shape != self.points.shape:
-                raise ValueError("vector arrays must match points shape")
-
-    def norms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """|f|, |g| and |h| per sample, for the midpoint vectors h = (f + g)/2,
-        and whether f and g are orthogonal at every sample."""
-        f, g = self.f_vectors, self.g_vectors
-        fn, gn, hn = (np.linalg.norm(v, axis=1) for v in (f, g, 0.5 * (f + g)))
-        cos = np.abs((f * g).sum(axis=1)) / np.maximum(fn * gn, 1e-300)
-        return fn, gn, hn, bool((cos <= ORTHOGONAL_TOLERANCE).all())
-
-    def to_jsonable(self) -> dict:
-        return {"points": self.points.tolist(), "labels": self.labels.tolist(),
-                "f_vectors": self.f_vectors.tolist(), "g_vectors": self.g_vectors.tolist()}
 
 
 def halfspace_projection(w, b: float, x) -> np.ndarray:
@@ -246,72 +213,74 @@ def ratio_bound(a, b):
     return a / b + b / a
 
 
-def check_claim1_chain(instance: VectorProjectionInstance) -> dict:
+def _norms(f_vectors, g_vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """|f|, |g| and |h| per sample, for the midpoint vectors h = (f + g)/2, and whether
+    f and g are orthogonal at every sample; ValueError unless f and g share a shape."""
+    f, g = np.asarray(f_vectors, dtype=np.float64), np.asarray(g_vectors, dtype=np.float64)
+    if f.shape != g.shape:
+        raise ValueError("f and g vector arrays must have one shape")
+    fn, gn, hn = (np.linalg.norm(v, axis=1) for v in (f, g, 0.5 * (f + g)))
+    cos = np.abs((f * g).sum(axis=1)) / np.maximum(fn * gn, 1e-300)
+    return fn, gn, hn, bool((cos <= ORTHOGONAL_TOLERANCE).all())
+
+
+def check_claim1_chain(points, labels, f_vectors, g_vectors) -> dict:
     """Verify the inequality chain behind the symmetry-uniqueness argument
-    on one vector instance.
+    on one vector instance: (s, n) points, their (s,) labels in {0, 1} and
+    the (s, n) projection vectors attributed to the classifiers f and g.
 
     Per opposite-label pair: (i) pointwise-orthogonal f/g vectors force at
     least one of the two separation inequalities to be strict; (ii) the
     averaged chain stays strictly below the pair distance; (iii) the
-    midpoint vector obeys the triangle inequality. Precondition failures and
-    violated steps are reported, never raised.
+    midpoint vector obeys the triangle inequality. All pairs are evaluated
+    at once and reported in (class-0 index, class-1 index) order, a pair's
+    strictness first. Precondition failures and violated steps are
+    reported, never raised; arrays of the wrong shape raise ValueError.
     """
-    pts, labels = instance.points, instance.labels
-    fn, gn, hn, orthogonal_everywhere = instance.norms()
+    pts, labels = np.asarray(points, dtype=np.float64), np.asarray(labels)
+    if labels.shape != (len(pts),) or np.shape(f_vectors) != pts.shape:
+        raise ValueError("labels and vector arrays must match the points")
+    fn, gn, hn, orthogonal_everywhere = _norms(f_vectors, g_vectors)
+    tri_bad = hn > 0.5 * (fn + gn) + 1e-12  # step (iii) is unconditional
 
-    report = {
+    i, j = np.nonzero((labels == 0)[:, None] & (labels == 1))  # product(class 0, class 1) order
+    diff = pts[i] - pts[j]
+    dist = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())  # norm(v)'s dot, per pair
+    sum_f, sum_g = fn[i] + fn[j], gn[i] + gn[j]
+    separated = (sum_f <= dist + 1e-12) & (sum_g <= dist + 1e-12)
+    checked = separated & orthogonal_everywhere
+    avg = 0.5 * (fn[i] + gn[i]) + 0.5 * (fn[j] + gn[j])
+    loose, long = checked & (sum_f >= dist) & (sum_g >= dist), checked & (avg >= dist)
+
+    pairs, lhs, rhs = np.column_stack([i, j]).tolist(), avg.tolist(), dist.tolist()
+    bad, step = np.nonzero(np.column_stack([loose, long]))  # pair by pair, strictness first
+    violations = ([{"step": "triangle", "indices": np.flatnonzero(tri_bad).tolist()}]
+                  if tri_bad.any() else [])
+    violations += [{"step": "averaged_chain", "pair": pairs[k], "lhs": lhs[k], "rhs": rhs[k]}
+                   if averaged else {"step": "strictness", "pair": pairs[k]}
+                   for k, averaged in zip(bad.tolist(), step.tolist())]
+    return {
         "orthogonal_everywhere": orthogonal_everywhere,
-        "precondition_ok": True,
-        "precondition_violations": [],
-        "strictness_ok": True,
-        "averaged_chain_ok": True,
-        "triangle_ok": True,
-        "violations": [],
-        "pairs_checked": 0,
+        "precondition_ok": bool(separated.all()),
+        "precondition_violations": [pairs[k] for k in np.flatnonzero(~separated)],
+        "strictness_ok": not loose.any(),
+        "averaged_chain_ok": not long.any(),
+        "triangle_ok": not tri_bad.any(),
+        "violations": violations,
+        "pairs_checked": int(separated.sum()),
+        "passed": bool(separated.all()) and not (loose.any() or long.any() or tri_bad.any()),
     }
 
-    # step (iii) is unconditional
-    tri_bad = hn > 0.5 * (fn + gn) + 1e-12
-    if tri_bad.any():
-        report["triangle_ok"] = False
-        report["violations"].append({"step": "triangle", "indices": np.flatnonzero(tri_bad).tolist()})
 
-    idx0, idx1 = (np.flatnonzero(labels == c).tolist() for c in (0, 1))
-    for i, j in product(idx0, idx1):
-        dist = float(np.linalg.norm(pts[i] - pts[j]))
-        sep_f = fn[i] + fn[j] <= dist + 1e-12
-        sep_g = gn[i] + gn[j] <= dist + 1e-12
-        if not (sep_f and sep_g):
-            report["precondition_ok"] = False
-            report["precondition_violations"].append([i, j])
-            continue
-        report["pairs_checked"] += 1
-        if not orthogonal_everywhere:
-            continue
-        strict_f = fn[i] + fn[j] < dist
-        strict_g = gn[i] + gn[j] < dist
-        if not (strict_f or strict_g):
-            report["strictness_ok"] = False
-            report["violations"].append({"step": "strictness", "pair": [i, j]})
-        avg = 0.5 * (fn[i] + gn[i]) + 0.5 * (fn[j] + gn[j])
-        if not avg < dist:
-            report["averaged_chain_ok"] = False
-            report["violations"].append({"step": "averaged_chain", "pair": [i, j],
-                                         "lhs": avg, "rhs": dist})
-    report["passed"] = (report["precondition_ok"] and report["strictness_ok"]
-                        and report["averaged_chain_ok"] and report["triangle_ok"])
-    return report
-
-
-def check_claim2_product(instance: VectorProjectionInstance) -> dict:
-    """Evaluate the midpoint-classifier product inequality on one instance.
+def check_claim2_product(f_vectors, g_vectors) -> dict:
+    """Evaluate the midpoint-classifier product inequality on one instance's f and g vectors.
 
     Computes h = (f + g)/2 per sample and reports whether
     prod|h| > prod|f| = prod|g| actually holds, raising a counterexample
     flag when it does not (orthogonal equal-norm vectors are a concrete
     failure case).
     """
-    fn, gn, hn, orthogonal_everywhere = instance.norms()
+    fn, gn, hn, orthogonal_everywhere = _norms(f_vectors, g_vectors)
     if (fn == 0).any() or (gn == 0).any():
         raise ValueError("zero-norm projection vector")
 

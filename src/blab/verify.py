@@ -10,9 +10,8 @@ import numpy as np
 
 from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
-from .geometry import (GridBoundary, PiecewiseLinearBoundary, VectorProjectionInstance,
-                       check_claim1_chain, check_claim2_product, halfspace_projection,
-                       ratio_bound)
+from .geometry import (GridBoundary, PiecewiseLinearBoundary, check_claim1_chain,
+                       check_claim2_product, halfspace_projection, ratio_bound)
 from .nn import (MlpNetwork, TrainConfig, active_units, grad_input, init_network, is_correct,
                  margin, margin_batch, train)
 from .rng import derive_seed, make_rng
@@ -125,16 +124,14 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
             if not converged.any():
                 continue
         picks = picks[converged]  # the converged picks still face both checks
-        reported = [res.distance for res in projections if res.converged]
         box, engine, exact, passed = exact_check_2d(
             net, data.samples[picks], np.array([res.point for res in projections])[converged])
         grid = GridBoundary(lambda pts: margin_batch(net, pts), box, CROSS_CHECK_STEP)
-        for i, d, d_exact, ok, r in zip(picks.tolist(), engine.tolist(), exact.tolist(), passed,
-                                        reported):
+        for i, d, d_exact, ok in zip(picks.tolist(), engine.tolist(), exact.tolist(), passed):
             _, d_grid = grid.nearest(data.samples[i])
             rel = abs(d - d_exact) / max(d_exact, 1e-12)
             worst_rel = max(worst_rel, rel)
-            if not ok or abs(r - d) > 1e-12 * d:  # the reported distance is its point's
+            if not ok:
                 exact_ok = False
                 if failing is None:
                     failing = {"net": n, "sample": i, "solver": d, "exact": d_exact, "rel": rel}
@@ -166,21 +163,22 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
         anchor = halfspace_projection(w, c, x) - (2.0 if m > 0 else -2.0) * w / np.linalg.norm(w)
         data = Dataset(np.vstack([x, anchor]), np.array([label, 1 - label]))
         res = project_to_boundary(net, x[None, :], [label], data)[0]
+        [solver] = np.linalg.norm([res.point - x], axis=1).tolist()  # as the engine measures it
         exact = np.linalg.norm(halfspace_projection(w, c, x) - x)
-        err = abs(res.distance - exact)
+        err = abs(solver - exact)
         worst_abs = max(worst_abs, err)
         if err > 1e-3:
             linear_ok = False
             if failing is None:
-                failing = {"linear_case": t, "solver": res.distance, "exact": float(exact)}
+                failing = {"linear_case": t, "solver": solver, "exact": float(exact)}
     results.append(("linear analytic oracle (20 cases)", linear_ok,
                     f"worst absolute gap {worst_abs:.2e}"))
     return results, failing
 
 
-def random_claim1_instance(seed: int) -> VectorProjectionInstance:
-    """Instance with pointwise-orthogonal f/g vectors whose norms satisfy the
-    pair-separation preconditions with strict slack."""
+def random_claim1_instance(seed: int) -> dict:
+    """check_claim1_chain's keyword arguments for an instance with pointwise-orthogonal
+    f/g vectors whose norms satisfy the pair-separation preconditions with strict slack."""
     rng = make_rng(seed, stream=0xC1A1)
     s, dim = 6, 4  # points, dimension
     half = s // 2
@@ -199,7 +197,7 @@ def random_claim1_instance(seed: int) -> VectorProjectionInstance:
         v /= np.linalg.norm(v)
         f_vecs[i] = rng.uniform(0.05, 0.2) * d_min * u
         g_vecs[i] = rng.uniform(0.05, 0.2) * d_min * v
-    return VectorProjectionInstance(pts, labels, f_vecs, g_vecs)
+    return {"points": pts, "labels": labels, "f_vectors": f_vecs, "g_vectors": g_vecs}
 
 
 def claims_suite(instances: int = 1000, ratio_samples: int = 100_000,
@@ -210,12 +208,12 @@ def claims_suite(instances: int = 1000, ratio_samples: int = 100_000,
     chain_ok = True
     for k in range(instances):
         inst = random_claim1_instance(derive_seed(seed, k))
-        report = check_claim1_chain(inst)
+        report = check_claim1_chain(**inst)
         if not report["passed"]:
             chain_ok = False
-            if failing is None:
+            if failing is None:  # check_claim1_chain(**failing["instance"]) replays it
                 failing = {"instance_seed": derive_seed(seed, k), "report": report,
-                           "instance": inst.to_jsonable()}
+                           "instance": {key: a.tolist() for key, a in inst.items()}}
     results.append((f"claim-1 chain on {instances} randomized instances", chain_ok, ""))
 
     rng = make_rng(seed, stream=0x4A71)
@@ -229,19 +227,13 @@ def claims_suite(instances: int = 1000, ratio_samples: int = 100_000,
                     f"min {rb.min():.15f}"))
 
     # designed instances: orthogonal equal-norm must be flagged, collinear must not
-    orth = VectorProjectionInstance(
-        points=np.array([[0.0, 0.0], [4.0, 0.0]]), labels=np.array([0, 1]),
-        f_vectors=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-        g_vectors=np.array([[0.0, 1.0], [0.0, -1.0]]))
-    orth_report = check_claim2_product(orth)
+    f = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    orth_report = check_claim2_product(f, np.array([[0.0, 1.0], [0.0, -1.0]]))
     orth_ok = orth_report["counterexample"] and not orth_report["strict_product_inequality"]
     results.append(("claim-2 flags the orthogonal equal-norm counterexample", orth_ok,
                     f"prod_h={orth_report['prod_h']:.6f} vs prod_f={orth_report['prod_f']:.6f}"))
 
-    coll = VectorProjectionInstance(
-        points=orth.points, labels=orth.labels,
-        f_vectors=orth.f_vectors, g_vectors=orth.f_vectors.copy())
-    coll_report = check_claim2_product(coll)
+    coll_report = check_claim2_product(f, f)
     coll_ok = (not coll_report["counterexample"]
                and abs(coll_report["prod_h"] - coll_report["prod_f"]) <= 1e-12)
     results.append(("claim-2 accepts the collinear equality instance", coll_ok, ""))

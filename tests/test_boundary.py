@@ -39,7 +39,7 @@ def test_projection_matches_halfspace_frozen_case():
     net, data, label = _linear_case([0.6, 0.8], 0.0, [4.0, 3.0])
     [res] = project_to_boundary(net, [[4.0, 3.0]], [label], data)
     assert res.converged
-    assert res.distance == pytest.approx(4.8, abs=1e-6)
+    assert np.linalg.norm(res.point - [4.0, 3.0]) == pytest.approx(4.8, abs=1e-6)
     np.testing.assert_allclose(res.point, [1.12, -0.84], atol=1e-6)
 
 
@@ -56,7 +56,7 @@ def test_projection_random_linear_cases():
         [res] = project_to_boundary(net, [x], [label], data)
         exact = abs(float(w @ x) + b)
         assert res.converged
-        assert res.distance == pytest.approx(exact, abs=1e-6)
+        assert np.linalg.norm(res.point - x) == pytest.approx(exact, abs=1e-6)
 
 
 def test_point_on_boundary_projects_to_itself():
@@ -78,7 +78,7 @@ def test_a_seed_stopped_by_a_zero_gradient_still_gets_its_segment_crossing():
     [res] = project_to_boundary(net, data.samples[:1], data.labels[:1], data)
     assert res.converged and res.method == METHOD_SEGMENT
     np.testing.assert_allclose(res.point, [1.5, 0.0], atol=1e-12)
-    assert res.distance == pytest.approx(1.5, abs=1e-12)
+    assert np.linalg.norm(res.point - data.samples[0]) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_an_unconverged_sample_is_its_own_projection(monkeypatch, easy_blobs):
@@ -91,7 +91,7 @@ def test_an_unconverged_sample_is_its_own_projection(monkeypatch, easy_blobs):
     for x, m_x, r in zip(easy_blobs.samples, m, results, strict=True):
         assert not r.converged
         np.testing.assert_array_equal(r.point, x)
-        assert r.distance == 0.0 and r.residual == abs(m_x)
+        assert r.residual == abs(m_x)
 
 
 def test_bisect_requires_sign_change():
@@ -123,7 +123,7 @@ def test_distance_never_exceeds_nearest_opposite_sample(easy_blobs):
     for i, r in enumerate(results):
         opp = easy_blobs.samples[easy_blobs.labels != easy_blobs.labels[i]]
         nearest = np.linalg.norm(opp - easy_blobs.samples[i], axis=1).min()
-        assert r.distance <= nearest + 1e-9
+        assert np.linalg.norm(r.point - easy_blobs.samples[i]) <= nearest + 1e-9
 
 
 def test_overshoot_crosses_boundary():
@@ -331,9 +331,9 @@ def _trained_blobs2d():
 def test_engine_is_no_farther_than_the_per_sample_solver_at_10d():
     net, data = _trained_10d()
     _, results = project_dataset(net, data)
-    for r, old in zip(results, PER_SAMPLE_SOLVER_10D, strict=True):
+    for x, r, old in zip(data.samples, results, PER_SAMPLE_SOLVER_10D, strict=True):
         assert r.converged
-        assert r.distance <= old * 1.0025
+        assert np.linalg.norm(r.point - x) <= old * 1.0025
 
 
 def test_cascade_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -355,7 +355,7 @@ def test_cascade_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert path.read_bytes() == (two / path.relative_to(one)).read_bytes(), path.name
 
 
-def _sequential_slide(net, x, points, m, dist, rows):
+def _sequential_slide(net, x, points, m, rows):
     """The slide before the lockstep step search, kept as its reference: each
     step tries eta = 1, 0.5, 0.25, ... down to REFINE_STALL_FRACTION, one
     hit_boundary call per halving, and a row keeps the first step that wins."""
@@ -372,7 +372,8 @@ def _sequential_slide(net, x, points, m, dist, rows):
         tangent = v - (np.einsum("ij,ij->i", v, g) / g2)[:, None] * g
         keep = np.linalg.norm(tangent, axis=1) > REFINE_TOLERANCE
         act, b, tangent = act[keep], b[keep], tangent[keep]
-        before = dist[act]
+        before = np.linalg.norm(b - x[act], axis=1)
+        after = before.copy()
         moved = np.zeros(len(act), dtype=bool)
         search = np.arange(len(act))
         eta = 1.0
@@ -382,11 +383,11 @@ def _sequential_slide(net, x, points, m, dist, rows):
             d = np.linalg.norm(p - x[act[search]], axis=1)
             win = (np.abs(mp) <= BOUNDARY_TOLERANCE) & (d < before[search] - REFINE_TOLERANCE)
             won = act[search[win]]
-            points[won], m[won], dist[won] = p[win], mp[win], d[win]
+            points[won], m[won] = p[win], mp[win]
+            after[search[win]] = d[win]
             moved[search[win]] = True
             search = search[~win]
             eta *= 0.5
-        after = dist[act]
         act = act[moved & (before - after >= REFINE_STALL_FRACTION * after)]
 
 
@@ -395,9 +396,9 @@ def _slide_inputs(monkeypatch, net, data):
     calls = []
     real = blab.boundary._slide
 
-    def recording(net, x, points, m, dist, rows):
-        calls.append(tuple(a.copy() for a in (x, points, m, dist, rows)))
-        real(net, x, points, m, dist, rows)
+    def recording(net, x, points, m, rows):
+        calls.append(tuple(a.copy() for a in (x, points, m, rows)))
+        real(net, x, points, m, rows)
 
     monkeypatch.setattr(blab.boundary, "_slide", recording)
     project_dataset(net, data)
@@ -411,11 +412,12 @@ def test_lockstep_slide_keeps_the_largest_winning_step(monkeypatch, trained):
     calls = _slide_inputs(monkeypatch, net, data)
     assert len(calls) == 1  # one slide over the whole candidate pool
     moved = 0
-    for x, points, m, dist, rows in calls:
-        start = dist.copy()
-        ref_points, ref_m, ref_dist = points.copy(), m.copy(), dist.copy()
-        _sequential_slide(net, x, ref_points, ref_m, ref_dist, rows)
-        blab.boundary._slide(net, x, points, m, dist, rows)
+    for x, points, m, rows in calls:
+        start = np.linalg.norm(points - x, axis=1)
+        ref_points, ref_m = points.copy(), m.copy()
+        _sequential_slide(net, x, ref_points, ref_m, rows)
+        blab.boundary._slide(net, x, points, m, rows)
+        dist, ref_dist = (np.linalg.norm(p - x, axis=1) for p in (points, ref_points))
         moved += (dist != start).sum()
         np.testing.assert_array_equal(dist != start, ref_dist != start)
         # each hit_boundary batch holds other rows than the reference's, so
@@ -429,11 +431,11 @@ def test_a_halving_per_call_is_the_sequential_slide_bit_for_bit(monkeypatch):
     net, data = _trained_blobs2d()
     calls = _slide_inputs(monkeypatch, net, data)
     monkeypatch.setattr(blab.boundary, "SLIDE_SEARCH_MACS", 0)
-    for x, points, m, dist, rows in calls:
-        ref = [a.copy() for a in (points, m, dist)]
+    for x, points, m, rows in calls:
+        ref = [a.copy() for a in (points, m)]
         _sequential_slide(net, x, *ref, rows)
-        blab.boundary._slide(net, x, points, m, dist, rows)
-        for got, want in zip((points, m, dist), ref):
+        blab.boundary._slide(net, x, points, m, rows)
+        for got, want in zip((points, m), ref):
             np.testing.assert_array_equal(got, want)
 
 
@@ -458,6 +460,6 @@ def test_a_slide_step_reroots_in_one_hit_boundary_call(monkeypatch):
 
     monkeypatch.setattr(blab.boundary, "grad_input", counted_grad)
     monkeypatch.setattr(blab.boundary, "hit_boundary", counted_hit)
-    for x, points, m, dist, rows in calls:
-        blab.boundary._slide(net, x, points, m, dist, rows)
+    for x, points, m, rows in calls:
+        blab.boundary._slide(net, x, points, m, rows)
     assert max(steps) == 1  # every step fraction of a 2-D slide step in one call

@@ -34,6 +34,8 @@ def test_idx_roundtrip(tmp_path):
     back = load_idx(tmp_path / "img.idx", tmp_path / "lab.idx")
     np.testing.assert_allclose(back.samples, data.samples, atol=1e-12)
     np.testing.assert_array_equal(back.labels, data.labels)
+    with pytest.raises(DataError, match="rows\\*cols"):  # 4 x 5 pixels for 16 features
+        save_idx(data, tmp_path / "img.idx", tmp_path / "lab.idx", 4, 5)
 
 
 @pytest.mark.parametrize("write", [

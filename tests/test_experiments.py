@@ -224,7 +224,9 @@ def test_blobs2d_cascade_projections_match_the_frozen_picks(tmp_path):
 
 
 # inputs of the exact-check sweep beside the shipped config: input i sets master_seed i
-# and dataset.seed 500 + i; 9 inputs fit a tier-1 budget of 10 s on 2 vCPUs
+# and dataset.seed 500 + i. On 2 vCPUs with OPENBLAS_NUM_THREADS=1 the 9 take about
+# 14 s: inputs 4 and 6 about 5.5 s each (input 4 trains to the epoch cap in iteration
+# 2, input 6 trains long), the other seven under 1 s each
 SWEEP_INPUTS = 9
 
 
@@ -233,8 +235,9 @@ SWEEP_INPUTS = 9
                          ids=["shipped"] + [f"input{i}" for i in range(SWEEP_INPUTS)])
 def test_the_shipped_cascade_projects_within_2pct_of_the_exact_boundary(tmp_path, sets):
     # the exact 2-D check on every converged projection a real run makes, read back from
-    # its files, and the recorded distance is its point's; a run that hits the epoch cap
-    # is checked on the iterations it finished
+    # its files, whose distance column is the row length of W_k - W_{k-1} that the
+    # check measures too; a run that hits the epoch cap is checked on the iterations
+    # it finished
     cfg = parse_config(CONFIG, sets)
     assert cfg.iterations == 5
     run = tmp_path / "run"
@@ -253,7 +256,7 @@ def test_the_shipped_cascade_projects_within_2pct_of_the_exact_boundary(tmp_path
         converged = np.array([row[2] == "1" for row in rows])
         _, engine, exact, passed = exact_check_2d(net, before[converged], after[converged])
         reported = np.array([float(row[3]) for row in rows])[converged]
-        assert reported == pytest.approx(engine, rel=1e-12, abs=0), f"iteration {k}"
+        np.testing.assert_array_equal(reported, engine, err_msg=f"iteration {k}")
         assert passed.all(), [f"iteration {k} sample {i}: engine {d!r}, exact {d_exact!r}"
                               for i, d, d_exact, ok in zip(np.flatnonzero(converged), engine,
                                                            exact, passed) if not ok]
@@ -605,8 +608,7 @@ def test_symmetry_counts_each_kind_of_skipped_trial(monkeypatch):
         if len(projections) == 1:
             results[1] = dataclasses.replace(results[1], converged=False)
         elif len(projections) == 2:
-            results[2] = dataclasses.replace(results[2], point=data.samples[2].copy(),
-                                             distance=0.0)
+            results[2] = dataclasses.replace(results[2], point=data.samples[2].copy())
         return Dataset(np.array([r.point for r in results]), data.labels.copy()), results
 
     monkeypatch.setattr("blab.experiments._train_fresh", training)

@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 
 from blab.data import gen_symmetric_layout
 from blab.geometry import (GRID_SLAB_POINTS, GridBoundary, PiecewiseLinearBoundary,
-                           VectorProjectionInstance, check_claim1_chain,
-                           check_claim2_product, enumerate_square_xor_projections,
-                           halfspace_projection, ratio_bound)
+                           check_claim1_chain, check_claim2_product,
+                           enumerate_square_xor_projections, halfspace_projection, ratio_bound)
 from blab.nn import margin_batch
 from blab.rng import derive_seed, make_rng
 from blab.verify import CROSS_CHECK_STEP, _train_2d_net
@@ -110,8 +109,10 @@ def test_grid_scan_memory_is_bounded_by_its_slab():
 
 
 def test_grid_boundary_rejects_empty_field():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no margin sign change"):
         GridBoundary(lambda pts: np.ones(len(pts)), ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        GridBoundary(lambda pts: pts[:, 0], ((-1.0, 1.0), (-1.0, 1.0)), 0)
 
 
 def test_grid_zeros_without_a_sign_change_are_the_crossings():
@@ -250,15 +251,14 @@ def test_ratio_bound_at_least_two(a, b):
 
 
 def _orthogonal_instance(scale=0.2):
-    pts = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-    labels = np.array([0, 1])
-    f = scale * np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    g = scale * np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-    return VectorProjectionInstance(pts, labels, f, g)
+    """check_claim1_chain's arguments: two points 4 apart with orthogonal f/g vectors."""
+    return {"points": np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]), "labels": np.array([0, 1]),
+            "f_vectors": scale * np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            "g_vectors": scale * np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])}
 
 
 def test_claim1_chain_passes_on_valid_orthogonal_instance():
-    report = check_claim1_chain(_orthogonal_instance())
+    report = check_claim1_chain(**_orthogonal_instance())
     assert report["passed"]
     assert report["orthogonal_everywhere"]
     assert report["pairs_checked"] == 1
@@ -267,7 +267,7 @@ def test_claim1_chain_passes_on_valid_orthogonal_instance():
 
 def test_claim1_chain_reports_precondition_violation():
     inst = _orthogonal_instance(scale=3.0)  # vector norms exceed the pair distance
-    report = check_claim1_chain(inst)
+    report = check_claim1_chain(**inst)
     assert not report["precondition_ok"]
     assert report["precondition_violations"] == [[0, 1]]
     assert not report["passed"]
@@ -276,10 +276,9 @@ def test_claim1_chain_reports_precondition_violation():
 def test_claim1_chain_reports_strictness_and_averaged_chain_violations():
     # separation holds with equality (|f_0| + |f_1| = |g_0| + |g_1| = 4 = the pair
     # distance), so neither inequality is strict and the averaged chain reaches 4
-    inst = VectorProjectionInstance(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([0, 1]),
-                                    np.array([[2.0, 0.0], [-2.0, 0.0]]),
-                                    np.array([[0.0, 2.0], [0.0, -2.0]]))
-    report = check_claim1_chain(inst)
+    report = check_claim1_chain(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([0, 1]),
+                                np.array([[2.0, 0.0], [-2.0, 0.0]]),
+                                np.array([[0.0, 2.0], [0.0, -2.0]]))
     assert report["orthogonal_everywhere"] and report["precondition_ok"]
     assert (report["strictness_ok"], report["averaged_chain_ok"]) == (False, False)
     assert [v["step"] for v in report["violations"]] == ["strictness", "averaged_chain"]
@@ -288,16 +287,14 @@ def test_claim1_chain_reports_strictness_and_averaged_chain_violations():
 
 def test_claim1_chain_vacuous_without_orthogonality():
     inst = _orthogonal_instance()
-    inst = VectorProjectionInstance(inst.points, inst.labels,
-                                    inst.f_vectors, inst.f_vectors.copy())
-    report = check_claim1_chain(inst)
+    report = check_claim1_chain(**dict(inst, g_vectors=inst["f_vectors"].copy()))
     assert not report["orthogonal_everywhere"]
     assert report["passed"]  # no orthogonal strictness claims to violate
 
 
 def test_claim2_flags_orthogonal_equal_norm_counterexample():
     inst = _orthogonal_instance()
-    report = check_claim2_product(inst)
+    report = check_claim2_product(inst["f_vectors"], inst["g_vectors"])
     assert report["orthogonal_everywhere"]
     assert report["equal_products_premise"]
     assert not report["strict_product_inequality"]
@@ -307,30 +304,96 @@ def test_claim2_flags_orthogonal_equal_norm_counterexample():
 
 
 def test_claim2_accepts_collinear_equality():
-    inst = _orthogonal_instance()
-    coll = VectorProjectionInstance(inst.points, inst.labels,
-                                    inst.f_vectors, inst.f_vectors.copy())
-    report = check_claim2_product(coll)
+    f = _orthogonal_instance()["f_vectors"]
+    report = check_claim2_product(f, f.copy())
     assert not report["counterexample"]
     assert report["prod_h"] == pytest.approx(report["prod_f"], rel=1e-12)
 
 
 def test_claim2_rejects_zero_vectors():
     inst = _orthogonal_instance()
-    zeroed = VectorProjectionInstance(inst.points, inst.labels,
-                                      np.zeros_like(inst.f_vectors), inst.g_vectors)
     with pytest.raises(ValueError):
-        check_claim2_product(zeroed)
+        check_claim2_product(np.zeros_like(inst["f_vectors"]), inst["g_vectors"])
 
 
 def test_instance_json_roundtrip():
+    # a failing case is stored as lists and replays from them
     inst = _orthogonal_instance()
-    back = VectorProjectionInstance(**json.loads(json.dumps(inst.to_jsonable())))
-    np.testing.assert_array_equal(back.points, inst.points)
-    np.testing.assert_array_equal(back.g_vectors, inst.g_vectors)
+    stored = json.loads(json.dumps({key: a.tolist() for key, a in inst.items()}))
+    assert check_claim1_chain(**stored) == check_claim1_chain(**inst)
+    assert check_claim2_product(stored["f_vectors"], stored["g_vectors"]) == \
+        check_claim2_product(inst["f_vectors"], inst["g_vectors"])
+    # a malformed one fails loudly
+    for bad in ({"labels": inst["labels"][:1]}, {"f_vectors": inst["f_vectors"][:, :2]},
+                {"g_vectors": inst["g_vectors"][:1]}):
+        with pytest.raises(ValueError):
+            check_claim1_chain(**dict(inst, **bad))
     with pytest.raises(ValueError):
-        VectorProjectionInstance(inst.points, inst.labels[:1],
-                                 inst.f_vectors, inst.g_vectors)
+        check_claim2_product(inst["f_vectors"], inst["g_vectors"][:1])
+
+
+_HUGE_F = [-5418472.556872649, 5264804.449396003]
+_HUGE_G = [-1122013.511583749, 1090193.1616459035]
+
+
+def _passed(**flags):
+    """A claim-1 report with every step ok, but for flags."""
+    return dict({"orthogonal_everywhere": True, "precondition_ok": True,
+                 "precondition_violations": [], "strictness_ok": True, "averaged_chain_ok": True,
+                 "triangle_ok": True, "violations": [], "pairs_checked": 1, "passed": True},
+                **flags)
+
+
+def _claim2(*values):
+    """A claim-2 report of these values, in its key order."""
+    return dict(zip(["prod_f", "prod_g", "prod_h", "equal_products_premise",
+                     "orthogonal_everywhere", "strict_product_inequality", "counterexample"],
+                    values, strict=True))
+
+
+# whole claim reports on every branch of both checkers, frozen as literals
+@pytest.mark.parametrize("instance, claim1, claim2", [
+    (_orthogonal_instance(), _passed(),
+     _claim2(0.04000000000000001, 0.04000000000000001, 0.020000000000000007, True, True, False,
+             True)),
+    (_orthogonal_instance(3.0),
+     _passed(precondition_ok=False, precondition_violations=[[0, 1]], pairs_checked=0,
+             passed=False),
+     _claim2(9.0, 9.0, 4.499999999999999, True, True, False, True)),
+    ({"points": [[0.0, 0.0], [4.0, 0.0]], "labels": [0, 1],
+      "f_vectors": [[2.0, 0.0], [-2.0, 0.0]], "g_vectors": [[0.0, 2.0], [0.0, -2.0]]},
+     _passed(strictness_ok=False, averaged_chain_ok=False, passed=False, violations=[
+         {"step": "strictness", "pair": [0, 1]},
+         {"step": "averaged_chain", "pair": [0, 1], "lhs": 4.0, "rhs": 4.0}]),
+     _claim2(4.0, 4.0, 2.0000000000000004, True, True, False, True)),
+    (dict(_orthogonal_instance(), g_vectors=_orthogonal_instance()["f_vectors"]),
+     _passed(orthogonal_everywhere=False),
+     _claim2(0.04000000000000001, 0.04000000000000001, 0.04000000000000001, True, False, False,
+             False)),
+    # collinear f and g about 5e6 long: |(f + g)/2| <= (|f| + |g|)/2 holds, but rounding
+    # alone breaks the triangle step's absolute 1e-12 slack
+    ({"points": [[0.0, 0.0], [1e9, 0.0]], "labels": [0, 1],
+      "f_vectors": [_HUGE_F, [-c for c in _HUGE_F]], "g_vectors": [_HUGE_G, [-c for c in _HUGE_G]]},
+     _passed(orthogonal_everywhere=False, triangle_ok=False, passed=False,
+             violations=[{"step": "triangle", "indices": [0, 1]}]),
+     _claim2(57078010739961.97, 2447435449875.9863, 20790988162005.145, False, False, False,
+             False)),
+    # pairs (0,3) and (2,3) meet separation with equality, (1,4) breaks it
+    ({"points": [[0.0, 0.0], [0.0, 3.0], [0.0, -3.0], [4.0, 0.0], [4.0, 3.0]],
+      "labels": [0, 0, 0, 1, 1],
+      "f_vectors": [[2.0, 0.0], [2.0, 0.0], [3.0, 0.0], [-2.0, 0.0], [-3.0, 0.0]],
+      "g_vectors": [[0.0, 2.0], [0.0, 3.0], [0.0, 3.0], [0.0, -2.0], [0.0, -1.0]]},
+     _passed(precondition_ok=False, precondition_violations=[[1, 4]], strictness_ok=False,
+             averaged_chain_ok=False, pairs_checked=5, passed=False, violations=[
+                 {"step": "strictness", "pair": [0, 3]},
+                 {"step": "averaged_chain", "pair": [0, 3], "lhs": 4.0, "rhs": 4.0},
+                 {"step": "strictness", "pair": [2, 3]},
+                 {"step": "averaged_chain", "pair": [2, 3], "lhs": 5.0, "rhs": 5.0}]),
+     _claim2(72.0, 36.0, 12.093386622447827, False, True, False, False)),
+], ids=["passing", "precondition", "equality", "non_orthogonal", "triangle", "mixed"])
+def test_claim_reports_are_frozen(instance, claim1, claim2):
+    assert check_claim1_chain(**instance) == claim1
+    assert check_claim2_product(instance["f_vectors"], instance["g_vectors"]) == claim2
 
 
 def test_square_xor_admits_two_projection_sets():

@@ -7,7 +7,7 @@ import pytest
 import blab.cli
 import blab.verify
 from blab.cli import EXIT_FAIL, main
-from blab.geometry import GridBoundary, halfspace_projection
+from blab.geometry import GridBoundary, check_claim1_chain, halfspace_projection
 from blab.nn import init_network, margin
 from blab.rng import derive_seed, make_rng
 from blab.verify import (FD_STEP, ON_BOUNDARY_TOL, claims_suite, exact_check_2d, gradient_suite,
@@ -167,14 +167,16 @@ def test_oracle_suite_fails_a_grid_cross_check_miss(monkeypatch, tmp_path, capsy
 
 
 def test_oracle_suite_fails_a_linear_oracle_miss(monkeypatch, tmp_path, capsys):
-    # no trained nets: only the linear cases run, and each distance is 0.01 too long
+    # no trained nets: only the linear cases run, and each point is 0.01 too far out
     seen = []
     real = blab.verify.project_to_boundary
 
     def too_far(net, points, labels, data):
         [res] = real(net, points, labels, data)
-        seen.append((net, points[0], res.distance))
-        return [dataclasses.replace(res, distance=res.distance + 0.01)]
+        step = res.point - points[0]
+        distance = np.linalg.norm(step)
+        seen.append((net, points[0], distance))
+        return [dataclasses.replace(res, point=points[0] + (1 + 0.01 / distance) * step)]
 
     monkeypatch.setattr(blab.verify, "project_to_boundary", too_far)
     failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle",
@@ -182,7 +184,7 @@ def test_oracle_suite_fails_a_linear_oracle_miss(monkeypatch, tmp_path, capsys):
     assert failed == ["linear analytic oracle (20 cases)"]
     net, x, distance = seen[0]
     w, c = net.weights[0][1], net.biases[0][1]
-    assert failing == {"linear_case": 0, "solver": distance + 0.01,
+    assert failing == {"linear_case": 0, "solver": pytest.approx(distance + 0.01, abs=1e-12),
                        "exact": float(np.linalg.norm(halfspace_projection(w, c, x) - x))}
 
 
@@ -206,13 +208,16 @@ def test_oracle_suite_skips_a_linear_case_on_its_boundary(monkeypatch):
 
 
 def test_claims_suite_fails_a_claim1_chain(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(blab.verify, "check_claim1_chain", lambda inst: {"passed": False})
+    monkeypatch.setattr(blab.verify, "check_claim1_chain", lambda **inst: {"passed": False})
     failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "claims",
                                      lambda: claims_suite(instances=2, ratio_samples=10))
     assert failed == ["claim-1 chain on 2 randomized instances"]
     seed = derive_seed(13, 0)
+    instance = random_claim1_instance(seed)
     assert failing == {"instance_seed": seed, "report": {"passed": False},
-                       "instance": random_claim1_instance(seed).to_jsonable()}
+                       "instance": {key: a.tolist() for key, a in instance.items()}}
+    # the stored case replays through the real checker
+    assert check_claim1_chain(**failing["instance"]) == check_claim1_chain(**instance)
 
 
 def test_claims_suite_fails_a_ratio_below_2(monkeypatch, tmp_path, capsys):
@@ -234,7 +239,7 @@ def test_claims_suite_fails_a_ratio_below_2(monkeypatch, tmp_path, capsys):
 def test_claims_suite_fails_claim2_on_a_flagged_collinear_instance(monkeypatch, tmp_path, capsys):
     flagged = {"counterexample": True, "strict_product_inequality": False,
                "prod_h": 1.0, "prod_f": 1.0}
-    monkeypatch.setattr(blab.verify, "check_claim2_product", lambda inst: flagged)
+    monkeypatch.setattr(blab.verify, "check_claim2_product", lambda f, g: flagged)
     failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "claims",
                                      lambda: claims_suite(instances=2, ratio_samples=10))
     assert failed == ["claim-2 accepts the collinear equality instance"]
