@@ -165,11 +165,10 @@ def _slide(net: MlpNetwork, x, points, m, rows) -> None:
         keep = np.linalg.norm(tangent, axis=1) > REFINE_TOLERANCE
         act, b, tangent = act[keep], b[keep], tangent[keep]
         before = np.linalg.norm(b - x[act], axis=1)
-        after = before.copy()
-        moved = np.zeros(len(act), dtype=bool)
+        after = before.copy()  # a row has moved once its after drops below before
         tried = 0
         while tried < len(SLIDE_STEPS):
-            search = np.flatnonzero(~moved)
+            search = np.flatnonzero(after == before)
             if not len(search):
                 break
             etas = SLIDE_STEPS[tried:tried + max(1, SLIDE_SEARCH_MACS // (len(search) * row_macs))]
@@ -184,10 +183,9 @@ def _slide(net: MlpNetwork, x, points, m, rows) -> None:
             won = act[search[found]]
             points[won], m[won] = p[level, found], mp[level, found]
             after[search[found]] = d[level, found]
-            moved[search[found]] = True
         # gains shrink geometrically; once a step buys less than a small
         # fraction of the distance the slide has effectively converged
-        act = act[moved & (before - after >= REFINE_STALL_FRACTION * after)]
+        act = act[(after < before) & (before - after >= REFINE_STALL_FRACTION * after)]
 
 
 def _pick(owner: np.ndarray, key: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
@@ -261,7 +259,8 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     owner = np.concatenate([np.arange(s), ray_owner])
     pool, m_pool = np.vstack([seed, rays]), np.concatenate([m_seed, m_rays])
     crossed = np.linalg.norm(rays[:len(target)] - x[cross_owner], axis=1)
-    _slide(net, x[owner], pool, m_pool, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE))
+    landed = np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE)  # a slide never un-lands one
+    _slide(net, x[owner], pool, m_pool, landed)
     dist = np.linalg.norm(pool - x[owner], axis=1)
     methods = ([METHOD_NEWTON] * s
                + [METHOD_COMBINED if after < before - REFINE_TOLERANCE else METHOD_SEGMENT
@@ -270,7 +269,7 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
 
     key = dist.copy()
     key[:s] -= REFINE_TOLERANCE  # a seed wins ties within REFINE_TOLERANCE
-    best = _pick(owner, key, np.flatnonzero(np.abs(m_pool) <= BOUNDARY_TOLERANCE), s)
+    best = _pick(owner, key, landed, s)
     return [ProjectionResult(pool[b].copy(), float(abs(m_pool[b])), True, methods[b]) if b >= 0
             else ProjectionResult(x[i].copy(), float(abs(m_x[i])), False, METHOD_COMBINED)
             for i, b in enumerate(best)]

@@ -1,5 +1,5 @@
 """Network-free geometric ground truth and numeric checks of the
-symmetry-uniqueness argument on raw vector data.
+symmetry-uniqueness argument on raw vector data, all run by blab.verify.
 
 Nothing here imports another blab module: closed-form halfspace
 projections, the exact linear-region split of a 2D ReLU net (given as raw
@@ -15,7 +15,6 @@ import numpy as np
 
 ORTHOGONAL_TOLERANCE = 1e-9  # largest |cos| between f and g vectors that counts as orthogonal
 EQUAL_PRODUCT_RTOL = 1e-9  # relative gap under which prod|f| and prod|g| count as equal
-TIE_TOLERANCE = 1e-9  # distance gap under which a point counts as equally close to both diagonals
 # Most grid points whose margins a scan holds at once. On the oracle's
 # 120701-point grid, slabs of 32768, 16384, 8192 and 4096 points scan about
 # as fast (median 28.0, 27.2, 27.0 and 26.4 ms, inside the noise) and give
@@ -301,29 +300,3 @@ def check_claim2_product(f_vectors, g_vectors) -> dict:
         # conclusion fails; without orthogonality the failure is vacuous
         "counterexample": orthogonal_everywhere and equal_premise and not strict_holds,
     }
-
-
-_DIAGONALS = (np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
-
-
-def enumerate_square_xor_projections(pts: np.ndarray) -> list[np.ndarray]:
-    """Distinct whole-set projection assignments of the (s, 2) points of a
-    square_xor layout onto the diagonal-pair boundary.
-
-    The candidate boundary is the union of the two diagonal lines. For each
-    diagonal, the assignment sending every point to its foot on that line is
-    valid when no point is strictly closer to the other diagonal; the exact
-    square layout yields two assignments, a perturbed one collapses to one.
-    """
-    feet, dists = [], []
-    for u in _DIAGONALS:
-        along = (pts @ u)[:, None] * u[None, :]
-        feet.append(along)
-        dists.append(np.linalg.norm(pts - along, axis=1))
-    dists = np.array(dists)  # (2, s)
-    best = dists.min(axis=0)
-    assignments = []
-    for k in range(2):
-        if (dists[k] <= best + TIE_TOLERANCE).all():
-            assignments.append(feet[k])
-    return assignments

@@ -18,7 +18,7 @@ ALIGNED_COSINE = 0.95  # least cosine between f's and g's projection vectors tha
 @np.errstate(over="ignore")
 def nearest_opposite_mean_distance(data: Dataset) -> float:
     """Mean over samples of the Euclidean distance to the closest
-    opposite-class sample, exhaustive over all pairs; inf if a distance overflows.
+    opposite-class sample, exhaustive over all pairs; inf if a nearest distance overflows.
 
     Class-0 rows go in blocks of exact differences, never the
     |a|^2 + |b|^2 - 2ab expansion, which cancels once points crowd together.
@@ -32,7 +32,7 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
     row_min, col_min = [], np.full(len(x1), np.inf)
     for start in range(0, len(x0), block):
         d2 = ((x0[start:start + block, None, :] - x1[None, :, :]) ** 2).sum(axis=2)
-        d = np.sqrt(np.maximum(d2, 0.0))
+        d = np.sqrt(d2)
         row_min.append(d.min(axis=1))
         col_min = np.minimum(col_min, d.min(axis=0))
     return float((np.concatenate(row_min).sum() + col_min.sum()) / len(data))

@@ -115,9 +115,10 @@ def init_network(layer_dims, seed: int) -> MlpNetwork:
 
 
 def _check_input(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
+    """x as float64; ValueError naming its shape unless it is (rows, input_dim)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != net.input_dim:
-        raise ValueError(f"input dimension {x.shape[-1]} != network input {net.input_dim}")
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"input shape {x.shape} is not (rows, {net.input_dim})")
     return x
 
 
@@ -194,7 +195,7 @@ def margin_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def margin(net: MlpNetwork, x) -> float:
-    """Scalar classifier value: logit1 - logit0. Sign is the predicted label, zero set is the boundary."""
+    """One sample's (n,) margin logit1 - logit0: sign is the predicted label, zero set the boundary."""
     return float(margin_batch(net, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
@@ -206,17 +207,14 @@ def _grad_block(net: MlpNetwork, h: np.ndarray) -> np.ndarray:
 
 
 def grad_input(net: MlpNetwork, x) -> np.ndarray:
-    """Gradient of the margin w.r.t. the input, by backprop. Takes one
-    sample (n,) or rows (batch, n) and returns the same shape; one sample
-    goes through as a batch of one row.
+    """Gradient of the margin w.r.t. the input of each row of a (batch, n)
+    array, by backprop: a (batch, n) array.
 
     Backprop needs only each hidden layer's bool mask of active units, not
     its activations. Rows go through in forward_batch's equal blocks, so a
     pass holds one block's masks and gradients besides the result; a batch
     taller than FORWARD_BLOCK_ROWS may differ from one pass in its last bits."""
-    x = _check_input(net, x)
-    g = _in_blocks(_grad_block, net, np.atleast_2d(x), net.input_dim)
-    return g[0] if x.ndim == 1 else g
+    return _in_blocks(_grad_block, net, _check_input(net, x), net.input_dim)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

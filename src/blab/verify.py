@@ -39,7 +39,7 @@ def gradient_suite(pairs: int = 100, seed: int = 2024) -> tuple[list[CheckResult
         dims = dims_pool[p % len(dims_pool)]
         net = init_network(dims, derive_seed(seed, p))
         x = rng.standard_normal(dims[0])
-        g = grad_input(net, x)
+        g = grad_input(net, x[None])[0]
         # rows x, then x + FD_STEP e_i, then x - FD_STEP e_i for every i
         steps = FD_STEP * np.eye(len(x))
         stencil = np.vstack([x, x + steps, x - steps])

@@ -417,6 +417,8 @@ def test_lockstep_slide_keeps_the_largest_winning_step(monkeypatch, trained):
         ref_points, ref_m = points.copy(), m.copy()
         _sequential_slide(net, x, ref_points, ref_m, rows)
         blab.boundary._slide(net, x, points, m, rows)
+        # a slide never un-lands a row, so project_to_boundary picks among the rows it slid
+        assert (np.abs(m[rows]) <= BOUNDARY_TOLERANCE).all()
         dist, ref_dist = (np.linalg.norm(p - x, axis=1) for p in (points, ref_points))
         moved += (dist != start).sum()
         np.testing.assert_array_equal(dist != start, ref_dist != start)

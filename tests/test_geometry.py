@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from blab.data import gen_symmetric_layout
 from blab.geometry import (GRID_SLAB_POINTS, GridBoundary, PiecewiseLinearBoundary,
-                           check_claim1_chain, check_claim2_product,
-                           enumerate_square_xor_projections, halfspace_projection, ratio_bound)
+                           check_claim1_chain, check_claim2_product, halfspace_projection,
+                           ratio_bound)
 from blab.nn import margin_batch
 from blab.rng import derive_seed, make_rng
 from blab.verify import CROSS_CHECK_STEP, _train_2d_net
@@ -395,16 +394,3 @@ def test_claim_reports_are_frozen(instance, claim1, claim2):
     assert check_claim1_chain(**instance) == claim1
     assert check_claim2_product(instance["f_vectors"], instance["g_vectors"]) == claim2
 
-
-def test_square_xor_admits_two_projection_sets():
-    assignments = enumerate_square_xor_projections(gen_symmetric_layout("square_xor").samples)
-    assert len(assignments) == 2
-    for feet in assignments:
-        # every foot sits on one of the two diagonals
-        on_diag = np.isclose(feet[:, 0], feet[:, 1]) | np.isclose(feet[:, 0], -feet[:, 1])
-        assert on_diag.all()
-
-
-def test_perturbed_square_xor_collapses_to_one():
-    layout = gen_symmetric_layout("square_xor", perturb=0.4)
-    assert len(enumerate_square_xor_projections(layout.samples)) == 1

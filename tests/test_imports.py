@@ -1,13 +1,14 @@
 """Every name a module imports is used in it, every import is at module level,
-every public function, class and method has a caller in blab, and every field
-blab stores has a reader.
+every public function, class and method has a caller in blab, every field
+blab stores has a reader, and every module-level name blab binds is read in blab.
 
 No linter is part of the toolchain, so these scans are the guard against dead
 imports, dead code and dead state. `__init__.py` is skipped by the import scan:
 its imports are the public re-exports. An import inside a function binds its
 name when the function runs, so it would bypass a test or benchmark that
 replaces the module attribute. Public code that only tests call is code the
-program does not need, and a field nothing reads is work done for no one.
+program does not need, and a field nothing reads is work done for no one; so
+is a constant, table or helper that outlived the code that read it.
 """
 
 import ast
@@ -114,9 +115,44 @@ def test_scan_finds_public_code_without_a_caller():
 
 
 def test_every_public_function_class_and_method_has_a_caller_in_blab():
-    # the one exception waits for the symmetry experiment to enumerate its exact answers
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert _public_without_a_caller(sources) == ["geometry.enumerate_square_xor_projections"]
+    assert _public_without_a_caller(sources) == []
+
+
+def _unread_module_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each name a module body binds (an assignment, a function
+    or a class) that no code of these modules reads outside that binding."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = {id(n) for n in ast.walk(stmt)}
+            found += [f"{module}.{name}" for name in names
+                      if not any(read == name and id(ref) not in own for read, ref in reads)]
+    return sorted(found)
+
+
+def test_scan_finds_a_module_level_name_nobody_reads():
+    source = ("TOL = 1e-9\n_TABLE, SIZE = (1, 2), 3\nPair = tuple[int, int]\nLIMIT: int = 4\n\n"
+              "def _helper():\n    return _helper()\n\ndef used():\n    return LIMIT + b.SIZE\n")
+    other = "from .m import used\n\nprint(used())\n"
+    assert _unread_module_names({"m": source, "b": other}) == [
+        "m.Pair", "m.TOL", "m._TABLE", "m._helper"]
+
+
+def test_every_module_level_name_blab_binds_is_read_in_blab():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _unread_module_names(sources) == []
 
 
 def _unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:

@@ -21,6 +21,17 @@ def test_nearest_opposite_requires_both_classes():
         nearest_opposite_mean_distance(data)
 
 
+@pytest.mark.parametrize("samples, labels, expected", [
+    # every pair's squared distance overflows
+    ([-1e155, 1e155], [0, 1], np.inf),
+    # 1e155 to 1 and 0 to 1e155 + 1e141 overflow, but neither is a sample's nearest
+    ([0.0, 1e155, 1.0, 1e155 + 1e141], [0, 0, 1, 1], 5.001580776720874e+140),
+], ids=["every_pair", "no_nearest_pair"])
+def test_nearest_opposite_is_inf_only_if_a_nearest_distance_overflows(samples, labels, expected):
+    data = Dataset(np.array(samples)[:, None], np.array(labels))
+    assert nearest_opposite_mean_distance(data) == expected
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.floats(0, 2 * np.pi), st.lists(st.floats(-10, 10), min_size=2, max_size=2))
 def test_nearest_opposite_distance_is_isometry_invariant(angle, shift):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -50,9 +51,14 @@ def test_margin_is_logit_difference():
 
 def test_forward_rejects_wrong_dimension():
     net = init_network([4, 6, 2], seed=1)
-    for fn in (margin, margin_batch, grad_input, active_units):
-        with pytest.raises(ValueError):
-            fn(net, np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("input shape (1, 3) is not (rows, 4)")):
+        margin(net, np.zeros(3))
+    # the row functions take (rows, 4) arrays only; margin is the one-sample entry point
+    for fn in (margin_batch, grad_input, active_units):
+        for shape in ((1, 3), (4,), (1, 1, 4)):
+            with pytest.raises(ValueError, match=re.escape(f"input shape {shape} is not (rows, 4)")):
+                fn(net, np.zeros(shape))
+    assert margin(net, np.zeros(4)) == 0.0
 
 
 def _single_pass_margin(net, x):
@@ -98,7 +104,7 @@ def test_margin_batch_memory_is_bounded_by_the_block():
 def test_linear_net_margin():
     net = linear_net([2.0, -1.0], 0.5)
     assert margin(net, [1.0, 1.0]) == pytest.approx(1.5)
-    np.testing.assert_allclose(grad_input(net, [1.0, 1.0]), [2.0, -1.0])
+    np.testing.assert_allclose(grad_input(net, [[1.0, 1.0]]), [[2.0, -1.0]])
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2))
@@ -114,7 +120,7 @@ def test_grad_input_matches_finite_differences():
     step = 1e-6
     for _ in range(10):
         x = rng.standard_normal(3)
-        g = grad_input(net, x)
+        g = grad_input(net, x[None])[0]
         for i in range(3):
             hi, lo = x.copy(), x.copy()
             hi[i] += step
@@ -183,7 +189,6 @@ def test_masked_grad_input_matches_pre_activation_backprop(dims):
     net = init_network(dims, seed=4)
     net.biases = [0.3 * rng.standard_normal(b.shape) for b in net.biases]
     x = rng.uniform(-3.0, 3.0, (3000, dims[0]))
-    np.testing.assert_array_equal(grad_input(net, x[0]), _pre_activation_grad(net, x[0]))
     for rows in (1, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS):
         np.testing.assert_array_equal(grad_input(net, x[:rows]),
                                       _pre_activation_grad(net, x[:rows]))

@@ -265,4 +265,4 @@ def test_gradient_suite_fails_a_backprop_mismatch(monkeypatch, tmp_path, capsys)
     steps = FD_STEP * np.eye(4)
     fd = (margin(net, (x + steps)[0]) - margin(net, (x - steps)[0])) / (2 * FD_STEP)
     assert failing == {"pair": 0, "coordinate": 0, "dims": [4, 8, 2],
-                       "backprop": seen[0][0] + 1.0, "fd": fd}
+                       "backprop": seen[0][0, 0] + 1.0, "fd": fd}
