@@ -11,8 +11,9 @@ moving; projecting a dataset evaluates its samples' margins once:
   every sign change the other stages find;
 - segment crossings toward each sample's SEGMENT_CANDIDATES nearest
   opposite-class samples;
-- for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample whose seed
-  converged, each as long as the seed's distance: every ray whose end has
+- for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample, each as
+  long as its seed's distance if the seed converged, else as its nearest
+  opposite-class sample's (a sure upper bound): every ray whose end has
   the other margin sign is a bracket (`_fan_sweep`), solved in the one
   bracket solve with the segment crossings;
 - the tangent slide (`_slide`) of every converged candidate at once: each
@@ -224,9 +225,10 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
     opposite-class samples of data (each an upper bound on the true
     distance), then, 2D only, the crossing of every fan ray as long as its
-    sample's converged seed distance (a sample whose seed did not converge
-    gets no fan). The crossings and fan rays are solved in one bracket
-    solve, and the whole pool is slid in one _slide call. A sample gets its
+    sample's converged seed distance, or, when its seed did not converge, as
+    its nearest such sample's distance (a sample with none gets no fan). The
+    crossings and fan rays are solved in one bracket solve, and the whole
+    pool is slid in one _slide call. A sample gets its
     converged row of least distance, or its seed when that is within
     REFINE_TOLERANCE of the least; with no converged row, it gets itself,
     not converged. A misclassified sample raises NumericError.
@@ -240,18 +242,19 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     if len(bad):
         raise NumericError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
 
-    near = []
+    near, reach = [], np.empty(s)  # reach: the distance to the nearest of near[i]
     for i in range(s):
         usable = np.flatnonzero((data.labels != labels[i]) & (m_data * m_x[i] < 0))
         dists = np.linalg.norm(data.samples[usable] - x[i], axis=1)
         near.append(usable[np.argsort(dists, kind="stable")[:SEGMENT_CANDIDATES]])
+        reach[i] = dists.min(initial=np.inf)
     cross_owner = np.repeat(np.arange(s), [len(j) for j in near])
     target = np.array([j for js in near for j in js], dtype=int)
     seed, m_seed = hit_boundary(net, x, m_x)
     ray_owner, ends, m_ends = cross_owner, data.samples[target], m_data[target]
-    if data.dim == 2:  # 2D only: a fan as long as each converged seed's distance
+    if data.dim == 2:  # 2D only: a fan as long as each converged seed's distance, else reach
         radius = np.where(np.abs(m_seed) <= BOUNDARY_TOLERANCE,
-                          np.linalg.norm(seed - x, axis=1), np.inf)
+                          np.linalg.norm(seed - x, axis=1), reach)
         fan_owner, fan_ends, m_fan = _fan_sweep(net, x, m_x, radius)
         ray_owner = np.concatenate([cross_owner, fan_owner])
         ends, m_ends = np.vstack([ends, fan_ends]), np.concatenate([m_ends, m_fan])

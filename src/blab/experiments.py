@@ -98,9 +98,10 @@ def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset
     return parts
 
 
-def _train_fresh(dims, data: Dataset, cfg: TrainConfig, seed: int) -> tuple[MlpNetwork, "TrainReport"]:
+def _train_fresh(dims, data: Dataset, cfg: TrainConfig, seed: int) -> MlpNetwork:
     net = init_network(dims, seed)
-    return net, train(net, data, cfg, seed)
+    train(net, data, cfg, seed)
+    return net
 
 
 def _cell(value: float | None) -> str:
@@ -304,10 +305,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
         for k in range(completed + 1, cfg.iterations + 1):
             stage = "aborted_training"
             seed_k = derive_seed(cfg.master_seed, SEED_ITER, k)
-            net, report = _train_fresh(cfg.dims, data, cfg.train, seed_k)
-            if report.stopped_reason != "criterion_met":
-                raise NumericError("training hit the epoch cap "
-                                   f"(accuracy {report.final_train_accuracy:.3f})")
+            net = _train_fresh(cfg.dims, data, cfg.train, seed_k)
             stage = "aborted_projection"
             data, results = project_dataset(net, data)
             unconverged = sum(not r.converged for r in results)
@@ -344,7 +342,8 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     often an independently trained target misclassifies them, against an
     equal-norm random-direction baseline. Only the sources whose projection
     converged count (n_samples), each with one baseline direction. The
-    report's keys are in the order it is written."""
+    report's keys are in the order it is written. A network whose training
+    diverges or hits the epoch cap raises NumericError: no report."""
     cfg.validate()
     if mode not in TRANSFER_MODES:
         raise ConfigError(f"unknown transfer mode {mode!r}")
@@ -359,8 +358,8 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     else:
         data_a = data_b = pool
 
-    net_a, _ = _train_fresh(dims_a, data_a, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 0))
-    net_b, _ = _train_fresh(dims_b, data_b, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 1))
+    net_a = _train_fresh(dims_a, data_a, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 0))
+    net_b = _train_fresh(dims_b, data_b, cfg.train, derive_seed(cfg.master_seed, SEED_TRIAL, 1))
     correct_a = is_correct(margin_batch(net_a, eval_data.samples), eval_data.labels)
     correct_b = is_correct(margin_batch(net_b, eval_data.samples), eval_data.labels)
     # a Python bool: json.dumps refuses numpy.bool_
@@ -394,9 +393,9 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     """Train many independently seeded networks on a (possibly perturbed)
     symmetric layout, cluster their boundary orientations by the projection
     directions of the layout points, and compare adversarial transfer within
-    vs across clusters. A trial fails when its training raises or stops at
-    the epoch cap, or when a layout point's projection did not converge or
-    has distance 0."""
+    vs across clusters. A trial fails when its training raises NumericError
+    (it diverged or hit the epoch cap), or when a layout point's projection
+    did not converge or has distance 0."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check_kappa(kappa)
@@ -407,11 +406,9 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     sigs, nets, advs = [], [], []  # of the trials that did not fail
     for t in range(trials):
         try:
-            net, report = _train_fresh(SYMMETRY_DIMS, data, train_cfg,
-                                       derive_seed(master_seed, SEED_TRIAL, t))
+            net = _train_fresh(SYMMETRY_DIMS, data, train_cfg,
+                               derive_seed(master_seed, SEED_TRIAL, t))
         except NumericError:
-            continue
-        if report.stopped_reason != "criterion_met":
             continue
         projected, results = project_dataset(net, data)
         step = projected.samples - data.samples

@@ -82,9 +82,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """A training run that met its criterion; one that does not raises NumericError."""
     epochs_run: int
-    final_train_accuracy: float
-    stopped_reason: str  # criterion_met | epoch_cap
 
 
 def check_layer_dims(layer_dims, input_dim: int | None = None) -> list[int]:
@@ -248,8 +247,10 @@ def _nll_gradients(net: MlpNetwork, x: np.ndarray, onehot: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainReport:
     """Mini-batch NLL training with Adam until every sample is correct and mean
-    true-class confidence reaches cfg.accuracy_target, or max_epochs.
-    Mutates net in place; deterministic for a fixed seed, which orders the
+    true-class confidence reaches cfg.accuracy_target: the criterion. Training
+    that has not met it after max_epochs raises NumericError with its accuracy,
+    as does training that diverges. Mutates net in place, so a capped net is
+    left trained and folded; deterministic for a fixed seed, which orders the
     mini-batches. numpy's float warnings are off; the non-finite checks report divergence.
 
     Inputs are standardized internally and the affine map is folded back
@@ -269,10 +270,6 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
     if not np.isfinite([mu, sd]).all():  # finite inputs too large to standardize
         raise NumericError("a feature's mean or standard deviation overflows")
     data = Dataset((data.samples - mu) / sd, data.labels)
-
-    def fold_whitening() -> None:
-        net.biases[0] = net.biases[0] - net.weights[0] @ (mu / sd)
-        net.weights[0] = net.weights[0] / sd
 
     # Adam's moments, one per parameter array of net.weights + net.biases
     params = net.weights + net.biases
@@ -305,12 +302,16 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
         # true-class probability at the target
         logits = forward_batch(net, data.samples)
         acc = float(is_correct(logits[:, 1] - logits[:, 0], data.labels).mean())
-        if acc == 1.0 and (np.exp(log_softmax(logits)[np.arange(len(data)), data.labels]).mean()
-                           >= cfg.accuracy_target):
-            fold_whitening()
-            return TrainReport(epoch + 1, acc, "criterion_met")
-    fold_whitening()
-    return TrainReport(cfg.max_epochs, acc, "epoch_cap")
+        met = acc == 1.0 and (np.exp(log_softmax(logits)[np.arange(len(data)), data.labels])
+                              .mean() >= cfg.accuracy_target)
+        if met:
+            break
+    # the whitening folded into the first layer, met or not
+    net.biases[0] = net.biases[0] - net.weights[0] @ (mu / sd)
+    net.weights[0] = net.weights[0] / sd
+    if not met:
+        raise NumericError(f"training hit the epoch cap (accuracy {acc:.3f})")
+    return TrainReport(epoch + 1)
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:

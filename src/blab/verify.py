@@ -64,8 +64,8 @@ def _train_2d_net(seed: int):
                               0.5, derive_seed(seed, 0))
     net = init_network([2, 16, 16, 2], derive_seed(seed, 1))
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=3000, batch_size=16, accuracy_target=0.9)
-    report = train(net, data, cfg, derive_seed(seed, 2))
-    return net, data, report
+    train(net, data, cfg, derive_seed(seed, 2))
+    return net, data
 
 
 def exact_check_2d(net: MlpNetwork, samples: np.ndarray, points: np.ndarray):
@@ -99,7 +99,8 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
     trained 2D nets (exact_check_2d), and vs the analytic halfspace projection
     on linear networks (1e-3 absolute). A coarse grid on the exact check's box
     cross-checks the exact oracle independently: its distance may not fall
-    below the exact one and may exceed it by at most two grid steps."""
+    below the exact one and may exceed it by at most two grid steps. A net
+    whose training diverges or hits the epoch cap raises NumericError."""
     results: list[CheckResult] = []
     failing = None
     rng = make_rng(seed, stream=0x04AC)
@@ -109,11 +110,7 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
     grid_gaps = []
     grid_ok = True
     for n in range(nets):
-        net, data, report = _train_2d_net(derive_seed(seed, n))
-        if report.stopped_reason != "criterion_met":
-            exact_ok = grid_ok = False
-            failing = failing or {"net": n, "reason": "training did not reach criterion"}
-            continue
+        net, data = _train_2d_net(derive_seed(seed, n))
         correct = np.flatnonzero(is_correct(margin_batch(net, data.samples), data.labels))
         picks = rng.choice(correct, size=ORACLE_POINTS_PER_NET, replace=False)
         projections = project_to_boundary(net, data.samples[picks], data.labels[picks], data)

@@ -721,6 +721,16 @@ def test_epoch_cap_aborts_the_run(tmp_path, monkeypatch, capsys):
                                "aborted_training", "training hit the epoch cap (accuracy 0.733)")
 
 
+def test_epoch_cap_ends_transfer_without_a_report(tmp_path, capsys):
+    # one epoch leaves the source net at 0.933 train accuracy: no report on an undertrained net
+    out = tmp_path / "report.json"
+    assert main(["transfer", TRANSFER_CONFIG, "--set", "train.max_epochs=1",
+                 "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", "numeric failure: training hit the epoch cap "
+                                       "(accuracy 0.933)\n")
+    assert not out.exists()
+
+
 def test_misclassified_sample_aborts_the_projection(tmp_path, monkeypatch, capsys):
     real_train = blab.experiments.train
 

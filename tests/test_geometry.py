@@ -126,9 +126,7 @@ def test_grid_zeros_without_a_sign_change_are_the_crossings():
 
 @pytest.fixture(scope="module")
 def trained_net():
-    net, data, report = _train_2d_net(3)  # a [2, 16, 16, 2] net as oracle_suite trains it
-    assert report.stopped_reason == "criterion_met"
-    return net, data
+    return _train_2d_net(3)  # a [2, 16, 16, 2] net as oracle_suite trains it
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +135,7 @@ def criterion04_nets():
     rng = make_rng(77, stream=0x04AC)
     nets = []
     for n in range(3):
-        net, data, _ = _train_2d_net(derive_seed(77, n))
+        net, data = _train_2d_net(derive_seed(77, n))
         m = margin_batch(net, data.samples)
         correct = np.flatnonzero(np.where(data.labels == 1, m > 0, m < 0))
         nets.append((net, rng.choice(correct, size=5, replace=False), data.samples))

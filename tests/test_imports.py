@@ -185,7 +185,7 @@ def test_scan_finds_a_field_without_a_reader():
 
 def test_every_field_blab_stores_has_a_reader():
     # two fields have readers only outside blab: TrainReport.epochs_run (perfbench's
-    # tracer and a training test) and PiecewiseLinearBoundary.pieces (a geometry test)
+    # tracer) and PiecewiseLinearBoundary.pieces (a geometry test)
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     readers = [p.read_text() for d in ("src/blab", "perfbench", "tests")
                for p in (ROOT / d).rglob("*.py")]

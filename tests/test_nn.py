@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.config import parse_config
-from blab.data import ConfigError, DataError, Dataset
+from blab.data import ConfigError, DataError, Dataset, NumericError
 from blab.experiments import build_dataset
 from blab.nn import (FORWARD_BLOCK_ROWS, INIT_STREAM, TrainConfig, _nll_gradients, accuracy, active_units,
                      check_layer_dims, forward_batch, grad_input, init_network, load_checkpoint,
@@ -224,9 +224,7 @@ def test_train_reaches_criterion_and_is_deterministic(easy_blobs):
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=2000, batch_size=16,
                       accuracy_target=0.95)
     net_a = init_network([2, 16, 2], seed=3)
-    report = train(net_a, easy_blobs, cfg, seed=11)
-    assert report.stopped_reason == "criterion_met"
-    assert report.final_train_accuracy == 1.0
+    train(net_a, easy_blobs, cfg, seed=11)  # returning means accuracy 1.0
     assert accuracy(net_a, easy_blobs) == 1.0  # holds on raw, unstandardized inputs
     net_b = init_network([2, 16, 2], seed=3)
     train(net_b, easy_blobs, cfg, seed=11)
@@ -235,13 +233,13 @@ def test_train_reaches_criterion_and_is_deterministic(easy_blobs):
 
 
 def test_adam_training_keeps_its_bits(tmp_path, easy_blobs):
-    # 60 epochs of 3 Adam steps, then the whitening fold; the digest freezes
-    # Adam at betas (0.9, 0.999) and epsilon 1e-8
+    # 60 epochs of 3 Adam steps, then the whitening fold, which train makes before it
+    # raises at the epoch cap; the digest freezes Adam at betas (0.9, 0.999) and epsilon 1e-8
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=60, batch_size=16,
                       accuracy_target=1.0)
     net = init_network([2, 16, 16, 2], seed=3)
-    report = train(net, easy_blobs, cfg, seed=11)
-    assert (report.epochs_run, report.stopped_reason) == (60, "epoch_cap")
+    with pytest.raises(NumericError, match=r"^training hit the epoch cap \(accuracy 1\.000\)$"):
+        train(net, easy_blobs, cfg, seed=11)
     path = tmp_path / "net.blab"
     save_checkpoint(net, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -352,6 +350,5 @@ def test_criterion_met_means_every_raw_sample_is_correct():
     for seed in range(8):
         data = build_dataset(dataclasses.replace(cfg.dataset, seed=seed))
         net = init_network(cfg.dims, seed)
-        report = train(net, data, cfg.train, seed)
-        assert report.stopped_reason == "criterion_met"
+        train(net, data, cfg.train, seed)  # it returned: the criterion is met
         assert accuracy(net, data) == 1.0, f"dataset seed {seed}"

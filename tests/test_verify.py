@@ -6,7 +6,7 @@ import pytest
 
 import blab.cli
 import blab.verify
-from blab.cli import EXIT_FAIL, main
+from blab.cli import EXIT_FAIL, EXIT_NUMERIC, main
 from blab.geometry import GridBoundary, check_claim1_chain, halfspace_projection
 from blab.nn import init_network, margin
 from blab.rng import derive_seed, make_rng
@@ -34,11 +34,6 @@ def test_claims_suite_small():
         "CHANGES.md FOUND on the 1-net oracle suite: the exact nearest point of net 0 sample 57 "
         "lies at 164.6 deg, between the fan directions 163.125 and 168.75 deg, so the engine "
         "reports 2.083637 against the exact 2.010765 (3.6% over the 2% bound)"))),
-    pytest.param(3599392323, marks=pytest.mark.xfail(reason=(
-        "ROADMAP item 26 on the 1-net oracle suite (perfbench oracle seed 219): net 0 sample "
-        "27's Newton seed stalls 4.1e-5 from the wedge apex, at margin -2.0e-5, so the "
-        "sample gets no fan; the slide of its crossings lands at 3.015660 against the "
-        "exact 2.578085 (17% over the 2% bound)"))),
     *(pytest.param(seed, marks=pytest.mark.xfail(reason=(
         f"CHANGES.md FOUND on the 1-net oracle suite (perfbench oracle seed {bench}): the "
         f"engine puts net 0 sample {sample} at {engine} against the exact {exact} "
@@ -54,7 +49,8 @@ def test_oracle_suite_one_net_engine_misses(seed):
     assert results[0][1], failing
 
 
-@pytest.mark.parametrize("seed", [210153483, 2724455604, 2311736575, 1972207522, 1672861077])
+@pytest.mark.parametrize("seed", [210153483, 2724455604, 2311736575, 1972207522, 1672861077,
+                                  3599392323])
 def test_oracle_suite_one_net_checks_in_the_box_of_its_points(seed):
     # at 210153483, net 0 sample 39's engine point lies outside [-4, 4] x [-3, 3], so a
     # fixed box read a 29% gap; at 2724455604, a box not snapped to the grid step puts
@@ -65,7 +61,11 @@ def test_oracle_suite_one_net_checks_in_the_box_of_its_points(seed):
     # at 2.117832 against the exact 2.050697 (3.27% over), and a farther crossing slides
     # to the exact branch once every crossing joins the pool; at 1672861077 (perfbench
     # oracle seed 864), with a Newton bound of 158 steps or fewer, net 0 sample 48 comes
-    # out at 2.033580 against the exact 1.885818 (7.8% over the exact distance)
+    # out at 2.033580 against the exact 1.885818 (7.8% over the exact distance); at
+    # 3599392323 (perfbench oracle seed 219), net 0 sample 27's Newton seed stalls 4.1e-5
+    # from the apex of a thin wedge, at margin -2.0e-5, and with no fan for an unconverged
+    # seed the slide of its crossings landed at 3.015660 against the exact 2.578085 (17%
+    # over); a fan as long as its nearest opposite sample finds the apex
     results, failing = oracle_suite(nets=1, seed=seed)
     assert results[0][1] and results[1][1], failing
 
@@ -108,19 +108,20 @@ def _one_net_oracle():
     return oracle_suite(nets=1, seed=PASSING_ORACLE_SEED)
 
 
-def test_oracle_suite_fails_a_net_that_misses_its_training_criterion(monkeypatch, tmp_path,
+def test_verify_oracle_ends_with_exit_4_when_a_net_hits_its_epoch_cap(monkeypatch, tmp_path,
                                                                       capsys):
-    real = blab.verify._train_2d_net
+    real = blab.verify.train
 
-    def undertrained(seed):
-        net, data, report = real(seed)
-        return net, data, dataclasses.replace(report, stopped_reason="epoch_cap")
+    def capped_at_one_epoch(net, data, cfg, seed):
+        return real(net, data, dataclasses.replace(cfg, max_epochs=1), seed)
 
-    monkeypatch.setattr(blab.verify, "_train_2d_net", undertrained)
-    failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle", _one_net_oracle)
-    assert failed == ["exact oracle (1 nets x 5 points)",
-                      "grid cross-check of the exact oracle (step 0.02)"]
-    assert failing == {"net": 0, "reason": "training did not reach criterion"}
+    monkeypatch.setattr(blab.verify, "train", capped_at_one_epoch)
+    monkeypatch.setitem(blab.cli.SUITES, "oracle", _one_net_oracle)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "oracle"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "numeric failure: training hit the epoch cap (accuracy 0.912)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("unconverged", [1, 5])
@@ -160,7 +161,7 @@ def test_oracle_suite_fails_a_grid_cross_check_miss(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(blab.verify, "GridBoundary", FarGrid)
     failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle", _one_net_oracle)
     assert failed == ["grid cross-check of the exact oracle (step 0.02)"]
-    _, data, _ = blab.verify._train_2d_net(derive_seed(PASSING_ORACLE_SEED, 0))
+    _, data = blab.verify._train_2d_net(derive_seed(PASSING_ORACLE_SEED, 0))
     [sample] = np.flatnonzero((data.samples == seen["samples"][0]).all(axis=1))
     assert failing == {"net": 0, "sample": int(sample), "grid": seen["grid"] + 1.0,
                        "exact": seen["exact"][0]}
