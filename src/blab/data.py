@@ -241,6 +241,11 @@ def import_csv(path) -> Dataset:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as e:
                 raise DataError(f"{path}, line {lineno}: {e}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels))
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+        samples = np.array(rows)
+        if (bad := np.argwhere(~np.isfinite(samples))).size:
+            r, c = bad[0].tolist()  # the first in file order; data rows start on line 2
+            cell = f.getvalue().split("\n")[r + 1].split(",")[c + 1]
+            raise DataError(f"{path}, line {r + 2}: non-finite value {cell.strip()!r}")
+    return Dataset(samples, np.array(labels))

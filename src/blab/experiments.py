@@ -260,7 +260,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     of projections/iter_k.csv, whose rows a resume reads for nothing else
     (their identity and flags, never a distance), and test_acc from
     checkpoints/iter_k.blab on the test split re-derived
-    from the saved config. A working set without W_0's
+    from the saved config. A W_0 that lacks a class, a working set without W_0's
     labels and shape, projection rows that do not match it, or a checkpoint
     without the config's dims is a DataError naming the file, raised before
     anything is written. Derived seeds are positional, so a resumed run
@@ -272,7 +272,9 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     completed, started, with_test = (manifest[key] for key in (
         "completed_iterations", "started_at", "with_test"))
     test_data = _held_out_split(cfg)[1] if with_test else None
-    data = first = import_csv(rd.working / "iter_0.csv")
+    data = first = import_csv(path := rd.working / "iter_0.csv")
+    if not first.both_classes_present():
+        raise DataError(f"{path}: the working set holds one class only")
     records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, 0)]
     window = [first.samples]  # the samples of the last working sets, at most two
 

@@ -185,7 +185,8 @@ def test_iterproj_rejects_csv_labels_outside_0_1(tmp_path, capsys):
 
 def test_iterproj_rejects_csv_with_non_numeric_value_or_no_features(tmp_path, capsys):
     cases = (("label,x0\n0,a\n1,2\n", "data0.csv, line 2: "),
-             ("label\n0\n1\n", "data1.csv: header has no feature column"))
+             ("label\n0\n1\n", "data1.csv: header has no feature column"),
+             ("label,x0\n0,1\n1, nan\n", "data2.csv, line 3: non-finite value 'nan'"))
     for k, (text, message) in enumerate(cases):
         data = tmp_path / f"data{k}.csv"
         data.write_text(text)

@@ -410,6 +410,17 @@ def _other_widths(path):
     save_checkpoint(init_network([2, 8, 2], seed=0), path)
 
 
+def _one_class(path):
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, *("0" + row[1:] for row in rows)]))
+
+
+def _nan_on_line_2(path):
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    label, _, tail = first.split(",", 2)
+    path.write_text("".join([header, f"{label},nan,{tail}", *rest]))
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("working/iter_1.csv", _flip_first_label, "labels or shape differ from working/iter_0.csv"),
     ("working/iter_1.csv", _drop_last_line, "labels or shape differ from working/iter_0.csv"),
@@ -417,15 +428,20 @@ def _other_widths(path):
     ("checkpoints/iter_1.blab", Path.unlink, "No such file or directory"),
     ("checkpoints/iter_1.blab", _other_widths,
      "layer widths [2, 8, 2] != the config's [2, 32, 32, 2]"),
+    ("working/iter_0.csv", _one_class, "the working set holds one class only"),
+    ("working/iter_1.csv", _nan_on_line_2, "line 2: non-finite value 'nan'"),
 ], ids=["working_label_flipped", "working_row_missing", "projections_row_missing",
-        "checkpoint_missing", "checkpoint_other_widths"])
+        "checkpoint_missing", "checkpoint_other_widths", "working_one_class",
+        "working_non_finite"])
 def test_resume_refuses_source_files_that_do_not_fit_the_run(resumable_run, tmp_path, name,
                                                              edit, message):
     run = tmp_path / "run"
     shutil.copytree(resumable_run[1], run)
     edit(run / name)
     before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-    with pytest.raises(DataError, match=f"{re.escape(str(run / name))}: .*{re.escape(message)}"):
+    # a CSV cell's message names its line after the path: "{path}, line N: ..."
+    with pytest.raises(DataError, match=f"{re.escape(str(run / name))}(: |, ).*"
+                                        f"{re.escape(message)}"):
         checkpoint_resume(run)
     # refused before anything is written, the manifest included
     assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before

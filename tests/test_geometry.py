@@ -11,7 +11,7 @@ from blab.geometry import (GRID_SLAB_POINTS, GridBoundary, PiecewiseLinearBounda
                            ratio_bound)
 from blab.nn import margin_batch
 from blab.rng import derive_seed, make_rng
-from blab.verify import CROSS_CHECK_STEP, _train_2d_net
+from blab.verify import CROSS_CHECK_STEP, _train_2d_net, random_claim1_instance
 from helpers import linear_net
 
 BOX = ((-4.0, 4.0), (-3.0, 3.0))  # the box of the frozen oracle fixtures below
@@ -41,10 +41,10 @@ def test_halfspace_projection_properties(wv, xv, b):
 def test_grid_boundary_matches_analytic_line():
     w = np.array([1.0, 1.0])
     field = GridBoundary(lambda pts: pts @ w - 1.0, ((-2.0, 2.0), (-2.0, 2.0)), 1e-3)
-    for x in ([0.0, 0.0], [1.5, -0.5], [-1.0, 1.2]):
-        _, d = field.nearest(x)
-        exact = np.linalg.norm(halfspace_projection(w, -1.0, x) - np.array(x))
-        assert d == pytest.approx(exact, abs=2e-3)
+    points = np.array([[0.0, 0.0], [1.5, -0.5], [-1.0, 1.2]])
+    _, d = field.nearest(points)
+    exact = [np.linalg.norm(halfspace_projection(w, -1.0, x) - x) for x in points]
+    np.testing.assert_allclose(d, exact, rtol=0, atol=2e-3)
 
 
 def _one_shot_crossings(margin_fn, bounds, step):
@@ -119,9 +119,9 @@ def test_grid_zeros_without_a_sign_change_are_the_crossings():
     field = GridBoundary(lambda pts: -pts[:, 0] ** 2, ((-1.0, 1.0), (-1.0, 1.0)), 0.5)
     ys = np.arange(-1.0, 1.25, 0.5)
     np.testing.assert_array_equal(field.crossings, np.column_stack([np.zeros(5), ys]))
-    point, d = field.nearest([0.3, 0.0])
-    np.testing.assert_array_equal(point, [0.0, 0.0])
-    assert d == 0.3
+    point, d = field.nearest([[0.3, 0.0]])
+    np.testing.assert_array_equal(point, [[0.0, 0.0]])
+    assert d.tolist() == [0.3]
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +167,26 @@ def test_exact_oracle_frozen_on_criterion04_nets(criterion04_nets):
         exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
         assert (len(exact.pieces), len(exact.segments)) == (pieces, segments)
         assert picks.tolist() == frozen_picks
-        got = [exact.nearest(samples[i])[1] for i in picks]
-        np.testing.assert_allclose(got, dists, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(exact.nearest(samples[picks])[1], dists, rtol=0, atol=1e-12)
+
+
+def _single_point_answers(oracle, points):
+    """oracle.nearest's answers for points, one one-row query at a time."""
+    feet, dists = zip(*(oracle.nearest(x[None]) for x in points))
+    return np.vstack(feet), np.concatenate(dists)
+
+
+def test_a_point_set_gets_the_answers_of_its_single_points(criterion04_nets, trained_net):
+    net, data = trained_net
+    grid = GridBoundary(partial(margin_batch, net), BOX, CROSS_CHECK_STEP)
+    cases = [(grid, data.samples)] + [
+        (PiecewiseLinearBoundary(net.weights, net.biases, BOX), samples)
+        for net, _, samples in criterion04_nets]
+    for oracle, points in cases:
+        feet, dists = oracle.nearest(points)
+        assert (feet.shape, dists.shape) == ((len(points), 2), (len(points),))
+        for got, single in zip((feet, dists), _single_point_answers(oracle, points)):
+            assert got.tobytes() == single.tobytes()  # bit for bit
 
 
 def test_exact_boundary_of_linear_net_is_the_halfspace():
@@ -176,11 +194,11 @@ def test_exact_boundary_of_linear_net_is_the_halfspace():
     net = linear_net(w, b)
     exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
     assert len(exact.pieces) == 1 and len(exact.segments) == 1
-    for x in ([0.0, 0.0], [2.5, 1.0], [-3.0, -2.0]):
-        p, d = exact.nearest(x)
-        foot = halfspace_projection(w, b, x)
-        assert d == pytest.approx(np.linalg.norm(foot - np.array(x)), abs=1e-12)
-        np.testing.assert_allclose(p, foot, atol=1e-12)
+    points = np.array([[0.0, 0.0], [2.5, 1.0], [-3.0, -2.0]])
+    p, d = exact.nearest(points)
+    feet = np.array([halfspace_projection(w, b, x) for x in points])
+    np.testing.assert_allclose(d, np.linalg.norm(feet - points, axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p, feet, atol=1e-12)
 
 
 def test_exact_boundary_of_absolute_value_net():
@@ -188,10 +206,9 @@ def test_exact_boundary_of_absolute_value_net():
     weights = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])]
     biases = [np.zeros(2), np.array([0.0, -1.0])]
     exact = PiecewiseLinearBoundary(weights, biases, ((-2.0, 2.0), (-2.0, 2.0)))
-    p, d = exact.nearest([0.2, 0.3])
-    assert d == pytest.approx(0.8, abs=1e-12)
-    np.testing.assert_allclose(p, [1.0, 0.3], atol=1e-12)
-    assert exact.nearest([-1.5, 1.0])[1] == pytest.approx(0.5, abs=1e-12)
+    p, d = exact.nearest([[0.2, 0.3], [-1.5, 1.0]])
+    np.testing.assert_allclose(d, [0.8, 0.5], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p[0], [1.0, 0.3], atol=1e-12)
 
 
 def test_exact_boundary_rejects_constant_sign_and_wrong_width():
@@ -219,10 +236,8 @@ def test_grid_never_beats_the_exact_oracle(trained_net):
     net, data = trained_net
     exact = PiecewiseLinearBoundary(net.weights, net.biases, BOX)
     grid = GridBoundary(lambda pts: margin_batch(net, pts), BOX, 1e-2)
-    for x in data.samples:
-        d_exact = exact.nearest(x)[1]
-        d_grid = grid.nearest(x)[1]
-        assert d_exact - 1e-9 <= d_grid <= d_exact + 2e-2
+    d_exact, d_grid = exact.nearest(data.samples)[1], grid.nearest(data.samples)[1]
+    assert ((d_exact - 1e-9 <= d_grid) & (d_grid <= d_exact + 2e-2)).all()
 
 
 def test_ratio_bound_frozen_and_errors():
@@ -337,7 +352,7 @@ def _passed(**flags):
     """A claim-1 report with every step ok, but for flags."""
     return dict({"orthogonal_everywhere": True, "precondition_ok": True,
                  "precondition_violations": [], "strictness_ok": True, "averaged_chain_ok": True,
-                 "triangle_ok": True, "violations": [], "pairs_checked": 1, "passed": True},
+                 "violations": [], "pairs_checked": 1, "passed": True},
                 **flags)
 
 
@@ -367,12 +382,11 @@ def _claim2(*values):
      _passed(orthogonal_everywhere=False),
      _claim2(0.04000000000000001, 0.04000000000000001, 0.04000000000000001, True, False, False,
              False)),
-    # collinear f and g about 5e6 long: |(f + g)/2| <= (|f| + |g|)/2 holds, but rounding
-    # alone breaks the triangle step's absolute 1e-12 slack
+    # collinear f and g about 5e6 long, where |(f + g)/2| exceeds (|f| + |g|)/2 by one
+    # rounding ulp: a triangle step with an absolute 1e-12 slack failed this instance
     ({"points": [[0.0, 0.0], [1e9, 0.0]], "labels": [0, 1],
       "f_vectors": [_HUGE_F, [-c for c in _HUGE_F]], "g_vectors": [_HUGE_G, [-c for c in _HUGE_G]]},
-     _passed(orthogonal_everywhere=False, triangle_ok=False, passed=False,
-             violations=[{"step": "triangle", "indices": [0, 1]}]),
+     _passed(orthogonal_everywhere=False),
      _claim2(57078010739961.97, 2447435449875.9863, 20790988162005.145, False, False, False,
              False)),
     # pairs (0,3) and (2,3) meet separation with equality, (1,4) breaks it
@@ -392,3 +406,31 @@ def test_claim_reports_are_frozen(instance, claim1, claim2):
     assert check_claim1_chain(**instance) == claim1
     assert check_claim2_product(instance["f_vectors"], instance["g_vectors"]) == claim2
 
+
+def _equality_instance(seed):
+    """check_claim1_chain's arguments: two points whose orthogonal f and g norms each sum
+    to the pair distance, up to the rounding of |t d| + |(1 - t) d|."""
+    rng = make_rng(seed, stream=0xE9)
+    d = rng.standard_normal(2)
+    t, u = rng.uniform(0.1, 0.9, size=2)
+    across = np.array([-d[1], d[0]])
+    return {"points": np.array([[0.0, 0.0], d]), "labels": np.array([0, 1]),
+            "f_vectors": np.array([t * d, (t - 1) * d]),
+            "g_vectors": np.array([u * across, (u - 1) * across])}
+
+
+def _verdicts(report):
+    """A claim-1 report without the lhs and rhs of its violations, which scale."""
+    return dict(report, violations=[{key: value for key, value in v.items()
+                                     if key not in ("lhs", "rhs")}
+                                    for v in report["violations"]])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([random_claim1_instance, _equality_instance]),
+       st.integers(-30, 30))
+def test_claim1_verdicts_do_not_depend_on_the_scale(seed, instance, k):
+    # scaling by 2**k is exact, so every norm, sum and distance scales exactly
+    inst = instance(seed)
+    scaled = dict(inst, **{key: np.ldexp(inst[key], k)
+                           for key in ("points", "f_vectors", "g_vectors")})
+    assert _verdicts(check_claim1_chain(**scaled)) == _verdicts(check_claim1_chain(**inst))

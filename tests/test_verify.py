@@ -8,7 +8,7 @@ import blab.cli
 import blab.verify
 from blab.cli import EXIT_FAIL, EXIT_NUMERIC, main
 from blab.geometry import GridBoundary, check_claim1_chain, halfspace_projection
-from blab.nn import init_network, margin
+from blab.nn import init_network, margin_batch
 from blab.rng import derive_seed, make_rng
 from blab.verify import (FD_STEP, ON_BOUNDARY_TOL, claims_suite, exact_check_2d, gradient_suite,
                          oracle_suite, random_claim1_instance)
@@ -152,10 +152,10 @@ def test_oracle_suite_fails_a_grid_cross_check_miss(monkeypatch, tmp_path, capsy
         return out
 
     class FarGrid(GridBoundary):  # every grid distance 1 too long: over its two steps
-        def nearest(self, x):
-            point, d = super().nearest(x)
-            seen.setdefault("grid", d)
-            return point, d + 1.0
+        def nearest(self, points):
+            feet, d = super().nearest(points)
+            seen.setdefault("grid", d[0])
+            return feet, d + 1.0
 
     monkeypatch.setattr(blab.verify, "exact_check_2d", recording_check)
     monkeypatch.setattr(blab.verify, "GridBoundary", FarGrid)
@@ -264,6 +264,7 @@ def test_gradient_suite_fails_a_backprop_mismatch(monkeypatch, tmp_path, capsys)
     net = init_network([4, 8, 2], derive_seed(2024, 0))
     x = make_rng(2024, stream=0x64AD).standard_normal(4)
     steps = FD_STEP * np.eye(4)
-    fd = (margin(net, (x + steps)[0]) - margin(net, (x - steps)[0])) / (2 * FD_STEP)
+    m = margin_batch(net, np.vstack([x, x + steps, x - steps]))  # the suite's one stencil call
+    fd = (m[1] - m[5]) / (2 * FD_STEP)
     assert failing == {"pair": 0, "coordinate": 0, "dims": [4, 8, 2],
                        "backprop": seen[0][0, 0] + 1.0, "fd": fd}
