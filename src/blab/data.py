@@ -33,7 +33,8 @@ class NumericError(RuntimeError):
 
 @dataclass
 class Dataset:
-    """Ordered labeled feature vectors. samples is (s, n) float64, labels is (s,) in {0,1}."""
+    """Ordered labeled feature vectors of a binary classifier: samples is (s, n)
+    float64, labels is (s,) and holds exactly the classes 0 and 1, both present."""
 
     samples: np.ndarray
     labels: np.ndarray
@@ -47,6 +48,8 @@ class Dataset:
             raise DataError("labels length must match samples")
         if not np.isfinite(self.samples).all():
             raise DataError("samples contain non-finite values")
+        if (self.labels.min(), self.labels.max()) != (0, 1):  # integers: exactly {0, 1}
+            raise DataError("labels must be the classes 0 and 1, both present")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -54,9 +57,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    def both_classes_present(self) -> bool:
-        return 0 in self.labels and 1 in self.labels
 
 
 def read_bytes(path) -> bytes:
@@ -118,8 +118,10 @@ def _idx_header(raw: bytes, magic: int, words: int, path) -> tuple[tuple[int, ..
     return struct.unpack_from(f">{words}I", raw, 4), memoryview(raw)[4 * (words + 1):]
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read an MNIST-style IDX image/label pair; pixels scaled to [0, 1]."""
+def load_idx(images_path, labels_path, class_a: int, class_b: int) -> Dataset:
+    """The samples of two categories of an MNIST-style IDX image/label pair,
+    relabeled class_a -> 0 and class_b -> 1; pixels scaled to [0, 1].
+    DataError naming the labels file if either category is absent."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     (count, rows, cols), payload = _idx_header(read_bytes(images_path), IDX_IMAGE_MAGIC, 3,
                                                images_path)
@@ -133,8 +135,12 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataError(f"truncated IDX label payload in {labels_path}")
     if label_count != count:
         raise DataError(f"image/label count mismatch: {count} images vs {label_count} labels")
-    labels = np.frombuffer(raw, dtype=np.uint8)
-    return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64))
+    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    for cls in (class_a, class_b):
+        if cls not in labels:
+            raise DataError(f"class {cls} absent from {labels_path}")
+    keep = (labels == class_a) | (labels == class_b)
+    return Dataset(pixels[keep] / 255.0, np.where(labels[keep] == class_b, 1, 0))
 
 
 def save_idx(data: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
@@ -148,19 +154,10 @@ def save_idx(data: Dataset, images_path, labels_path, rows: int, cols: int) -> N
                + data.labels.astype(np.uint8).tobytes())
 
 
-def filter_binary(data: Dataset, class_a: int, class_b: int) -> Dataset:
-    """Keep two original categories, relabeling class_a -> 0 and class_b -> 1."""
-    if class_a == class_b:
-        raise DataError("class_a and class_b must differ")
-    for cls in (class_a, class_b):
-        if cls not in data.labels:
-            raise DataError(f"class {cls} absent from dataset")
-    keep = (data.labels == class_a) | (data.labels == class_b)
-    return Dataset(data.samples[keep], np.where(data.labels[keep] == class_b, 1, 0))
-
-
-def sample_balanced(data: Dataset, total: int, seed: int) -> Dataset:
-    """Draw total/2 samples per class without replacement, deterministic per seed."""
+def sample_balanced(data: Dataset, total: int, seed: int, names: tuple[str, str]) -> Dataset:
+    """Draw total/2 samples per class without replacement, deterministic per seed.
+    names are the config's names of classes 0 and 1 (`class_a = 3`), which a
+    DataError for a class too small for dataset.subset gives."""
     if total <= 0 or total % 2 != 0:
         raise DataError("total must be an even positive integer")
     half = total // 2
@@ -169,7 +166,8 @@ def sample_balanced(data: Dataset, total: int, seed: int) -> Dataset:
     for cls in (0, 1):
         idx = np.flatnonzero(data.labels == cls)
         if len(idx) < half:
-            raise DataError(f"class {cls} has only {len(idx)} samples, need {half}")
+            raise DataError(f"{names[cls]} has only {len(idx)} samples; "
+                            f"dataset.subset = {total} needs {half}")
         picked.append(rng.choice(idx, size=half, replace=False))
     order = np.sort(np.concatenate(picked))
     return Dataset(data.samples[order], data.labels[order])
@@ -248,4 +246,7 @@ def import_csv(path) -> Dataset:
             r, c = bad[0].tolist()  # the first in file order; data rows start on line 2
             cell = f.getvalue().split("\n")[r + 1].split(",")[c + 1]
             raise DataError(f"{path}, line {r + 2}: non-finite value {cell.strip()!r}")
+        if len(set(labels)) == 1:
+            raise DataError(f"{path}: every row has label {labels[0]}; "
+                            "a dataset holds both classes 0 and 1")
     return Dataset(samples, np.array(labels))

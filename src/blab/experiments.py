@@ -15,9 +15,9 @@ import numpy as np
 from . import __version__
 from .boundary import adversarial_overshoot, project_dataset, project_to_boundary
 from .config import DatasetSpec, ExperimentConfig, check_kappa, config_from_items, config_sections
-from .data import (ConfigError, DataError, Dataset, NumericError, export_csv, filter_binary,
-                   gen_gaussian_blobs, gen_symmetric_layout, import_csv, load_idx, read_utf8,
-                   sample_balanced, write_file)
+from .data import (ConfigError, DataError, Dataset, NumericError, export_csv, gen_gaussian_blobs,
+                   gen_symmetric_layout, import_csv, load_idx, read_utf8, sample_balanced,
+                   write_file)
 from .metrics import global_difference, nearest_opposite_mean_distance
 from .nn import (MlpNetwork, TrainConfig, accuracy, check_layer_dims, init_network, is_correct,
                  load_checkpoint, margin_batch, save_checkpoint, train)
@@ -51,25 +51,23 @@ class IterationRecord:
 
 
 def build_dataset(spec: DatasetSpec) -> Dataset:
-    """The dataset a spec describes; DataError unless it holds both classes."""
+    """The dataset a spec describes; a file that lacks a class is a DataError naming it."""
     if spec.source == "blobs":
         half = spec.center_distance / 2.0
         c0, c1 = np.zeros((2, spec.dim))
         c0[0], c1[0] = -half, half
         data = gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, spec.seed)
     elif spec.source == "idx":
-        data = load_idx(spec.images_path, spec.labels_path)
-        data = filter_binary(data, spec.class_a, spec.class_b)
+        data = load_idx(spec.images_path, spec.labels_path, spec.class_a, spec.class_b)
         if spec.subset:
-            data = sample_balanced(data, spec.subset, spec.seed)
+            data = sample_balanced(data, spec.subset, spec.seed,
+                                   (f"class_a = {spec.class_a}", f"class_b = {spec.class_b}"))
     elif spec.source == "csv":
         data = import_csv(spec.csv_path)
     elif spec.source == "symmetric":
         data = gen_symmetric_layout(spec.layout_kind)
     else:
         raise ConfigError(f"unknown dataset source {spec.source!r}")
-    if not data.both_classes_present():
-        raise DataError("dataset must contain both classes")
     return data
 
 
@@ -90,12 +88,11 @@ def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset
     if len(b) == 0:
         raise DataError(f"held-out split is empty: {fraction} of each class rounds to 0 "
                         f"({len(a)} samples in all); raise dataset.per_class")
-    parts = Dataset(data.samples[a], data.labels[a]), Dataset(data.samples[b], data.labels[b])
-    for part, what in zip(parts, ("remaining", "held-out")):
-        if not part.both_classes_present():
+    for take, what in ((take_a, "remaining"), (take_b, "held-out")):
+        if not all(map(len, take)):
             raise DataError(f"{what} split holds one class only ({fraction} of each class split "
                             f"off, {len(a)}/{len(b)} samples); raise dataset.per_class")
-    return parts
+    return Dataset(data.samples[a], data.labels[a]), Dataset(data.samples[b], data.labels[b])
 
 
 def _train_fresh(dims, data: Dataset, cfg: TrainConfig, seed: int) -> MlpNetwork:
@@ -272,9 +269,7 @@ def checkpoint_resume(run_dir) -> list[IterationRecord]:
     completed, started, with_test = (manifest[key] for key in (
         "completed_iterations", "started_at", "with_test"))
     test_data = _held_out_split(cfg)[1] if with_test else None
-    data = first = import_csv(path := rd.working / "iter_0.csv")
-    if not first.both_classes_present():
-        raise DataError(f"{path}: the working set holds one class only")
+    data = first = import_csv(rd.working / "iter_0.csv")
     records = [IterationRecord(0, nearest_opposite_mean_distance(first), 0.0, None, 0)]
     window = [first.samples]  # the samples of the last working sets, at most two
 

@@ -23,9 +23,8 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
     Class-0 rows go in blocks of exact differences, never the
     |a|^2 + |b|^2 - 2ab expansion, which cancels once points crowd together.
     Row minima are concatenated and column minima kept as a running minimum,
-    so the result does not depend on the block size."""
-    if not data.both_classes_present():
-        raise ValueError("both classes must be present")
+    so the result does not depend on the block size. A Dataset holds both
+    classes, so each sample has an opposite-class sample."""
     x0 = data.samples[data.labels == 0]
     x1 = data.samples[data.labels == 1]
     block = max(1, NEAREST_BLOCK_ELEMENTS // x1.size)

@@ -257,10 +257,8 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
     into the first layer afterwards, so the returned network acts on raw
     inputs. Repeated boundary projection shrinks working sets into tiny
     off-center clouds; without this the optimization stalls long before
-    every sample is correct."""
+    every sample is correct. data, like every Dataset, holds both classes."""
     cfg.validate()
-    if not data.both_classes_present():
-        raise DataError("training data must contain both classes")
     _check_input(net, data.samples)
     batch_size = min(cfg.batch_size, len(data))
 

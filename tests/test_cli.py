@@ -7,6 +7,7 @@ import re
 import shutil
 import signal
 import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -295,14 +296,23 @@ def test_empty_held_out_split_exits_3_naming_per_class(tmp_path, capsys):
         assert not out.exists()
 
 
-ONE_CLASS_CSV = "label,f0,f1\n" + "".join(f"0,{k}.0,{k % 3}.0\n" for k in range(8))
+# input files a row writes into the working directory, which its argv names
+CSV_SOURCE = ["--set", "dataset.source=csv", "--set", "dataset.csv_path=data.csv"]
+IDX_SOURCE = ["--set", "dataset.source=idx", "--set", "dataset.images_path=m.images.idx",
+              "--set", "dataset.labels_path=m.labels.idx", "--set", "dataset.class_a=3"]
+ONE_CLASS_CSV = {"data.csv": "label,f0,f1\n" + "".join(f"0,{k}.0,{k % 3}.0\n" for k in range(8))}
+ONE_CLASS_MESSAGE = ("data error: data.csv: every row has label 0; "
+                     "a dataset holds both classes 0 and 1\n")
 # 0.25 of class 1's one sample rounds to 0, so the held-out part lacks class 1
-LONE_CLASS_1_CSV = ONE_CLASS_CSV + "1,5.0,5.0\n"
+LONE_CLASS_1_CSV = {"data.csv": ONE_CLASS_CSV["data.csv"] + "1,5.0,5.0\n"}
 LONE_CLASS_1_MESSAGE = ("data error: held-out split holds one class only (0.25 of each class "
                         "split off, 7/2 samples); raise dataset.per_class\n")
+# 40 images of 1x2 pixels: 10 of class 3, 15 each of classes 5 and 7
+IDX_357 = {"m.images.idx": struct.pack(">IIII", 2051, 40, 1, 2) + bytes(80),
+           "m.labels.idx": struct.pack(">II", 2049, 40) + bytes([3] * 10 + [5] * 15 + [7] * 15)}
 
 
-@pytest.mark.parametrize("argv, rows, message", [
+@pytest.mark.parametrize("argv, files, message", [
     (["show-config", CONFIG, "--set", "dataset.source=foo"], None,
      "config error: unknown dataset source 'foo'; choose from blobs, idx, csv, symmetric\n"),
     (["iterproj", CONFIG, "--set", "dataset.source=symmetric",
@@ -313,12 +323,15 @@ LONE_CLASS_1_MESSAGE = ("data error: held-out split holds one class only (0.25 o
      "config error: network input width 3 != data dimension 2\n"),
     (["transfer", TRANSFER_CONFIG, "--mode", "cross_model", "--set", "experiment.dims_b=3,4,2"],
      None, "config error: network input width 3 != data dimension 2\n"),
-    (["iterproj", CONFIG], ONE_CLASS_CSV, "data error: dataset must contain both classes\n"),
-    (["gentrack", CONFIG], ONE_CLASS_CSV, "data error: dataset must contain both classes\n"),
-    (["transfer", TRANSFER_CONFIG], ONE_CLASS_CSV,
-     "data error: dataset must contain both classes\n"),
-    (["gentrack", CONFIG], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
-    (["transfer", TRANSFER_CONFIG], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
+    (["iterproj", CONFIG, *CSV_SOURCE], ONE_CLASS_CSV, ONE_CLASS_MESSAGE),
+    (["gentrack", CONFIG, *CSV_SOURCE], ONE_CLASS_CSV, ONE_CLASS_MESSAGE),
+    (["transfer", TRANSFER_CONFIG, *CSV_SOURCE], ONE_CLASS_CSV, ONE_CLASS_MESSAGE),
+    (["gentrack", CONFIG, *CSV_SOURCE], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
+    (["transfer", TRANSFER_CONFIG, *CSV_SOURCE], LONE_CLASS_1_CSV, LONE_CLASS_1_MESSAGE),
+    (["iterproj", CONFIG, *IDX_SOURCE, "--set", "dataset.class_b=9"], IDX_357,
+     "data error: class 9 absent from m.labels.idx\n"),
+    (["iterproj", CONFIG, *IDX_SOURCE, "--set", "dataset.class_b=5", "--set", "dataset.subset=30"],
+     IDX_357, "data error: class_a = 3 has only 10 samples; dataset.subset = 30 needs 15\n"),
     # an empty path would read Path(""), the working directory
     (["iterproj", CONFIG, "--set", "dataset.source=csv"], None,
      "config error: dataset source csv needs dataset.csv_path\n"),
@@ -338,19 +351,19 @@ LONE_CLASS_1_MESSAGE = ("data error: held-out split holds one class only (0.25 o
      f"data error: cannot read {CONFIG_DIR}: Is a directory\n"),
 ], ids=["unknown-source", "unknown-layout", "dims-width", "dims_b-width", "iterproj-one-class",
         "gentrack-one-class", "transfer-one-class", "gentrack-split-lacks-class",
-        "transfer-split-lacks-class", "iterproj-no-csv-path", "gentrack-no-csv-path",
+        "transfer-split-lacks-class", "idx-class-absent", "idx-class-below-subset",
+        "iterproj-no-csv-path", "gentrack-no-csv-path",
         "transfer-no-csv-path", "iterproj-no-images-path", "transfer-no-labels-path",
         "csv-path-is-a-directory", "images-path-is-a-directory"])
 def test_input_faults_exit_with_their_class_code_before_training(
-        tmp_path, monkeypatch, capsys, argv, rows, message):
+        tmp_path, monkeypatch, capsys, argv, files, message):
     def no_training(*args, **kwargs):
         raise AssertionError("trained a network for a run that should have been refused")
 
     monkeypatch.setattr(blab.experiments, "train", no_training)
-    if rows is not None:
-        data = tmp_path / "data.csv"
-        data.write_text(rows)
-        argv = argv + ["--set", "dataset.source=csv", "--set", f"dataset.csv_path={data}"]
+    monkeypatch.chdir(tmp_path)
+    for name, content in (files or {}).items():
+        (tmp_path / name).write_bytes(content.encode() if isinstance(content, str) else content)
     out = tmp_path / "out"
     code = EXIT_CONFIG if message.startswith("config error") else EXIT_DATA
     assert main(argv + ["--out", str(out)]) == code
@@ -642,10 +655,10 @@ def test_non_finite_parameters_after_an_epoch_abort_the_run(tmp_path, monkeypatc
 
 def test_a_data_error_in_training_aborts_the_run(tmp_path, monkeypatch, capsys):
     def refusing(net, data, cfg, seed):
-        raise DataError("training data must contain both classes")
+        raise DataError("samples contain non-finite values")
 
     _assert_iteration_2_aborts(tmp_path, monkeypatch, capsys, refusing, "aborted_training",
-                               "training data must contain both classes", code=EXIT_DATA)
+                               "samples contain non-finite values", code=EXIT_DATA)
 
 
 def test_a_fault_in_blab_aborts_the_run_and_propagates(tmp_path, monkeypatch):

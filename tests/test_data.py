@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blab.data import (DataError, Dataset, export_csv, filter_binary,
-                       gen_gaussian_blobs, gen_symmetric_layout, import_csv,
-                       load_idx, sample_balanced, save_idx)
+from blab.data import (DataError, Dataset, export_csv, gen_gaussian_blobs,
+                       gen_symmetric_layout, import_csv, load_idx, sample_balanced, save_idx)
 from blab.nn import init_network, save_checkpoint
 
 
@@ -20,22 +19,40 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(DataError):
         Dataset(np.array([[np.nan, 0.0]]), np.array([0]))
-    d = Dataset(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(DataError, match="classes 0 and 1"):
+        Dataset(np.zeros((3, 2)), np.zeros(3))
+    d = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]))
     assert len(d) == 3 and d.dim == 2
-    assert not d.both_classes_present()
+
+
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=20))
+def test_a_dataset_holds_exactly_the_classes_0_and_1(labels):
+    samples = np.zeros((len(labels), 2))
+    if sorted(set(labels)) == [0, 1]:
+        np.testing.assert_array_equal(Dataset(samples, np.array(labels)).labels, labels)
+    else:
+        with pytest.raises(DataError):
+            Dataset(samples, np.array(labels))
 
 
 def test_idx_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=(10, 16)).astype(np.float64) / 255.0
-    labels = rng.integers(0, 10, size=10)
-    data = Dataset(pixels, labels)
-    save_idx(data, tmp_path / "img.idx", tmp_path / "lab.idx", 4, 4)
-    back = load_idx(tmp_path / "img.idx", tmp_path / "lab.idx")
+    data = Dataset(pixels, np.arange(10) % 2)
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    save_idx(data, img, lab, 4, 4)
+    back = load_idx(img, lab, 0, 1)
     np.testing.assert_allclose(back.samples, data.samples, atol=1e-12)
     np.testing.assert_array_equal(back.labels, data.labels)
     with pytest.raises(DataError, match="rows\\*cols"):  # 4 x 5 pixels for 16 features
-        save_idx(data, tmp_path / "img.idx", tmp_path / "lab.idx", 4, 5)
+        save_idx(data, img, lab, 4, 5)
+    # three categories: load_idx keeps two, class_a -> 0 and class_b -> 1, in file order
+    digits = [3, 5, 7, 3, 5, 7, 7, 5, 3, 3]
+    lab.write_bytes(struct.pack(">II", 2049, 10) + bytes(digits))
+    pair = load_idx(img, lab, 5, 3)
+    keep = [k for k, d in enumerate(digits) if d in (3, 5)]
+    np.testing.assert_array_equal(pair.samples, back.samples[keep])
+    np.testing.assert_array_equal(pair.labels, [1, 0, 1, 0, 0, 1, 1])
 
 
 @pytest.mark.parametrize("write", [
@@ -68,7 +85,7 @@ def test_idx_bad_magic(tmp_path):
     img.write_bytes(struct.pack(">IIII", 1234, 1, 1, 1) + b"\x00")
     lab.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
     with pytest.raises(DataError, match="magic"):
-        load_idx(img, lab)
+        load_idx(img, lab, 0, 1)
 
 
 def test_idx_truncated_payload(tmp_path):
@@ -77,12 +94,12 @@ def test_idx_truncated_payload(tmp_path):
     img.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + b"\x00" * 3)
     lab.write_bytes(struct.pack(">II", 2049, 2) + b"\x00\x01")
     with pytest.raises(DataError, match="truncated"):
-        load_idx(img, lab)
+        load_idx(img, lab, 0, 1)
     # whole images, but one label of the two the header counts
     img.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + b"\x00" * 8)
     lab.write_bytes(struct.pack(">II", 2049, 2) + b"\x00")
     with pytest.raises(DataError, match=f"truncated IDX label payload in {re.escape(str(lab))}"):
-        load_idx(img, lab)
+        load_idx(img, lab, 0, 1)
 
 
 _IDX_WORDS = st.sampled_from([0, 1, 2, 3, 2**32 - 1]) | st.integers(0, 2**32 - 1)
@@ -105,8 +122,10 @@ def test_arbitrary_idx_files_load_a_dataset_or_raise_data_error(tmp_path_factory
     count, rows, cols = (data.draw(_IDX_WORDS, label=name) for name in ("count", "rows", "cols"))
     img.write_bytes(idx(2051, [count, rows, cols]))
     lab.write_bytes(idx(2049, [data.draw(st.just(count) | _IDX_WORDS, label="labels")]))
+    # two label values the file holds, where it holds two, so a load can succeed
+    pair = sorted(set(lab.read_bytes()[8:]))[:2]
     try:
-        loaded = load_idx(img, lab)
+        loaded = load_idx(img, lab, *(pair if len(pair) == 2 else (0, 1)))
     except DataError:
         return
     assert isinstance(loaded, Dataset) and loaded.dim >= 1
@@ -119,7 +138,7 @@ def test_idx_without_pixels_is_a_data_error(tmp_path):
     for count, rows, cols in ((2, 0, 5), (0, 2**32 - 1, 2**32 - 1)):
         img.write_bytes(struct.pack(">IIII", 2051, count, rows, cols))
         with pytest.raises(DataError, match="no pixels"):
-            load_idx(img, lab)
+            load_idx(img, lab, 0, 1)
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -128,32 +147,38 @@ def test_idx_count_mismatch(tmp_path):
     img.write_bytes(struct.pack(">IIII", 2051, 2, 1, 1) + b"\x00\x01")
     lab.write_bytes(struct.pack(">II", 2049, 3) + b"\x00\x01\x02")
     with pytest.raises(DataError, match="mismatch"):
-        load_idx(img, lab)
+        load_idx(img, lab, 0, 1)
 
 
-def test_filter_binary_relabels():
-    data = Dataset(np.arange(10, dtype=float).reshape(5, 2),
-                   np.array([3, 5, 7, 3, 5]))
-    out = filter_binary(data, 3, 5)
+def test_load_idx_relabels_two_classes_and_names_an_absent_one(tmp_path):
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    img.write_bytes(struct.pack(">IIII", 2051, 5, 1, 2) + bytes(range(10)))
+    lab.write_bytes(struct.pack(">II", 2049, 5) + bytes([3, 5, 7, 3, 5]))
+    out = load_idx(img, lab, 3, 5)
     np.testing.assert_array_equal(out.labels, [0, 1, 0, 1])
-    assert len(out) == 4
-    with pytest.raises(DataError):
-        filter_binary(data, 3, 3)
-    with pytest.raises(DataError):
-        filter_binary(data, 3, 9)
+    np.testing.assert_array_equal(out.samples * 255, [[0, 1], [2, 3], [6, 7], [8, 9]])
+    with pytest.raises(DataError):  # every kept sample would be class 1
+        load_idx(img, lab, 3, 3)
+    with pytest.raises(DataError, match=f"^class 9 absent from {re.escape(str(lab))}$"):
+        load_idx(img, lab, 3, 9)
 
 
 def test_sample_balanced():
     data = Dataset(np.arange(40, dtype=float).reshape(20, 2),
                    np.array([0] * 12 + [1] * 8))
-    sub = sample_balanced(data, 10, seed=1)
+    names = ("class_a = 3", "class_b = 5")
+    sub = sample_balanced(data, 10, 1, names)
     assert (sub.labels == 0).sum() == 5 and (sub.labels == 1).sum() == 5
-    again = sample_balanced(data, 10, seed=1)
+    again = sample_balanced(data, 10, 1, names)
     np.testing.assert_array_equal(sub.samples, again.samples)
     with pytest.raises(DataError):
-        sample_balanced(data, 7, seed=1)
-    with pytest.raises(DataError):
-        sample_balanced(data, 30, seed=1)
+        sample_balanced(data, 7, 1, names)
+    with pytest.raises(DataError, match="^class_a = 3 has only 12 samples; "
+                                        "dataset.subset = 30 needs 15$"):
+        sample_balanced(data, 30, 1, names)
+    with pytest.raises(DataError, match="^class_b = 5 has only 8 samples; "
+                                        "dataset.subset = 20 needs 10$"):
+        sample_balanced(data, 20, 1, names)
 
 
 def test_gen_gaussian_blobs():
@@ -270,11 +295,21 @@ def test_csv_rejects_out_of_range_label(tmp_path, label):
         import_csv(path)
 
 
-@given(st.lists(st.lists(st.floats(-1e100, 1e100, allow_nan=False, width=64),
-                         min_size=3, max_size=3),
+@given(st.lists(st.tuples(st.integers(0, 1),
+                          st.lists(st.floats(-1e100, 1e100, allow_nan=False, width=64),
+                                   min_size=3, max_size=3)),
                 min_size=1, max_size=8))
 def test_csv_roundtrip_property(tmp_path_factory, rows):
-    data = Dataset(np.array(rows), np.zeros(len(rows)))
     path = tmp_path_factory.mktemp("csv") / "d.csv"
-    export_csv(data, path)
-    np.testing.assert_array_equal(import_csv(path).samples, data.samples)
+    labels = [label for label, _ in rows]
+    if len(set(labels)) == 2:
+        data = Dataset(np.array([x for _, x in rows]), np.array(labels))
+        export_csv(data, path)
+        back = import_csv(path)
+        np.testing.assert_array_equal(back.samples, data.samples)
+        np.testing.assert_array_equal(back.labels, data.labels)
+    else:  # no one-class Dataset exists to export
+        path.write_text("label,f0,f1,f2\n" + "".join(
+            f"{label}," + ",".join(map(repr, x)) + "\n" for label, x in rows))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: every row has label"):
+            import_csv(path)

@@ -428,7 +428,7 @@ def _nan_on_line_2(path):
     ("checkpoints/iter_1.blab", Path.unlink, "No such file or directory"),
     ("checkpoints/iter_1.blab", _other_widths,
      "layer widths [2, 8, 2] != the config's [2, 32, 32, 2]"),
-    ("working/iter_0.csv", _one_class, "the working set holds one class only"),
+    ("working/iter_0.csv", _one_class, "every row has label 0"),
     ("working/iter_1.csv", _nan_on_line_2, "line 2: non-finite value 'nan'"),
 ], ids=["working_label_flipped", "working_row_missing", "projections_row_missing",
         "checkpoint_missing", "checkpoint_other_widths", "working_one_class",

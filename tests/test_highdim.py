@@ -1,10 +1,12 @@
 """Image-scale smoke test: the full cascade on 784-dimensional inputs.
 
 Real handwritten-digit IDX files are not bundled, so this builds a stand-in
-from sklearn's 8x8 digits (upscaled to 28x28) and writes it through the
-package's own IDX writer, exercising ingestion, the deep architecture, and
-the projection cascade end to end at image dimensionality.
+from sklearn's 8x8 digits (upscaled to 28x28) and writes it as a 10-class
+IDX pair, exercising ingestion, the deep architecture, and the projection
+cascade end to end at image dimensionality.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 sklearn_datasets = pytest.importorskip("sklearn.datasets")
 
 from blab.config import DatasetSpec, ExperimentConfig
-from blab.data import filter_binary, load_idx, sample_balanced, save_idx, Dataset
+from blab.data import load_idx, sample_balanced
 from blab.experiments import run_iterative_projection
 from blab.nn import TrainConfig
 
@@ -23,19 +25,22 @@ def digits_idx(tmp_path_factory):
     imgs = raw.images / 16.0  # (n, 8, 8) in [0, 1]
     big = np.kron(imgs, np.ones((1, 3, 3)))  # 24x24
     padded = np.pad(big, ((0, 0), (2, 2), (2, 2)))
-    data = Dataset(padded.reshape(len(imgs), 784), raw.target)
+    pixels = np.clip(np.rint(padded * 255.0), 0, 255).astype(np.uint8)
     d = tmp_path_factory.mktemp("digits")
-    save_idx(data, d / "images.idx", d / "labels.idx", 28, 28)
+    # ten classes, which no Dataset holds, so the pair is written byte by byte
+    (d / "images.idx").write_bytes(struct.pack(">IIII", 2051, len(imgs), 28, 28)
+                                   + pixels.tobytes())
+    (d / "labels.idx").write_bytes(struct.pack(">II", 2049, len(imgs))
+                                   + raw.target.astype(np.uint8).tobytes())
     return d / "images.idx", d / "labels.idx"
 
 
 def test_image_scale_cascade(digits_idx, tmp_path):
     img, lab = digits_idx
-    loaded = load_idx(img, lab)
-    assert loaded.dim == 784
-    pair = filter_binary(loaded, 3, 5)
-    assert set(np.unique(pair.labels)) == {0, 1}
-    subset = sample_balanced(pair, 60, seed=5)
+    pair = load_idx(img, lab, 3, 5)
+    assert pair.dim == 784
+    assert len(pair) == np.isin(sklearn_datasets.load_digits().target, (3, 5)).sum()
+    subset = sample_balanced(pair, 60, 5, ("class_a = 3", "class_b = 5"))
 
     cfg = ExperimentConfig(
         dataset=DatasetSpec(source="idx", images_path=str(img), labels_path=str(lab),

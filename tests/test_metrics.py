@@ -15,12 +15,6 @@ def test_nearest_opposite_mean_distance_frozen():
     assert nearest_opposite_mean_distance(data) == pytest.approx(expected, rel=1e-12)
 
 
-def test_nearest_opposite_requires_both_classes():
-    data = Dataset(np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(ValueError):
-        nearest_opposite_mean_distance(data)
-
-
 @pytest.mark.parametrize("samples, labels, expected", [
     # every pair's squared distance overflows
     ([-1e155, 1e155], [0, 1], np.inf),

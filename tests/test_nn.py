@@ -254,9 +254,6 @@ def test_train_validates_inputs(easy_blobs):
         train(net, easy_blobs, TrainConfig(learning_rate=-1.0), 0)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         train(net, easy_blobs, TrainConfig(batch_size=0), 0)
-    single = Dataset(easy_blobs.samples[:5], np.zeros(5))
-    with pytest.raises(ValueError):
-        train(net, single, TrainConfig(), 0)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, easy_blobs):
