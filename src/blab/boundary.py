@@ -10,10 +10,11 @@ moving; projecting a dataset evaluates its samples' margins once:
 - the bracket root solve (`bisect_along_segment`): Illinois regula falsi on
   every sign change the other stages find;
 - segment crossings toward each sample's SEGMENT_CANDIDATES nearest
-  opposite-class samples;
+  correctly classified opposite-class samples, one `metrics.nearest_rows`
+  query per class;
 - for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample, each as
   long as its seed's distance if the seed converged, else as its nearest
-  opposite-class sample's (a sure upper bound): every ray whose end has
+  crossing target's (a sure upper bound): every ray whose end has
   the other margin sign is a bracket (`_fan_sweep`), solved in the one
   bracket solve with the segment crossings;
 - the tangent slide (`_slide`) of every converged candidate at once: each
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, NumericError
+from .metrics import nearest_rows
 from .nn import MlpNetwork, grad_input, is_correct, margin_batch
 
 METHOD_NEWTON = "newton_refine"
@@ -223,10 +225,10 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
 
     Every candidate is a row of one pool, owned by its sample: first the
     Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
-    opposite-class samples of data (each an upper bound on the true
-    distance), then, 2D only, the crossing of every fan ray as long as its
-    sample's converged seed distance, or, when its seed did not converge, as
-    its nearest such sample's distance (a sample with none gets no fan). The
+    correctly classified opposite-class samples of data (each an upper bound
+    on the true distance), then, 2D only, the crossing of every fan ray as
+    long as its sample's converged seed distance, or, when its seed did not
+    converge, as its nearest such sample's distance (none: no fan). The
     crossings and fan rays are solved in one bracket solve, and the whole
     pool is slid in one _slide call. A sample gets its
     converged row of least distance, or its seed when that is within
@@ -242,14 +244,14 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     if len(bad):
         raise NumericError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
 
-    near, reach = [], np.empty(s)  # reach: the distance to the nearest of near[i]
-    for i in range(s):
-        usable = np.flatnonzero((data.labels != labels[i]) & (m_data * m_x[i] < 0))
-        dists = np.linalg.norm(data.samples[usable] - x[i], axis=1)
-        near.append(usable[np.argsort(dists, kind="stable")[:SEGMENT_CANDIDATES]])
-        reach[i] = dists.min(initial=np.inf)
-    cross_owner = np.repeat(np.arange(s), [len(j) for j in near])
-    target = np.array([j for js in near for j in js], dtype=int)
+    near, reach = np.full((s, SEGMENT_CANDIDATES), -1), np.empty(s)  # reach: to the nearest
+    correct = is_correct(m_data, data.labels)
+    for c in (0, 1):  # one query per class: its samples share one usable set
+        rows, usable = np.flatnonzero(labels == c), np.flatnonzero(correct & (data.labels != c))
+        if len(rows):
+            order, reach[rows] = nearest_rows(x[rows], data.samples[usable], SEGMENT_CANDIDATES)
+            near[rows, :order.shape[1]] = usable[order]
+    cross_owner, target = np.nonzero(near >= 0)[0], near[near >= 0]
     seed, m_seed = hit_boundary(net, x, m_x)
     ray_owner, ends, m_ends = cross_owner, data.samples[target], m_data[target]
     if data.dim == 2:  # 2D only: a fan as long as each converged seed's distance, else reach

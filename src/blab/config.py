@@ -72,6 +72,12 @@ def check_kappa(kappa: float) -> None:
                           f"only for kappa > 0), got {kappa!r}")
 
 
+def check_master_seed(seed: int, name: str) -> None:
+    """derive_seed hashes a seed's low 64 bits: one outside [0, 2**64) would replay one inside."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
@@ -90,6 +96,7 @@ class ExperimentConfig:
         check_layer_dims(self.dims)
         if self.dims_b is not None:
             check_layer_dims(self.dims_b)
+        check_master_seed(self.master_seed, "experiment.master_seed")
         check_kappa(self.kappa)
         self.train.validate()
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import __version__
 from .boundary import adversarial_overshoot, project_dataset, project_to_boundary
-from .config import DatasetSpec, ExperimentConfig, check_kappa, config_from_items, config_sections
+from .config import (DatasetSpec, ExperimentConfig, check_kappa, check_master_seed,
+                     config_from_items, config_sections)
 from .data import (ConfigError, DataError, Dataset, NumericError, export_csv, gen_gaussian_blobs,
                    gen_symmetric_layout, import_csv, load_idx, read_utf8, sample_balanced,
                    write_file)
@@ -395,6 +396,7 @@ def run_symmetry_experiment(layout_kind: str, trials: int, master_seed: int = 0,
     did not converge or has distance 0."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_master_seed(master_seed, "symmetry --seed")
     check_kappa(kappa)
     data = gen_symmetric_layout(layout_kind, perturb)
     train_cfg = TrainConfig(learning_rate=1e-2, max_epochs=5000,

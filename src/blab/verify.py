@@ -12,6 +12,7 @@ from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
 from .geometry import (GridBoundary, PiecewiseLinearBoundary, check_claim1_chain,
                        check_claim2_product, halfspace_projection, ratio_bound)
+from .metrics import nearest_rows
 from .nn import (MlpNetwork, TrainConfig, active_units, grad_input, init_network, is_correct,
                  margin, margin_batch, train)
 from .rng import derive_seed, make_rng
@@ -180,8 +181,7 @@ def random_claim1_instance(seed: int) -> dict:
     pts = np.vstack([rng.standard_normal((half, dim)) - 4.0,
                      rng.standard_normal((s - half, dim)) + 4.0])
     labels = np.array([0] * half + [1] * (s - half))
-    d_min = min(np.linalg.norm(pts[i] - pts[j])
-                for i in range(half) for j in range(half, s))
+    d_min = nearest_rows(pts[:half], pts[half:], 1)[1].min()
     f_vecs = np.empty((s, dim))
     g_vecs = np.empty((s, dim))
     for i in range(s):

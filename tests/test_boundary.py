@@ -15,8 +15,9 @@ from blab.config import parse_config
 from blab.data import Dataset, NumericError, gen_gaussian_blobs, import_csv
 from blab.experiments import build_dataset
 from blab.geometry import halfspace_projection
-from blab.nn import (MlpNetwork, TrainConfig, grad_input, init_network, load_checkpoint, margin,
-                     margin_batch, train)
+from blab.metrics import NEAREST_BLOCK_ELEMENTS
+from blab.nn import (MlpNetwork, TrainConfig, grad_input, init_network, is_correct, load_checkpoint,
+                     margin, margin_batch, train)
 from blab.verify import exact_check_2d
 from helpers import linear_net
 
@@ -277,6 +278,133 @@ def test_a_2d_projection_solves_every_bracket_in_one_call(monkeypatch):
     project_dataset(net, data)
     assert len(solves) == 1 and solves[0] > SEGMENT_CANDIDATES * len(data)  # fan rays too
     assert len(picks) == 1
+
+
+def _per_sample_candidates(net, points, labels, data):
+    """The crossing-candidate rule as the engine once ran it, one sample at a
+    time: each sample's SEGMENT_CANDIDATES nearest data samples of the other
+    label and the other margin sign, nearest first and ties to the lower
+    index, and its distance to the nearest of them (inf with none)."""
+    m_data, m_x = margin_batch(net, data.samples), margin_batch(net, points)
+    near, reach = [], []
+    for x, label, m in zip(points, labels, m_x):
+        usable = np.flatnonzero((data.labels != label) & (m_data * m < 0))
+        dists = np.linalg.norm(data.samples[usable] - x, axis=1)
+        near.append(usable[np.argsort(dists, kind="stable")[:SEGMENT_CANDIDATES]])
+        reach.append(dists.min(initial=np.inf))
+    return near, np.array(reach)
+
+
+def _labelled(net, pts):
+    """pts labelled by the net's own margin signs, so every one is correctly classified."""
+    return Dataset(pts, (margin_batch(net, pts) > 0).astype(int))
+
+
+def _stalled_seed_case():
+    # the committed net and working set whose sample 4's Newton seed stalls:
+    # its fan radius is its nearest candidate's distance
+    data = import_csv(DATA / "fan256_input4_iter_4.csv")
+    return load_checkpoint(DATA / "fan256_input4_iter_5.blab"), data.samples, data.labels, data
+
+
+def _misclassified_data_sample_case():
+    # class 0's sample nearest the boundary, relabelled 1, is the nearest label-1
+    # sample of its class-0 neighbours but has their margin sign: no candidate
+    net = init_network([2, 16, 16, 2], seed=3)
+    data = _labelled(net, 2.0 * np.random.default_rng(3).standard_normal((40, 2)))
+    m = margin_batch(net, data.samples)
+    data.labels[np.argmax(np.where(data.labels == 0, m, -np.inf))] = 1
+    ok = is_correct(m, data.labels)
+    return net, data.samples[ok], data.labels[ok], data
+
+
+def _tied_opposite_points_case():
+    # margin |x| + |y| - 0.5: class 1's unit points, (1, 0) twice, are all 1 from
+    # (0, 0), and (0, 1), (0, -1) equally far from (0.1, 0); ties take the lower index
+    eye = np.eye(2)
+    net = MlpNetwork([np.vstack([eye, -eye]), np.vstack([np.zeros(4), np.ones(4)])],
+                     [np.zeros(4), np.array([0.0, -0.5])])
+    data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.1, 0.0],
+                             [1.0, 0.0], [0.0, -1.0]]), np.array([0, 1, 1, 1, 0, 1, 1]))
+    return net, data.samples, data.labels, data
+
+
+def _two_sample_case():
+    # the linear oracle's shape: one opposite-class sample, fewer than SEGMENT_CANDIDATES
+    net, data, label = _linear_case([0.6, 0.8], 0.3, [1.0, 2.0])
+    return net, data.samples[:1].copy(), [label], data
+
+
+def _points_not_data_case():
+    # transfer's shape: the projected points are not the data's rows
+    net = init_network([2, 16, 16, 2], seed=6)
+    rng = np.random.default_rng(6)
+    data = _labelled(net, 2.0 * rng.standard_normal((30, 2)))
+    points = _labelled(net, 2.0 * rng.standard_normal((12, 2)))
+    return net, points.samples, points.labels, data
+
+
+def _784d_blocks_case():
+    # each class's query spans several blocks of NEAREST_BLOCK_ELEMENTS differences
+    net = init_network([784, 8, 2], seed=7)
+    pts = np.random.default_rng(7).standard_normal((120, 784))
+    net.biases[-1][1] -= np.median(margin_batch(net, pts))  # about half of pts in each class
+    data = _labelled(net, pts)
+    counts = np.bincount(data.labels)
+    assert counts.min() * counts.max() * 784 > 2 * NEAREST_BLOCK_ELEMENTS
+    return net, data.samples, data.labels, data
+
+
+class _Solved(Exception):
+    """Stops a projection at its bracket solve."""
+
+
+@pytest.mark.parametrize("case", [
+    _stalled_seed_case, _misclassified_data_sample_case, _tied_opposite_points_case,
+    _two_sample_case, _points_not_data_case, _784d_blocks_case], ids=lambda c: c.__name__[1:-5])
+def test_crossing_candidates_are_the_per_sample_rule(monkeypatch, case):
+    # the segment ends the one bracket solve outside hit_boundary gets, and at
+    # 2-D the fan radii, against the per-sample rule, bit for bit
+    net, points, labels, data = case()
+    fan_sweep, seen, inside = blab.boundary._fan_sweep, {}, []
+
+    def counted_hit(*args):
+        inside.append(True)
+        try:
+            return hit_boundary(*args)
+        finally:
+            inside.pop()
+
+    def counted_fan(net, x, m_x, radius):
+        seen["radius"], seen["fan"] = radius, fan_sweep(net, x, m_x, radius)
+        return seen["fan"]
+
+    def stopped_solve(net, a, b, m_a, m_b):
+        if inside:
+            return bisect_along_segment(net, a, b, m_a, m_b)
+        seen["a"], seen["b"] = a, b
+        raise _Solved
+
+    monkeypatch.setattr(blab.boundary, "hit_boundary", counted_hit)
+    monkeypatch.setattr(blab.boundary, "_fan_sweep", counted_fan)
+    monkeypatch.setattr(blab.boundary, "bisect_along_segment", stopped_solve)
+    with pytest.raises(_Solved):
+        project_to_boundary(net, points, labels, data)
+    monkeypatch.undo()
+
+    x = np.asarray(points, dtype=float)
+    near, reach = _per_sample_candidates(net, x, labels, data)
+    owner = np.repeat(np.arange(len(x)), [len(n) for n in near])
+    crossings = len(owner)
+    np.testing.assert_array_equal(seen["a"][:crossings], x[owner])
+    np.testing.assert_array_equal(seen["b"][:crossings], data.samples[np.concatenate(near)])
+    if data.dim == 2:
+        seed, m_seed = hit_boundary(net, x, margin_batch(net, x))
+        np.testing.assert_array_equal(seen["radius"], np.where(
+            np.abs(m_seed) <= BOUNDARY_TOLERANCE, np.linalg.norm(seed - x, axis=1), reach))
+        np.testing.assert_array_equal(seen["b"][crossings:], seen["fan"][1])
+    else:
+        assert len(seen["b"]) == crossings
 
 
 def test_illinois_is_exact_in_one_step_on_a_linear_segment(monkeypatch):

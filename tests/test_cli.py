@@ -349,12 +349,22 @@ IDX_357 = {"m.images.idx": struct.pack(">IIII", 2051, 40, 1, 2) + bytes(80),
     (["gentrack", CONFIG, "--set", "dataset.source=idx", "--set",
       f"dataset.images_path={CONFIG_DIR}", "--set", "dataset.labels_path=l.idx"], None,
      f"data error: cannot read {CONFIG_DIR}: Is a directory\n"),
+    # derive_seed hashes a master seed's low 64 bits: -1 and 2**65 - 1 would replay 2**64 - 1
+    (["iterproj", CONFIG, "--set", "experiment.master_seed=-1"], None,
+     "config error: experiment.master_seed must be in [0, 2**64), got -1\n"),
+    (["transfer", TRANSFER_CONFIG, "--set", f"experiment.master_seed={2**65 - 1}"], None,
+     f"config error: experiment.master_seed must be in [0, 2**64), got {2**65 - 1}\n"),
+    (["symmetry", "--seed", "-3"], None,
+     "config error: symmetry --seed must be in [0, 2**64), got -3\n"),
+    (["symmetry", "--seed", str(2**64)], None,
+     f"config error: symmetry --seed must be in [0, 2**64), got {2**64}\n"),
 ], ids=["unknown-source", "unknown-layout", "dims-width", "dims_b-width", "iterproj-one-class",
         "gentrack-one-class", "transfer-one-class", "gentrack-split-lacks-class",
         "transfer-split-lacks-class", "idx-class-absent", "idx-class-below-subset",
         "iterproj-no-csv-path", "gentrack-no-csv-path",
         "transfer-no-csv-path", "iterproj-no-images-path", "transfer-no-labels-path",
-        "csv-path-is-a-directory", "images-path-is-a-directory"])
+        "csv-path-is-a-directory", "images-path-is-a-directory", "iterproj-master-seed-below-0",
+        "transfer-master-seed-past-2-64", "symmetry-seed-below-0", "symmetry-seed-past-2-64"])
 def test_input_faults_exit_with_their_class_code_before_training(
         tmp_path, monkeypatch, capsys, argv, files, message):
     def no_training(*args, **kwargs):

@@ -119,7 +119,7 @@ def _every_field_changed() -> ExperimentConfig:
         dims=[3, 5, 2],
         train=TrainConfig(learning_rate=0.05, max_epochs=77, batch_size=8,
                           accuracy_target=0.95),
-        iterations=3, master_seed=9, kappa=0.3, dims_b=[3, 4, 2])
+        iterations=3, master_seed=2**64 - 1, kappa=0.3, dims_b=[3, 4, 2])  # the largest seed
 
 
 def test_every_field_roundtrips(tmp_path, capsys):

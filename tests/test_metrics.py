@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.data import Dataset
-from blab.metrics import global_difference, nearest_opposite_mean_distance
+from blab.metrics import global_difference, nearest_opposite_mean_distance, nearest_rows
 
 
 def test_nearest_opposite_mean_distance_frozen():
@@ -70,7 +70,8 @@ def test_global_difference_credits_collinear_steps_and_nothing_for_samples_that_
     assert _phi_per_sample(prev[4:], cur[4:], np.array([[0.5, 3.0]])) == [1.0]
 
 
-@pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784)])
+# the last case's 2 class-1 rows are fewer than the 3 nearest rows asked for
+@pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784), (1500, 2, 784)])
 def test_nearest_opposite_blocks_match_the_direct_formula_bitwise(shape):
     s0, s1, n = shape
     rng = np.random.default_rng(s0 + n)
@@ -80,3 +81,7 @@ def test_nearest_opposite_blocks_match_the_direct_formula_bitwise(shape):
     direct = float((d.min(axis=1).sum() + d.min(axis=0).sum()) / (s0 + s1))
     data = Dataset(np.vstack([x0, x1]), np.array([0] * s0 + [1] * s1))
     assert nearest_opposite_mean_distance(data) == direct  # bitwise, not approx
+    for a, b, ab in ((x0, x1, d), (x1, x0, d.T)):  # and the engine's nearest-rows query
+        order, nearest = nearest_rows(a, b, 3)
+        np.testing.assert_array_equal(order, np.argsort(ab, axis=1, kind="stable")[:, :3])
+        np.testing.assert_array_equal(nearest, ab.min(axis=1))
