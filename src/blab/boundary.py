@@ -33,7 +33,7 @@ order a batched product's sums, or pick another kernel, by the batch
 height: the last bits of a projection depend on the rows it is projected
 with, at 2-d as well as at high input widths. The height BLAS sees, in
 margin and gradient evaluations alike, is at most `nn.FORWARD_BLOCK_ROWS`
-(1024): a taller batch is evaluated in equal blocks.
+(512): a taller batch is evaluated in equal blocks.
 """
 
 from __future__ import annotations

@@ -21,11 +21,16 @@ CHECKPOINT_MAGIC = b"BLAB"
 CHECKPOINT_VERSION = 1
 # Most rows in one block of a batched forward or gradient pass, so a pass
 # holds one block's temporaries: the 2D fan sweep's 1920 ray ends on blobs2d
-# run as two 960-row blocks, the oracle grid's 8192-point slabs as eight
-# 1024-row blocks and the 1600-row pool of criteria 01/02 at 784-d as two
-# 800-row blocks. test_margin_batch_memory_is_bounded_by_the_block and
-# test_grad_input_memory_is_bounded_by_the_block pin the memory it bounds.
-FORWARD_BLOCK_ROWS = 1024
+# run as four 480-row blocks, the oracle grid's 8192-point slabs as sixteen
+# 512-row blocks and the 1600-row pool of criteria 01/02 at 784-d as four
+# 400-row blocks. A 512-row block of a [2,32,32,2] layer is 128 KiB, below
+# glibc's mmap threshold, so successive blocks reuse freed memory; in
+# 1024-row blocks each margin_batch call faulted its temporaries in afresh
+# (96 minor faults a call, 300 against 132 ns/row in-process, 1 BLAS thread).
+# test_margin_batch_memory_is_bounded_by_the_block,
+# test_grad_input_memory_is_bounded_by_the_block and
+# test_a_2d_reroot_holds_one_block_at_a_time pin the memory it bounds.
+FORWARD_BLOCK_ROWS = 512
 # train's only update rule is Adam (Kingma & Ba, ICLR 2015), with their suggested settings
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
@@ -181,9 +186,9 @@ def forward_batch(net: MlpNetwork, x: np.ndarray) -> np.ndarray:
     activations, not the whole batch's. Equal blocks keep every block at
     least half that tall: BLAS takes other kernels for a short product (one
     row, or a few at width 32), and a short tail block would change its
-    rows' last bits against a single pass. Equal blocks match one pass bit
-    for bit at the heights the tests check, but not at every height: on
-    [2,32,32,2], 1025 rows split 512 + 513 differ from one pass in 613
+    rows' last bits against a single pass. Equal blocks do not match one pass
+    at every height: on [2,32,32,2], the 2D fan sweep's 1920 ray ends split
+    into four 480-row blocks differ from one pass in 1130 of the tests'
     rows."""
     return _in_blocks(_forward_block, net, _check_input(net, x), 2)
 

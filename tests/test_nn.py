@@ -70,33 +70,50 @@ def _single_pass_margin(net, x):
     return h[:, 1] - h[:, 0]
 
 
+def _equal_blocks(rows):
+    """forward_batch's equal blocks of at most FORWARD_BLOCK_ROWS rows, as (start, stop) pairs."""
+    blocks = -(-rows // FORWARD_BLOCK_ROWS)
+    edges = [rows * i // blocks for i in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 @pytest.mark.parametrize("dims", [[2, 16, 16, 2], [2, 32, 32, 2]])
 def test_blocked_margin_batch_matches_one_pass_bit_for_bit(dims):
     # heights around the block, the 2D fan sweep's 1920 ray ends on blobs2d
-    # (30 samples x 64 rays, two 960-row blocks) and the oracle grid's 120701
+    # (30 samples x 64 rays, four 480-row blocks) and the oracle grid's 120701
     # points; 2049 and 4097 would leave a 1-row block if blocks were all 2048
-    # tall. Not every height matches on [2,32,32,2]: 1025 rows split
-    # 512 + 513 move the last bits of 613 rows, and a 17-sample fan's 1088
-    # rows split 544 + 544 those of 648.
+    # tall. [2,16,16,2] matches one pass at every one of them. [2,32,32,2]
+    # matches one pass up to one block; BLAS orders a taller product's sums
+    # differently, so 1130 of 1920 rows and 70950 of 120701 differ from one
+    # pass, and each block matches one pass over that block instead.
     rng = np.random.default_rng(11)
     net = init_network(dims, seed=4)
     net.biases = [rng.standard_normal(b.shape) for b in net.biases]
     x = rng.uniform(-3.0, 3.0, (120701, 2))
     for rows in (1, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, 1920, 2047, 2048, 2049,
                  4097, 120701):
-        np.testing.assert_array_equal(margin_batch(net, x[:rows]),
-                                      _single_pass_margin(net, x[:rows]))
+        if dims == [2, 16, 16, 2] or rows <= FORWARD_BLOCK_ROWS:
+            expected = _single_pass_margin(net, x[:rows])
+        else:
+            expected = np.concatenate([_single_pass_margin(net, x[start:stop])
+                                       for start, stop in _equal_blocks(rows)])
+        np.testing.assert_array_equal(margin_batch(net, x[:rows]), expected)
+
+
+def _traced_peak(fn, net, x):
+    """Peak bytes that Python traces while fn(net, x) runs."""
+    tracemalloc.start()
+    try:
+        fn(net, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_margin_batch_memory_is_bounded_by_the_block():
     net = init_network([2, 16, 16, 2], seed=4)
     x = np.random.default_rng(12).uniform(-3.0, 3.0, (120701, 2))
-    tracemalloc.start()
-    try:
-        margin_batch(net, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(margin_batch, net, x)
     # one pass at once holds 120701x16 float64 activations per layer (44 MiB)
     assert peak <= 4 * 2**20
 
@@ -193,25 +210,31 @@ def test_masked_grad_input_matches_pre_activation_backprop(dims):
         np.testing.assert_array_equal(grad_input(net, x[:rows]),
                                       _pre_activation_grad(net, x[:rows]))
     # taller batches go through in forward_batch's equal blocks
-    for rows, blocks in ((1536, 2), (3000, 3)):
-        edges = [rows * i // blocks for i in range(blocks + 1)]
+    for rows in (1536, 3000):
         expected = np.vstack([_pre_activation_grad(net, x[start:stop])
-                              for start, stop in zip(edges[:-1], edges[1:])])
+                              for start, stop in _equal_blocks(rows)])
         np.testing.assert_array_equal(grad_input(net, x[:rows]), expected)
 
 
 def test_grad_input_memory_is_bounded_by_the_block():
     net = init_network([784, 500, 256, 128, 32, 2], seed=4)
     x = np.random.default_rng(14).uniform(0.0, 1.0, (3000, 784))
-    tracemalloc.start()
-    try:
-        grad_input(net, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(grad_input, net, x)
     # the 3000x784 result is 17.9 MiB of the peak; one pass keeping every
     # hidden layer's float pre-activations for all rows peaks at 62.5 MiB
     assert peak <= 36 * 2**20
+
+
+def test_a_2d_reroot_holds_one_block_at_a_time():
+    # about the height of the slide's tallest 2-D re-root on blobs2d. A block
+    # of 512 rows keeps each [2,32,32,2] layer's activations at 128 KiB, below
+    # glibc's mmap threshold; 1024-row blocks peaked at 558 and 628 KiB here
+    net = init_network([2, 32, 32, 2], seed=4)
+    x = np.random.default_rng(15).uniform(-3.0, 3.0, (3500, 2))
+    layer = 512 * 32 * x.itemsize  # one 512-row block's activations of one hidden layer
+    for fn in (margin_batch, grad_input):
+        # three layers' activations of one block, and the (3500, 2) result with its margins
+        assert _traced_peak(fn, net, x) <= 3 * layer + 2 * x.nbytes, fn.__name__
 
 
 def test_accuracy_zero_margin_counts_wrong():
