@@ -97,7 +97,6 @@ def cmd_gen_data(args) -> int:
     given = _given(args, args.blob_flags)
     if args.kind == "blobs":
         spec = DatasetSpec(source="blobs", **given)
-        spec.validate()
     elif given:
         flags = ", ".join(a.option_strings[0] for a in args.blob_flags if a.dest in given)
         raise ConfigError(f"--kind {args.kind} takes no blob flag, got {flags}")

@@ -4,6 +4,9 @@ This module owns the sections ([dataset], [network], [train], [experiment]),
 their keys, the value text, the `--set SECTION.KEY=VALUE` overrides and the
 `show-config` text that a manifest also stores. Unknown sections or keys are
 errors so typos never silently fall back to defaults. Overrides beat file values.
+A config is immutable and checked once, when it is made: a ConfigError from
+its constructor, so `dataclasses.replace` checks the new values again and
+code that takes a config never re-checks it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ DATASET_SOURCES = ("blobs", "idx", "csv", "symmetric")
 DATASET_PATH_KEYS = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     source: str = "blobs"  # one of DATASET_SOURCES
     seed: int = 0
@@ -41,7 +44,7 @@ class DatasetSpec:
     # symmetric
     layout_kind: str = "square_xor"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_finite_fields(self)
         if self.source not in DATASET_SOURCES:
             raise ConfigError(f"unknown dataset source {self.source!r}; "
@@ -78,7 +81,7 @@ def check_master_seed(seed: int, name: str) -> None:
         raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     dims: list[int] = field(default_factory=lambda: [2, 16, 16, 2])
@@ -88,9 +91,8 @@ class ExperimentConfig:
     kappa: float = 0.1
     dims_b: list[int] | None = None  # second architecture (cross-model transfer)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_finite_fields(self)
-        self.dataset.validate()
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         check_layer_dims(self.dims)
@@ -98,7 +100,6 @@ class ExperimentConfig:
             check_layer_dims(self.dims_b)
         check_master_seed(self.master_seed, "experiment.master_seed")
         check_kappa(self.kappa)
-        self.train.validate()
 
 
 def _keys(cls, exclude=()) -> dict:
@@ -138,17 +139,20 @@ def _format_value(value) -> str:
 
 
 def config_from_items(items) -> ExperimentConfig:
-    """The defaults with `(section, key, text)` triples applied in order, then validated."""
-    cfg = ExperimentConfig()
+    """The defaults with `(section, key, text)` triples applied in order: each
+    value is parsed as it comes, and the config is checked once, when it is
+    made ([dataset], then [train], then [network] and [experiment])."""
+    values = {section: {} for section in CONFIG_SCHEMA}
     for section, key, text in items:
         if key not in CONFIG_SCHEMA.get(section, ()):
             raise ConfigError(f"unknown config key {section}.{key}")
         try:
-            setattr(_target(cfg, section), key, _parse_value(CONFIG_SCHEMA[section][key], text))
+            values[section][key] = _parse_value(CONFIG_SCHEMA[section][key], text)
         except ValueError as e:
             raise ConfigError(f"bad value for {section}.{key}: {text!r}") from e
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(dataset=DatasetSpec(**values["dataset"]),
+                            train=TrainConfig(**values["train"]),
+                            **values["network"], **values["experiment"])
 
 
 def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:

@@ -157,9 +157,8 @@ def save_idx(data: Dataset, images_path, labels_path, rows: int, cols: int) -> N
 def sample_balanced(data: Dataset, total: int, seed: int, names: tuple[str, str]) -> Dataset:
     """Draw total/2 samples per class without replacement, deterministic per seed.
     names are the config's names of classes 0 and 1 (`class_a = 3`), which a
-    DataError for a class too small for dataset.subset gives."""
-    if total <= 0 or total % 2 != 0:
-        raise DataError("total must be an even positive integer")
+    DataError for a class too small for dataset.subset gives. total is a
+    valid DatasetSpec's nonzero subset: even and positive."""
     half = total // 2
     rng = make_rng(seed, stream=0xBA7A)
     picked = []
@@ -174,15 +173,13 @@ def sample_balanced(data: Dataset, total: int, seed: int, names: tuple[str, str]
 
 
 @np.errstate(over="ignore")
-def gen_gaussian_blobs(n: int, per_class: int, centers, sigma: float, seed: int) -> Dataset:
-    """Two isotropic normal blobs, per_class points each; DataError if a point overflows."""
+def gen_gaussian_blobs(per_class: int, centers, sigma: float, seed: int) -> Dataset:
+    """Two isotropic normal blobs, per_class points each, about two centers of
+    one length, which is the samples' width; sigma must be positive. DataError
+    if a point overflows."""
     c0, c1 = (np.asarray(c, dtype=np.float64) for c in centers)
-    if c0.shape != (n,) or c1.shape != (n,):
-        raise DataError("centers must both have dimension n")
-    if sigma <= 0:
-        raise DataError("sigma must be positive")
     rng = make_rng(seed, stream=0xB10B)
-    samples = np.vstack([c + sigma * rng.standard_normal((per_class, n)) for c in (c0, c1)])
+    samples = np.vstack([c + sigma * rng.standard_normal((per_class, len(c))) for c in (c0, c1)])
     return Dataset(samples, np.repeat([0, 1], per_class))
 
 

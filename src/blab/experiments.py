@@ -57,19 +57,16 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
         half = spec.center_distance / 2.0
         c0, c1 = np.zeros((2, spec.dim))
         c0[0], c1[0] = -half, half
-        data = gen_gaussian_blobs(spec.dim, spec.per_class, (c0, c1), spec.sigma, spec.seed)
-    elif spec.source == "idx":
+        return gen_gaussian_blobs(spec.per_class, (c0, c1), spec.sigma, spec.seed)
+    if spec.source == "idx":
         data = load_idx(spec.images_path, spec.labels_path, spec.class_a, spec.class_b)
         if spec.subset:
             data = sample_balanced(data, spec.subset, spec.seed,
                                    (f"class_a = {spec.class_a}", f"class_b = {spec.class_b}"))
-    elif spec.source == "csv":
-        data = import_csv(spec.csv_path)
-    elif spec.source == "symmetric":
-        data = gen_symmetric_layout(spec.layout_kind)
-    else:
-        raise ConfigError(f"unknown dataset source {spec.source!r}")
-    return data
+        return data
+    if spec.source == "csv":
+        return import_csv(spec.csv_path)
+    return gen_symmetric_layout(spec.layout_kind)  # the one source left: symmetric
 
 
 def stratified_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -236,13 +233,11 @@ def run_iterative_projection(cfg: ExperimentConfig, out_dir) -> list[IterationRe
     """Iterative projection: train a fresh-seeded network, replace the
     working set with its boundary projections, repeat. Record 0 describes
     the raw working set; identical configs replay identically."""
-    cfg.validate()
     return _start(cfg, build_dataset(cfg.dataset), False, out_dir)
 
 
 def run_generalization_tracking(cfg: ExperimentConfig, out_dir) -> list[IterationRecord]:
     """Iterative projection with per-iteration accuracy on an untouched test split."""
-    cfg.validate()
     return _start(cfg, _held_out_split(cfg)[0], True, out_dir)
 
 
@@ -342,7 +337,6 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     converged count (n_samples), each with one baseline direction. The
     report's keys are in the order it is written. A network whose training
     diverges or hits the epoch cap raises NumericError: no report."""
-    cfg.validate()
     if mode not in TRANSFER_MODES:
         raise ConfigError(f"unknown transfer mode {mode!r}")
     if mode == "cross_model" and cfg.dims_b is None:

@@ -60,7 +60,7 @@ def check_finite_fields(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adam"  # adam is the only optimizer
     learning_rate: float = 1e-2
@@ -68,7 +68,7 @@ class TrainConfig:
     batch_size: int = 32
     accuracy_target: float = 0.90
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_finite_fields(self)
         if self.optimizer != "adam":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; adam is the only optimizer")
@@ -263,7 +263,6 @@ def train(net: MlpNetwork, data: Dataset, cfg: TrainConfig, seed: int) -> TrainR
     inputs. Repeated boundary projection shrinks working sets into tiny
     off-center clouds; without this the optimization stalls long before
     every sample is correct. data, like every Dataset, holds both classes."""
-    cfg.validate()
     _check_input(net, data.samples)
     batch_size = min(cfg.batch_size, len(data))
 

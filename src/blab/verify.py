@@ -59,7 +59,7 @@ def gradient_suite(pairs: int = 100, seed: int = 2024) -> tuple[list[CheckResult
 
 
 def _train_2d_net(seed: int):
-    data = gen_gaussian_blobs(2, 40, (np.array([-2.0, 0.0]), np.array([2.0, 0.0])),
+    data = gen_gaussian_blobs(40, (np.array([-2.0, 0.0]), np.array([2.0, 0.0])),
                               0.5, derive_seed(seed, 0))
     net = init_network([2, 16, 16, 2], derive_seed(seed, 1))
     cfg = TrainConfig(learning_rate=1e-2, max_epochs=3000, batch_size=16, accuracy_target=0.9)

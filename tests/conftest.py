@@ -17,5 +17,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def easy_blobs():
     """Well-separated 2D blobs any reasonable training run classifies."""
-    return gen_gaussian_blobs(2, 20, (np.array([-2.0, 0.0]), np.array([2.0, 0.0])),
+    return gen_gaussian_blobs(20, (np.array([-2.0, 0.0]), np.array([2.0, 0.0])),
                               0.4, seed=7)

