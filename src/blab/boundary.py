@@ -1,17 +1,17 @@
 """Numerical projection of samples onto a network's decision boundary.
 
-One lockstep engine projects a whole set of samples at once. Every stage
+One lockstep engine projects a set of one dataset's rows at once. Every stage
 works on an (rows, n) array and each row stops on its own mask, so one step
 of a stage is one batched margin or gradient evaluation of the rows still
-moving; projecting a dataset evaluates its samples' margins once:
+moving; a projection evaluates its dataset's margins once:
 
 - the Newton seed (`hit_boundary`): the binary DeepFool step -m*g/|g|^2
   until the margin is within BOUNDARY_TOLERANCE or changes sign;
 - the bracket root solve (`bisect_along_segment`): Illinois regula falsi on
   every sign change the other stages find;
 - segment crossings toward each sample's SEGMENT_CANDIDATES nearest
-  correctly classified opposite-class samples, one `metrics.nearest_rows`
-  query per class;
+  correctly classified opposite-class samples of its dataset, all found by
+  one `metrics.opposite_neighbours` pass;
 - for 2D inputs, a fan of FAN_DIRECTIONS rays from each sample, each as
   long as its seed's distance if the seed converged, else as its nearest
   crossing target's (a sure upper bound): every ray whose end has
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, NumericError
-from .metrics import nearest_rows
+from .metrics import opposite_neighbours
 from .nn import MlpNetwork, grad_input, is_correct, margin_batch
 
 METHOD_NEWTON = "newton_refine"
@@ -219,9 +219,9 @@ def _fan_sweep(net: MlpNetwork, x, m_x, radius):
     return owner[hit], ends[hit], m_end[hit]
 
 
-def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[ProjectionResult]:
-    """Nearest-boundary-point estimates for correctly classified samples
-    (the rows of points, with their labels), projected in lockstep.
+def project_to_boundary(net: MlpNetwork, data: Dataset, rows) -> list[ProjectionResult]:
+    """Nearest-boundary-point estimates for correctly classified samples of
+    data (its rows `rows`), projected in lockstep, with data's margins.
 
     Every candidate is a row of one pool, owned by its sample: first the
     Newton seeds, then the crossings toward the SEGMENT_CANDIDATES nearest
@@ -233,24 +233,17 @@ def project_to_boundary(net: MlpNetwork, points, labels, data: Dataset) -> list[
     pool is slid in one _slide call. A sample gets its
     converged row of least distance, or its seed when that is within
     REFINE_TOLERANCE of the least; with no converged row, it gets itself,
-    not converged. A misclassified sample raises NumericError.
+    not converged. A misclassified sample raises NumericError naming its row.
     """
-    x = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    s = len(x)
     m_data = margin_batch(net, data.samples)
-    m_x = m_data if x is data.samples else margin_batch(net, x)  # the data's own rows: no 2nd pass
-    bad = np.flatnonzero(~is_correct(m_x, labels))
-    if len(bad):
-        raise NumericError(f"sample {bad[0]} is misclassified; projection requires a trained separator")
-
-    near, reach = np.full((s, SEGMENT_CANDIDATES), -1), np.empty(s)  # reach: to the nearest
     correct = is_correct(m_data, data.labels)
-    for c in (0, 1):  # one query per class: its samples share one usable set
-        rows, usable = np.flatnonzero(labels == c), np.flatnonzero(correct & (data.labels != c))
-        if len(rows):
-            order, reach[rows] = nearest_rows(x[rows], data.samples[usable], SEGMENT_CANDIDATES)
-            near[rows, :order.shape[1]] = usable[order]
+    bad = np.flatnonzero(~correct[rows])
+    if len(bad):
+        raise NumericError(f"sample {rows[bad[0]]} is misclassified; projection requires a trained separator")
+
+    x, m_x, s = data.samples[rows], m_data[rows], len(rows)
+    near, reach = (a[rows] for a in opposite_neighbours(  # reach: to the nearest
+        data.samples, np.where(correct, data.labels, -1), SEGMENT_CANDIDATES))
     cross_owner, target = np.nonzero(near >= 0)[0], near[near >= 0]
     seed, m_seed = hit_boundary(net, x, m_x)
     ray_owner, ends, m_ends = cross_owner, data.samples[target], m_data[target]
@@ -291,6 +284,6 @@ def project_dataset(net: MlpNetwork, data: Dataset) -> tuple[Dataset, list[Proje
     the projected points, labeled as the samples, and the results.
 
     An unconverged sample is its own projection, so it keeps its location."""
-    results = project_to_boundary(net, data.samples, data.labels, data)
+    results = project_to_boundary(net, data, np.arange(len(data)))
     return Dataset(np.array([r.point for r in results]), data.labels.copy()), results
 

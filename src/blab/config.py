@@ -12,6 +12,7 @@ code that takes a config never re-checks it.
 from __future__ import annotations
 
 import configparser
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import UnionType
@@ -58,6 +59,9 @@ class DatasetSpec:
             raise ConfigError("dataset dim must be >= 1")
         if self.per_class < 1:
             raise ConfigError("dataset per_class must be >= 1")
+        if 2 * self.per_class * self.dim * 8 > sys.maxsize:  # numpy's most for the blobs' array
+            raise ConfigError(f"dataset per_class and dim must give at most {sys.maxsize} bytes "
+                              f"of samples, got per_class {self.per_class}, dim {self.dim}")
         if self.sigma <= 0:
             raise ConfigError("dataset sigma must be positive")
         if self.subset < 0 or self.subset % 2:

@@ -357,11 +357,10 @@ def run_transfer(cfg: ExperimentConfig, mode: str) -> dict:
     # a Python bool: json.dumps refuses numpy.bool_
     valid = bool(correct_b.mean() >= 0.90 and correct_a.mean() >= 0.90)
 
-    ok = correct_a & correct_b
-    xs = eval_data.samples[ok]
-    labels = eval_data.labels[ok]
-
-    results = project_to_boundary(net_a, xs, labels, data_a)
+    # crossings go toward the evaluation samples net_a classifies correctly
+    ok = np.flatnonzero(correct_a & correct_b)
+    xs, labels = eval_data.samples[ok], eval_data.labels[ok]
+    results = project_to_boundary(net_a, eval_data, ok)
     kept = np.array([r.converged for r in results], dtype=bool)
     points = np.reshape([r.point for r in results], xs.shape)[kept]
     xs, labels = xs[kept], labels[kept]

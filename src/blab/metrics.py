@@ -1,9 +1,9 @@
 """Quantitative instruments over working sets, which need no network.
 
 This module owns the exact pair-distance block rule, blab's one source of
-sample-to-sample distances outside `geometry`; the engine's crossing
-candidates and verify's claim-1 instances read it through `nearest_rows`.
-It also holds:
+sample-to-sample distances outside `geometry`, read in one class-0 x class-1
+pass (`opposite_neighbours`) by the engine's crossing candidates, verify's
+claim-1 instances and the nearest-opposite metric. It also holds:
 
 - the mean nearest-opposite-class distance of one working set;
 - the global difference phi between the separators of consecutive cascade
@@ -21,22 +21,35 @@ ALIGNED_COSINE = 0.95  # least cosine between f's and g's projection vectors tha
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Distances from the rows of a to those of b, in row blocks of at most
-    NEAREST_BLOCK_ELEMENTS exact differences: never the |a|^2 + |b|^2 - 2ab
-    expansion, which cancels once points crowd together."""
+    """Each block's first row of a and its distances to the rows of b, in row
+    blocks of at most NEAREST_BLOCK_ELEMENTS exact differences: never the
+    |a|^2 + |b|^2 - 2ab expansion, which cancels once points crowd together."""
     block = max(1, NEAREST_BLOCK_ELEMENTS // max(1, b.size))
     for start in range(0, len(a), block):
-        yield np.sqrt(((a[start:start + block, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        yield start, np.sqrt(((a[start:start + block, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
-def nearest_rows(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (at least one), the indices of its min(k, len(b)) nearest rows
-    of b, nearest first, ties to the lower index, and its least distance (inf if none)."""
-    order, nearest = [], []
-    for d in _distance_blocks(a, b):
-        order.append(np.argsort(d, axis=1, kind="stable")[:, :k])
-        nearest.append(d.min(axis=1, initial=np.inf))
-    return np.concatenate(order), np.concatenate(nearest)
+def opposite_neighbours(samples, labels, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, its k nearest other-class rows, nearest first, ties to the lower
+    index and -1 past that class's size, and its least distance to that class
+    (inf if none). Rows labelled anything but 0 or 1 take no part. One pass over
+    the class-0 x class-1 blocks: a class-1 row's list is a running top k of its
+    column, merged stably block by block, so earlier (lower) rows win its ties."""
+    rows0, rows1 = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    near, least = np.full((len(samples), k), -1), np.full(len(samples), np.inf)
+    top_d, top_i = np.empty((0, len(rows1))), np.empty((0, len(rows1)), dtype=int)
+    for start, d in _distance_blocks(samples[rows0], samples[rows1]):
+        block = rows0[start:start + len(d)]
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        near[block, :order.shape[1]] = rows1[order]
+        least[block] = d.min(axis=1, initial=np.inf)
+        least[rows1] = np.minimum(least[rows1], d.min(axis=0))
+        top_d = np.vstack([top_d, d])
+        top_i = np.vstack([top_i, np.broadcast_to(block[:, None], d.shape)])
+        keep = np.argsort(top_d, axis=0, kind="stable")[:k]
+        top_d, top_i = (np.take_along_axis(a, keep, axis=0) for a in (top_d, top_i))
+    near[rows1, :len(top_i)] = top_i.T
+    return near, least
 
 
 @np.errstate(over="ignore")
@@ -44,16 +57,10 @@ def nearest_opposite_mean_distance(data: Dataset) -> float:
     """Mean over samples of the Euclidean distance to the closest
     opposite-class sample, exhaustive over all pairs; inf if a nearest distance overflows.
 
-    One pass over the class-0 x class-1 blocks: row minima are concatenated
-    and column minima kept as a running minimum. A Dataset holds both
-    classes, so each sample has an opposite-class sample."""
-    x0 = data.samples[data.labels == 0]
-    x1 = data.samples[data.labels == 1]
-    row_min, col_min = [], np.full(len(x1), np.inf)
-    for d in _distance_blocks(x0, x1):
-        row_min.append(d.min(axis=1))
-        col_min = np.minimum(col_min, d.min(axis=0))
-    return float((np.concatenate(row_min).sum() + col_min.sum()) / len(data))
+    The least distances of one opposite_neighbours pass, class 0's summed
+    first. A Dataset holds both classes, so each sample has an opposite-class sample."""
+    least = opposite_neighbours(data.samples, data.labels, 0)[1]
+    return float((least[data.labels == 0].sum() + least[data.labels == 1].sum()) / len(data))
 
 
 def global_difference(prev: np.ndarray, cur: np.ndarray, nxt: np.ndarray) -> float:

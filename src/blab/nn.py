@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, fields
 from itertools import islice
 
@@ -99,6 +100,10 @@ def check_layer_dims(layer_dims, input_dim: int | None = None) -> list[int]:
         raise ConfigError("need at least an input and an output layer")
     if any(d <= 0 for d in dims):
         raise ConfigError("all layer dimensions must be positive")
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):  # numpy's most for a float64 array
+        if fan_out * fan_in * 8 > sys.maxsize:
+            raise ConfigError(f"layer dimensions must give weight matrices of at most "
+                              f"{sys.maxsize} bytes, got {fan_in} -> {fan_out}")
     if dims[-1] != 2:
         raise ConfigError("output layer must have exactly 2 logits")
     if input_dim is not None and dims[0] != input_dim:

@@ -12,7 +12,7 @@ from .boundary import project_to_boundary
 from .data import Dataset, gen_gaussian_blobs
 from .geometry import (GridBoundary, PiecewiseLinearBoundary, check_claim1_chain,
                        check_claim2_product, halfspace_projection, ratio_bound)
-from .metrics import nearest_rows
+from .metrics import opposite_neighbours
 from .nn import (MlpNetwork, TrainConfig, active_units, grad_input, init_network, is_correct,
                  margin, margin_batch, train)
 from .rng import derive_seed, make_rng
@@ -111,7 +111,7 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
         net, data = _train_2d_net(derive_seed(seed, n))
         correct = np.flatnonzero(is_correct(margin_batch(net, data.samples), data.labels))
         picks = rng.choice(correct, size=ORACLE_POINTS_PER_NET, replace=False)
-        projections = project_to_boundary(net, data.samples[picks], data.labels[picks], data)
+        projections = project_to_boundary(net, data, picks)
         converged = np.array([res.converged for res in projections])
         if not converged.all():
             exact_ok = False
@@ -158,7 +158,7 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
         label = 1 if m > 0 else 0
         anchor = halfspace_projection(w, c, x) - (2.0 if m > 0 else -2.0) * w / np.linalg.norm(w)
         data = Dataset(np.vstack([x, anchor]), np.array([label, 1 - label]))
-        res = project_to_boundary(net, x[None, :], [label], data)[0]
+        res = project_to_boundary(net, data, [0])[0]
         [solver] = np.linalg.norm([res.point - x], axis=1).tolist()  # as the engine measures it
         exact = np.linalg.norm(halfspace_projection(w, c, x) - x)
         err = abs(solver - exact)
@@ -181,7 +181,7 @@ def random_claim1_instance(seed: int) -> dict:
     pts = np.vstack([rng.standard_normal((half, dim)) - 4.0,
                      rng.standard_normal((s - half, dim)) + 4.0])
     labels = np.array([0] * half + [1] * (s - half))
-    d_min = nearest_rows(pts[:half], pts[half:], 1)[1].min()
+    d_min = opposite_neighbours(pts, labels, 0)[1].min()
     f_vecs = np.empty((s, dim))
     g_vecs = np.empty((s, dim))
     for i in range(s):

@@ -40,7 +40,7 @@ def _linear_case(w, b, x):
 def test_projection_matches_halfspace_frozen_case():
     # w = (0.6, 0.8) unit normal, boundary through the origin, x = (4, 3)
     net, data, label = _linear_case([0.6, 0.8], 0.0, [4.0, 3.0])
-    [res] = project_to_boundary(net, [[4.0, 3.0]], [label], data)
+    [res] = project_to_boundary(net, data, [0])
     assert res.converged
     assert np.linalg.norm(res.point - [4.0, 3.0]) == pytest.approx(4.8, abs=1e-6)
     np.testing.assert_allclose(res.point, [1.12, -0.84], atol=1e-6)
@@ -56,7 +56,7 @@ def test_projection_random_linear_cases():
         net, data, label = _linear_case(w, b, x)
         if abs(margin(net, x)) < 1e-6:
             continue
-        [res] = project_to_boundary(net, [x], [label], data)
+        [res] = project_to_boundary(net, data, [0])
         exact = abs(float(w @ x) + b)
         assert res.converged
         assert np.linalg.norm(res.point - x) == pytest.approx(exact, abs=1e-6)
@@ -80,7 +80,7 @@ def test_a_seed_stopped_by_a_zero_gradient_still_gets_its_segment_crossing():
     seeds, m = hit_boundary(net, data.samples[:1], margin_batch(net, data.samples[:1]))
     np.testing.assert_array_equal(seeds, [[0.0, 0.0]])
     assert m[0] == -1.0
-    [res] = project_to_boundary(net, data.samples[:1], data.labels[:1], data)
+    [res] = project_to_boundary(net, data, [0])
     assert res.converged and res.method == METHOD_COMBINED
     np.testing.assert_allclose(res.point, [1.5, 0.0], atol=1e-12)
     assert np.linalg.norm(res.point - data.samples[0]) == pytest.approx(1.5, abs=1e-12)
@@ -153,7 +153,7 @@ def test_distance_never_exceeds_nearest_opposite_sample(easy_blobs):
 def test_overshoot_crosses_boundary():
     x = np.array([4.0, 3.0])
     net, data, label = _linear_case([0.6, 0.8], 0.0, x)
-    [res] = project_to_boundary(net, [x], [label], data)
+    [res] = project_to_boundary(net, data, [0])
     [adv] = adversarial_overshoot(x[None], res.point[None], kappa=0.1)
     assert margin(net, adv) * margin(net, x) < 0
 
@@ -163,7 +163,8 @@ def test_an_overshoot_starts_from_the_sample_bit_for_bit():
     # is an ulp off x
     xs = np.array([[0.1, 0.7], [4.0, 3.0], [-1.3, 2.9]])
     net, data, label = _linear_case([0.6, 0.8], 0.3, xs[0])
-    results = project_to_boundary(net, xs, [label] * len(xs), data)
+    data = Dataset(np.vstack([xs, data.samples[1:]]), np.array([label] * len(xs) + [1 - label]))
+    results = project_to_boundary(net, data, np.arange(len(xs)))
     points = np.array([r.point for r in results])
     assert not np.array_equal(points[0] - (points[0] - xs[0]), xs[0])
     for kappa in (0.1, 0.5, 2.0):
@@ -176,22 +177,29 @@ def test_project_dataset_rejects_misclassified():
     data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
     with pytest.raises(NumericError, match="sample 0 is misclassified"):
         project_dataset(net, data)
-    # every caller gets the check, naming the row of the points it was given
-    with pytest.raises(NumericError, match="sample 1 is misclassified"):
-        project_to_boundary(net, data.samples[::-1], data.labels[::-1], data)
+    # every caller gets the check, naming the data's row, not its place among the rows given
+    with pytest.raises(NumericError, match="sample 0 is misclassified"):
+        project_to_boundary(net, data, [1, 0])
 
 
 def test_project_dataset_evaluates_the_data_once(monkeypatch):
+    # so does a projection of some of its rows, as the oracle makes: their margins
+    # come from that one pass, with no pass over the rows alone
     net, data = _trained_blobs2d()
-    passes = []  # per margin_batch call, whether it evaluated the data's rows
+    picks = np.arange(0, len(data), 7)
+    passes = []  # the rows of each margin_batch call
 
     def counted(net, x):
-        passes.append(np.array_equal(x, data.samples))
+        passes.append(x)
         return margin_batch(net, x)
 
     monkeypatch.setattr(blab.boundary, "margin_batch", counted)
-    project_dataset(net, data)
-    assert sum(passes) == 1
+    for project in (lambda: project_dataset(net, data),
+                    lambda: project_to_boundary(net, data, picks)):
+        passes.clear()
+        project()
+        assert sum(np.array_equal(x, data.samples) for x in passes) == 1
+        assert not any(np.array_equal(x, data.samples[picks]) for x in passes)
 
 
 def test_projection_on_curved_boundary_finds_near_branch():
@@ -202,7 +210,7 @@ def test_projection_on_curved_boundary_finds_near_branch():
     net = init_network([2, 16, 16, 2], seed=12)
     train(net, data, TrainConfig(max_epochs=3000, batch_size=30), 12)
     picks = np.arange(0, len(data), 7)
-    for res in project_to_boundary(net, data.samples[picks], data.labels[picks], data):
+    for res in project_to_boundary(net, data, picks):
         assert res.converged
         assert res.residual <= BOUNDARY_TOLERANCE
 
@@ -304,7 +312,7 @@ def _stalled_seed_case():
     # the committed net and working set whose sample 4's Newton seed stalls:
     # its fan radius is its nearest candidate's distance
     data = import_csv(DATA / "fan256_input4_iter_4.csv")
-    return load_checkpoint(DATA / "fan256_input4_iter_5.blab"), data.samples, data.labels, data
+    return load_checkpoint(DATA / "fan256_input4_iter_5.blab"), data, np.arange(len(data))
 
 
 def _misclassified_data_sample_case():
@@ -314,8 +322,7 @@ def _misclassified_data_sample_case():
     data = _labelled(net, 2.0 * np.random.default_rng(3).standard_normal((40, 2)))
     m = margin_batch(net, data.samples)
     data.labels[np.argmax(np.where(data.labels == 0, m, -np.inf))] = 1
-    ok = is_correct(m, data.labels)
-    return net, data.samples[ok], data.labels[ok], data
+    return net, data, np.flatnonzero(is_correct(m, data.labels))
 
 
 def _tied_opposite_points_case():
@@ -326,33 +333,32 @@ def _tied_opposite_points_case():
                      [np.zeros(4), np.array([0.0, -0.5])])
     data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.1, 0.0],
                              [1.0, 0.0], [0.0, -1.0]]), np.array([0, 1, 1, 1, 0, 1, 1]))
-    return net, data.samples, data.labels, data
+    return net, data, np.arange(len(data))
 
 
 def _two_sample_case():
     # the linear oracle's shape: one opposite-class sample, fewer than SEGMENT_CANDIDATES
-    net, data, label = _linear_case([0.6, 0.8], 0.3, [1.0, 2.0])
-    return net, data.samples[:1].copy(), [label], data
+    net, data, _ = _linear_case([0.6, 0.8], 0.3, [1.0, 2.0])
+    return net, data, [0]
 
 
-def _points_not_data_case():
-    # transfer's shape: the projected points are not the data's rows
+def _twelve_of_42_rows_case():
+    # transfer's and the oracle's shape: some of the data's rows, in no order
     net = init_network([2, 16, 16, 2], seed=6)
     rng = np.random.default_rng(6)
-    data = _labelled(net, 2.0 * rng.standard_normal((30, 2)))
-    points = _labelled(net, 2.0 * rng.standard_normal((12, 2)))
-    return net, points.samples, points.labels, data
+    data = _labelled(net, 2.0 * rng.standard_normal((42, 2)))
+    return net, data, rng.permutation(len(data))[:12]
 
 
 def _784d_blocks_case():
-    # each class's query spans several blocks of NEAREST_BLOCK_ELEMENTS differences
+    # the class-pair pass spans several blocks of NEAREST_BLOCK_ELEMENTS differences
     net = init_network([784, 8, 2], seed=7)
     pts = np.random.default_rng(7).standard_normal((120, 784))
     net.biases[-1][1] -= np.median(margin_batch(net, pts))  # about half of pts in each class
     data = _labelled(net, pts)
     counts = np.bincount(data.labels)
     assert counts.min() * counts.max() * 784 > 2 * NEAREST_BLOCK_ELEMENTS
-    return net, data.samples, data.labels, data
+    return net, data, np.arange(len(data))
 
 
 class _Solved(Exception):
@@ -361,11 +367,11 @@ class _Solved(Exception):
 
 @pytest.mark.parametrize("case", [
     _stalled_seed_case, _misclassified_data_sample_case, _tied_opposite_points_case,
-    _two_sample_case, _points_not_data_case, _784d_blocks_case], ids=lambda c: c.__name__[1:-5])
+    _two_sample_case, _twelve_of_42_rows_case, _784d_blocks_case], ids=lambda c: c.__name__[1:-5])
 def test_crossing_candidates_are_the_per_sample_rule(monkeypatch, case):
     # the segment ends the one bracket solve outside hit_boundary gets, and at
     # 2-D the fan radii, against the per-sample rule, bit for bit
-    net, points, labels, data = case()
+    net, data, rows = case()
     fan_sweep, seen, inside = blab.boundary._fan_sweep, {}, []
 
     def counted_hit(*args):
@@ -389,17 +395,17 @@ def test_crossing_candidates_are_the_per_sample_rule(monkeypatch, case):
     monkeypatch.setattr(blab.boundary, "_fan_sweep", counted_fan)
     monkeypatch.setattr(blab.boundary, "bisect_along_segment", stopped_solve)
     with pytest.raises(_Solved):
-        project_to_boundary(net, points, labels, data)
+        project_to_boundary(net, data, rows)
     monkeypatch.undo()
 
-    x = np.asarray(points, dtype=float)
-    near, reach = _per_sample_candidates(net, x, labels, data)
+    x = data.samples[rows]
+    near, reach = _per_sample_candidates(net, x, data.labels[rows], data)
     owner = np.repeat(np.arange(len(x)), [len(n) for n in near])
     crossings = len(owner)
     np.testing.assert_array_equal(seen["a"][:crossings], x[owner])
     np.testing.assert_array_equal(seen["b"][:crossings], data.samples[np.concatenate(near)])
     if data.dim == 2:
-        seed, m_seed = hit_boundary(net, x, margin_batch(net, x))
+        seed, m_seed = hit_boundary(net, x, margin_batch(net, data.samples)[rows])
         np.testing.assert_array_equal(seen["radius"], np.where(
             np.abs(m_seed) <= BOUNDARY_TOLERANCE, np.linalg.norm(seed - x, axis=1), reach))
         np.testing.assert_array_equal(seen["b"][crossings:], seen["fan"][1])

@@ -271,6 +271,40 @@ def test_impossible_dataset_values_exit_2_before_writing(tmp_path, capsys):
         assert not data_out.exists()
 
 
+def test_a_size_numpy_cannot_address_exits_2_writing_nothing(tmp_path, capsys):
+    # numpy refuses an array of more than sys.maxsize bytes, so blab checks the blobs'
+    # (2 * per_class, dim) float64 array and each weight matrix when a config is made.
+    # Nothing here allocates: numpy refuses these shapes before it allocates
+    big = sys.maxsize // 16 + 1  # 16 * big bytes is one past sys.maxsize
+    data_out, run = tmp_path / "blobs.csv", tmp_path / "run"
+    for flags, per_class, dim in ((["--dim", str(2**63)], 50, 2**63),
+                                  (["--per-class", str(2**63 - 1)], 2**63 - 1, 2),
+                                  (["--dim", str(2**62), "--per-class", "4"], 4, 2**62),
+                                  (["--dim", str(big), "--per-class", "1"], 1, big)):
+        assert main(["gen-data", *flags, "--out", str(data_out)]) == EXIT_CONFIG
+        sets = ["--set", f"dataset.dim={dim}", "--set", f"dataset.per_class={per_class}"]
+        assert main(["show-config", CONFIG, *sets]) == EXIT_CONFIG
+        assert main(["iterproj", CONFIG, *sets, "--set", f"network.dims={dim},2",
+                     "--out", str(run)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", 3 * (
+            f"config error: dataset per_class and dim must give at most {sys.maxsize} "
+            f"bytes of samples, got per_class {per_class}, dim {dim}\n"))
+        assert not data_out.exists() and not run.exists()
+    for dims, got in (("2,9223372036854775808,2", "2 -> 9223372036854775808"),
+                      (f"2,{big},2", f"2 -> {big}"), (f"{big},2", f"{big} -> 2")):
+        assert main(["show-config", CONFIG, "--set", f"network.dims={dims}"]) == EXIT_CONFIG
+        assert main(["iterproj", CONFIG, "--set", f"network.dims={dims}",
+                     "--out", str(run)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", 2 * (
+            f"config error: layer dimensions must give weight matrices of at most "
+            f"{sys.maxsize} bytes, got {got}\n"))
+        assert not run.exists()
+    # one less is accepted
+    assert main(["show-config", CONFIG, "--set", f"dataset.dim={big - 1}",
+                 "--set", "dataset.per_class=1", "--set", f"network.dims=2,{big - 1},2"]) == EXIT_OK
+    assert f"dim = {big - 1}" in capsys.readouterr().out
+
+
 def test_iterations_flag_is_the_last_override(tmp_path, capsys):
     for command in ("iterproj", "gentrack"):
         out = tmp_path / f"{command}0"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import blab.experiments
+import blab.metrics
 from blab.boundary import project_to_boundary
 from blab.config import (DatasetSpec, ExperimentConfig, config_from_items, config_sections,
                          parse_config)
@@ -158,9 +159,19 @@ FROZEN_RECORDS = [
 ]
 
 
-def test_blobs2d_cascade_records_match_the_frozen_values(tmp_path):
+def test_blobs2d_cascade_records_match_the_frozen_values(monkeypatch, tmp_path):
+    # and the run scans its class-0 x class-1 pairs 5 times: record 0's metric, then
+    # each iteration's crossing-candidate pass and its record's metric
+    passes, blocks = [], blab.metrics._distance_blocks
+
+    def counted(a, b):
+        passes.append(len(a))
+        return blocks(a, b)
+
+    monkeypatch.setattr(blab.metrics, "_distance_blocks", counted)
     cfg = parse_config(CONFIG, ["experiment.iterations=2"])
     records = run_iterative_projection(cfg, out_dir=tmp_path / "run")
+    assert len(passes) == 5
     for record, frozen in zip(records, FROZEN_RECORDS, strict=True):
         for value, want in zip(dataclasses.astuple(record), frozen, strict=True):
             if want is None:
@@ -270,9 +281,9 @@ def test_the_transfer_source_projects_within_2pct_of_the_exact_boundary(monkeypa
     # run_transfer makes for configs/transfer2d.cfg, recorded from its own call
     calls = []
 
-    def recording(net, points, labels, data):
-        results = project_to_boundary(net, points, labels, data)
-        calls.append((net, np.asarray(points), results))
+    def recording(net, data, rows):
+        results = project_to_boundary(net, data, rows)
+        calls.append((net, data.samples[rows], results))
         return results
 
     monkeypatch.setattr("blab.experiments.project_to_boundary", recording)
@@ -545,10 +556,10 @@ def test_transfer_counts_only_converged_sources_each_with_one_baseline_direction
         nets.append(train_fresh(*args))
         return nets[-1]
 
-    def dropping_the_first(net, points, labels, data):
-        results = project_to_boundary(net, points, labels, data)
+    def dropping_the_first(net, data, rows):
+        results = project_to_boundary(net, data, rows)
         results[0] = dataclasses.replace(results[0], converged=False)
-        projected.append((np.asarray(points), np.asarray(labels), results))
+        projected.append((data.samples[rows], data.labels[rows], results))
         return results
 
     def scoring(net, points, labels):

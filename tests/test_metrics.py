@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blab.metrics
 from blab.data import Dataset
-from blab.metrics import global_difference, nearest_opposite_mean_distance, nearest_rows
+from blab.metrics import global_difference, nearest_opposite_mean_distance, opposite_neighbours
 
 
 def test_nearest_opposite_mean_distance_frozen():
@@ -70,18 +71,42 @@ def test_global_difference_credits_collinear_steps_and_nothing_for_samples_that_
     assert _phi_per_sample(prev[4:], cur[4:], np.array([[0.5, 3.0]])) == [1.0]
 
 
-# the last case's 2 class-1 rows are fewer than the 3 nearest rows asked for
-@pytest.mark.parametrize("shape", [(900, 700, 2), (60, 50, 784), (1500, 2, 784)])
-def test_nearest_opposite_blocks_match_the_direct_formula_bitwise(shape):
+# (1500, 2, 784)'s 2 class-1 rows and (2, 40, 5)'s 2 class-0 rows are fewer than the 3
+# neighbours asked for; "ties" repeats every other row of each class, "unlabelled" marks
+# every third row -1, and block_rows shrinks NEAREST_BLOCK_ELEMENTS to blocks of that
+# many class-0 rows, so a class-1 row's running top 3 merges across many block edges
+@pytest.mark.parametrize("shape, ties, unlabelled, block_rows", [
+    ((900, 700, 2), False, False, None), ((60, 50, 784), False, False, None),
+    ((1500, 2, 784), False, False, None), ((2, 40, 5), False, False, None),
+    ((40, 30, 3), True, False, 2), ((40, 30, 3), False, True, 2), ((41, 31, 3), True, True, 1),
+], ids=["shape0", "shape1", "shape2", "class0_below_k", "ties", "unlabelled",
+        "ties_unlabelled_1row_blocks"])
+def test_nearest_opposite_blocks_match_the_direct_formula_bitwise(monkeypatch, shape, ties,
+                                                                  unlabelled, block_rows):
     s0, s1, n = shape
     rng = np.random.default_rng(s0 + n)
     x0 = rng.standard_normal((s0, n))
     x1 = rng.standard_normal((s1, n)) + 0.5
+    if ties:
+        x0[1::2], x1[1::2] = x0[:s0 // 2 * 2:2], x1[:s1 // 2 * 2:2]
+    if block_rows:
+        monkeypatch.setattr(blab.metrics, "NEAREST_BLOCK_ELEMENTS", block_rows * s1 * n)
     d = np.sqrt(np.maximum(((x0[:, None, :] - x1[None, :, :]) ** 2).sum(axis=2), 0.0))
     direct = float((d.min(axis=1).sum() + d.min(axis=0).sum()) / (s0 + s1))
     data = Dataset(np.vstack([x0, x1]), np.array([0] * s0 + [1] * s1))
     assert nearest_opposite_mean_distance(data) == direct  # bitwise, not approx
-    for a, b, ab in ((x0, x1, d), (x1, x0, d.T)):  # and the engine's nearest-rows query
-        order, nearest = nearest_rows(a, b, 3)
-        np.testing.assert_array_equal(order, np.argsort(ab, axis=1, kind="stable")[:, :3])
-        np.testing.assert_array_equal(nearest, ab.min(axis=1))
+    # and the engine's candidate pass, over the rows in shuffled order
+    order = rng.permutation(len(data))
+    labels = data.labels[order]
+    if unlabelled:
+        labels[::3] = -1
+    near, least = opposite_neighbours(data.samples[order], labels, 3)
+    rows0, rows1 = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    pairs = d[np.ix_(order[rows0], order[rows1] - s0)]
+    want_near, want_least = np.full((len(data), 3), -1), np.full(len(data), np.inf)
+    for rows, others, dist in ((rows0, rows1, pairs), (rows1, rows0, pairs.T)):
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :3]
+        want_near[rows, :nearest.shape[1]] = others[nearest]
+        want_least[rows] = dist.min(axis=1)
+    np.testing.assert_array_equal(near, want_near)
+    np.testing.assert_array_equal(least, want_least)

@@ -131,8 +131,8 @@ def test_oracle_suite_fails_a_projection_that_does_not_converge(monkeypatch, tmp
     # five, the net has nothing left to check
     real = blab.verify.project_to_boundary
 
-    def unconverging(net, points, labels, data):
-        results = real(net, points, labels, data)
+    def unconverging(net, data, rows):
+        results = real(net, data, rows)
         return [dataclasses.replace(r, converged=False) if k < unconverged else r
                 for k, r in enumerate(results)]
 
@@ -172,12 +172,13 @@ def test_oracle_suite_fails_a_linear_oracle_miss(monkeypatch, tmp_path, capsys):
     seen = []
     real = blab.verify.project_to_boundary
 
-    def too_far(net, points, labels, data):
-        [res] = real(net, points, labels, data)
-        step = res.point - points[0]
+    def too_far(net, data, rows):
+        [res] = real(net, data, rows)
+        [x] = data.samples[rows]
+        step = res.point - x
         distance = np.linalg.norm(step)
-        seen.append((net, points[0], distance))
-        return [dataclasses.replace(res, point=points[0] + (1 + 0.01 / distance) * step)]
+        seen.append((net, x, distance))
+        return [dataclasses.replace(res, point=x + (1 + 0.01 / distance) * step)]
 
     monkeypatch.setattr(blab.verify, "project_to_boundary", too_far)
     failed, failing = _failed_in_cli(monkeypatch, tmp_path, capsys, "oracle",
