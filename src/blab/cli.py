@@ -5,7 +5,8 @@ a config file that cannot be read, or an output path that cannot be written,
 among them), 3 data error (DataError: an input file that cannot be read, or
 a run directory's file that is not blab's or does not fit its run, among them),
 4 numeric failure (NumericError: training that diverges or hits its epoch
-cap, or a projection that breaks down), 130 interrupted (Ctrl-C or SIGTERM).
+cap, or a projection that breaks down), 5 out of memory (MemoryError: an
+array the host cannot hold), 130 interrupted (Ctrl-C or SIGTERM).
 Any other error is a fault in blab, not in its input, and ends with its
 traceback.
 """
@@ -31,6 +32,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_MEMORY = 5
 EXIT_INTERRUPTED = 130
 
 
@@ -112,7 +114,7 @@ def cmd_gen_data(args) -> int:
         print(f"wrote {out} ({len(data)} samples)")
     else:
         labels_path = out.with_suffix(".labels.idx")
-        save_idx(data, out, labels_path, side, side)
+        save_idx(data, out, labels_path, side)
         print(f"wrote {out} and {labels_path}")
     return EXIT_OK
 
@@ -193,6 +195,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return EXIT_MEMORY
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

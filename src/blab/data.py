@@ -143,12 +143,13 @@ def load_idx(images_path, labels_path, class_a: int, class_b: int) -> Dataset:
     return Dataset(pixels[keep] / 255.0, np.where(labels[keep] == class_b, 1, 0))
 
 
-def save_idx(data: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
-    """Write a Dataset back to IDX fixtures (values quantized to u8 via round(v*255))."""
-    if rows * cols != data.dim:
-        raise DataError("rows*cols must equal the feature dimension")
+def save_idx(data: Dataset, images_path, labels_path, side: int) -> None:
+    """Write a Dataset back to IDX fixtures as side x side images (values
+    quantized to u8 via round(v*255))."""
+    if side * side != data.dim:
+        raise DataError("side*side must equal the feature dimension")
     pixels = np.clip(np.rint(data.samples * 255.0), 0, 255).astype(np.uint8)
-    write_file(images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, len(data), rows, cols)
+    write_file(images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, len(data), side, side)
                + pixels.tobytes())
     write_file(labels_path, struct.pack(">II", IDX_LABEL_MAGIC, len(data))
                + data.labels.astype(np.uint8).tobytes())
@@ -173,13 +174,15 @@ def sample_balanced(data: Dataset, total: int, seed: int, names: tuple[str, str]
 
 
 @np.errstate(over="ignore")
-def gen_gaussian_blobs(per_class: int, centers, sigma: float, seed: int) -> Dataset:
-    """Two isotropic normal blobs, per_class points each, about two centers of
-    one length, which is the samples' width; sigma must be positive. DataError
-    if a point overflows."""
-    c0, c1 = (np.asarray(c, dtype=np.float64) for c in centers)
+def gen_gaussian_blobs(per_class: int, dim: int, center_distance: float, sigma: float,
+                       seed: int) -> Dataset:
+    """Two isotropic normal blobs of per_class dim-wide points each, class 0
+    first, centred at -center_distance/2 and +center_distance/2 on the first
+    axis; sigma must be positive. DataError if a point overflows."""
+    centers = np.zeros((2, dim))
+    centers[:, 0] = -center_distance / 2.0, center_distance / 2.0
     rng = make_rng(seed, stream=0xB10B)
-    samples = np.vstack([c + sigma * rng.standard_normal((per_class, len(c))) for c in (c0, c1)])
+    samples = np.vstack([c + sigma * rng.standard_normal((per_class, dim)) for c in centers])
     return Dataset(samples, np.repeat([0, 1], per_class))
 
 

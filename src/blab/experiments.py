@@ -54,10 +54,8 @@ class IterationRecord:
 def build_dataset(spec: DatasetSpec) -> Dataset:
     """The dataset a spec describes; a file that lacks a class is a DataError naming it."""
     if spec.source == "blobs":
-        half = spec.center_distance / 2.0
-        c0, c1 = np.zeros((2, spec.dim))
-        c0[0], c1[0] = -half, half
-        return gen_gaussian_blobs(spec.per_class, (c0, c1), spec.sigma, spec.seed)
+        return gen_gaussian_blobs(spec.per_class, spec.dim, spec.center_distance, spec.sigma,
+                                  spec.seed)
     if spec.source == "idx":
         data = load_idx(spec.images_path, spec.labels_path, spec.class_a, spec.class_b)
         if spec.subset:

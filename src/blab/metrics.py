@@ -40,10 +40,12 @@ def opposite_neighbours(samples, labels, k: int) -> tuple[np.ndarray, np.ndarray
     top_d, top_i = np.empty((0, len(rows1))), np.empty((0, len(rows1)), dtype=int)
     for start, d in _distance_blocks(samples[rows0], samples[rows1]):
         block = rows0[start:start + len(d)]
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        near[block, :order.shape[1]] = rows1[order]
         least[block] = d.min(axis=1, initial=np.inf)
         least[rows1] = np.minimum(least[rows1], d.min(axis=0))
+        if k == 0:  # the metric's call: no lists to sort
+            continue
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        near[block, :order.shape[1]] = rows1[order]
         top_d = np.vstack([top_d, d])
         top_i = np.vstack([top_i, np.broadcast_to(block[:, None], d.shape)])
         keep = np.argsort(top_d, axis=0, kind="stable")[:k]

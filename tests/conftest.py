@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from blab.data import gen_gaussian_blobs
@@ -17,5 +16,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def easy_blobs():
     """Well-separated 2D blobs any reasonable training run classifies."""
-    return gen_gaussian_blobs(20, (np.array([-2.0, 0.0]), np.array([2.0, 0.0])),
-                              0.4, seed=7)
+    return gen_gaussian_blobs(20, 2, 4.0, 0.4, seed=7)

@@ -205,8 +205,7 @@ def test_project_dataset_evaluates_the_data_once(monkeypatch):
 def test_projection_on_curved_boundary_finds_near_branch():
     """A trained net with a curved boundary: the solver result must not beat
     the segment upper bound and must sit on the boundary."""
-    data = gen_gaussian_blobs(30, (np.array([-1.5, 0.0]), np.array([1.5, 0.0])),
-                              0.6, seed=12)
+    data = gen_gaussian_blobs(30, 2, 3.0, 0.6, seed=12)
     net = init_network([2, 16, 16, 2], seed=12)
     train(net, data, TrainConfig(max_epochs=3000, batch_size=30), 12)
     picks = np.arange(0, len(data), 7)
@@ -467,9 +466,7 @@ PER_SAMPLE_SOLVER_10D = [
 
 
 def _trained_10d():
-    c0, c1 = np.zeros(10), np.zeros(10)
-    c0[0], c1[0] = -1.5, 1.5
-    data = gen_gaussian_blobs(12, (c0, c1), 0.8, seed=31)
+    data = gen_gaussian_blobs(12, 10, 3.0, 0.8, seed=31)
     net = init_network([10, 16, 16, 2], seed=31)
     train(net, data, TrainConfig(max_epochs=3000, batch_size=24), 31)
     return net, data

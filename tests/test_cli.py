@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import signal
 import stat
@@ -19,8 +20,8 @@ import blab.boundary
 import blab.cli
 import blab.experiments
 import blab.nn
-from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK,
-                      main)
+from blab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_INTERRUPTED, EXIT_MEMORY,
+                      EXIT_NUMERIC, EXIT_OK, main)
 from blab.config import DatasetSpec
 from blab.data import DataError, NumericError, export_csv
 from blab.experiments import build_dataset, checkpoint_resume, records_to_csv, records_to_svg
@@ -303,6 +304,40 @@ def test_a_size_numpy_cannot_address_exits_2_writing_nothing(tmp_path, capsys):
     assert main(["show-config", CONFIG, "--set", f"dataset.dim={big - 1}",
                  "--set", "dataset.per_class=1", "--set", f"network.dims=2,{big - 1},2"]) == EXIT_OK
     assert f"dim = {big - 1}" in capsys.readouterr().out
+
+
+CHILD_ADDRESS_SPACE = 2 << 30  # bytes
+
+
+def _limit_address_space():
+    # runs in the child between fork and exec, so the limit binds that child only
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def _unable(gib, shape):
+    return (f"out of memory: Unable to allocate {gib} GiB for an array with shape {shape} "
+            "and data type float64\n")
+
+
+# sizes numpy can address but a 2 GiB child cannot hold: never run them without the limit
+@pytest.mark.parametrize("argv, err", [
+    (["gen-data", "--dim", "100000", "--per-class", "100000"], _unable(74.5, (100000, 100000))),
+    (["iterproj", CONFIG, "--set", "network.dims=2,1073741824,2"], _unable(16.0, (1073741824, 2))),
+    (["iterproj", CONFIG, "--set", "dataset.per_class=100000", "--set", "dataset.dim=100000",
+      "--set", "network.dims=100000,2"], _unable(74.5, (100000, 100000))),
+], ids=["gen_data", "network_dims", "dataset"])
+def test_memory_the_host_cannot_hold_exits_5_in_one_line(tmp_path, argv, err):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "blab.cli", *argv, "--out", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_MEMORY, "", err)
+    if "network.dims=2,1073741824,2" in argv:  # training's stage: the manifest names it
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["completed_iterations"]) == ("aborted_training", 0)
+    else:  # no data file, no run directory, nothing else
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_iterations_flag_is_the_last_override(tmp_path, capsys):

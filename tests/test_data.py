@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from blab.data import (DataError, Dataset, export_csv, gen_gaussian_blobs,
                        gen_symmetric_layout, import_csv, load_idx, sample_balanced, save_idx)
 from blab.nn import init_network, save_checkpoint
+from blab.rng import make_rng
 
 
 def test_dataset_validation():
@@ -40,12 +41,12 @@ def test_idx_roundtrip(tmp_path):
     pixels = rng.integers(0, 256, size=(10, 16)).astype(np.float64) / 255.0
     data = Dataset(pixels, np.arange(10) % 2)
     img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
-    save_idx(data, img, lab, 4, 4)
+    save_idx(data, img, lab, 4)
     back = load_idx(img, lab, 0, 1)
     np.testing.assert_allclose(back.samples, data.samples, atol=1e-12)
     np.testing.assert_array_equal(back.labels, data.labels)
-    with pytest.raises(DataError, match="rows\\*cols"):  # 4 x 5 pixels for 16 features
-        save_idx(data, img, lab, 4, 5)
+    with pytest.raises(DataError, match="side\\*side"):  # 5 x 5 pixels for 16 features
+        save_idx(data, img, lab, 5)
     # three categories: load_idx keeps two, class_a -> 0 and class_b -> 1, in file order
     digits = [3, 5, 7, 3, 5, 7, 7, 5, 3, 3]
     lab.write_bytes(struct.pack(">II", 2049, 10) + bytes(digits))
@@ -180,10 +181,25 @@ def test_sample_balanced():
 
 
 def test_gen_gaussian_blobs():
-    data = gen_gaussian_blobs(10, (np.zeros(3), np.array([5.0, 0, 0])), 0.1, seed=2)
+    data = gen_gaussian_blobs(10, 3, 5.0, 0.1, seed=2)
     assert data.samples.shape == (20, 3)
     assert (data.labels[:10] == 0).all() and (data.labels[10:] == 1).all()
-    assert np.linalg.norm(data.samples[:10].mean(axis=0)) < 0.5
+    for rows, center in ((slice(0, 10), [-2.5, 0, 0]), (slice(10, 20), [2.5, 0, 0])):
+        assert np.linalg.norm(data.samples[rows].mean(axis=0) - center) < 0.5
+
+
+@pytest.mark.parametrize("dim", [1, 2, 784])
+def test_gen_gaussian_blobs_is_the_explicit_center_draw_bit_for_bit(dim):
+    # the centres -d/2 and +d/2 on the first axis, class 0 drawn first from one stream
+    rng = make_rng(11, stream=0xB10B)
+    expected = []
+    for x in (-1.5, 1.5):
+        center = np.zeros(dim)
+        center[0] = x
+        expected.append(center + 0.7 * rng.standard_normal((6, dim)))
+    data = gen_gaussian_blobs(6, dim, 3.0, 0.7, seed=11)
+    assert data.samples.tobytes() == np.vstack(expected).tobytes()
+    np.testing.assert_array_equal(data.labels, [0] * 6 + [1] * 6)
 
 
 def test_symmetric_layouts():

@@ -59,7 +59,7 @@ def test_build_dataset_sources(tmp_path):
 
 
 def test_stratified_split_properties():
-    data = gen_gaussian_blobs(40, (np.zeros(2), np.ones(2)), 1.0, seed=5)
+    data = gen_gaussian_blobs(40, 2, 1.0, 1.0, seed=5)
     a, b = stratified_split(data, 0.25, seed=9)
     assert len(a) == 60 and len(b) == 20
     assert (b.labels == 0).sum() == 10 and (b.labels == 1).sum() == 10
@@ -68,7 +68,7 @@ def test_stratified_split_properties():
     a2, b2 = stratified_split(data, 0.25, seed=9)
     np.testing.assert_array_equal(b.samples, b2.samples)
     # 10 * 0.25 = 2.5 rounds half to even: 2 of each class held out, not 3
-    small = gen_gaussian_blobs(10, (np.zeros(2), np.ones(2)), 1.0, seed=5)
+    small = gen_gaussian_blobs(10, 2, 1.0, 1.0, seed=5)
     a, b = stratified_split(small, 0.25, seed=9)
     assert (b.labels == 0).sum() == 2 and (b.labels == 1).sum() == 2 and len(a) == 16
 

@@ -110,3 +110,7 @@ def test_nearest_opposite_blocks_match_the_direct_formula_bitwise(monkeypatch, s
         want_least[rows] = dist.min(axis=1)
     np.testing.assert_array_equal(near, want_near)
     np.testing.assert_array_equal(least, want_least)
+    # the metric's call shape, k = 0, which sorts nothing: no lists, the same minima
+    near0, least0 = opposite_neighbours(data.samples[order], labels, 0)
+    assert near0.shape == (len(data), 0)
+    assert least0.tobytes() == want_least.tobytes()
