@@ -17,7 +17,7 @@ import numpy as np
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+def make_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator keyed by (seed, stream); independent streams per key."""
     return np.random.Generator(np.random.Philox(key=[seed & MASK64, stream & MASK64]))
 

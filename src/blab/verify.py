@@ -13,8 +13,8 @@ from .data import Dataset, gen_gaussian_blobs
 from .geometry import (GridBoundary, PiecewiseLinearBoundary, check_claim1_chain,
                        check_claim2_product, halfspace_projection, ratio_bound)
 from .metrics import opposite_neighbours
-from .nn import (MlpNetwork, TrainConfig, active_units, grad_input, init_network, is_correct,
-                 margin, margin_batch, train)
+from .nn import (MlpNetwork, TrainConfig, active_units, grad_input, init_network, margin,
+                 margin_batch, train)
 from .rng import derive_seed, make_rng
 
 CheckResult = tuple[str, bool, str]
@@ -24,21 +24,26 @@ EXACT_REL_BOUND = 0.02  # most an engine distance may exceed the exact one, rela
 ON_BOUNDARY_TOL = 1e-4  # farthest an engine point may lie off the exact boundary, relative
 FD_STEP = 1e-5  # central-difference step of the gradient check
 GRADIENT_REL_TOL = 1e-4  # largest relative gap between backprop and finite differences
-ORACLE_POINTS_PER_NET = 5  # correctly classified samples each trained net projects
+ORACLE_POINTS_PER_NET = 5  # samples each trained net projects; training classifies all correctly
+GRADIENT_PAIRS = 100  # random (network, input) pairs of the gradient check
+GRADIENT_SEED = 2024
+CLAIM_INSTANCES = 1000  # randomized claim-1 chain instances
+RATIO_SAMPLES = 100_000  # random pairs of the a/b + b/a >= 2 check
+CLAIMS_SEED = 13
 
 
-def gradient_suite(pairs: int = 100, seed: int = 2024) -> tuple[list[CheckResult], dict | None]:
+def gradient_suite() -> tuple[list[CheckResult], dict | None]:
     """Backprop input gradient vs central finite differences on random
     (network, input) pairs, each pair's stencil in one margin_batch call.
     Coordinates whose FD stencil crosses a ReLU kink are excluded: the margin
     is piecewise linear there and the FD quotient measures the wrong branch."""
-    rng = make_rng(seed, stream=0x64AD)
+    rng = make_rng(GRADIENT_SEED, stream=0x64AD)
     failing = None
     dims_pool = ([4, 8, 2], [3, 16, 8, 2], [6, 10, 10, 2], [2, 12, 2])
     worst = 0.0
-    for p in range(pairs):
+    for p in range(GRADIENT_PAIRS):
         dims = dims_pool[p % len(dims_pool)]
-        net = init_network(dims, derive_seed(seed, p))
+        net = init_network(dims, derive_seed(GRADIENT_SEED, p))
         x = rng.standard_normal(dims[0])
         g = grad_input(net, x[None])[0]
         # rows x, then x + FD_STEP e_i, then x - FD_STEP e_i for every i
@@ -54,7 +59,7 @@ def gradient_suite(pairs: int = 100, seed: int = 2024) -> tuple[list[CheckResult
         if failing is None and (bad := i[rel >= GRADIENT_REL_TOL]).size:
             failing = {"pair": p, "coordinate": int(bad[0]), "dims": dims,
                        "backprop": float(g[bad[0]]), "fd": float(fd[bad[0]])}
-    return [(f"gradient check ({pairs} pairs)", failing is None,
+    return [(f"gradient check ({GRADIENT_PAIRS} pairs)", failing is None,
              f"worst relative error {worst:.2e}")], failing
 
 
@@ -92,24 +97,21 @@ def exact_check_2d(net: MlpNetwork, samples: np.ndarray, points: np.ndarray):
 
 
 def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dict | None]:
-    """Combined projection solver vs the exact piecewise-linear oracle on
-    trained 2D nets (exact_check_2d), and vs the analytic halfspace projection
-    on linear networks (1e-3 absolute). A coarse grid on the exact check's box
-    cross-checks the exact oracle independently: its distance may not fall
-    below the exact one and may exceed it by at most two grid steps. A net
-    whose training diverges or hits the epoch cap raises NumericError."""
+    """Combined projection solver vs the exact piecewise-linear oracle on trained 2D
+    nets (exact_check_2d), and vs the analytic halfspace projection on linear networks
+    (1e-3 absolute). A coarse grid on the exact check's box cross-checks the exact oracle
+    independently: its distance may not fall below the exact one and may exceed it by at
+    most two grid steps. A net whose training diverges or hits the epoch cap, or that
+    misclassifies a pick, raises NumericError."""
     results: list[CheckResult] = []
     failing = None
     rng = make_rng(seed, stream=0x04AC)
 
-    worst_rel = 0.0
-    exact_ok = True
-    grid_gaps = []
-    grid_ok = True
+    exact_ok = grid_ok = True
+    rels, grid_gaps = [], []
     for n in range(nets):
         net, data = _train_2d_net(derive_seed(seed, n))
-        correct = np.flatnonzero(is_correct(margin_batch(net, data.samples), data.labels))
-        picks = rng.choice(correct, size=ORACLE_POINTS_PER_NET, replace=False)
+        picks = rng.choice(len(data), size=ORACLE_POINTS_PER_NET, replace=False)
         projections = project_to_boundary(net, data, picks)
         converged = np.array([res.converged for res in projections])
         if not converged.all():
@@ -122,21 +124,19 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
             net, data.samples[picks], np.array([res.point for res in projections])[converged])
         grid = GridBoundary(lambda pts: margin_batch(net, pts), box, CROSS_CHECK_STEP)
         grid_d = grid.nearest(data.samples[picks])[1]
-        for i, d, d_exact, d_grid, ok in zip(picks.tolist(), engine.tolist(), exact.tolist(),
-                                             grid_d.tolist(), passed):
-            rel = abs(d - d_exact) / max(d_exact, 1e-12)
-            worst_rel = max(worst_rel, rel)
-            if not ok:
-                exact_ok = False
-                if failing is None:
-                    failing = {"net": n, "sample": i, "solver": d, "exact": d_exact, "rel": rel}
-            grid_gaps.append(d_grid - d_exact)
-            if not d_exact - 1e-9 <= d_grid <= d_exact + 2 * CROSS_CHECK_STEP:
-                grid_ok = False
-                if failing is None:
-                    failing = {"net": n, "sample": i, "grid": d_grid, "exact": d_exact}
+        rel = np.abs(engine - exact) / np.maximum(exact, 1e-12)
+        on_grid = (exact - 1e-9 <= grid_d) & (grid_d <= exact + 2 * CROSS_CHECK_STEP)
+        rels += rel.tolist()
+        grid_gaps += (grid_d - exact).tolist()
+        exact_ok &= bool(passed.all())
+        grid_ok &= bool(on_grid.all())
+        if failing is None and (bad := np.flatnonzero(~(passed & on_grid))).size:
+            k = bad[0]  # an exact-check miss is reported before a grid miss
+            failing = {"net": n, "sample": int(picks[k]), **(
+                {"solver": float(engine[k]), "exact": float(exact[k]), "rel": float(rel[k])}
+                if not passed[k] else {"grid": float(grid_d[k]), "exact": float(exact[k])})}
     results.append((f"exact oracle ({nets} nets x {ORACLE_POINTS_PER_NET} points)", exact_ok,
-                    f"worst relative gap {worst_rel:.4f}"))
+                    f"worst relative gap {max(rels, default=0.0):.4f}"))
     gaps = f"{min(grid_gaps):.1e} to {max(grid_gaps):.1e}" if grid_gaps else "none"
     results.append((f"grid cross-check of the exact oracle (step {CROSS_CHECK_STEP})",
                     grid_ok, f"grid minus exact distance {gaps}"))
@@ -194,30 +194,29 @@ def random_claim1_instance(seed: int) -> dict:
     return {"points": pts, "labels": labels, "f_vectors": f_vecs, "g_vectors": g_vecs}
 
 
-def claims_suite(instances: int = 1000, ratio_samples: int = 100_000,
-                 seed: int = 13) -> tuple[list[CheckResult], dict | None]:
+def claims_suite() -> tuple[list[CheckResult], dict | None]:
     results: list[CheckResult] = []
     failing = None
 
     chain_ok = True
-    for k in range(instances):
-        inst = random_claim1_instance(derive_seed(seed, k))
+    for k in range(CLAIM_INSTANCES):
+        inst = random_claim1_instance(derive_seed(CLAIMS_SEED, k))
         report = check_claim1_chain(**inst)
         if not report["passed"]:
             chain_ok = False
             if failing is None:  # check_claim1_chain(**failing["instance"]) replays it
-                failing = {"instance_seed": derive_seed(seed, k), "report": report,
+                failing = {"instance_seed": derive_seed(CLAIMS_SEED, k), "report": report,
                            "instance": {key: a.tolist() for key, a in inst.items()}}
-    results.append((f"claim-1 chain on {instances} randomized instances", chain_ok, ""))
+    results.append((f"claim-1 chain on {CLAIM_INSTANCES} randomized instances", chain_ok, ""))
 
-    rng = make_rng(seed, stream=0x4A71)
-    vals = np.exp(rng.uniform(-6, 6, size=(ratio_samples, 2)))
+    rng = make_rng(CLAIMS_SEED, stream=0x4A71)
+    vals = np.exp(rng.uniform(-6, 6, size=(RATIO_SAMPLES, 2)))
     rb = ratio_bound(vals[:, 0], vals[:, 1])
     ratio_ok = bool((rb >= 2.0 - 1e-12).all())
     if not ratio_ok and failing is None:
         bad = int(np.argmin(rb))
         failing = {"ratio_pair": vals[bad].tolist(), "value": float(rb[bad])}
-    results.append((f"a/b + b/a >= 2 on {ratio_samples} random pairs", ratio_ok,
+    results.append((f"a/b + b/a >= 2 on {RATIO_SAMPLES} random pairs", ratio_ok,
                     f"min {rb.min():.15f}"))
 
     # designed instances: orthogonal equal-norm must be flagged, collinear must not

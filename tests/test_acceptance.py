@@ -165,7 +165,7 @@ def test_criterion_05_separation_inequality(cascade_run):
 
 
 def test_criterion_06_gradient_checks():
-    results, failing = gradient_suite(pairs=100)
+    results, failing = gradient_suite()
     detail = results[0][2]
     _record(6, all(ok for _, ok, _ in results) and failing is None, detail)
 
@@ -216,7 +216,7 @@ def test_criterion_08_symmetry_experiment():
 
 
 def test_criterion_09_claims_suite():
-    results, failing = claims_suite(instances=1000, ratio_samples=100_000)
+    results, failing = claims_suite()
     detail = "; ".join(name for name, ok, _ in results if ok)
     _record(9, all(ok for _, ok, _ in results) and failing is None, detail)
 

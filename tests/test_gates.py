@@ -28,10 +28,9 @@ def test_a_small_record_round_trips_and_equals_itself(tmp_path, capsys, monkeypa
     # test_acceptance) are left to the real record; small suites stand in
     monkeypatch.setattr(gates, "byte784", lambda work: {})
     monkeypatch.setitem(blab.verify.SUITES, "oracle", lambda: blab.verify.oracle_suite(nets=0))
-    monkeypatch.setitem(blab.verify.SUITES, "claims",
-                        lambda: blab.verify.claims_suite(instances=2, ratio_samples=10))
-    monkeypatch.setitem(blab.verify.SUITES, "gradients",
-                        lambda: blab.verify.gradient_suite(pairs=1))
+    monkeypatch.setattr(blab.verify, "CLAIM_INSTANCES", 2)
+    monkeypatch.setattr(blab.verify, "RATIO_SAMPLES", 10)
+    monkeypatch.setattr(blab.verify, "GRADIENT_PAIRS", 1)
     out = tmp_path / "gates.json"
     assert gates.main(["run", str(out)]) == 0
     text = out.read_text()
