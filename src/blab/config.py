@@ -15,8 +15,6 @@ import configparser
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from .data import LAYOUT_KINDS, ConfigError, DataError, read_utf8
 from .nn import TrainConfig, check_finite_fields, check_layer_dims
@@ -106,15 +104,26 @@ class ExperimentConfig:
         check_kappa(self.kappa)
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma list: spaces dropped, empty items skipped."""
+    return [int(v) for v in text.replace(" ", "").split(",") if v]
+
+
+# a field's annotation, as text under `from __future__ import annotations` -> its value
+# parser; an empty value clears an optional list
+_PARSERS = {"str": str, "int": int, "float": float, "list[int]": _int_list,
+            "list[int] | None": lambda text: _int_list(text) if text.strip() else None}
+
+
 def _keys(cls, exclude=()) -> dict:
-    """Field name -> type hint, in declaration order."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.name not in exclude}
+    """Field name -> value parser, in declaration order; a KeyError at import
+    for an annotation with no parser, so a new spelling never parses wrong."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in exclude}
 
 
 _NESTED = ("dataset", "train")
 _EXPERIMENT = _keys(ExperimentConfig, exclude=_NESTED)
-# section -> key -> type hint, in file order; dims gets a section of its own
+# section -> key -> value parser, in file order; dims gets a section of its own
 CONFIG_SCHEMA = {
     "dataset": _keys(DatasetSpec),
     "network": {"dims": _EXPERIMENT.pop("dims")},
@@ -125,17 +134,6 @@ CONFIG_SCHEMA = {
 
 def _target(cfg: ExperimentConfig, section: str):
     return getattr(cfg, section) if section in _NESTED else cfg
-
-
-def _parse_value(hint, text: str):
-    """Comma lists for list hints; an empty value clears an optional key."""
-    if isinstance(hint, UnionType):
-        inner = next(a for a in get_args(hint) if a is not type(None))
-        return _parse_value(inner, text) if text.strip() else None
-    if get_origin(hint) is list:
-        item = get_args(hint)[0]
-        return [item(v) for v in text.replace(" ", "").split(",") if v]
-    return hint(text)
 
 
 def _format_value(value) -> str:
@@ -151,7 +149,7 @@ def config_from_items(items) -> ExperimentConfig:
         if key not in CONFIG_SCHEMA.get(section, ()):
             raise ConfigError(f"unknown config key {section}.{key}")
         try:
-            values[section][key] = _parse_value(CONFIG_SCHEMA[section][key], text)
+            values[section][key] = CONFIG_SCHEMA[section][key](text)
         except ValueError as e:
             raise ConfigError(f"bad value for {section}.{key}: {text!r}") from e
     return ExperimentConfig(dataset=DatasetSpec(**values["dataset"]),

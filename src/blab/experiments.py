@@ -114,8 +114,7 @@ def records_to_csv(records: list[IterationRecord]) -> str:
 
 
 def records_to_svg(records: list[IterationRecord]) -> str:
-    return line_chart([r.iteration for r in records], [r.mean_nn_distance for r in records],
-                      "Mean inter-class distance per iteration", "iteration", "mean distance")
+    return line_chart([r.iteration for r in records], [r.mean_nn_distance for r in records])
 
 
 class RunDirectory:

@@ -1,4 +1,4 @@
-"""Self-contained SVG line charts. No external assets, byte-deterministic."""
+"""The records chart: a self-contained SVG line chart, byte-deterministic."""
 
 from __future__ import annotations
 
@@ -6,16 +6,13 @@ import math
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 40, 60
+# the records chart's text; it holds no markup, so it goes into the SVG as it is
+TITLE = "Mean inter-class distance per iteration"
+X_LABEL, Y_LABEL = "iteration", "mean distance"
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
+def line_chart(xs, ys) -> str:
     """Single-series chart of the finite points; x is expected monotone (iteration index)."""
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need equal-length nonempty x and y series")
     finite = [(x, y) for x, y in zip(map(float, xs), map(float, ys))
               if math.isfinite(x) and math.isfinite(y)]
     xs, ys = [x for x, _ in finite], [y for _, y in finite]
@@ -42,7 +39,7 @@ def line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        f'font-family="sans-serif">{TITLE}</text>',
     ]
 
     # axes and ticks
@@ -62,10 +59,10 @@ def line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
                    f'font-size="11" font-family="sans-serif">{x:.4g}</text>')
 
     out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
-               f'font-size="13" font-family="sans-serif">{_escape(x_label)}</text>')
+               f'font-size="13" font-family="sans-serif">{X_LABEL}</text>')
     out.append(f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
                f'font-size="13" font-family="sans-serif" '
-               f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{_escape(y_label)}</text>')
+               f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{Y_LABEL}</text>')
 
     points = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in zip(xs, ys))
     out.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="2"/>')

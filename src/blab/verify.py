@@ -155,11 +155,12 @@ def oracle_suite(nets: int = 10, seed: int = 77) -> tuple[list[CheckResult], dic
         if abs(m) < 1e-9:
             continue
         label = 1 if m > 0 else 0
-        anchor = halfspace_projection(w, c, x) - (2.0 if m > 0 else -2.0) * w / np.linalg.norm(w)
+        foot = halfspace_projection(w, c, x)
+        anchor = foot - (2.0 if m > 0 else -2.0) * w / np.linalg.norm(w)
         data = Dataset(np.vstack([x, anchor]), np.array([label, 1 - label]))
         res = project_to_boundary(net, data, [0])[0]
         [solver] = np.linalg.norm([res.point - x], axis=1).tolist()  # as the engine measures it
-        exact = np.linalg.norm(halfspace_projection(w, c, x) - x)
+        exact = np.linalg.norm(foot - x)
         err = abs(solver - exact)
         worst_abs = max(worst_abs, err)
         if err > 1e-3:

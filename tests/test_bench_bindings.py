@@ -13,25 +13,15 @@ the benchmark's own runner, and feed the pair to its `per_layer`: every
 per-layer name in BENCHMARK.json must come out, as finite JSON.
 """
 
-import importlib.util
 import json
-import sys
 import time
 from pathlib import Path
 
+from helpers import load_bench
+
 ROOT = Path(__file__).resolve().parent.parent
 PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
-
-
-def _load_bench():
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load_bench()
+bench = load_bench()
 
 
 def _invoke_pair(tmp_path: Path, mode: str, argv) -> dict:

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from blab.config import DatasetSpec
 from blab.data import DataError, NumericError, export_csv
 from blab.experiments import build_dataset, checkpoint_resume, records_to_csv, records_to_svg
 from blab.nn import margin_batch
+from helpers import load_bench
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = str(ROOT / "configs" / "blobs2d.cfg")
@@ -314,6 +314,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+def _run_limited(argv, cwd):
+    """`python -m blab.cli ARGV` in a child of at most CHILD_ADDRESS_SPACE bytes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "blab.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+
+
 def _unable(gib, shape):
     return (f"out of memory: Unable to allocate {gib} GiB for an array with shape {shape} "
             "and data type float64\n")
@@ -327,17 +335,51 @@ def _unable(gib, shape):
       "--set", "network.dims=100000,2"], _unable(74.5, (100000, 100000))),
 ], ids=["gen_data", "network_dims", "dataset"])
 def test_memory_the_host_cannot_hold_exits_5_in_one_line(tmp_path, argv, err):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "blab.cli", *argv, "--out", str(out)],
-                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
-                          preexec_fn=_limit_address_space)
+    proc = _run_limited([*argv, "--out", str(out)], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_MEMORY, "", err)
     if "network.dims=2,1073741824,2" in argv:  # training's stage: the manifest names it
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["status"], manifest["completed_iterations"]) == ("aborted_training", 0)
     else:  # no data file, no run directory, nothing else
         assert list(tmp_path.iterdir()) == []
+
+
+IDX_4D_CONFIG = """[dataset]
+source = idx
+images_path = d.idx
+labels_path = d.labels.idx
+class_a = 0
+class_b = 1
+
+[network]
+dims = 4,8,2
+
+[experiment]
+iterations = 1
+"""
+
+
+# the last size keys, on an idx file of 10 samples per class: a subset the file cannot
+# fill is a data error, and training clamps its batch to the dataset, at any size
+@pytest.mark.parametrize("size", [2**40, 2**63])
+@pytest.mark.parametrize("key", ["dataset.subset", "train.batch_size"])
+def test_a_huge_subset_or_batch_size_ends_with_its_documented_code(tmp_path, capsys, key, size):
+    assert main(["gen-data", "--dim", "4", "--per-class", "10", "--format", "idx",
+                 "--out", str(tmp_path / "d.idx")]) == EXIT_OK
+    (tmp_path / "p.cfg").write_text(IDX_4D_CONFIG)
+    sets = ["--set", f"{key}={size}"]
+    assert main(["show-config", str(tmp_path / "p.cfg"), *sets]) == EXIT_OK
+    assert f"{key.split('.')[1]} = {size}\n" in capsys.readouterr().out
+    proc = _run_limited(["iterproj", "p.cfg", *sets, "--out", "run"], tmp_path)
+    if key == "dataset.subset":
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_DATA, "", (
+            f"data error: class_a = 0 has only 10 samples; dataset.subset = {size} "
+            f"needs {size // 2}\n"))
+        assert not (tmp_path / "run").exists()
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_OK, "wrote run/records.csv and run/chart.svg (2 records)\n", "")
 
 
 def test_iterations_flag_is_the_last_override(tmp_path, capsys):
@@ -985,13 +1027,10 @@ def test_transfer2d_runs_the_cross_model_mode(tmp_path):
     assert len(rates) == 3 and all(0 <= r <= 1 for r in rates)
 
 
-def test_784d_cascade_on_generated_idx_data(tmp_path, monkeypatch):
+def test_784d_cascade_on_generated_idx_data(tmp_path):
     # the idx dataset source and the benchmark's 784-d network, on blobs that
     # gen-data writes; one iteration takes about 1.5 s, against a 3-s budget
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # where its dataclasses find their module
-    spec.loader.exec_module(bench)
+    bench = load_bench()
     images = tmp_path / "blobs784.idx"
     assert main(["gen-data", "--dim", "784", "--per-class", "20", "--format", "idx",
                  "--seed", "7", "--out", str(images)]) == EXIT_OK

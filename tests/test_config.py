@@ -1,12 +1,13 @@
 import ast
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab.cli import EXIT_CONFIG, EXIT_OK, main
-from blab.config import ConfigError, DatasetSpec, ExperimentConfig, parse_config, serialize_config
+from blab.config import (ConfigError, DatasetSpec, ExperimentConfig, _keys, parse_config,
+                         serialize_config)
 from blab.nn import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +148,17 @@ def test_list_values_and_bad_values(tmp_path):
         p.write_text(bad)
         with pytest.raises(ConfigError):
             parse_config(p)
+
+
+def test_a_field_annotation_with_no_parser_fails_when_the_schema_is_built():
+    # a field's annotation text picks its value parser, so a new spelling is a KeyError
+    # when the schema is built at import, never a value parsed some other way
+    @dataclass(frozen=True)
+    class Spec:
+        sizes: "tuple[int, ...]" = ()
+
+    with pytest.raises(KeyError, match=r"tuple\[int, \.\.\.\]"):
+        _keys(Spec)
 
 
 def test_projector_section_is_refused(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import re
 
@@ -15,7 +14,7 @@ from blab.nn import MlpNetwork, init_network, margin_batch
 from blab.rng import derive_seed, make_rng
 from blab.verify import (FD_STEP, ON_BOUNDARY_TOL, claims_suite, exact_check_2d, gradient_suite,
                          oracle_suite, random_claim1_instance)
-from helpers import linear_net
+from helpers import linear_net, load_bench
 
 
 def test_gradient_suite_small(monkeypatch):
@@ -76,12 +75,6 @@ def test_oracle_suite_one_net_checks_in_the_box_of_its_points(seed):
     assert results[0][1] and results[1][1], failing
 
 
-def _bench_oracle_seed(s):
-    """perfbench/run.py's sub_seed(s, 0, "oracle"): the suite seed of perfbench's oracle
-    workload at seed s, and of tools/gates.py's oracle sweep."""
-    return int.from_bytes(hashlib.sha256(f"{s}/0/oracle".encode()).digest()[:4], "little")
-
-
 def _embed(monkeypatch, width, seed):
     """Runs oracle_suite's engine on each net lifted to `width` inputs: with Q a width x 2
     matrix of orthonormal columns, from a QR seeded by the suite seed, the net's first
@@ -109,7 +102,7 @@ EMBEDDED_10D_MISSES = {12: 1.168, 17: 1.082, 37: 1.028, 38: 1.199, 43: 1.299, 60
         f"failing sample lies {EMBEDDED_10D_MISSES[s]:.3f} times its exact distance away, "
         f"over the 2% bound"))] if s in EMBEDDED_10D_MISSES else []) for s in range(1, 61)])
 def test_oracle_suite_one_net_embedded_at_10d(monkeypatch, s):
-    seed = _bench_oracle_seed(s)
+    seed = load_bench().sub_seed(s, 0, "oracle")  # as perfbench and tools/gates.py seed it
     _embed(monkeypatch, 10, seed)
     results, failing = oracle_suite(nets=1, seed=seed)
     assert all(ok for _, ok, _ in results), failing
